@@ -13,7 +13,8 @@ import numpy as np
 
 from . import __version__
 from .classify import classify
-from .curves import CurveSpec, FramedCurve, build_curve, parse_curve
+from .curves import (CurveSpec, FramedCurve, build_curve, parse_curve,
+                     vec_values)
 from .errors import TransurfError
 from .expr import parse_tuple3
 from .report import SCHEMA, classification_doc, dumps, write_report
@@ -156,12 +157,12 @@ def cmd_scan(cfg: RunConfig) -> int:
 def write_obj(s: TranslationSurface, window, n: int, path: str):
     """Row-major triangulated grid mesh; deterministic vertex order."""
     u0, u1, v0, v1 = window
-    us = np.linspace(u0, u1, n)
-    vs = np.linspace(v0, v1, n)
+    gu = vec_values(s.curve_u.batch_jets(np.linspace(u0, u1, n), 2).gamma)
+    gv = vec_values(s.curve_v.batch_jets(np.linspace(v0, v1, n), 2).gamma)
     lines = []
-    for u in us:
-        for v in vs:
-            x, y, z = s.x_value((float(u), float(v)))
+    for i in range(n):
+        for j in range(n):
+            x, y, z = gu[:, i] + gv[:, j]
             lines.append("v {:.9g} {:.9g} {:.9g}".format(x, y, z))
     for i in range(n - 1):
         for j in range(n - 1):

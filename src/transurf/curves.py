@@ -10,6 +10,7 @@ gamma' = alpha * mu, mu = nu1 x nu2. The curve itself may be singular
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +32,25 @@ def shift3(v: VecJets) -> VecJets:
 
 
 def vec_values(v: VecJets) -> np.ndarray:
+    """Values of a jet triple: shape (3,), or (3, B) for batch jets."""
     return np.array([c.value for c in v])
+
+
+def lanewise(fn: VecFn) -> VecFn:
+    """Evaluator for a batch of parameters from a scalar-only evaluator.
+
+    For an evaluator that does scalar side-work (an ODE state, a quadrature)
+    this calls ``fn`` once per lane and stacks the lanes, so each lane is the
+    scalar evaluation itself.
+    """
+    @functools.wraps(fn)
+    def wrapped(t, order: int) -> VecJets:
+        if not isinstance(t, np.ndarray):
+            return fn(t, order)
+        lanes = [fn(float(tk), order) for tk in t]
+        return tuple(Jet(t, np.stack([lane[c].d for lane in lanes], axis=1))
+                     for c in range(3))
+    return wrapped
 
 
 @dataclass(frozen=True)
@@ -62,6 +81,16 @@ class FramedCurve:
     ``gamma``, ``nu1`` and ``nu2`` map (t, order) to triples of jets. The
     frame rows in order (nu1, nu2, mu) fix the index conventions used by
     every frame-matrix entry downstream.
+
+    Evaluator contract: ``t`` is a float, or a 1-D array of parameters for
+    :meth:`batch_jets`, and the evaluator then returns jets with a batch axis
+    whose lane k equals its scalar result at ``t[k]`` bitwise. Evaluators
+    built from ``Jet.variable``, ``Jet.constant``, jet arithmetic and the
+    ``jets`` functions meet it unchanged. One that needs scalar side-work
+    (an ODE state, a quadrature) is wrapped in :func:`lanewise`. The
+    per-point methods (``gamma_jets``, ``frame_row``, ``curvature``, ...)
+    take floats only and cache their results; :meth:`batch_jets` bypasses
+    the cache.
     """
 
     def __init__(self, gamma: VecFn, nu1: VecFn, nu2: VecFn,
@@ -136,6 +165,11 @@ class FramedCurve:
     def point(self, t: float) -> np.ndarray:
         return vec_values(self.gamma_jets(t, 2))
 
+    def batch_jets(self, ts, order: int = 6) -> "CurveBatch":
+        """Jets of gamma and the frame at every parameter of the 1-D array
+        ``ts``, each evaluator called once on the whole array."""
+        return CurveBatch(self, ts, order)
+
     # -- flags and checks ----------------------------------------------------
 
     def frame_residual(self, t: float) -> float:
@@ -207,6 +241,44 @@ class FramedCurve:
                            frenet=self.frenet, validate=False, tols=self.tols)
 
 
+class CurveBatch:
+    """Jets of one curve at an array of parameters, with a batch axis.
+
+    Each attribute is evaluated on first use, once for the whole array. Lane
+    k equals the per-point method at ``ts[k]`` bitwise: ``gamma`` is
+    ``gamma_jets``, ``nu1``, ``nu2`` and ``mu`` are ``frame_row`` 1-3 (the
+    ``*_jets`` methods), and ``alpha`` is ``curvature(t, order - 1).alpha``.
+    """
+
+    def __init__(self, curve: FramedCurve, ts, order: int):
+        # a private array, so the Frenet evaluators may match it by identity
+        self.ts = np.array(ts, dtype=float)
+        if self.ts.ndim != 1:
+            raise ValueError("batch parameters must be a 1-D array")
+        self.curve = curve
+        self.order = order
+
+    @functools.cached_property
+    def gamma(self) -> VecJets:
+        return self.curve._gamma(self.ts, self.order)
+
+    @functools.cached_property
+    def nu1(self) -> VecJets:
+        return self.curve._nu1(self.ts, self.order)
+
+    @functools.cached_property
+    def nu2(self) -> VecJets:
+        return self.curve._nu2(self.ts, self.order)
+
+    @functools.cached_property
+    def mu(self) -> VecJets:
+        return cross3(self.nu1, self.nu2)
+
+    @functools.cached_property
+    def alpha(self) -> Jet:
+        return dot3(shift3(self.gamma), self.mu)
+
+
 def framed_curvature(fc: FramedCurve, t: float, order: int = 5) -> FramedCurvature:
     return fc.curvature(t, order)
 
@@ -226,27 +298,37 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
     """
 
     parts_cache: dict = {}
+    last_batch: list = [None, None, None]   # (ts, order, parts)
 
-    def parts(t: float, order: int):
-        hit = parts_cache.get((t, order))
-        if hit is not None:
-            return hit
+    def build(t, order: int):
         g = gamma(t, order + 2)
         g1 = shift3(g)
         g2 = shift3(g1)
         c = cross3(g1, g2)
         csq = dot3(c, c)
-        if csq.value < tols.nondeg_tol**2:
-            raise NotNonDegenerate("gamma' x gamma'' vanishes", t)
+        flat = csq.value < tols.nondeg_tol**2
+        if np.any(flat):
+            where = t if not isinstance(t, np.ndarray) else float(t[flat][0])
+            raise NotNonDegenerate("gamma' x gamma'' vanishes", where)
         cn = jets.sqrt(csq)
         speed = norm3(g1)
         tv = tuple(x / speed for x in g1)
         bv = tuple(x / cn for x in c)
         nv = cross3(bv, tv)
-        hit = (g1, g2, cn, speed, nv, bv)
-        if len(parts_cache) > 20000:
-            parts_cache.clear()
-        parts_cache[(t, order)] = hit
+        return (g1, g2, cn, speed, nv, bv)
+
+    def parts(t, order: int):
+        if isinstance(t, np.ndarray):
+            # nu1 and nu2 of one CurveBatch come with the same array
+            if last_batch[0] is not t or last_batch[1] != order:
+                last_batch[:] = (t, order, build(t, order))
+            return last_batch[2]
+        hit = parts_cache.get((t, order))
+        if hit is None:
+            hit = build(t, order)
+            if len(parts_cache) > 20000:
+                parts_cache.clear()
+            parts_cache[(t, order)] = hit
         return hit
 
     def nu1(t, order):

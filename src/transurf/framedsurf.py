@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import jets
-from .errors import ThetaResidualError, ThetaUnavailable
+from .errors import ThetaResidualError, ThetaUnavailable, TransurfError
 from .jets import BiJet, Jet
 from .surface import TranslationSurface
 from .tolerances import DEFAULT, Tolerances
@@ -174,7 +174,7 @@ class ThetaField:
             try:
                 samples = {s: f(s) for s in
                            (1e-3, -1e-3, 5e-4, -5e-4)}
-            except Exception:
+            except TransurfError:
                 return None
             if any(val is None for val in samples.values()):
                 return None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import FramedCurve, FramedCurvature, VecJets, shift3
+from .curves import FramedCurve, FramedCurvature, VecJets, lanewise, shift3
 from .errors import NotIntegrable
 from .jets import BiJet, Jet
 from .tolerances import DEFAULT, Tolerances
@@ -27,6 +27,19 @@ def _shift_n(v: VecJets, k: int) -> VecJets:
     for _ in range(k):
         v = shift3(v)
     return v
+
+
+def frame_dot(row_b, row_a):
+    """sum_c row_b[c] row_a[c] over three components, added left to right
+    from zero: ((0 + b0 a0) + b1 a1) + b2 a2.
+
+    This is the order in which :meth:`FrameField.t_bijet` accumulates its
+    entries, so a value formed here from frame-row derivatives equals the
+    matching BiJet entry bitwise. The components are floats or arrays, which
+    broadcast: per lane for Newton iterates, outer for a grid.
+    """
+    return ((0.0 + row_b[0] * row_a[0]) + row_b[1] * row_a[1]
+            + row_b[2] * row_a[2])
 
 
 class FrameField:
@@ -46,11 +59,11 @@ class FrameField:
         order = degree + max(du, dv)
         row_b = _shift_n(self.curve_b.frame_row(i, v, order), dv)
         row_a = _shift_n(self.curve_a.frame_row(j, u, order), du)
-        out = BiJet.constant(0.0, u, v, degree)
-        for c in range(3):
-            out = out + (BiJet.from_u_jet(row_a[c].truncate(degree), v, degree)
-                         * BiJet.from_v_jet(row_b[c].truncate(degree), u, degree))
-        return out
+        # the partials of f(u) g(v) are f^(p)(u) g^(q)(v): an outer product
+        c = np.zeros((degree + 1, degree + 1))
+        for k in range(3):
+            c = c + np.outer(row_a[k].d[: degree + 1], row_b[k].d[: degree + 1])
+        return BiJet(u, v, c)
 
     def value(self, u: float, v: float) -> np.ndarray:
         a_rows = [self.curve_a.frame_row(i, u, 2) for i in (1, 2, 3)]
@@ -68,7 +81,7 @@ class FrameField:
         order = max(2, du + dv)
         row_b = _shift_n(self.curve_b.frame_row(i, v, order), dv)
         row_a = _shift_n(self.curve_a.frame_row(j, u, order), du)
-        return math.fsum(row_b[c].value * row_a[c].value for c in range(3))
+        return frame_dot([c.value for c in row_b], [c.value for c in row_a])
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +230,10 @@ class OdeFramedCurve(FramedCurve):
             return hit
 
         self._fmat = fmat
-        super().__init__(self._gamma_jets_impl, self._nu_jets_impl(1),
-                         self._nu_jets_impl(2), domain, name=name,
+        # the RK4 state is scalar, so a batch evaluates lane by lane
+        super().__init__(lanewise(self._gamma_jets_impl),
+                         lanewise(self._nu_jets_impl(1)),
+                         lanewise(self._nu_jets_impl(2)), domain, name=name,
                          validate=False, tols=tols)
 
     # -- integration ---------------------------------------------------------

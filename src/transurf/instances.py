@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import jets
-from .curves import FramedCurve, frenet_lift
+from .curves import FramedCurve, frenet_lift, lanewise
 from .jets import Jet
 from .surface import TranslationSurface
 
@@ -172,6 +172,8 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
         cache[t] = out
         return out
 
+    # the quadrature in ``value`` is scalar, so a batch evaluates per lane
+    @lanewise
     def gamma(t: float, order: int):
         dirj = direction(t, max(order - 1, 2))
         val = value(t)
@@ -185,11 +187,13 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
         return frenet_lift(gamma, domain, name=name)
 
     # a vanishing speed leaves the curve non-regular: frame it by transport
+    @lanewise
     def nu1(t, order):
         hj = h_jet(t, max(order, 2))
         row = base.nu1_jets(hj.value, max(order, 2))
         return tuple(Jet(t, hj.compose_outer(row[c].d).d) for c in range(3))
 
+    @lanewise
     def nu2(t, order):
         hj = h_jet(t, max(order, 2))
         row = base.nu2_jets(hj.value, max(order, 2))

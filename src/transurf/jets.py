@@ -8,10 +8,20 @@ one-to-one. A :class:`BiJet` stores the triangle of partials
 once. Bivariate data for products ``f(u) g(v)`` is assembled exactly from the
 two univariate jets, so no accuracy is lost to grid differencing anywhere.
 
+A :class:`Jet` may carry a trailing batch axis: with ``t0`` a 1-D array of B
+base points, ``d`` has shape ``(K + 1, B)`` and ``value``/``deriv`` return
+arrays. Products, quotients and compositions are written per derivative
+order over "rows" (Python floats for a scalar jet, length-B arrays for a
+batch) with the same floating-point operations in the same order, so lane b
+of a batch result equals the scalar result at ``t0[b]`` bitwise. Checks on
+values (near-zero divisors, the sqrt/pow domain) raise when any lane fails.
+:class:`BiJet` has no batch axis.
+
 Values are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,17 +37,46 @@ for _n in range(_NMAX + 1):
     for _k in range(_n + 1):
         _BINOM[_n, _k] = math.comb(_n, _k)
 _FACT = np.array([math.factorial(k) for k in range(_NMAX + 1)], dtype=float)
+_BINOM_ROWS = _BINOM.tolist()
+_FACT_ROWS = _FACT.tolist()
 
 
-def _leibniz(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Derivatives of a product from derivatives of the factors.
+def _rows(d: np.ndarray) -> list:
+    """Coefficients by derivative order: floats, or batch rows of length B."""
+    return d.tolist() if d.ndim == 1 else list(d)
 
-    Accumulated with fsum so the result is correctly rounded, which makes
-    multiplication bitwise commutative.
+
+def _any(mask) -> bool:
+    """True when a value check fails at the base point or at any lane."""
+    return mask if mask.__class__ is bool else bool(np.any(mask))
+
+
+def _ufunc(fn, *args):
+    """A numpy ufunc at a jet value: a float for a scalar, an array for a
+    batch. Scalars go through the same ufunc as batches so lanes agree."""
+    y = fn(*args)
+    return y if y.ndim else float(y)
+
+
+def _leibniz(a: list, b: list, n: int) -> list:
+    """Derivatives of a product from the rows of its factors.
+
+    Row k is sum over i < k - i of C(k, i) (a_i b_{k-i} + a_{k-i} b_i), then
+    C(k, k/2) a_{k/2} b_{k/2} for even k, added in that order. Each pair is
+    symmetric in a and b, so ``a*b`` and ``b*a`` agree bitwise; rows are
+    floats or batch arrays, so a lane equals the scalar product bitwise.
     """
-    out = np.empty(n + 1)
+    out = []
     for k in range(n + 1):
-        out[k] = math.fsum(_BINOM[k, i] * a[i] * b[k - i] for i in range(k + 1))
+        binom = _BINOM_ROWS[k]
+        acc = None
+        for i in range(k // 2 + 1):
+            j = k - i
+            term = a[i] * b[j] if i == j else a[i] * b[j] + a[j] * b[i]
+            if binom[i] != 1.0:
+                term = binom[i] * term
+            acc = term if acc is None else acc + term
+        out.append(acc)
     return out
 
 
@@ -52,6 +91,8 @@ class Jet:
     ``d[k]`` is the k-th derivative. Arithmetic truncates to the smaller
     operand order. Derivative shifts (:meth:`differentiate`) may produce
     orders below the public minimum of 2; the public constructors enforce it.
+    With ``t0`` a 1-D array the jet holds one lane per base point and ``d``
+    has shape ``(order + 1, len(t0))``; jets of one batch share ``t0``.
     """
 
     t0: float
@@ -69,7 +110,7 @@ class Jet:
     def variable(t0: float, order: int = 6) -> "Jet":
         if order < 2:
             raise ValueError("jet order must be >= 2")
-        d = np.zeros(order + 1)
+        d = _blank(t0, order)
         d[0], d[1] = t0, 1.0
         return Jet(t0, d)
 
@@ -77,7 +118,7 @@ class Jet:
     def constant(value: float, t0: float = 0.0, order: int = 6) -> "Jet":
         if order < 2:
             raise ValueError("jet order must be >= 2")
-        d = np.zeros(order + 1)
+        d = _blank(t0, order)
         d[0] = value
         return Jet(t0, d)
 
@@ -89,21 +130,21 @@ class Jet:
 
     @property
     def value(self) -> float:
-        return float(self.d[0])
+        return float(self.d[0]) if self.d.ndim == 1 else self.d[0]
 
     def deriv(self, k: int) -> float:
-        return float(self.d[k])
+        return float(self.d[k]) if self.d.ndim == 1 else self.d[k]
 
     # -- helpers -------------------------------------------------------------
 
     def _align(self, other) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(other, Jet):
-            if other.t0 != self.t0:
+            if other.t0 is not self.t0 and _any(other.t0 != self.t0):
                 raise ValueError("jet base points differ")
             n = min(self.order, other.order)
             return self.d[: n + 1], other.d[: n + 1]
         other = float(other)
-        c = np.zeros(self.order + 1)
+        c = np.zeros(self.d.shape)
         c[0] = other
         return self.d, c
 
@@ -130,29 +171,31 @@ class Jet:
         return Jet(self.t0, -self.d)
 
     def __mul__(self, other):
-        a, b = self._align(other)
         if not isinstance(other, Jet):
-            return Jet(self.t0, a * b[0])
-        n = len(a) - 1
-        return Jet(self.t0, _leibniz(a, b, n))
+            return Jet(self.t0, self.d * float(other))
+        a, b = self._align(other)
+        return Jet(self.t0, _leibniz(_rows(a), _rows(b), len(a) - 1))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._align(other)
         if not isinstance(other, Jet):
-            if abs(b[0]) <= DIV_EPS:
+            other = float(other)
+            if abs(other) <= DIV_EPS:
                 raise DegenerateDivision("division by near-zero constant")
-            return Jet(self.t0, a / b[0])
-        if abs(b[0]) <= DIV_EPS:
+            return Jet(self.t0, self.d / other)
+        a, b = self._align(other)
+        a, b = _rows(a), _rows(b)
+        b0 = b[0]
+        if _any(abs(b0) <= DIV_EPS):
             raise DegenerateDivision("division by jet with near-zero value")
-        n = len(a) - 1
-        r = np.empty(n + 1)
-        for k in range(n + 1):
+        r = []
+        for k in range(len(a)):
+            binom = _BINOM_ROWS[k]
             acc = a[k]
             for i in range(k):
-                acc -= _BINOM[k, i] * r[i] * b[k - i]
-            r[k] = acc / b[0]
+                acc = acc - binom[i] * r[i] * b[k - i]
+            r.append(acc / b0)
         return Jet(self.t0, r)
 
     def __rtruediv__(self, other):
@@ -169,34 +212,42 @@ class Jet:
 
     def antiderivative(self, value: float) -> "Jet":
         """Jet of an antiderivative with prescribed value; order rises by one."""
-        return Jet(self.t0, np.concatenate(([value], self.d)))
+        head = np.reshape(value, (1,) + self.d.shape[1:])
+        return Jet(self.t0, np.concatenate((head, self.d)))
 
-    def compose_outer(self, outer_derivs: np.ndarray) -> "Jet":
-        """Jet of F(self) given derivatives of F at ``self.value``."""
+    def compose_outer(self, outer_derivs) -> "Jet":
+        """Jet of F(self) given derivatives of F at ``self.value``.
+
+        ``outer_derivs`` holds one row per derivative order, like ``d``.
+        """
         n = self.order
-        f = np.asarray(outer_derivs, dtype=float)[: n + 1]
-        if len(f) < n + 1:
+        if len(outer_derivs) < n + 1:
             raise ValueError("need outer derivatives up to the jet order")
-        p = self.d / _FACT[: n + 1]
-        p = p.copy()
-        p[0] = 0.0
-        ft = f / _FACT[: n + 1]
-        # Horner in the nilpotent part of the inner series.
-        acc = np.zeros(n + 1)
-        acc[0] = ft[n]
+        f = outer_derivs[: n + 1]
+        if isinstance(f, np.ndarray):
+            f = _rows(f)
+        fact = _FACT_ROWS
+        p = [dk / fact[k] for k, dk in enumerate(_rows(self.d))]
+        ft = [fk / fact[k] for k, fk in enumerate(f)]
+        # Horner in the nilpotent part p[1:] of the inner series; every
+        # entry sums from +0.0 in ascending order
+        acc = [ft[n]] + [0.0] * n
         for k in range(n - 1, -1, -1):
-            acc = _series_mul(acc, p, n)
-            acc[0] += ft[k]
-        return Jet(self.t0, acc * _FACT[: n + 1])
+            nxt = [0.0 + ft[k]]
+            for m in range(1, n + 1):
+                s = 0.0
+                for i in range(m):
+                    s = s + acc[i] * p[m - i]
+                nxt.append(s)
+            acc = nxt
+        return Jet(self.t0, [acc[k] * fact[k] for k in range(n + 1)])
 
 
-def _series_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n + 1)
-    for i in range(n + 1):
-        if a[i] == 0.0:
-            continue
-        out[i:] += a[i] * b[: n + 1 - i]
-    return out
+def _blank(t0, order: int) -> np.ndarray:
+    """Zero derivative rows for a jet at ``t0`` (a float or a 1-D array)."""
+    if isinstance(t0, np.ndarray):
+        return np.zeros((order + 1, len(t0)))
+    return np.zeros(order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +268,7 @@ class BiJet:
 
     def __post_init__(self):
         arr = np.asarray(self.c, dtype=float).copy()
-        n = arr.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if i + j >= n:
-                    arr[i, j] = 0.0
+        arr[_beyond_degree(arr.shape[0])] = 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "c", arr)
 
@@ -397,6 +444,15 @@ class BiJet:
         return BiJet(self.u0, self.v0, acc * fact2)
 
 
+@functools.lru_cache(maxsize=None)
+def _beyond_degree(n: int) -> np.ndarray:
+    """Mask of the entries (i, j) with i + j >= n of an n x n partials array."""
+    r = np.arange(n)
+    mask = np.add.outer(r, r) >= n
+    mask.setflags(write=False)
+    return mask
+
+
 def _poly2_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
@@ -418,29 +474,32 @@ def _order_of(x) -> int:
     return x.order if isinstance(x, Jet) else x.degree
 
 
-def _sin_derivs(a: float, n: int) -> np.ndarray:
-    s, c = math.sin(a), math.cos(a)
+# Derivative tables hold one row per order (see ``_rows``) and use numpy
+# ufuncs for scalars too: ``float ** e`` and ``np.power`` differ in the last
+# bit on some inputs, and a batch lane must equal the scalar evaluation.
+
+def _sin_derivs(a, n: int) -> list:
+    s, c = _ufunc(np.sin, a), _ufunc(np.cos, a)
     cycle = (s, c, -s, -c)
-    return np.array([cycle[k % 4] for k in range(n + 1)])
+    return [cycle[k % 4] for k in range(n + 1)]
 
 
-def _cos_derivs(a: float, n: int) -> np.ndarray:
-    s, c = math.sin(a), math.cos(a)
+def _cos_derivs(a, n: int) -> list:
+    s, c = _ufunc(np.sin, a), _ufunc(np.cos, a)
     cycle = (c, -s, -c, s)
-    return np.array([cycle[k % 4] for k in range(n + 1)])
+    return [cycle[k % 4] for k in range(n + 1)]
 
 
-def _exp_derivs(a: float, n: int) -> np.ndarray:
-    return np.full(n + 1, math.exp(a))
+def _exp_derivs(a, n: int) -> list:
+    return [_ufunc(np.exp, a)] * (n + 1)
 
 
-def _pow_derivs(a: float, e: float, n: int) -> np.ndarray:
-    out = np.empty(n + 1)
-    out[0] = a ** e
+def _pow_derivs(a, e: float, n: int) -> list:
+    out = [_ufunc(np.power, a, e)]
     coef = 1.0
     for k in range(1, n + 1):
         coef *= e - (k - 1)
-        out[k] = coef * a ** (e - k)
+        out.append(coef * _ufunc(np.power, a, e - k))
     return out
 
 
@@ -461,7 +520,7 @@ def tan(x):
 
 
 def sqrt(x):
-    if x.value <= 0.0:
+    if _any(x.value <= 0.0):
         raise DomainError("sqrt of nonpositive value")
     return x.compose_outer(_pow_derivs(x.value, 0.5, _order_of(x)))
 
@@ -480,7 +539,7 @@ def _power(x, exponent):
         for _ in range(k):
             out = out * x
         return out
-    if x.value <= 0.0:
+    if _any(x.value <= 0.0):
         raise DomainError("real power of nonpositive value")
     return x.compose_outer(_pow_derivs(x.value, e, _order_of(x)))
 
@@ -489,16 +548,16 @@ def atan(x):
     if isinstance(x, Jet):
         # g = atan(f) has g' = f' / (1 + f^2); integrate the derivative jet.
         w = x.differentiate() / (1.0 + (x * x).truncate(x.order - 1))
-        return w.antiderivative(math.atan(x.value))
+        return w.antiderivative(_ufunc(np.arctan, x.value))
     outer = atan(Jet.variable(x.value, max(2, x.degree))).d
     return x.compose_outer(outer)
 
 
 def atan2(y, x):
     y0, x0 = y.value, x.value
-    if x0 == 0.0 and y0 == 0.0:
+    if _any((x0 == 0.0) & (y0 == 0.0)):
         raise OriginAtan2("atan2 at the origin")
-    base = math.atan2(y0, x0)
+    base = _ufunc(np.arctan2, y0, x0)
     if isinstance(y, Jet):
         n = min(y.order, x.order)
         yj, xj = y.truncate(n), x.truncate(n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import FramedCurve, vec_values
-from .framefield import FrameField
+from .framefield import FrameField, frame_dot
 from .jets import BiJet, Jet
 from .tolerances import DEFAULT, Tolerances
 
@@ -323,36 +323,64 @@ def _newton_alpha(curve: FramedCurve, t: float, tol: float,
     return None
 
 
-def _newton_t3(s: TranslationSurface, u: float, v: float, tol: float,
-               max_iter: int = 80) -> tuple[float, float] | None:
-    """Newton iteration on (t31, t32) = 0.
+def _newton_t3(s: TranslationSurface, us, vs, tol: float,
+               max_iter: int = 80) -> list[tuple[float, float] | None]:
+    """Newton iteration on (t31, t32) = 0 from every start (us[k], vs[k]).
 
-    Zeros can be degenerate (the Jacobian drops rank exactly at the points
-    of interest), which turns the convergence linear; iterate until the
+    Each start is a lane that runs the scalar algorithm: a least-squares
+    step, clamped to length 0.5, from the residual and Jacobian of
+    ``t_bijet(3, j, u, v, degree=2)``, j = 1, 2 (formed by ``frame_dot`` from
+    the same frame rows, so bitwise equal to those BiJet entries). Zeros can
+    be degenerate (the Jacobian drops rank exactly at the points of
+    interest), which turns the convergence linear; a lane iterates until the
     step itself collapses rather than stopping at the residual tolerance.
+    Each iteration evaluates both curves once at all live iterates; a lane
+    retires when its step collapses, its iterate leaves the finite range or
+    it runs out of iterations. Returns the root of each start, or None.
     """
-    converged = False
+    u = np.array(us, dtype=float)
+    v = np.array(vs, dtype=float)
+    roots: list[tuple[float, float] | None] = [None] * len(u)
+    converged = np.zeros(len(u), dtype=bool)
+    live = list(range(len(u)))
     for _ in range(max_iter):
-        b31 = s.field.t_bijet(3, 1, u, v, degree=2)
-        b32 = s.field.t_bijet(3, 2, u, v, degree=2)
-        r = np.array([b31.value, b32.value])
-        rn = math.hypot(*r)
-        if rn < tol:
-            converged = True
-        J = np.array([[b31.part(1, 0), b31.part(0, 1)],
-                      [b32.part(1, 0), b32.part(0, 1)]])
-        # least-squares step handles the rank-1 Jacobians along singular curves
-        step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
-        nrm = float(np.linalg.norm(step))
-        if converged and nrm < 1e-12:
-            return u, v
-        if nrm > 0.5:
-            step *= 0.5 / nrm
-        new = (u + step[0], v + step[1])
-        if not np.isfinite(new).all():
-            return None
-        u, v = new
-    return (u, v) if converged else None
+        if not live:
+            return roots
+        # frame rows as arrays indexed [component, derivative order, lane]
+        frame_u = s.curve_u.batch_jets(u[live], 2)
+        nu1 = np.array([c.d for c in frame_u.nu1])
+        nu2 = np.array([c.d for c in frame_u.nu2])
+        mu = np.array([c.d for c in s.curve_v.batch_jets(v[live], 2).mu])
+        t31 = frame_dot(mu[:, 0], nu1[:, 0])
+        t32 = frame_dot(mu[:, 0], nu2[:, 0])
+        t31_u = frame_dot(mu[:, 0], nu1[:, 1])
+        t32_u = frame_dot(mu[:, 0], nu2[:, 1])
+        t31_v = frame_dot(mu[:, 1], nu1[:, 0])
+        t32_v = frame_dot(mu[:, 1], nu2[:, 0])
+        still = []
+        for k, lane in enumerate(live):
+            r = np.array([t31[k], t32[k]])
+            if math.hypot(*r) < tol:
+                converged[lane] = True
+            J = np.array([[t31_u[k], t31_v[k]], [t32_u[k], t32_v[k]]])
+            # least-squares step handles the rank-1 Jacobians along singular curves
+            step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
+            nrm = float(np.linalg.norm(step))
+            if converged[lane] and nrm < 1e-12:
+                roots[lane] = (float(u[lane]), float(v[lane]))
+                continue
+            if nrm > 0.5:
+                step *= 0.5 / nrm
+            new = (u[lane] + step[0], v[lane] + step[1])
+            if not np.isfinite(new).all():
+                continue
+            u[lane], v[lane] = new
+            still.append(lane)
+        live = still
+    for lane in live:
+        if converged[lane]:
+            roots[lane] = (float(u[lane]), float(v[lane]))
+    return roots
 
 
 def find_singular_points(s: TranslationSurface,
@@ -361,9 +389,14 @@ def find_singular_points(s: TranslationSurface,
                          tol: float | None = None) -> list[SingularPoint]:
     """Grid scan plus damped Newton refinement of the singular set.
 
-    Curve-shaped components come back as strings of samples flagged
-    ``isolated=False``; isolated zeros as single points. Results are merged
-    within three grid spacings and sorted by (u, v).
+    The residual landscape (alpha(u), alpha~(v) and (t31, t32) on the grid)
+    comes from one batch evaluation of each curve. Candidate cells for
+    condition (i) or (ii) are refined by a 1-D Newton on alpha, and all
+    condition-(iii) candidates by one batched Newton run. Roots are merged
+    before any per-point data is computed, so only kept points are
+    evaluated. Curve-shaped components come back as strings of samples
+    flagged ``isolated=False``; isolated zeros as single points. Results are
+    merged within three grid spacings and sorted by (u, v).
     """
     tol = s.tols.sing_tol if tol is None else tol
     if grid_n < 16:
@@ -376,69 +409,65 @@ def find_singular_points(s: TranslationSurface,
     spacing = max(du, dv)
     merge_radius = 3.0 * spacing
 
-    alpha_u = np.array([s.curve_u.curvature(float(u), 1).alpha.value for u in us])
-    alpha_v = np.array([s.curve_v.curvature(float(v), 1).alpha.value for v in vs])
-    t31 = np.empty((grid_n, grid_n))
-    t32 = np.empty((grid_n, grid_n))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            t31[i, j] = s.field.partial_value(3, 1, float(u), float(v))
-            t32[i, j] = s.field.partial_value(3, 2, float(u), float(v))
+    # residual landscape: t_ij(u, v) = (frame of v-curve)_i . (frame of u-curve)_j
+    on_u = s.curve_u.batch_jets(us, 2)
+    on_v = s.curve_v.batch_jets(vs, 2)
+    alpha_u = on_u.alpha.value
+    alpha_v = on_v.alpha.value
+    mu_v = [c.value[None, :] for c in on_v.mu]
+    t31 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu1])
+    t32 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu2])
     hyp = np.hypot(t31, t32)
 
-    # residual landscape and locally-minimal candidate cells per condition
-    cand: list[tuple[float, float, str]] = []
-    thresh = 2.0 * spacing  # generous: Newton discards false positives
-    for i, u in enumerate(us):
-        if abs(alpha_u[i]) < thresh * max(1.0, _slope(alpha_u, i, du)):
-            for j in range(0, grid_n, 2):
-                cand.append((float(u), float(vs[j]), "i"))
-    for j, v in enumerate(vs):
-        if abs(alpha_v[j]) < thresh * max(1.0, _slope(alpha_v, j, dv)):
-            for i in range(0, grid_n, 2):
-                cand.append((float(us[i]), float(v), "ii"))
-    for i in range(grid_n):
-        for j in range(grid_n):
-            if hyp[i, j] < thresh * max(1.0, _grid_slope(hyp, i, j, spacing)):
-                cand.append((float(us[i]), float(vs[j]), "iii"))
+    # locally-minimal candidate cells per condition; generous, because
+    # Newton discards false positives
+    thresh = 2.0 * spacing
+    roots: list[tuple[float, float] | None] = []
+    for i in np.flatnonzero(
+            np.abs(alpha_u) < thresh * np.maximum(1.0, _slope(alpha_u, du))):
+        root = _newton_alpha(s.curve_u, float(us[i]), tol)
+        if root is not None:
+            roots += [(root, float(vs[j])) for j in range(0, grid_n, 2)]
+    for j in np.flatnonzero(
+            np.abs(alpha_v) < thresh * np.maximum(1.0, _slope(alpha_v, dv))):
+        root = _newton_alpha(s.curve_v, float(vs[j]), tol)
+        if root is not None:
+            roots += [(float(us[i]), root) for i in range(0, grid_n, 2)]
+    ii, jj = np.nonzero(
+        hyp < thresh * np.maximum(1.0, _grid_slope(hyp, spacing)))
+    if len(ii):
+        roots += _newton_t3(s, us[ii], vs[jj], tol)
 
-    refined: list[SingularPoint] = []
-    for (cu, cv, cond) in cand:
-        if cond == "i":
-            root = _newton_alpha(s.curve_u, cu, tol)
-            pt = (root, cv) if root is not None else None
-        elif cond == "ii":
-            root = _newton_alpha(s.curve_v, cv, tol)
-            pt = (cu, root) if root is not None else None
-        else:
-            pt = _newton_t3(s, cu, cv, tol)
-        if pt is None:
-            continue
-        pu, pv = pt
-        slack = 1e-7
-        if not (u0 - slack <= pu <= u1 + slack and v0 - slack <= pv <= v1 + slack):
-            continue
-        refined.append(_make_point(s, (pu, pv), tol))
-
-    return _merge_points(refined, merge_radius)
+    slack = 1e-7
+    inside = [p for p in roots if p is not None
+              and u0 - slack <= p[0] <= u1 + slack
+              and v0 - slack <= p[1] <= v1 + slack]
+    return [_make_point(s, (pu, pv), tol, isolated)
+            for pu, pv, isolated in _merge_points(inside, merge_radius)]
 
 
-def _slope(arr: np.ndarray, i: int, h: float) -> float:
-    lo, hi = max(i - 1, 0), min(i + 1, len(arr) - 1)
-    if hi == lo:
-        return 1.0
-    return abs(arr[hi] - arr[lo]) / ((hi - lo) * h)
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices one step down and up along an axis of length n, clamped."""
+    idx = np.arange(n)
+    return np.maximum(idx - 1, 0), np.minimum(idx + 1, n - 1)
 
 
-def _grid_slope(arr: np.ndarray, i: int, j: int, h: float) -> float:
-    n = arr.shape[0]
-    gi = abs(arr[min(i + 1, n - 1), j] - arr[max(i - 1, 0), j])
-    gj = abs(arr[i, min(j + 1, n - 1)] - arr[i, max(j - 1, 0)])
-    return max(gi, gj) / (2 * h)
+def _slope(arr: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference |slope| of a sampled function, one-sided at the ends."""
+    lo, hi = _neighbours(len(arr))
+    return np.abs(arr[hi] - arr[lo]) / ((hi - lo) * h)
+
+
+def _grid_slope(arr: np.ndarray, h: float) -> np.ndarray:
+    """Larger of the two central-difference |slopes| at every grid node."""
+    lo, hi = _neighbours(arr.shape[0])
+    gi = np.abs(arr[hi, :] - arr[lo, :])
+    gj = np.abs(arr[:, hi] - arr[:, lo])
+    return np.maximum(gi, gj) / (2 * h)
 
 
 def _make_point(s: TranslationSurface, p: tuple[float, float],
-                tol: float) -> SingularPoint:
+                tol: float, isolated: bool) -> SingularPoint:
     au, av = s.alpha_values(p)
     t31 = s.field.partial_value(3, 1, p[0], p[1])
     t32 = s.field.partial_value(3, 2, p[0], p[1])
@@ -456,28 +485,29 @@ def _make_point(s: TranslationSurface, p: tuple[float, float],
         u=p[0], v=p[1], conditions=tuple(conds),
         dependence="dependent" if dep.dependent else "independent",
         corank=min(corank, 2) if corank else 1,
+        isolated=isolated,
         residual=s.singular_residual(p))
 
 
-def _merge_points(points: list[SingularPoint],
-                  radius: float) -> list[SingularPoint]:
-    points = sorted(points, key=lambda q: (q.u, q.v))
-    kept: list[SingularPoint] = []
-    for q in points:
-        dup = None
-        for k in kept:
-            if math.hypot(k.u - q.u, k.v - q.v) < 0.35 * radius:
-                dup = k
-                break
-        if dup is None:
+def _merge_points(points: list[tuple[float, float]],
+                  radius: float) -> list[tuple[float, float, bool]]:
+    """Merge roots within 0.35 radius, keeping the first in (u, v) order.
+
+    Returns (u, v, isolated) per kept root: a point on a curve-shaped
+    component has at least two other kept roots within the merge radius.
+    """
+    kept: list[tuple[float, float]] = []
+    for q in sorted(points):
+        if not any(math.hypot(k[0] - q[0], k[1] - q[1]) < 0.35 * radius
+                   for k in kept):
             kept.append(q)
-    # a point on a curve-shaped component has neighbours within the merge radius
-    for q in kept:
+    out = []
+    for a, q in enumerate(kept):
         neighbours = sum(
-            1 for k in kept
-            if k is not q and math.hypot(k.u - q.u, k.v - q.v) < radius)
-        q.isolated = neighbours < 2
-    return kept
+            1 for b, k in enumerate(kept)
+            if b != a and math.hypot(k[0] - q[0], k[1] - q[1]) < radius)
+        out.append((q[0], q[1], neighbours < 2))
+    return out
 
 
 def canonical_periodic_points(points: list[SingularPoint], period: float,

@@ -1,0 +1,194 @@
+"""Jets with a batch axis: every lane equals the scalar evaluation bitwise.
+
+Covers the curve batch method against the per-point methods, the batched
+Newton refinement of the scan against a scalar reference loop, the
+residual landscape against ``partial_value``, and errors raised by a single
+failing lane.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transurf import instances, jets, surface
+from transurf.curves import (build_curve, catalog, catalog_names, frenet_lift,
+                             parse_curve)
+from transurf.errors import (DegenerateDivision, DomainError,
+                             NotNonDegenerate, OriginAtan2)
+from transurf.framefield import (curvature_provider, frame_dot,
+                                 reconstruct_framed_curves)
+from transurf.jets import Jet
+from transurf.surface import TranslationSurface, _newton_t3
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+def _assert_lanes(batch_vec, scalar_vecs):
+    """Lane k of every batch jet equals the scalar jet at the k-th t."""
+    for c in range(len(batch_vec)):
+        stacked = np.stack([vec[c].d for vec in scalar_vecs], axis=1)
+        assert batch_vec[c].d.shape == stacked.shape
+        assert _bits(batch_vec[c].d) == _bits(stacked)
+
+
+def _reconstructed():
+    a, _ = reconstruct_framed_curves(
+        curvature_provider(catalog("s1m_a")), curvature_provider(catalog("s0_b")),
+        np.eye(3), (0.0, 0.0), (-0.5, 0.5), (-0.5, 0.5), step=1e-2)
+    return a
+
+
+CURVES = {name: (lambda name=name: catalog(name)) for name in catalog_names()}
+CURVES.update({
+    "helix": instances.helix,
+    "line": lambda: instances.line_curve((1.0, 2.0, 0.5)),
+    "cusp_planar": lambda: instances.cusp_curve(planar=True),
+    "cusp_spatial": lambda: instances.cusp_curve(planar=False),
+    # Frenet-framed slide, and a slide with a vanishing speed framed by transport
+    "slide_edge": lambda: instances.slide_pair("edge")[0].curve_v,
+    "slide_fading": lambda: instances.rank_zero_pair()[0].curve_v,
+    "reconstructed": _reconstructed,
+    "expr_planar": lambda: build_curve(parse_curve("(u, 0.7*u^2, 0)")),
+    "expr_spatial": lambda: build_curve(
+        parse_curve("(sin(u), u - exp(u/3), sqrt(2 + u^2))")),
+})
+
+fractions = st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1,
+                     max_size=4)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("name", sorted(CURVES))
+@settings(max_examples=8, deadline=None)
+@given(fracs=fractions)
+def test_lanes_equal_scalar_evaluation(name, order, fracs):
+    fc = CURVES[name]()
+    lo, hi = fc.domain
+    ts = [lo + f * (hi - lo) for f in fracs]
+    batch = fc.batch_jets(np.array(ts), order)
+    _assert_lanes(batch.gamma, [fc.gamma_jets(t, order) for t in ts])
+    _assert_lanes(batch.nu1, [fc.nu1_jets(t, order) for t in ts])
+    _assert_lanes(batch.nu2, [fc.nu2_jets(t, order) for t in ts])
+    _assert_lanes(batch.mu, [fc.mu_jets(t, order) for t in ts])
+    _assert_lanes((batch.alpha,),
+                  [(fc.curvature(t, order - 1).alpha,) for t in ts])
+
+
+def test_scaled_and_negated_curves_batch():
+    base = catalog("sin_curve")
+    ts = np.array([-1.0, 0.25, 2.5])
+    for fc in (base.scaled(0.5), base.scaled(0.5).negated()):
+        _assert_lanes(fc.batch_jets(ts, 3).gamma,
+                      [fc.gamma_jets(float(t), 3) for t in ts])
+
+
+def _newton_reference(s, u, v, tol, max_iter=80):
+    """The scalar Newton loop on (t31, t32) = 0, one start at a time."""
+    converged = False
+    for _ in range(max_iter):
+        b31 = s.field.t_bijet(3, 1, u, v, degree=2)
+        b32 = s.field.t_bijet(3, 2, u, v, degree=2)
+        r = np.array([b31.value, b32.value])
+        rn = math.hypot(*r)
+        if rn < tol:
+            converged = True
+        J = np.array([[b31.part(1, 0), b31.part(0, 1)],
+                      [b32.part(1, 0), b32.part(0, 1)]])
+        step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
+        nrm = float(np.linalg.norm(step))
+        if converged and nrm < 1e-12:
+            return u, v
+        if nrm > 0.5:
+            step *= 0.5 / nrm
+        new = (u + step[0], v + step[1])
+        if not np.isfinite(new).all():
+            return None
+        u, v = new
+    return (u, v) if converged else None
+
+
+PAIRS = {
+    "s0": lambda: TranslationSurface.general(catalog("s0_a"), catalog("s0_b")),
+    "s1p": lambda: TranslationSurface.general(catalog("s1p_a"), catalog("s1p_b")),
+    "s1m": lambda: TranslationSurface.general(catalog("s1m_a"), catalog("s1m_b")),
+    "sin_minus": lambda: TranslationSurface.self_translation(
+        catalog("sin_curve"), -1),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_batched_newton_matches_scalar_reference(pair):
+    s = PAIRS[pair]()
+    rng = np.random.default_rng(11)
+    starts = [(0.05, -0.04), (0.3, 0.3), (-0.7, 0.2), (1.9, -1.9)]
+    starts += [tuple(p) for p in rng.uniform(-1.5, 1.5, size=(6, 2))]
+    us, vs = [u for u, _ in starts], [v for _, v in starts]
+    tol = s.tols.sing_tol
+    got = _newton_t3(s, us, vs, tol)
+    want = [_newton_reference(s, u, v, tol) for u, v in starts]
+    assert any(w is not None for w in want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert _bits(g) == _bits(w)
+
+
+def test_landscape_nodes_equal_partial_value():
+    s = PAIRS["s1m"]()
+    us, vs = np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 1.5, 4)
+    on_u, on_v = s.curve_u.batch_jets(us, 2), s.curve_v.batch_jets(vs, 2)
+    mu_v = [c.value[None, :] for c in on_v.mu]
+    for j, row in ((1, on_u.nu1), (2, on_u.nu2)):
+        grid = frame_dot(mu_v, [c.value[:, None] for c in row])
+        for a, u in enumerate(us):
+            for b, v in enumerate(vs):
+                node = s.field.partial_value(3, j, float(u), float(v))
+                assert _bits(grid[a, b]) == _bits(node)
+                assert _bits(node) == _bits(
+                    s.field.t_bijet(3, j, float(u), float(v), degree=2).value)
+
+
+def test_scan_evaluates_only_merged_points(monkeypatch):
+    s = PAIRS["s1m"]()
+    made = []
+    original = surface._make_point
+
+    def spy(*args, **kwargs):
+        made.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "_make_point", spy)
+    pts = surface.find_singular_points(s, (-1.5, 1.5, -1.5, 1.5), grid_n=20)
+    assert len(made) == len(pts) == 1
+
+
+def test_failing_lane_raises_scalar_error_type():
+    t = np.array([0.5, 1.0, 2.0])
+    x = Jet.variable(t, 3)
+    with pytest.raises(DomainError):
+        jets.sqrt(x - 1.0)
+    with pytest.raises(DomainError):
+        (x - 1.5) ** 0.5
+    with pytest.raises(DegenerateDivision):
+        x / (x - 1.0)
+    with pytest.raises(OriginAtan2):
+        jets.atan2(x - 1.0, x - 1.0)
+    with pytest.raises(ValueError):
+        x * Jet.variable(np.array([0.5, 1.0, 2.5]), 3)
+
+
+def test_failing_lane_of_frenet_curve_raises():
+    def gamma(t, order):
+        u = Jet.variable(t, order)
+        return (u, u * u * u, Jet.constant(0.0, t, order))
+
+    # 33 validation samples over (-1, 1.1) miss the inflection at 0
+    fc = frenet_lift(gamma, (-1.0, 1.1), name="cubic")
+    with pytest.raises(NotNonDegenerate):
+        fc.nu1_jets(0.0, 2)
+    with pytest.raises(NotNonDegenerate, match="t=0.0"):
+        fc.batch_jets(np.array([0.5, 0.0, -0.5]), 2).nu1

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from transurf import instances
+from transurf import framedsurf, instances
+from transurf.classify import classify
 from transurf.curves import catalog
 from transurf.errors import ThetaResidualError
 from transurf.framedsurf import (closed_form_density_partials,
@@ -223,3 +224,15 @@ def test_lemma_oracle_on_cylinder():
     theta = construct_theta(s, p0=p0)
     res = lemma_oracle(s, theta, p0)
     assert max(abs(v) for v in res.values()) < 1e-6
+
+
+def test_unexpected_error_in_fd_pair_propagates(monkeypatch):
+    # only package errors mean "no finite-difference derivative here"; a
+    # diagonal sample of the sin-minus pair reaches that fallback
+    def boom(self, q, ref):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(framedsurf.ThetaField, "_smooth_value", boom)
+    s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        classify(s, (0.5, 0.5))

@@ -10,7 +10,7 @@ from transurf.framefield import (FrameField, check_compatibility,
                                  curvature_provider, polar_rotation,
                                  reconstruct_framed_curves,
                                  reconstruct_from_field)
-from transurf.jets import Jet
+from transurf.jets import BiJet, Jet
 
 PAIRS = [("s0_a", "s0_b"), ("s1p_a", "s1p_b"), ("s1m_a", "s1m_b"),
          ("sin_curve", "sin_curve"), ("self_s1p", "self_s1p")]
@@ -102,6 +102,32 @@ def test_self_pair_matrix_is_identity_on_diagonal():
     ff = FrameField(sc, sc)
     for u in (-2.0, 0.0, 0.9):
         assert np.max(np.abs(ff.value(u, u) - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("degree,du,dv", [(2, 0, 0), (3, 0, 0), (2, 1, 0),
+                                           (3, 0, 1)])
+def test_t_bijet_equals_bijet_product_assembly(degree, du, dv):
+    # reference: the sum of products from_u_jet * from_v_jet of BiJets
+    rng = np.random.default_rng(degree + 10 * du + 100 * dv)
+    for na, nb in PAIRS:
+        ff = FrameField(catalog(na), catalog(nb))
+        for _ in range(3):
+            u, v = (float(x) for x in rng.uniform(-1.5, 1.5, 2))
+            for i, j in ((3, 1), (3, 2), (1, 3), (2, 2), (3, 3)):
+                order = degree + max(du, dv)
+                row_b = ff.curve_b.frame_row(i, v, order)
+                row_a = ff.curve_a.frame_row(j, u, order)
+                for _ in range(dv):
+                    row_b = curves.shift3(row_b)
+                for _ in range(du):
+                    row_a = curves.shift3(row_a)
+                want = BiJet.constant(0.0, u, v, degree)
+                for c in range(3):
+                    want = want + (
+                        BiJet.from_u_jet(row_a[c].truncate(degree), v, degree)
+                        * BiJet.from_v_jet(row_b[c].truncate(degree), u, degree))
+                got = ff.t_bijet(i, j, u, v, degree, du=du, dv=dv)
+                assert got.c.tobytes() == want.c.tobytes()
 
 
 def test_orthogonality_everywhere():

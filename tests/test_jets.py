@@ -150,6 +150,16 @@ def test_commutativity_bitwise(x1, x2, y1, y2):
     b = Jet(0.0, np.array([y1, y2, -0.25]))
     assert np.array_equal((a + b).d, (b + a).d)
     assert np.array_equal((a * b).d, (b * a).d)
+    a6 = Jet(0.0, np.array([x1, x2, 0.5, y1, -1.5, x2 * y2, 3.0]))
+    b6 = Jet(0.0, np.array([y1, y2, -0.25, x1, 2.0, -x1, y2]))
+    assert (a6 * b6).d.tobytes() == (b6 * a6).d.tobytes()
+    # a batch with the two order-6 jets as lanes, times its lane swap
+    t = np.zeros(2)
+    ab = Jet(t, np.stack([a6.d, b6.d], axis=1))
+    ba = Jet(t, np.stack([b6.d, a6.d], axis=1))
+    assert (ab * ba).d.tobytes() == (ba * ab).d.tobytes()
+    assert (ab * ba).d[:, 0].tobytes() == (a6 * b6).d.tobytes()
+    assert (ab * ba).d[:, 1].tobytes() == (b6 * a6).d.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
