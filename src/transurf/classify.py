@@ -26,14 +26,17 @@ import numpy as np
 
 from .curves import FramedCurve
 from .errors import ClosedFormMismatch
-from .framedsurf import (ThetaField, ThetaPoint,
+from .framedsurf import (ThetaField, ThetaPoint, align_pi, bn_value,
                          closed_form_density_partials, construct_theta,
-                         directional_derivative, discriminant, fs_invariants)
+                         directional_derivative, discriminant, front_test,
+                         wrap_pi)
 from .jets import BiJet, det3
-from .surface import TranslationSurface, dependence_test
-from .tolerances import Tolerances
+from .surface import TranslationSurface, dependence_test, singular_conditions
 
 GEN_TOL = 1e-4   # threshold for finite-difference quantities (generic route)
+TRACE_STEP = 0.02   # predictor step of the singular-curve continuation
+TRACE_STEPS = 2     # continuation steps each way from the point
+SPEED_CONST_TOL = 1e-9   # |alpha'| bound for a constant-speed curve
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +132,10 @@ class PointData:
         t33 = ff.t_bijet(3, 3, u, v, degree)
         t33u = ff.t_bijet(3, 3, u, v, degree, du=1)
         t33v = ff.t_bijet(3, 3, u, v, degree, dv=1)
-        al = BiJet.from_u_jet(self.ca.alpha.truncate(degree), v, degree)
-        alu = BiJet.from_u_jet(self.ca.alpha.differentiate().truncate(degree),
-                               v, degree)
-        at = BiJet.from_v_jet(self.cb.alpha.truncate(degree), u, degree)
-        atv = BiJet.from_v_jet(self.cb.alpha.differentiate().truncate(degree),
-                               u, degree)
+        al = BiJet.from_u_jet(self.ca.alpha, v, degree)
+        alu = BiJet.from_u_jet(self.ca.alpha.differentiate(), v, degree)
+        at = BiJet.from_v_jet(self.cb.alpha, u, degree)
+        atv = BiJet.from_v_jet(self.cb.alpha.differentiate(), u, degree)
         eta_u, eta_v = -at, al * t33
         etax = [eta_u * xu[c] + eta_v * xv[c] for c in range(3)]
         detax_u = [-at * xuu[c] + (alu * t33 + al * t33u) * xv[c]
@@ -149,16 +150,7 @@ class PointData:
         """Expansion of phi in frame-matrix entries and curvatures."""
         cs, (u, v), degree = self.s, self.p0, self.degree
         ff = cs.field
-
-        def eu(j):
-            return BiJet.from_u_jet(j.truncate(degree), v, degree)
-
-        def ev(j):
-            return BiJet.from_v_jet(j.truncate(degree), u, degree)
-
-        al, at = eu(self.ca.alpha), ev(self.cb.alpha)
-        m, n = eu(self.ca.m), eu(self.ca.n)
-        mt, nt = ev(self.cb.m), ev(self.cb.n)
+        _, m, n, al, _, mt, nt, at = cs.curvature_bijets(self.p0, degree)
         t31 = ff.t_bijet(3, 1, u, v, degree)
         t32 = ff.t_bijet(3, 2, u, v, degree)
         t33 = ff.t_bijet(3, 3, u, v, degree)
@@ -166,7 +158,7 @@ class PointData:
         t23 = ff.t_bijet(2, 3, u, v, degree)
         al3 = al * al * al
         at2 = at * at
-        return (-(al3 * (at2 * ev(self.cb.alpha)) * t33 * (-(m * t32) + n * t31))
+        return (-(al3 * (at2 * at) * t33 * (-(m * t32) + n * t31))
                 - (al3 * al) * at2 * t33 * t33 * t33 * (mt * t23 - nt * t13))
 
     def cross_cap_value(self) -> float:
@@ -233,14 +225,16 @@ class PointData:
 
     # -- unit-speed shortcut data ---------------------------------------------
 
-    def frenet_gate(self, tols: Tolerances) -> bool:
+    def frenet_gate(self) -> bool:
         a, b = self.s.curve_u, self.s.curve_v
         if a.frenet is None or b.frenet is None:
             return False
         u, v = self.p0
-        if a.is_arc_length() and b.is_arc_length():
+        tols = self.s.tols
+        if a.is_arc_length(tols.arc_tol) and b.is_arc_length(tols.arc_tol):
             return True
-        return a.unit_speed_gate(u) and b.unit_speed_gate(v)
+        return (a.unit_speed_gate(u, tols.hyp_tol)
+                and b.unit_speed_gate(v, tols.hyp_tol))
 
     def frenet_values(self) -> dict[str, float]:
         u, v = self.p0
@@ -262,12 +256,9 @@ class PointData:
 # rank / corank
 # ---------------------------------------------------------------------------
 
-def corank(s: TranslationSurface, p0: tuple[float, float],
-           tols: Tolerances | None = None) -> int | str:
-    """0, 1, or "regular" from the numerical rank of dx at p0."""
-    tols = tols or s.tols
-    sv = np.linalg.svd(s.dx_matrix(p0), compute_uv=False)
-    rank = int(np.sum(sv > tols.rank_tol * max(1.0, float(sv[0]))))
+def corank(s: TranslationSurface, p0: tuple[float, float]) -> int | str:
+    """1, 2, or "regular" from the numerical rank of dx at p0."""
+    rank = s.dx_rank(p0)
     if rank == 2:
         return "regular"
     return 2 - rank
@@ -278,10 +269,9 @@ def corank(s: TranslationSurface, p0: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 def classify_S0(cs: TranslationSurface, p0: tuple[float, float],
-                tols: Tolerances | None = None,
                 data: PointData | None = None) -> Verdict:
     """Cross-cap test at a dependent singular point."""
-    tols = tols or cs.tols
+    tols = cs.tols
     d = data or PointData(cs, p0)
     dep = dependence_test(cs, p0)
     alpha_prod = d.au * d.av
@@ -307,7 +297,7 @@ def classify_S0(cs: TranslationSurface, p0: tuple[float, float],
                   and conds[2].satisfied)
     v = Verdict("CrossCap" if verdict_ok else "NotCrossCap", "gfs",
                 conds, hyps, notes)
-    if d.frenet_gate(tols):
+    if d.frenet_gate():
         fr = d.frenet_values()
         v.conditions.append(_crit("frenet_t21", fr["t21"], tols.crit_tol))
         v.hypotheses_checked.append("unit-speed shortcut available")
@@ -315,10 +305,9 @@ def classify_S0(cs: TranslationSurface, p0: tuple[float, float],
 
 
 def classify_S1(cs: TranslationSurface, p0: tuple[float, float],
-                tols: Tolerances | None = None,
                 data: PointData | None = None) -> Verdict:
     """S1± test: sign of det Hess phi plus the independence witness."""
-    tols = tols or cs.tols
+    tols = cs.tols
     d = data or PointData(cs, p0)
     dep = dependence_test(cs, p0)
     s0val = d.cross_cap_value()
@@ -355,7 +344,7 @@ def classify_S1(cs: TranslationSurface, p0: tuple[float, float],
     elif base_ok and det > tols.crit_tol:
         tag = "S1Minus"
     v = Verdict(tag, "gfs", conds, hyps, notes)
-    if d.frenet_gate(tols):
+    if d.frenet_gate():
         fr = d.frenet_values()
         v.conditions.append(CriterionValue(
             "frenet_s1_discriminant", fr["s1_discriminant"], tols.crit_tol,
@@ -373,11 +362,10 @@ def classify_S1(cs: TranslationSurface, p0: tuple[float, float],
 # route 2: framed-surface criteria
 # ---------------------------------------------------------------------------
 
-def _alpha_identically_zero_derivative(curve: FramedCurve, samples: int = 64,
-                                       tol: float = 1e-9) -> bool:
+def _alpha_identically_zero_derivative(curve: FramedCurve) -> bool:
     lo, hi = curve.domain
-    for t in np.linspace(lo, hi, samples):
-        if abs(curve.curvature(float(t), 1).alpha.deriv(1)) > tol:
+    for t in np.linspace(lo, hi, 64):
+        if abs(curve.curvature(float(t), 1).alpha.deriv(1)) > SPEED_CONST_TOL:
             return False
     return True
 
@@ -385,10 +373,9 @@ def _alpha_identically_zero_derivative(curve: FramedCurve, samples: int = 64,
 def classify_dependent_framed(cs: TranslationSurface,
                               theta: ThetaField | ThetaPoint,
                               p0: tuple[float, float],
-                              tols: Tolerances | None = None,
                               data: PointData | None = None) -> Verdict:
     """Framed-surface route: regimes split by vanishing of the two speeds."""
-    tols = tols or cs.tols
+    tols = cs.tols
     d = data or PointData(cs, p0)
     pt = theta if isinstance(theta, ThetaPoint) else theta.at(p0)
     if not pt.available:
@@ -543,12 +530,10 @@ class _GenericDensity:
         t31 = self.cs.field.partial_value(3, 1, u, v)
         t32 = self.cs.field.partial_value(3, 2, u, v)
         h = math.hypot(t31, t32)
-        au = self.cs.curve_u.curvature(u, 1).alpha.value
-        av = self.cs.curve_v.curvature(v, 1).alpha.value
+        au, av = self.cs.alpha_values((u, v))
         if h == 0.0:
             return 0.0
-        raw = math.atan2(-t32, t31)
-        gap = abs((raw - self.theta0 + math.pi) % (2 * math.pi) - math.pi)
+        gap = abs(wrap_pi(math.atan2(-t32, t31) - self.theta0))
         sgn = 1.0 if gap < math.pi / 2 else -1.0
         return au * av * sgn * h
 
@@ -567,10 +552,8 @@ class _GenericDensity:
 
 
 def _eta_values(cs, p):
-    u, v = p
-    au = cs.curve_u.curvature(u, 1).alpha.value
-    av = cs.curve_v.curvature(v, 1).alpha.value
-    t33 = cs.field.partial_value(3, 3, u, v)
+    au, av = cs.alpha_values(p)
+    t33 = cs.field.partial_value(3, 3, p[0], p[1])
     return np.array([-av * t33, au])
 
 
@@ -588,21 +571,14 @@ def _eta_lambda_fd(cs, lam, p, s=1e-4):
     return g(p), (gp - gm) / (2 * s2)
 
 
-def _bn_values(cs, theta_value, u):
-    n1 = np.array([c.value for c in cs.curve_u.nu1_jets(u, 2)])
-    n2 = np.array([c.value for c in cs.curve_u.nu2_jets(u, 2)])
-    return math.sin(theta_value) * n1 + math.cos(theta_value) * n2
-
-
 def _theta_near(cs, p, ref):
+    """The canonical angle atan2(-t32, t31) at p, shifted by pi to ref."""
     t31 = cs.field.partial_value(3, 1, p[0], p[1])
     t32 = cs.field.partial_value(3, 2, p[0], p[1])
-    raw = math.atan2(-t32, t31)
-    k = round((ref - raw) / math.pi)
-    return raw + k * math.pi
+    return align_pi(math.atan2(-t32, t31), ref)
 
 
-def _trace_singular_curve(cs, lam, p0, step, n_steps=2):
+def _trace_singular_curve(lam, p0):
     """Few predictor-corrector steps along lam = 0 through p0 (both ways)."""
     g0 = lam.grad(p0)
     nrm = float(np.linalg.norm(g0))
@@ -623,8 +599,8 @@ def _trace_singular_curve(cs, lam, p0, step, n_steps=2):
     for sgn in (+1, -1):
         q = np.asarray(p0, float)
         t_dir = tangent * sgn
-        for k in range(1, n_steps + 1):
-            q_pred = q + step * t_dir
+        for k in range(1, TRACE_STEPS + 1):
+            q_pred = q + TRACE_STEP * t_dir
             q_corr = correct(q_pred)
             if q_corr is None:
                 return None
@@ -639,13 +615,10 @@ def _trace_singular_curve(cs, lam, p0, step, n_steps=2):
 
 def classify_generic_frontal(cs: TranslationSurface,
                              theta: ThetaField | ThetaPoint,
-                             p0: tuple[float, float],
-                             tols: Tolerances | None = None,
-                             step: float = 0.02) -> Verdict:
+                             p0: tuple[float, float]) -> Verdict:
     """Cross-validation route built on the frontal criteria alone:
     continuation of the singular curve, finite differences of the signed
     density, and the cusp-detecting function along the curve."""
-    tols = tols or cs.tols
     pt = theta if isinstance(theta, ThetaPoint) else theta.at(p0)
     if not pt.available:
         return Verdict("Unclassified", "generic_frontal", [],
@@ -653,8 +626,7 @@ def classify_generic_frontal(cs: TranslationSurface,
                        [f"theta_unavailable: {pt.reason}"])
     theta0 = pt.value
     lam = _GenericDensity(cs, theta0)
-    sv = np.linalg.svd(cs.dx_matrix(p0), compute_uv=False)
-    rank = int(np.sum(sv > tols.rank_tol * max(1.0, float(sv[0]))))
+    rank = cs.dx_rank(p0)
     grad = lam.grad(p0)
     gnorm = float(np.linalg.norm(grad))
     eta_lam, eta_eta_lam = _eta_lambda_fd(cs, lam, p0)
@@ -667,7 +639,7 @@ def classify_generic_frontal(cs: TranslationSurface,
     notes = []
 
     if gnorm > GEN_TOL:
-        trace = _trace_singular_curve(cs, lam, p0, step)
+        trace = _trace_singular_curve(lam, p0)
         if trace is None:
             return Verdict("Unclassified", "generic_frontal", conds, hyps,
                            notes + ["continuation failed"])
@@ -676,18 +648,16 @@ def classify_generic_frontal(cs: TranslationSurface,
             q = trace[k]
             qm, qp = trace[k - 1], trace[k + 1]
             dq = (qp - qm) / 2.0
-            u, v = q
-            xu = np.array([c.deriv(1) for c in cs.curve_u.gamma_jets(u, 2)])
-            xv = np.array([c.deriv(1) for c in cs.curve_v.gamma_jets(v, 2)])
-            dx_dt = xu * dq[0] + xv * dq[1]
+            dx = cs.dx_matrix(q)
+            dx_dt = dx[:, 0] * dq[0] + dx[:, 1] * dq[1]
             th_q = (pt.value if k == 0 else _theta_near(cs, q, theta0))
-            bn = _bn_values(cs, th_q, u)
+            bn = bn_value(cs, th_q, q[0])
             e = _eta_values(cs, q)
             s = 1e-4
             qp_ = (q[0] + s * e[0], q[1] + s * e[1])
             qm_ = (q[0] - s * e[0], q[1] - s * e[1])
-            bnp = _bn_values(cs, _theta_near(cs, qp_, th_q), qp_[0])
-            bnm = _bn_values(cs, _theta_near(cs, qm_, th_q), qm_[0])
+            bnp = bn_value(cs, _theta_near(cs, qp_, th_q), qp_[0])
+            bnm = bn_value(cs, _theta_near(cs, qm_, th_q), qm_[0])
             dbn = (bnp - bnm) / (2 * s)
             return float(np.linalg.det(np.column_stack([dx_dt, bn, dbn])))
 
@@ -710,9 +680,7 @@ def classify_generic_frontal(cs: TranslationSurface,
                                     "cuspidal cross cap"])
         # eta lambda = 0: swallowtail needs the front property plus the
         # second directional derivative
-        inv = fs_invariants(cs, pt, p0, degree=2)
-        front = abs(inv.HF.value) > tols.front_tol if rank == 1 else \
-            abs(inv.KF.value) > tols.front_tol
+        front = front_test(cs, pt, p0)[0] == "front"
         conds.append(CriterionValue("eta_eta_density_fd", eta_eta_lam, GEN_TOL,
                                     abs(eta_eta_lam) > GEN_TOL))
         hyps.append("front via framed-surface curvature")
@@ -726,8 +694,7 @@ def classify_generic_frontal(cs: TranslationSurface,
     conds.append(CriterionValue("det_hess_density_fd", detH, GEN_TOL,
                                 abs(detH) > GEN_TOL))
     if rank == 1:
-        inv = fs_invariants(cs, pt, p0, degree=2)
-        front = abs(inv.HF.value) > tols.front_tol
+        front = front_test(cs, pt, p0)[0] == "front"
         if detH > GEN_TOL and front:
             return Verdict("CuspidalLips", "generic_frontal", conds, hyps,
                            notes + ["positive Hessian determinant: cuspidal "
@@ -752,29 +719,22 @@ _DEFINITE = {"CuspidalEdge", "Swallowtail", "CuspidalCrossCap",
 
 
 def classify(s: TranslationSurface, p0: tuple[float, float],
-             tols: Tolerances | None = None,
              with_generic: bool = True) -> ClassificationReport:
     """Full pipeline at one point; see the module docstring for the routes."""
-    tols = tols or s.tols
+    tols = s.tols
     cs = s.criteria_surface()
     notes = []
     if s.kind != "general":
         notes.append("criteria evaluated on the unscaled generator pair; the "
                      "surface is its image under scaling by 1/2")
 
-    rank = corank(cs, p0, tols)
+    rank = corank(cs, p0)
     dep = dependence_test(cs, p0)
     au, av = cs.alpha_values(p0)
-    conds = []
-    if abs(au) < tols.sing_tol * 10:
-        conds.append("i")
-    if abs(av) < tols.sing_tol * 10:
-        conds.append("ii")
-    if dep.t_pair_norm < tols.sing_tol * 10:
-        conds.append("iii")
 
     report = ClassificationReport(
-        point=p0, conditions=tuple(conds),
+        point=p0,
+        conditions=singular_conditions(cs, (au, av), dep.t_pair_norm),
         dependence="dependent" if dep.dependent else "independent",
         corank=0 if rank == "regular" else rank,
         final=Verdict("Unclassified", "gfs"), notes=notes)
@@ -796,21 +756,21 @@ def classify(s: TranslationSurface, p0: tuple[float, float],
 
     data = PointData(cs, p0)
     if abs(au * av) > tols.hyp_tol:
-        report.gfs = classify_S0(cs, p0, tols, data)
+        report.gfs = classify_S0(cs, p0, data)
         if report.gfs.tag == "CrossCap":
             report.final = report.gfs
             return report
         if abs(data.cross_cap_value()) < tols.hyp_tol:
-            report.s1 = classify_S1(cs, p0, tols, data)
+            report.s1 = classify_S1(cs, p0, data)
             if report.s1.tag in ("S1Plus", "S1Minus"):
                 report.final = report.s1
                 return report
 
-    theta = construct_theta(cs, p0=p0, tols=tols)
+    theta = construct_theta(cs, p0=p0)
     pt = theta.at(p0)
-    report.framed = classify_dependent_framed(cs, pt, p0, tols, data)
+    report.framed = classify_dependent_framed(cs, pt, p0, data)
     if with_generic and pt.available:
-        report.generic = classify_generic_frontal(cs, pt, p0, tols)
+        report.generic = classify_generic_frontal(cs, pt, p0)
 
     final = report.framed
     if report.generic is not None:

@@ -26,9 +26,9 @@ VecJets = tuple[Jet, Jet, Jet]
 VecFn = Callable[[float, int], VecJets]
 
 
-def shift3(v: VecJets) -> VecJets:
-    """Componentwise derivative jets (one order lower)."""
-    return tuple(c.differentiate() for c in v)
+def shift3(v: VecJets, k: int = 1) -> VecJets:
+    """Componentwise k-th derivative jets (k orders lower)."""
+    return v if k == 0 else tuple(Jet(c.t0, c.d[k:]) for c in v)
 
 
 def vec_values(v: VecJets) -> np.ndarray:
@@ -97,8 +97,7 @@ class FramedCurve:
                  domain: tuple[float, float], name: str = "curve",
                  period: float | None = None,
                  frenet: FrenetData | None = None,
-                 validate: bool = True,
-                 tols: Tolerances = DEFAULT):
+                 validate: bool = True):
         self._gamma = gamma
         self._nu1 = nu1
         self._nu2 = nu2
@@ -106,9 +105,8 @@ class FramedCurve:
         self.name = name
         self.period = period
         self.frenet = frenet
-        self.tols = tols
         self._cache: dict = {}
-        self._arc_length: bool | None = None
+        self._speed_deviation: float | None = None
         if validate:
             self._validate_frames()
 
@@ -198,23 +196,24 @@ class FramedCurve:
                     f"frame of {self.name!r} violates its invariants at "
                     f"t={t:.6g} (residual {r:.3e})")
 
-    def is_arc_length(self, samples: int = 33) -> bool:
-        """sup | |gamma'| - 1 | < arc_tol over a domain sample."""
-        if self._arc_length is None:
-            a, b = self.domain
-            worst = max(
-                abs(abs(self.curvature(float(t), 2).alpha.value) - 1.0)
-                for t in np.linspace(a, b, samples))
-            self._arc_length = bool(worst < self.tols.arc_tol)
-        return self._arc_length
+    def is_arc_length(self, arc_tol: float) -> bool:
+        """sup | |gamma'| - 1 | < arc_tol over 33 domain samples.
 
-    def unit_speed_gate(self, t: float, tol: float | None = None) -> bool:
+        The sup is computed once per curve and serves every tolerance.
+        """
+        if self._speed_deviation is None:
+            a, b = self.domain
+            self._speed_deviation = max(
+                abs(abs(self.curvature(float(t), 2).alpha.value) - 1.0)
+                for t in np.linspace(a, b, 33))
+        return bool(self._speed_deviation < arc_tol)
+
+    def unit_speed_gate(self, t: float, hyp_tol: float) -> bool:
         """Pointwise relaxation of the arc-length hypothesis:
-        |alpha| = 1 and alpha' = 0 at t."""
-        tol = self.tols.hyp_tol if tol is None else tol
+        |alpha| = 1 and alpha' = 0 at t, each to within hyp_tol."""
         c = self.curvature(t, 2)
-        return (abs(abs(c.alpha.value) - 1.0) < tol
-                and abs(c.alpha.deriv(1)) < tol)
+        return (abs(abs(c.alpha.value) - 1.0) < hyp_tol
+                and abs(c.alpha.deriv(1)) < hyp_tol)
 
     # -- derived curves ------------------------------------------------------
 
@@ -230,7 +229,7 @@ class FramedCurve:
                 tau=lambda t, order: base.tau(t, order) / s)
         return FramedCurve(gamma, self._nu1, self._nu2, self.domain,
                            name=f"{self.name}*{s:g}", period=self.period,
-                           frenet=fr, validate=False, tols=self.tols)
+                           frenet=fr, validate=False)
 
     def negated(self) -> "FramedCurve":
         """Curve -gamma with the same frame; curvature (l, m, n, -alpha)."""
@@ -238,7 +237,7 @@ class FramedCurve:
             return tuple(-c for c in self._gamma(t, order))
         return FramedCurve(gamma, self._nu1, self._nu2, self.domain,
                            name=f"-{self.name}", period=self.period,
-                           frenet=self.frenet, validate=False, tols=self.tols)
+                           frenet=self.frenet, validate=False)
 
 
 class CurveBatch:
@@ -277,10 +276,6 @@ class CurveBatch:
     @functools.cached_property
     def alpha(self) -> Jet:
         return dot3(shift3(self.gamma), self.mu)
-
-
-def framed_curvature(fc: FramedCurve, t: float, order: int = 5) -> FramedCurvature:
-    return fc.curvature(t, order)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,7 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
         parts(float(t), 2)
 
     return FramedCurve(gamma, nu1, nu2, domain, name=name, period=period,
-                       frenet=FrenetData(kappa, tau), tols=tols)
+                       frenet=FrenetData(kappa, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +416,7 @@ def build_curve(spec: CurveSpec, domain: tuple[float, float] = (-2.0, 2.0),
     return FramedCurve(gamma,
                        _expression_vecfn(nu1_nodes, spec.variable),
                        _expression_vecfn(nu2_nodes, spec.variable),
-                       domain, name=label, tols=tols)
+                       domain, name=label)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import jets
+from .curves import vec_values
 from .errors import ThetaResidualError, ThetaUnavailable, TransurfError
 from .jets import BiJet, Jet
 from .surface import TranslationSurface
-from .tolerances import DEFAULT, Tolerances
 
-_EXT_RADIUS = 1e-6   # hypot(t31, t32) below this uses the limit extension
+_EXT_RADIUS = 1e-6     # hypot(t31, t32) below this uses the limit extension
+_RAY_ZERO_TOL = 1e-9   # relative size below which a ray-jet coefficient is 0
 
 
 def _ray_jet(f: Jet, d: float) -> Jet:
@@ -63,10 +64,9 @@ class ThetaPoint:
 class ThetaField:
     """Branch-tracked normal-angle field over a region or around a point."""
 
-    def __init__(self, s: TranslationSurface, tols: Tolerances = DEFAULT,
-                 user_nodes=None, anchor: tuple[float, float] | None = None):
+    def __init__(self, s: TranslationSurface, user_nodes=None,
+                 anchor: tuple[float, float] | None = None):
         self.s = s
-        self.tols = tols
         self.user_nodes = user_nodes
         self.grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._anchor_value: float | None = None
@@ -97,7 +97,7 @@ class ThetaField:
             t32 = t32 + bj * _ray_jet(a.nu2_jets(u, order)[c], d1)
         return t31, -t32
 
-    def _ray_angle_jet(self, p, d, zero_tol=1e-9):
+    def _ray_angle_jet(self, p, d):
         """One-sided jet of the angle of (t31, -t32) along the ray direction d.
 
         Common zeros of the pair are factored out first; returns None for a
@@ -109,47 +109,54 @@ class ThetaField:
         if scale < 1e-12:
             # the pair vanishes along this ray up to roundoff
             return None
-        while (abs(da[0]) < zero_tol * scale and abs(db[0]) < zero_tol * scale
-               and len(da) > 3):
+        while (abs(da[0]) < _RAY_ZERO_TOL * scale
+               and abs(db[0]) < _RAY_ZERO_TOL * scale and len(da) > 3):
             da, db = _deflate(da), _deflate(db)
         r = math.hypot(da[0], db[0])
-        if r < zero_tol * scale:
+        if r < _RAY_ZERO_TOL * scale:
             return None
         # a common positive rescale leaves the angle (and its jet) unchanged
         return jets.atan2(Jet(0.0, db / r), Jet(0.0, da / r))
 
     # -- limit extension ------------------------------------------------------
 
-    def _extension(self, p, ref) -> ThetaPoint:
-        tol = self.tols.theta_dir_tol
-        dirs = [k * math.pi / 8 for k in range(16)]
+    def _ray_limit(self, p) -> tuple[float, float, str]:
+        """Limit of the angle at p from the directional limits along 16 rays.
+
+        Returns (twice the limit, spread, reason): the doubled-angle mean of
+        the directional limits (mod-pi agreement), the largest deviation of
+        a limit from it, and why there is no limit ("" when there is one:
+        the spread is within theta_dir_tol).
+        """
         doubled = []
-        for psi in dirs:
+        for k in range(16):
+            psi = k * math.pi / 8
             aj = self._ray_angle_jet(p, (math.cos(psi), math.sin(psi)))
-            if aj is None:
-                continue
-            doubled.append(2.0 * aj.value)
+            if aj is not None:
+                doubled.append(2.0 * aj.value)
         if len(doubled) < 8:
-            return ThetaPoint(p[0], p[1], provenance="unavailable",
-                              reason="tangent pair vanishes to high order "
-                                     "along most directions")
-        # mod-pi agreement via the doubled-angle embedding
+            return 0.0, 0.0, ("tangent pair vanishes to high order along "
+                              "most directions")
         zx = np.mean(np.cos(doubled))
         zy = np.mean(np.sin(doubled))
         if math.hypot(zx, zy) < 1e-12:
-            return ThetaPoint(p[0], p[1], provenance="unavailable",
-                              reason="directional limits of the normal angle "
-                                     "are isotropic")
+            return 0.0, 0.0, ("directional limits of the normal angle are "
+                              "isotropic")
         mean2 = math.atan2(zy, zx)
-        spread = max(abs(_wrap_pi(t - mean2)) for t in doubled) / 2.0
-        if spread > tol:
-            return ThetaPoint(
-                p[0], p[1], provenance="unavailable", residual=spread,
-                reason=("no continuous normal angle: directional limits "
-                        f"spread {spread:.3e}; the surface is not a framed "
-                        "base surface here"))
+        spread = max(abs(wrap_pi(t - mean2)) for t in doubled) / 2.0
+        if spread > self.s.tols.theta_dir_tol:
+            return mean2, spread, (
+                "no continuous normal angle: directional limits spread "
+                f"{spread:.3e}; the surface is not a framed base surface here")
+        return mean2, spread, ""
 
-        theta0 = _align_pi(mean2 / 2.0, ref)
+    def _extension(self, p, ref) -> ThetaPoint:
+        mean2, spread, reason = self._ray_limit(p)
+        if reason:
+            return ThetaPoint(p[0], p[1], provenance="unavailable",
+                              residual=spread, reason=reason)
+        tol = self.s.tols.theta_dir_tol
+        theta0 = align_pi(mean2 / 2.0, ref)
 
         # derivatives from one-sided jets along the axes and diagonals
         def dpair(d):
@@ -214,22 +221,9 @@ class ThetaField:
         t31 = self.s.field.partial_value(3, 1, q[0], q[1])
         t32 = self.s.field.partial_value(3, 2, q[0], q[1])
         if math.hypot(t31, t32) >= _EXT_RADIUS:
-            return _align_pi(math.atan2(-t32, t31), ref)
-        dirs = [k * math.pi / 8 for k in range(16)]
-        doubled = []
-        for psi in dirs:
-            aj = self._ray_angle_jet(q, (math.cos(psi), math.sin(psi)))
-            if aj is not None:
-                doubled.append(2.0 * aj.value)
-        if len(doubled) < 8:
-            return None
-        zx, zy = np.mean(np.cos(doubled)), np.mean(np.sin(doubled))
-        if math.hypot(zx, zy) < 1e-12:
-            return None
-        mean2 = math.atan2(zy, zx)
-        if max(abs(_wrap_pi(t - mean2)) for t in doubled) / 2 > self.tols.theta_dir_tol:
-            return None
-        return _align_pi(mean2 / 2.0, ref)
+            return align_pi(math.atan2(-t32, t31), ref)
+        mean2, _, reason = self._ray_limit(q)
+        return None if reason else align_pi(mean2 / 2.0, ref)
 
     # -- public evaluation ----------------------------------------------------
 
@@ -251,7 +245,7 @@ class ThetaField:
             if isinstance(th, (int, float)):
                 th = BiJet.constant(float(th), u, v, degree)
             resid = self._defining_residual(p, th.value)
-            if resid > self.tols.theta_tol:
+            if resid > self.s.tols.theta_tol:
                 raise ThetaResidualError(
                     f"user theta violates its defining equation at {p} "
                     f"(residual {resid:.3e})")
@@ -264,7 +258,7 @@ class ThetaField:
             return self._extension(p, ref)
         b31, b32 = self._t_pair_bijets(p, degree)
         th = jets.atan2(-b32, b31)
-        value = _align_pi(th.value, ref)
+        value = align_pi(th.value, ref)
         if value != th.value:
             c = th.c.copy()
             c[0, 0] = value
@@ -351,11 +345,12 @@ class ThetaField:
             fh.write("\n".join(lines) + "\n")
 
 
-def _wrap_pi(x: float) -> float:
+def wrap_pi(x: float) -> float:
+    """x reduced to [-pi, pi)."""
     return (x + math.pi) % (2 * math.pi) - math.pi
 
 
-def _align_pi(theta: float, ref: float | None) -> float:
+def align_pi(theta: float, ref: float | None) -> float:
     """Shift theta by a multiple of pi to land nearest the reference."""
     if ref is None:
         return theta
@@ -367,8 +362,7 @@ def construct_theta(s: TranslationSurface,
                     p0: tuple[float, float] | None = None,
                     region: tuple[float, float, float, float] | None = None,
                     grid_n: int = 33,
-                    user_expr: str | None = None,
-                    tols: Tolerances = DEFAULT) -> ThetaField:
+                    user_expr: str | None = None) -> ThetaField:
     """Build the normal-angle field for a surface.
 
     ``p0`` anchors the branch at a point (the classification entry point);
@@ -376,7 +370,7 @@ def construct_theta(s: TranslationSurface,
     ``user_expr`` supplies a closed-form angle in (u, v), residual-checked.
     """
     nodes = expr_mod.parse_expression(user_expr) if user_expr else None
-    fieldv = ThetaField(s, tols=tols, user_nodes=nodes, anchor=p0)
+    fieldv = ThetaField(s, user_nodes=nodes, anchor=p0)
     if region is not None:
         fieldv.track_region(region, grid_n)
     return fieldv
@@ -395,21 +389,6 @@ class FSInvariants:
     bn: tuple[BiJet, BiJet, BiJet]
 
 
-def _embed_curvature(s: TranslationSurface, p, degree):
-    u, v = p
-    ca = s.curve_u.curvature(u, degree + 1)
-    cb = s.curve_v.curvature(v, degree + 1)
-
-    def eu(j):
-        return BiJet.from_u_jet(j.truncate(degree), v, degree)
-
-    def ev(j):
-        return BiJet.from_v_jet(j.truncate(degree), u, degree)
-
-    return (eu(ca.l), eu(ca.m), eu(ca.n), eu(ca.alpha),
-            ev(cb.l), ev(cb.m), ev(cb.n), ev(cb.alpha))
-
-
 def fs_invariants(s: TranslationSurface, theta: ThetaField | ThetaPoint,
                   p: tuple[float, float], degree: int = 3) -> FSInvariants:
     """Invariants of (x, bn, mu) where bn = sin(theta) nu1 + cos(theta) nu2."""
@@ -418,7 +397,7 @@ def fs_invariants(s: TranslationSurface, theta: ThetaField | ThetaPoint,
     degree = min(degree, th.degree)
     th = th.truncate(degree)
     u, v = p
-    l, m, n, al, lt, mt, nt, at = _embed_curvature(s, p, degree)
+    l, m, n, al, lt, mt, nt, at = s.curvature_bijets(p, degree)
     ff = s.field
     t31 = ff.t_bijet(3, 1, u, v, degree)
     t32 = ff.t_bijet(3, 2, u, v, degree)
@@ -441,9 +420,9 @@ def fs_invariants(s: TranslationSurface, theta: ThetaField | ThetaPoint,
                  - (b1.truncate(degree - 1) * e2.truncate(degree - 1)
                     - b2.truncate(degree - 1) * e1.truncate(degree - 1)))
 
-    nu1 = [BiJet.from_u_jet(c.truncate(degree), v, degree)
+    nu1 = [BiJet.from_u_jet(c, v, degree)
            for c in s.curve_u.nu1_jets(u, degree + 1)]
-    nu2 = [BiJet.from_u_jet(c.truncate(degree), v, degree)
+    nu2 = [BiJet.from_u_jet(c, v, degree)
            for c in s.curve_u.nu2_jets(u, degree + 1)]
     bn = tuple(sth * nu1[c] + cth * nu2[c] for c in range(3))
     return FSInvariants(a1=a1, b1=b1, a2=a2, b2=b2,
@@ -470,7 +449,7 @@ def discriminant(s: TranslationSurface, theta: ThetaField | ThetaPoint,
     degree = min(degree, th.degree)
     th = th.truncate(degree)
     u, v = p
-    _, _, _, al, _, _, _, at = _embed_curvature(s, p, degree)
+    _, _, _, al, _, _, _, at = s.curvature_bijets(p, degree)
     ff = s.field
     t31 = ff.t_bijet(3, 1, u, v, degree)
     t32 = ff.t_bijet(3, 2, u, v, degree)
@@ -483,16 +462,20 @@ def discriminant(s: TranslationSurface, theta: ThetaField | ThetaPoint,
     return Discriminant(lam=lam, Lambda=Lam, eta=eta, xi=xi)
 
 
+def bn_value(s: TranslationSurface, theta_value: float,
+             u: float) -> np.ndarray:
+    """The normal bn = sin(theta) nu1 + cos(theta) nu2 of the u-curve's
+    frame at u."""
+    n1 = vec_values(s.curve_u.nu1_jets(u, 2))
+    n2 = vec_values(s.curve_u.nu2_jets(u, 2))
+    return math.sin(theta_value) * n1 + math.cos(theta_value) * n2
+
+
 def lambda_direct_value(s: TranslationSurface, theta_value: float,
                         p: tuple[float, float]) -> float:
     """det(x_u, x_v, bn) evaluated directly; cross-check for the closed form."""
-    u, v = p
-    xu = np.array([c.deriv(1) for c in s.curve_u.gamma_jets(u, 2)])
-    xv = np.array([c.deriv(1) for c in s.curve_v.gamma_jets(v, 2)])
-    n1 = np.array([c.value for c in s.curve_u.nu1_jets(u, 2)])
-    n2 = np.array([c.value for c in s.curve_u.nu2_jets(u, 2)])
-    bn = math.sin(theta_value) * n1 + math.cos(theta_value) * n2
-    return float(np.linalg.det(np.column_stack([xu, xv, bn])))
+    bn = bn_value(s, theta_value, p[0])
+    return float(np.linalg.det(np.column_stack([s.dx_matrix(p), bn])))
 
 
 def directional_derivative(f: BiJet, direction: tuple[BiJet, BiJet]) -> BiJet:
@@ -544,8 +527,7 @@ def front_decision(rank: int, HF: float, KF: float, tol: float) -> tuple[str, fl
 def front_test(s: TranslationSurface, theta: ThetaField | ThetaPoint,
                p: tuple[float, float]) -> tuple[str, float, int]:
     """Classify p as front or frontal-only; returns (verdict, witness, rank)."""
-    sv = np.linalg.svd(s.dx_matrix(p), compute_uv=False)
-    rank = int(np.sum(sv > s.tols.rank_tol * max(1.0, sv[0])))
+    rank = s.dx_rank(p)
     inv = fs_invariants(s, theta, p, degree=2)
     verdict, witness = front_decision(rank, inv.HF.value, inv.KF.value,
                                       s.tols.front_tol)

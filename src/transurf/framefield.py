@@ -20,13 +20,11 @@ import numpy as np
 from .curves import FramedCurve, FramedCurvature, VecJets, lanewise, shift3
 from .errors import NotIntegrable
 from .jets import BiJet, Jet
-from .tolerances import DEFAULT, Tolerances
 
-
-def _shift_n(v: VecJets, k: int) -> VecJets:
-    for _ in range(k):
-        v = shift3(v)
-    return v
+# bound on the mixed-derivative residual of a closed-form field in
+# reconstruct_from_field: its finite differences (step 1e-5) cannot
+# certify a smaller one
+_FIELD_FD_TOL = 1e-5
 
 
 def frame_dot(row_b, row_a):
@@ -57,8 +55,8 @@ class FrameField:
         jets, so they have full degree (no truncation loss).
         """
         order = degree + max(du, dv)
-        row_b = _shift_n(self.curve_b.frame_row(i, v, order), dv)
-        row_a = _shift_n(self.curve_a.frame_row(j, u, order), du)
+        row_b = shift3(self.curve_b.frame_row(i, v, order), dv)
+        row_a = shift3(self.curve_a.frame_row(j, u, order), du)
         # the partials of f(u) g(v) are f^(p)(u) g^(q)(v): an outer product
         c = np.zeros((degree + 1, degree + 1))
         for k in range(3):
@@ -79,8 +77,8 @@ class FrameField:
     def partial_value(self, i: int, j: int, u: float, v: float,
                       du: int = 0, dv: int = 0) -> float:
         order = max(2, du + dv)
-        row_b = _shift_n(self.curve_b.frame_row(i, v, order), dv)
-        row_a = _shift_n(self.curve_a.frame_row(j, u, order), du)
+        row_b = shift3(self.curve_b.frame_row(i, v, order), dv)
+        row_a = shift3(self.curve_a.frame_row(j, u, order), du)
         return frame_dot([c.value for c in row_b], [c.value for c in row_a])
 
 
@@ -207,7 +205,7 @@ class OdeFramedCurve(FramedCurve):
 
     def __init__(self, curvature_fn, t0: float, R0: np.ndarray,
                  domain: tuple[float, float], step: float = 1e-3,
-                 name: str = "reconstructed", tols: Tolerances = DEFAULT):
+                 name: str = "reconstructed"):
         if not step > 1e-12:
             raise ValueError("integration step underflow")
         self.curvature_fn = curvature_fn   # (t, order) -> FramedCurvature
@@ -234,7 +232,7 @@ class OdeFramedCurve(FramedCurve):
         super().__init__(lanewise(self._gamma_jets_impl),
                          lanewise(self._nu_jets_impl(1)),
                          lanewise(self._nu_jets_impl(2)), domain, name=name,
-                         validate=False, tols=tols)
+                         validate=False)
 
     # -- integration ---------------------------------------------------------
 
@@ -321,22 +319,17 @@ class OdeFramedCurve(FramedCurve):
         return tuple(out)
 
 
-def curvature_provider(fc: FramedCurve):
-    """Adapter: framed curve -> curvature function usable for reconstruction."""
-    def fn(t: float, order: int) -> FramedCurvature:
-        return fc.curvature(t, order)
-    return fn
-
-
 def reconstruct_framed_curves(curv_a, curv_b, T0: np.ndarray,
                               p0: tuple[float, float],
                               domain_a: tuple[float, float],
                               domain_b: tuple[float, float],
                               step: float = 1e-3,
-                              tols: Tolerances = DEFAULT,
                               ) -> tuple[OdeFramedCurve, OdeFramedCurve]:
     """Build two framed curves whose frame matrix is the one generated by the
     curvature data and the initial matrix T0 at p0.
+
+    ``curv_a`` and ``curv_b`` map (t, order) to a FramedCurvature; the
+    ``curvature`` method of a framed curve is one.
 
     The first curve starts from the identity frame at u0 and the second from
     T0 (both gammas start at the origin; the data only fixes them up to
@@ -344,9 +337,9 @@ def reconstruct_framed_curves(curv_a, curv_b, T0: np.ndarray,
     """
     u0, v0 = p0
     a = OdeFramedCurve(curv_a, u0, np.eye(3), domain_a, step=step,
-                       name="reconstructed-a", tols=tols)
+                       name="reconstructed-a")
     b = OdeFramedCurve(curv_b, v0, np.asarray(T0, dtype=float), domain_b,
-                       step=step, name="reconstructed-b", tols=tols)
+                       step=step, name="reconstructed-b")
     return a, b
 
 
@@ -356,7 +349,6 @@ def reconstruct_from_field(field_fn, p0: tuple[float, float],
                            alpha_a, alpha_b,
                            step: float = 1e-3,
                            check_points: int = 9,
-                           tols: Tolerances = DEFAULT,
                            ) -> tuple[OdeFramedCurve, OdeFramedCurve]:
     """Reconstruct from a closed-form matrix field T(u, v).
 
@@ -381,8 +373,7 @@ def reconstruct_from_field(field_fn, p0: tuple[float, float],
                    - Tm(u + h, v - h) + Tm(u - h, v - h)) / (4 * h * h)
             worst = max(worst, float(np.max(np.abs(Tuv - Tv @ T.T @ Tu))))
             worst = max(worst, float(np.max(np.abs(T.T @ T - np.eye(3)))))
-    # finite differences limit what can be certified here
-    if worst > max(tols.pde_tol, 1e-5):
+    if worst > _FIELD_FD_TOL:
         raise NotIntegrable(
             f"field fails the mixed-derivative identity (residual {worst:.3e})")
 
@@ -418,4 +409,4 @@ def reconstruct_from_field(field_fn, p0: tuple[float, float],
 
     return reconstruct_framed_curves(
         curv_from_F(extract_a, alpha_a), curv_from_F(extract_b, alpha_b),
-        Tm(u0, v0), p0, domain_a, domain_b, step=step, tols=tols)
+        Tm(u0, v0), p0, domain_a, domain_b, step=step)

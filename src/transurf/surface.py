@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import FramedCurve, vec_values
+from .curves import FramedCurve, shift3, vec_values
 from .framefield import FrameField, frame_dot
-from .jets import BiJet, Jet
+from .jets import BiJet
 from .tolerances import DEFAULT, Tolerances
 
 CONDITION_NAMES = ("i", "ii", "iii")
@@ -89,33 +89,39 @@ class TranslationSurface:
                        degree: int = 3) -> tuple[BiJet, BiJet, BiJet]:
         """BiJets of d^{du+dv} x / du^du dv^dv, assembled exactly.
 
-        One of du, dv must be zero beyond first order because cross partials
-        of x vanish identically; (du, dv) = (0, 0) gives x itself.
+        Cross partials of x vanish identically; (du, dv) = (0, 0) gives x
+        itself.
         """
         u, v = p
-        order = degree + max(du, dv)
-        if dv == 0 and du == 0:
-            gu = self.curve_u.gamma_jets(u, order)
-            gv = self.curve_v.gamma_jets(v, order)
-            return tuple(
-                BiJet.from_u_jet(gu[c].truncate(degree), v, degree)
-                + BiJet.from_v_jet(gv[c].truncate(degree), u, degree)
-                for c in range(3))
         if du > 0 and dv > 0:
             return tuple(BiJet.constant(0.0, u, v, degree) for _ in range(3))
+
+        def along_u():
+            g = shift3(self.curve_u.gamma_jets(u, degree + du), du)
+            return [BiJet.from_u_jet(c, v, degree) for c in g]
+
+        def along_v():
+            g = shift3(self.curve_v.gamma_jets(v, degree + dv), dv)
+            return [BiJet.from_v_jet(c, u, degree) for c in g]
+
         if du > 0:
-            g = self.curve_u.gamma_jets(u, order)
-            jets_ = [c for c in g]
-            for _ in range(du):
-                jets_ = [c.differentiate() for c in jets_]
-            return tuple(BiJet.from_u_jet(c.truncate(degree), v, degree)
-                         for c in jets_)
-        g = self.curve_v.gamma_jets(v, order)
-        jets_ = [c for c in g]
-        for _ in range(dv):
-            jets_ = [c.differentiate() for c in jets_]
-        return tuple(BiJet.from_v_jet(c.truncate(degree), u, degree)
-                     for c in jets_)
+            return tuple(along_u())
+        if dv > 0:
+            return tuple(along_v())
+        return tuple(a + b for a, b in zip(along_u(), along_v()))
+
+    def curvature_bijets(self, p: tuple[float, float],
+                         degree: int = 3) -> tuple[BiJet, ...]:
+        """(l, m, n, alpha, l~, m~, n~, alpha~) at p as BiJets in (u, v):
+        the u-curve's framed curvature as functions of u, the v-curve's as
+        functions of v."""
+        u, v = p
+        ca = self.curve_u.curvature(u, degree + 1)
+        cb = self.curve_v.curvature(v, degree + 1)
+        return (tuple(BiJet.from_u_jet(j, v, degree)
+                      for j in (ca.l, ca.m, ca.n, ca.alpha))
+                + tuple(BiJet.from_v_jet(j, u, degree)
+                        for j in (cb.l, cb.m, cb.n, cb.alpha)))
 
     def dx_matrix(self, p: tuple[float, float]) -> np.ndarray:
         """3x2 Jacobian [x_u | x_v] at p."""
@@ -123,6 +129,12 @@ class TranslationSurface:
         xu = [c.deriv(1) for c in self.curve_u.gamma_jets(u, 2)]
         xv = [c.deriv(1) for c in self.curve_v.gamma_jets(v, 2)]
         return np.column_stack([xu, xv])
+
+    def dx_rank(self, p: tuple[float, float]) -> int:
+        """Numerical rank of dx at p: the number of singular values above
+        rank_tol * max(1, sigma_max)."""
+        sv = np.linalg.svd(self.dx_matrix(p), compute_uv=False)
+        return int(np.sum(sv > self.tols.rank_tol * max(1.0, float(sv[0]))))
 
     def alpha_values(self, p: tuple[float, float]) -> tuple[float, float]:
         u, v = p
@@ -165,18 +177,8 @@ def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
     """
     u, v = p
     ff = s.field
-    order = degree + 1
-    ca = s.curve_u.curvature(u, order)
-    cb = s.curve_v.curvature(v, order)
+    l, m, n, al, lt, mt, nt, at = s.curvature_bijets(p, degree)
     zero = BiJet.constant(0.0, u, v, degree)
-
-    def emb_u(j: Jet) -> BiJet:
-        return BiJet.from_u_jet(j.truncate(degree), v, degree)
-
-    def emb_v(j: Jet) -> BiJet:
-        return BiJet.from_v_jet(j.truncate(degree), u, degree)
-
-    al, at = emb_u(ca.alpha), emb_v(cb.alpha)
     if frame == "nu_of_A":
         t31 = ff.t_bijet(3, 1, u, v, degree)
         t32 = ff.t_bijet(3, 2, u, v, degree)
@@ -185,7 +187,7 @@ def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
             frame=frame,
             a1=zero, b1=zero, c1=al,
             a2=at * t31, b2=at * t32, c2=at * t33,
-            e1=emb_u(ca.l), f1=emb_u(ca.m), g1=emb_u(ca.n),
+            e1=l, f1=m, g1=n,
             e2=zero, f2=zero, g2=zero,
             A=-(al * at * t32), B=al * at * t31)
     if frame == "nu_of_B":
@@ -197,7 +199,7 @@ def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
             a1=al * t13, b1=al * t23, c1=al * t33,
             a2=zero, b2=zero, c2=at,
             e1=zero, f1=zero, g1=zero,
-            e2=emb_v(cb.l), f2=emb_v(cb.m), g2=emb_v(cb.n),
+            e2=lt, f2=mt, g2=nt,
             A=al * at * t23, B=-(al * at * t13))
     raise ValueError(f"unknown frame choice {frame!r}")
 
@@ -205,13 +207,11 @@ def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
 def normal_decomposition_residual(s: TranslationSurface,
                                   p: tuple[float, float]) -> float:
     """| x_u x x_v - (A nu1 + B nu2) | at p; identically zero in theory."""
-    u, v = p
     inv = gfs_invariants(s, p, degree=2)
-    xu = [c.deriv(1) for c in s.curve_u.gamma_jets(u, 2)]
-    xv = [c.deriv(1) for c in s.curve_v.gamma_jets(v, 2)]
-    n1 = vec_values(s.curve_u.nu1_jets(u, 2))
-    n2 = vec_values(s.curve_u.nu2_jets(u, 2))
-    nu = np.cross(xu, xv)
+    dx = s.dx_matrix(p)
+    n1 = vec_values(s.curve_u.nu1_jets(p[0], 2))
+    n2 = vec_values(s.curve_u.nu2_jets(p[0], 2))
+    nu = np.cross(dx[:, 0], dx[:, 1])
     recon = inv.A.value * n1 + inv.B.value * n2
     return float(np.max(np.abs(nu - recon)))
 
@@ -228,10 +228,9 @@ class DependenceResult:
     t33: float
 
 
-def dependence_test(s: TranslationSurface, p: tuple[float, float],
-                    tol: float | None = None) -> DependenceResult:
+def dependence_test(s: TranslationSurface,
+                    p: tuple[float, float]) -> DependenceResult:
     """Pointwise linear dependence of the two tangent directions at p."""
-    tol = s.tols.dep_tol if tol is None else tol
     u, v = p
     mu = vec_values(s.curve_u.mu_jets(u, 2))
     mt = vec_values(s.curve_v.mu_jets(v, 2))
@@ -239,7 +238,7 @@ def dependence_test(s: TranslationSurface, p: tuple[float, float],
     t31 = s.field.partial_value(3, 1, u, v)
     t32 = s.field.partial_value(3, 2, u, v)
     t33 = s.field.partial_value(3, 3, u, v)
-    return DependenceResult(dependent=bool(cross < tol),
+    return DependenceResult(dependent=bool(cross < s.tols.dep_tol),
                             mu_cross_norm=cross,
                             t_pair_norm=math.hypot(t31, t32),
                             t33=t33)
@@ -258,34 +257,51 @@ class FieldDependenceReport:
 
 def ab_dependence_scan(s: TranslationSurface,
                        window: tuple[float, float, float, float],
-                       n: int = 12,
-                       ratio_tol: float | None = None) -> FieldDependenceReport:
-    """Smallest-singular-value test of the sampled (t31, t32) and (A, B)."""
-    ratio_tol = s.tols.ratio_tol if ratio_tol is None else ratio_tol
+                       n: int = 12) -> FieldDependenceReport:
+    """Smallest-singular-value test of the sampled (t31, t32) and (A, B).
+
+    The samples are the n x n grid over the window, one row per node in
+    row-major (u, v) order.
+    """
     u0, u1, v0, v1 = window
     if n * n < 64:
         raise ValueError("need at least 64 sample points")
-    rows_t, rows_ab = [], []
-    for u in np.linspace(u0, u1, n):
-        for v in np.linspace(v0, v1, n):
-            u_, v_ = float(u), float(v)
-            t31 = s.field.partial_value(3, 1, u_, v_)
-            t32 = s.field.partial_value(3, 2, u_, v_)
-            au, av = s.alpha_values((u_, v_))
-            rows_t.append((t31, t32))
-            rows_ab.append((-au * av * t32, au * av * t31))
+    alpha_u, alpha_v, t31, t32 = residual_landscape(
+        s, np.linspace(u0, u1, n), np.linspace(v0, v1, n))
+    au, av = alpha_u[:, None], alpha_v[None, :]
+    rows_t = np.stack([t31.ravel(), t32.ravel()], axis=1)
+    rows_ab = np.stack([(-au * av * t32).ravel(), (au * av * t31).ravel()],
+                       axis=1)
 
     def ratio(rows):
-        sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
+        sv = np.linalg.svd(rows, compute_uv=False)
         if sv[0] == 0.0:
             return 0.0
         return float(sv[-1] / sv[0])
 
     rt, rab = ratio(rows_t), ratio(rows_ab)
+    ratio_tol = s.tols.ratio_tol
     return FieldDependenceReport(
         t_fields_dependent=bool(rt < ratio_tol), t_sigma_ratio=rt,
         ab_fields_dependent=bool(rab < ratio_tol), ab_sigma_ratio=rab,
         samples=n * n)
+
+
+def residual_landscape(s: TranslationSurface, us: np.ndarray,
+                       vs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """alpha on us, alpha~ on vs, and t31, t32 on the grid us x vs.
+
+    One batch evaluation per curve. Node (a, b) of a grid equals
+    ``s.field.partial_value(3, j, us[a], vs[b])`` bitwise, and the alphas
+    equal ``s.alpha_values``.
+    """
+    on_u = s.curve_u.batch_jets(us, 2)
+    on_v = s.curve_v.batch_jets(vs, 2)
+    # t_ij(u, v) = (frame of v-curve)_i . (frame of u-curve)_j
+    mu_v = [c.value[None, :] for c in on_v.mu]
+    t31 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu1])
+    t32 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu2])
+    return on_u.alpha.value, on_v.alpha.value, t31, t32
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +401,7 @@ def _newton_t3(s: TranslationSurface, us, vs, tol: float,
 
 def find_singular_points(s: TranslationSurface,
                          window: tuple[float, float, float, float],
-                         grid_n: int = 48,
-                         tol: float | None = None) -> list[SingularPoint]:
+                         grid_n: int = 48) -> list[SingularPoint]:
     """Grid scan plus damped Newton refinement of the singular set.
 
     The residual landscape (alpha(u), alpha~(v) and (t31, t32) on the grid)
@@ -398,7 +413,7 @@ def find_singular_points(s: TranslationSurface,
     flagged ``isolated=False``; isolated zeros as single points. Results are
     merged within three grid spacings and sorted by (u, v).
     """
-    tol = s.tols.sing_tol if tol is None else tol
+    tol = s.tols.sing_tol
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     u0, u1, v0, v1 = window
@@ -409,14 +424,7 @@ def find_singular_points(s: TranslationSurface,
     spacing = max(du, dv)
     merge_radius = 3.0 * spacing
 
-    # residual landscape: t_ij(u, v) = (frame of v-curve)_i . (frame of u-curve)_j
-    on_u = s.curve_u.batch_jets(us, 2)
-    on_v = s.curve_v.batch_jets(vs, 2)
-    alpha_u = on_u.alpha.value
-    alpha_v = on_v.alpha.value
-    mu_v = [c.value[None, :] for c in on_v.mu]
-    t31 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu1])
-    t32 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu2])
+    alpha_u, alpha_v, t31, t32 = residual_landscape(s, us, vs)
     hyp = np.hypot(t31, t32)
 
     # locally-minimal candidate cells per condition; generous, because
@@ -442,7 +450,7 @@ def find_singular_points(s: TranslationSurface,
     inside = [p for p in roots if p is not None
               and u0 - slack <= p[0] <= u1 + slack
               and v0 - slack <= p[1] <= v1 + slack]
-    return [_make_point(s, (pu, pv), tol, isolated)
+    return [_make_point(s, (pu, pv), isolated)
             for pu, pv, isolated in _merge_points(inside, merge_radius)]
 
 
@@ -466,25 +474,23 @@ def _grid_slope(arr: np.ndarray, h: float) -> np.ndarray:
     return np.maximum(gi, gj) / (2 * h)
 
 
+def singular_conditions(s: TranslationSurface, alphas: tuple[float, float],
+                        t_pair_norm: float) -> tuple[str, ...]:
+    """The conditions among (i) alpha = 0, (ii) alpha~ = 0 and
+    (iii) (t31, t32) = 0 that hold, each to within 10 sing_tol."""
+    residuals = (abs(alphas[0]), abs(alphas[1]), t_pair_norm)
+    return tuple(name for name, r in zip(CONDITION_NAMES, residuals)
+                 if r < s.tols.sing_tol * 10)
+
+
 def _make_point(s: TranslationSurface, p: tuple[float, float],
-                tol: float, isolated: bool) -> SingularPoint:
-    au, av = s.alpha_values(p)
-    t31 = s.field.partial_value(3, 1, p[0], p[1])
-    t32 = s.field.partial_value(3, 2, p[0], p[1])
-    conds = []
-    if abs(au) < tol * 10:
-        conds.append("i")
-    if abs(av) < tol * 10:
-        conds.append("ii")
-    if math.hypot(t31, t32) < tol * 10:
-        conds.append("iii")
+                isolated: bool) -> SingularPoint:
     dep = dependence_test(s, p)
-    sv = np.linalg.svd(s.dx_matrix(p), compute_uv=False)
-    corank = int(np.sum(sv < s.tols.rank_tol * max(1.0, sv[0])))
     return SingularPoint(
-        u=p[0], v=p[1], conditions=tuple(conds),
+        u=p[0], v=p[1],
+        conditions=singular_conditions(s, s.alpha_values(p), dep.t_pair_norm),
         dependence="dependent" if dep.dependent else "independent",
-        corank=min(corank, 2) if corank else 1,
+        corank=max(2 - s.dx_rank(p), 1),
         isolated=isolated,
         residual=s.singular_residual(p))
 

@@ -3,6 +3,34 @@
 Every strict inequality in a classification criterion becomes a threshold
 test against ``crit_tol`` and every equality hypothesis against ``hyp_tol``;
 the raw values are always reported next to the thresholds.
+
+A surface carries one ``Tolerances`` (``TranslationSurface.tols``) and every
+decision made on it reads that instance, so an override reaches every
+decision, the unit-speed checks of catalog curves included. The one
+exception is ``nondeg_tol``: it is checked when a curve is built, so it acts
+only on an expression curve built from the command line (catalog curves are
+built once, with the defaults). Which decision reads each field:
+
+- ``nondeg_tol``: the Frenet lift rejects a curve with |gamma' x gamma''|
+  below it.
+- ``arc_tol``: the arc-length flag of a Frenet curve, which opens the
+  unit-speed shortcut of the S0/S1 tests.
+- ``sing_tol``: Newton convergence of the singular-point scan, and the
+  conditions (i), (ii), (iii) reported at a point (each within 10 sing_tol).
+- ``dep_tol``: the dependent condition |mu x mu~| < dep_tol, and |t33| = 1 in
+  the S0/S1 tests.
+- ``ratio_tol``: sigma_min / sigma_max of the field-dependence scan.
+- ``theta_tol``: the defining-equation residual of a user-supplied theta.
+- ``theta_dir_tol``: agreement of the directional limits of theta at a zero
+  of (t31, t32), which decides whether theta extends through the point.
+- ``front_tol``: |H^F| (rank 1) or |K^F| (rank 0) of the front test.
+- ``lemma_tol``: closed form vs jets of the density partials (framed route).
+- ``rank_tol``: the numerical rank of dx (singular values of dx above
+  rank_tol * max(1, sigma_max)).
+- ``hess_tol``: closed form vs jets of the Hessian of phi (S1 test).
+- ``crit_tol``: every "!= 0" of a criterion.
+- ``hyp_tol``: every "= 0" of a criterion or hypothesis, and the pointwise
+  unit-speed gate of a Frenet curve.
 """
 from __future__ import annotations
 
@@ -12,21 +40,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    div_eps: float = 1e-12        # |denominator| floor for jet division
-    frame_tol: float = 1e-9       # frame orthonormality / tangency residual
     nondeg_tol: float = 1e-9      # |gamma' x gamma''| floor for Frenet lifts
     arc_tol: float = 1e-9         # sup | |gamma'| - 1 | for the arc-length flag
-    so3_tol: float = 1e-9         # orthogonality / det residual of frame matrices
-    pde_tol: float = 1e-8         # frame-matrix differential identity residual
-    recon_tol: float = 1e-6       # frame-matrix reproduction after reconstruction
     sing_tol: float = 1e-8        # singular-point residual after Newton
     dep_tol: float = 1e-8         # |mu x mu~| threshold for the dependent condition
     ratio_tol: float = 1e-6       # sigma_min/sigma_max for field-dependence scans
     theta_tol: float = 1e-8       # defining-equation residual of a theta field
     theta_dir_tol: float = 1e-6   # directional-limit agreement for theta extension
     front_tol: float = 1e-8       # |H^F| (or |K^F|) threshold for the front test
-    lemma_tol: float = 1e-6       # residual bound for the relational-equation oracle
-    ker_tol: float = 1e-8         # |dx(eta)| bound at singular points
+    lemma_tol: float = 1e-6       # closed form vs jets of the density partials
     rank_tol: float = 1e-8        # singular-value threshold for numerical rank
     hess_tol: float = 1e-6        # closed-form vs jet Hessian agreement
     crit_tol: float = 1e-7        # |value| > crit_tol realizes "!= 0"

@@ -11,7 +11,7 @@ import numpy as np
 from . import curves, fd, instances, jets
 from .classify import classify
 from .framedsurf import construct_theta, lemma_oracle, unit_speed_oracle
-from .framefield import (FrameField, check_compatibility, curvature_provider,
+from .framefield import (FrameField, check_compatibility,
                          reconstruct_framed_curves)
 from .jets import Jet
 from .surface import TranslationSurface
@@ -138,7 +138,7 @@ def suite_reconstruction(step: float = 1e-3) -> list[Check]:
         a, b = (curves.catalog(n) for n in CATALOG_PAIRS[key])
         ff = FrameField(a, b)
         ra, rb = reconstruct_framed_curves(
-            curvature_provider(a), curvature_provider(b), ff.value(0.0, 0.0),
+            a.curvature, b.curvature, ff.value(0.0, 0.0),
             (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=step)
         ffr = FrameField(ra, rb)
         worst = 0.0

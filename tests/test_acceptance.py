@@ -26,7 +26,7 @@ from transurf.classify import classify
 from transurf.curves import catalog
 from transurf.framedsurf import construct_theta, lemma_oracle, unit_speed_oracle
 from transurf.framefield import (FrameField, check_compatibility,
-                                 curvature_provider, reconstruct_framed_curves)
+                                 reconstruct_framed_curves)
 from transurf.jets import Jet
 from transurf.surface import (TranslationSurface, canonical_periodic_points,
                               find_singular_points)
@@ -228,7 +228,7 @@ def test_c07_reconstruction_roundtrip_and_order():
         a, b = (catalog(n) for n in CATALOG_PAIRS[key])
         ff = FrameField(a, b)
         ra, rb = reconstruct_framed_curves(
-            curvature_provider(a), curvature_provider(b), ff.value(0.0, 0.0),
+            a.curvature, b.curvature, ff.value(0.0, 0.0),
             (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=1e-3)
         ffr = FrameField(ra, rb)
         worst = max(

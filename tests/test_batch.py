@@ -2,8 +2,9 @@
 
 Covers the curve batch method against the per-point methods, the batched
 Newton refinement of the scan against a scalar reference loop, the
-residual landscape against ``partial_value``, and errors raised by a single
-failing lane.
+residual landscape against ``partial_value``, the field-dependence scan
+against a per-point reference loop, and errors raised by a single failing
+lane.
 """
 import math
 
@@ -17,10 +18,10 @@ from transurf.curves import (build_curve, catalog, catalog_names, frenet_lift,
                              parse_curve)
 from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2)
-from transurf.framefield import (curvature_provider, frame_dot,
-                                 reconstruct_framed_curves)
+from transurf.framefield import frame_dot, reconstruct_framed_curves
 from transurf.jets import Jet
 from transurf.surface import TranslationSurface, _newton_t3
+from transurf.verify import all_pairs, surface_for
 
 
 def _bits(x) -> bytes:
@@ -37,7 +38,7 @@ def _assert_lanes(batch_vec, scalar_vecs):
 
 def _reconstructed():
     a, _ = reconstruct_framed_curves(
-        curvature_provider(catalog("s1m_a")), curvature_provider(catalog("s0_b")),
+        catalog("s1m_a").curvature, catalog("s0_b").curvature,
         np.eye(3), (0.0, 0.0), (-0.5, 0.5), (-0.5, 0.5), step=1e-2)
     return a
 
@@ -150,6 +151,58 @@ def test_landscape_nodes_equal_partial_value():
                 assert _bits(grid[a, b]) == _bits(node)
                 assert _bits(node) == _bits(
                     s.field.t_bijet(3, j, float(u), float(v), degree=2).value)
+
+
+def _dependence_rows_reference(s, window, n):
+    """Rows (t31, t32) and (A, B) of the dependence scan, point by point."""
+    u0, u1, v0, v1 = window
+    rows_t, rows_ab = [], []
+    for u in np.linspace(u0, u1, n):
+        for v in np.linspace(v0, v1, n):
+            u_, v_ = float(u), float(v)
+            t31 = s.field.partial_value(3, 1, u_, v_)
+            t32 = s.field.partial_value(3, 2, u_, v_)
+            au, av = s.alpha_values((u_, v_))
+            rows_t.append((t31, t32))
+            rows_ab.append((-au * av * t32, au * av * t31))
+    return np.asarray(rows_t), np.asarray(rows_ab)
+
+
+def _sigma_ratio_reference(rows):
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
+
+
+DEPENDENCE_PAIRS = {key: (lambda key=key: surface_for(key))
+                    for key in all_pairs()}
+DEPENDENCE_PAIRS["expr"] = lambda: TranslationSurface.general(
+    build_curve(parse_curve("(u, 0.7*u^2, 0)")),
+    build_curve(parse_curve("(v, 0, 1.3*v^2)")))
+
+
+@pytest.mark.parametrize("pair", sorted(DEPENDENCE_PAIRS))
+def test_dependence_scan_matches_pointwise_reference(pair, monkeypatch):
+    s = DEPENDENCE_PAIRS[pair]()
+    window, n = (-0.9, 0.9, -0.8, 1.1), 9
+    want_t, want_ab = _dependence_rows_reference(s, window, n)
+
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rep = surface.ab_dependence_scan(s, window, n=n)
+    monkeypatch.undo()
+
+    assert len(seen) == 2
+    assert seen[0].shape == want_t.shape and _bits(seen[0]) == _bits(want_t)
+    assert seen[1].shape == want_ab.shape and _bits(seen[1]) == _bits(want_ab)
+    assert _bits(rep.t_sigma_ratio) == _bits(_sigma_ratio_reference(want_t))
+    assert _bits(rep.ab_sigma_ratio) == _bits(_sigma_ratio_reference(want_ab))
+    assert rep.samples == n * n
 
 
 def test_scan_evaluates_only_merged_points(monkeypatch):

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from transurf.cli import main
+from transurf.classify import classify
+from transurf.cli import RunConfig, main
 from transurf.report import dumps
 
 
@@ -127,6 +128,22 @@ def test_tolerance_override(tmp_path):
     assert doc["input"]["tolerances"]["sing_tol"] == 1e-10
 
 
+def test_tolerance_overrides_reach_catalog_curves():
+    # the s1m helices are arc-length; with arc_tol and hyp_tol at 1e-300
+    # neither the arc-length flag nor the pointwise gate may open the
+    # unit-speed shortcut, even though the catalog curves are shared
+    cfg = RunConfig(curve_a="@s1m_a", curve_b="@s1m_b",
+                    tol_overrides={"arc_tol": 1e-300, "hyp_tol": 1e-300})
+    rep = classify(cfg.build_surface(), (0.0, 0.0))
+    assert rep.tag == "S1Minus"
+    assert "unit-speed shortcut available" not in rep.s1.hypotheses_checked
+    assert "frenet_s1_discriminant" not in [c.name for c in rep.s1.conditions]
+
+    default = classify(RunConfig(curve_a="@s1m_a", curve_b="@s1m_b")
+                       .build_surface(), (0.0, 0.0))
+    assert "unit-speed shortcut available" in default.s1.hypotheses_checked
+
+
 @pytest.mark.parametrize("args", [
     ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
      "--window=1,-1,0,1"],                          # empty window
@@ -137,6 +154,8 @@ def test_tolerance_override(tmp_path):
     ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
      "--tol", "bogus=1"],
     ["mesh", "--curve-a", "@s0_a", "--curve-b", "@s0_b"],   # no --out
+    ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
+     "--tol", "div_eps=1e-9"],                      # a name nothing reads
 ])
 def test_input_errors_exit_2(args, capsys):
     assert run_cli(args) == 2

@@ -7,6 +7,7 @@ from transurf import curves, jets
 from transurf.curves import FramedCurve, build_curve, catalog, frenet_lift, parse_curve
 from transurf.errors import InvalidFrame, NotNonDegenerate, UnknownCurve
 from transurf.jets import Jet
+from transurf.tolerances import DEFAULT
 
 
 def _line_curve(direction=(1.0, 0.0, 0.0)):
@@ -49,7 +50,8 @@ def test_catalog_curvatures_match_closed_forms():
 def test_s1m_pair_is_unit_speed_with_constant_invariants():
     a = catalog("s1m_a")
     b = catalog("s1m_b")
-    assert a.is_arc_length() and b.is_arc_length()
+    assert (a.is_arc_length(DEFAULT.arc_tol)
+            and b.is_arc_length(DEFAULT.arc_tol))
     for t in (-1.0, 0.0, 0.7):
         assert a.frenet.kappa(t, 2).value == pytest.approx(1.0, rel=1e-10)
         assert a.frenet.tau(t, 2).value == pytest.approx(1.0, rel=1e-10)
@@ -71,7 +73,7 @@ def test_frenet_lift_circle():
         return (jets.cos(u), jets.sin(u), Jet.constant(0.0, t, order))
 
     fc = frenet_lift(gamma, (-3.0, 3.0), name="circle")
-    assert fc.is_arc_length()
+    assert fc.is_arc_length(DEFAULT.arc_tol)
     for t in (-1.0, 0.2):
         assert fc.frenet.kappa(t, 2).value == pytest.approx(1.0, rel=1e-12)
         assert fc.frenet.tau(t, 2).value == pytest.approx(0.0, abs=1e-12)
@@ -90,9 +92,9 @@ def test_frenet_lift_rejects_straight_line():
 
 def test_self_s1p_unit_speed_gate():
     fc = catalog("self_s1p")
-    assert fc.unit_speed_gate(0.0)
-    assert fc.unit_speed_gate(math.pi)
-    assert not fc.unit_speed_gate(0.9)
+    assert fc.unit_speed_gate(0.0, DEFAULT.hyp_tol)
+    assert fc.unit_speed_gate(math.pi, DEFAULT.hyp_tol)
+    assert not fc.unit_speed_gate(0.9, DEFAULT.hyp_tol)
     assert fc.frenet.kappa(0.0, 2).value == pytest.approx(math.sqrt(2), rel=1e-9)
     assert fc.frenet.tau(0.0, 2).value == pytest.approx(-math.sqrt(2), rel=1e-9)
     assert fc.frenet.kappa(math.pi, 2).value == pytest.approx(math.sqrt(2), rel=1e-9)

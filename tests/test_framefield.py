@@ -7,8 +7,7 @@ from transurf import curves
 from transurf.curves import FramedCurve, catalog
 from transurf.errors import NotIntegrable
 from transurf.framefield import (FrameField, check_compatibility,
-                                 curvature_provider, polar_rotation,
-                                 reconstruct_framed_curves,
+                                 polar_rotation, reconstruct_framed_curves,
                                  reconstruct_from_field)
 from transurf.jets import BiJet, Jet
 
@@ -192,7 +191,7 @@ def _roundtrip_error(name_a, name_b, step, window=0.9, grid=6):
     a, b = catalog(name_a), catalog(name_b)
     ff = FrameField(a, b)
     ra, rb = reconstruct_framed_curves(
-        curvature_provider(a), curvature_provider(b), ff.value(0.0, 0.0),
+        a.curvature, b.curvature, ff.value(0.0, 0.0),
         (0.0, 0.0), (-window, window), (-window, window), step=step)
     ffr = FrameField(ra, rb)
     worst = 0.0
