@@ -24,6 +24,7 @@ from .tolerances import DEFAULT, Tolerances
 
 VecJets = tuple[Jet, Jet, Jet]
 VecFn = Callable[[float, int], VecJets]
+FrameFn = Callable[[float, int], tuple[VecJets, VecJets]]
 
 
 def shift3(v: VecJets, k: int = 1) -> VecJets:
@@ -36,20 +37,27 @@ def vec_values(v: VecJets) -> np.ndarray:
     return np.array([c.value for c in v])
 
 
-def lanewise(fn: VecFn) -> VecFn:
+def _stack_lanes(t: np.ndarray, lanes):
+    """One batch jet per leaf of the nested tuples the lanes share."""
+    if isinstance(lanes[0], Jet):
+        return Jet(t, np.stack([lane.d for lane in lanes], axis=1))
+    return tuple(_stack_lanes(t, [lane[k] for lane in lanes])
+                 for k in range(len(lanes[0])))
+
+
+def lanewise(fn):
     """Evaluator for a batch of parameters from a scalar-only evaluator.
 
     For an evaluator that does scalar side-work (an ODE state, a quadrature)
     this calls ``fn`` once per lane and stacks the lanes, so each lane is the
-    scalar evaluation itself.
+    scalar evaluation itself. ``fn`` may return nested tuples of jets (a
+    frame pair); the batch result has the same nesting.
     """
     @functools.wraps(fn)
-    def wrapped(t, order: int) -> VecJets:
+    def wrapped(t, order: int):
         if not isinstance(t, np.ndarray):
             return fn(t, order)
-        lanes = [fn(float(tk), order) for tk in t]
-        return tuple(Jet(t, np.stack([lane[c].d for lane in lanes], axis=1))
-                     for c in range(3))
+        return _stack_lanes(t, [fn(float(tk), order) for tk in t])
     return wrapped
 
 
@@ -76,10 +84,12 @@ class FrenetData:
 
 
 class FramedCurve:
-    """Evaluator bundle for a framed curve; all evaluation is pure and cached.
+    """Evaluator bundle for a framed curve (gamma, nu1, nu2).
 
-    ``gamma``, ``nu1`` and ``nu2`` map (t, order) to triples of jets. The
-    frame rows in order (nu1, nu2, mu) fix the index conventions used by
+    ``gamma`` maps (t, order) to a triple of jets, and ``frame`` maps (t,
+    order) to the pair (nu1, nu2) of jet triples: the frame is evaluated as
+    one object, as the framed curvature is read off it. The frame rows in
+    order (nu1, nu2, mu), mu = nu1 x nu2, fix the index conventions used by
     every frame-matrix entry downstream.
 
     Evaluator contract: ``t`` is a float, or a 1-D array of parameters for
@@ -87,94 +97,64 @@ class FramedCurve:
     whose lane k equals its scalar result at ``t[k]`` bitwise. Evaluators
     built from ``Jet.variable``, ``Jet.constant``, jet arithmetic and the
     ``jets`` functions meet it unchanged. One that needs scalar side-work
-    (an ODE state, a quadrature) is wrapped in :func:`lanewise`. The
-    per-point methods (``gamma_jets``, ``frame_row``, ``curvature``, ...)
-    take floats only and cache their results; :meth:`batch_jets` bypasses
-    the cache.
+    (an ODE state, a quadrature) is wrapped in :func:`lanewise`, which
+    stacks nested tuples such as the frame pair lane by lane. The per-point
+    methods (``gamma_jets``, ``frame_row``, ``curvature``, ...) take floats
+    only and read one cached :class:`CurveJets` per (t, order);
+    :meth:`batch_jets` returns an uncached one.
     """
 
-    def __init__(self, gamma: VecFn, nu1: VecFn, nu2: VecFn,
+    def __init__(self, gamma: VecFn, frame: FrameFn,
                  domain: tuple[float, float], name: str = "curve",
                  period: float | None = None,
                  frenet: FrenetData | None = None,
                  validate: bool = True):
         self._gamma = gamma
-        self._nu1 = nu1
-        self._nu2 = nu2
+        self._frame = frame
         self.domain = (float(domain[0]), float(domain[1]))
         self.name = name
         self.period = period
         self.frenet = frenet
-        self._cache: dict = {}
+        self._cache: dict[tuple[float, int], CurveJets] = {}
         self._speed_deviation: float | None = None
         if validate:
             self._validate_frames()
 
     # -- evaluation ----------------------------------------------------------
 
-    def _cached(self, key, fn):
-        hit = self._cache.get(key)
+    def _jets(self, t: float, order: int) -> "CurveJets":
+        hit = self._cache.get((t, order))
         if hit is None:
-            hit = fn()
             if len(self._cache) > 20000:
                 self._cache.clear()
-            self._cache[key] = hit
+            hit = self._cache[(t, order)] = CurveJets(self, t, order)
         return hit
 
     def gamma_jets(self, t: float, order: int = 6) -> VecJets:
-        return self._cached(("g", t, order), lambda: self._gamma(t, order))
-
-    def nu1_jets(self, t: float, order: int = 6) -> VecJets:
-        return self._cached(("n1", t, order), lambda: self._nu1(t, order))
-
-    def nu2_jets(self, t: float, order: int = 6) -> VecJets:
-        return self._cached(("n2", t, order), lambda: self._nu2(t, order))
-
-    def mu_jets(self, t: float, order: int = 6) -> VecJets:
-        return self._cached(
-            ("mu", t, order),
-            lambda: cross3(self.nu1_jets(t, order), self.nu2_jets(t, order)))
+        return self._jets(t, order).gamma
 
     def frame_row(self, i: int, t: float, order: int = 6) -> VecJets:
         """Row i of the moving frame, 1-indexed as (nu1, nu2, mu)."""
-        if i == 1:
-            return self.nu1_jets(t, order)
-        if i == 2:
-            return self.nu2_jets(t, order)
-        if i == 3:
-            return self.mu_jets(t, order)
-        raise IndexError(i)
+        return self._jets(t, order).row(i)
 
     def curvature(self, t: float, order: int = 5) -> FramedCurvature:
         """Framed curvature (l, m, n, alpha) as jets of the given order."""
-        def build():
-            n1 = self.nu1_jets(t, order + 1)
-            n2 = self.nu2_jets(t, order + 1)
-            mu = self.mu_jets(t, order + 1)
-            g = self.gamma_jets(t, order + 1)
-            return FramedCurvature(
-                l=dot3(shift3(n1), n2),
-                m=dot3(shift3(n1), mu),
-                n=dot3(shift3(n2), mu),
-                alpha=dot3(shift3(g), mu),
-            )
-        return self._cached(("curv", t, order), build)
+        return self._jets(t, order + 1).curvature
 
     def point(self, t: float) -> np.ndarray:
         return vec_values(self.gamma_jets(t, 2))
 
-    def batch_jets(self, ts, order: int = 6) -> "CurveBatch":
+    def batch_jets(self, ts, order: int = 6) -> "CurveJets":
         """Jets of gamma and the frame at every parameter of the 1-D array
         ``ts``, each evaluator called once on the whole array."""
-        return CurveBatch(self, ts, order)
+        return CurveJets(self, np.asarray(ts, dtype=float), order)
 
     # -- flags and checks ----------------------------------------------------
 
     def frame_residual(self, t: float) -> float:
         """Worst violation of unit/orthogonality/tangency at t."""
-        n1 = self.nu1_jets(t, 2)
-        n2 = self.nu2_jets(t, 2)
-        mu = cross3(n1, n2)
+        at = self._jets(t, 2)
+        (n1, n2), mu = at.frame, at.mu
         gd = shift3(self.gamma_jets(t, 3))
         alpha = dot3(gd, mu)
         recon = [gd[i] - alpha * mu[i] for i in range(3)]
@@ -227,7 +207,7 @@ class FramedCurve:
             fr = FrenetData(
                 kappa=lambda t, order: base.kappa(t, order) / s,
                 tau=lambda t, order: base.tau(t, order) / s)
-        return FramedCurve(gamma, self._nu1, self._nu2, self.domain,
+        return FramedCurve(gamma, self._frame, self.domain,
                            name=f"{self.name}*{s:g}", period=self.period,
                            frenet=fr, validate=False)
 
@@ -235,47 +215,63 @@ class FramedCurve:
         """Curve -gamma with the same frame; curvature (l, m, n, -alpha)."""
         def gamma(t, order):
             return tuple(-c for c in self._gamma(t, order))
-        return FramedCurve(gamma, self._nu1, self._nu2, self.domain,
+        return FramedCurve(gamma, self._frame, self.domain,
                            name=f"-{self.name}", period=self.period,
                            frenet=self.frenet, validate=False)
 
 
-class CurveBatch:
-    """Jets of one curve at an array of parameters, with a batch axis.
+class CurveJets:
+    """Jets of one curve at a parameter ``t``: a float, or a 1-D array whose
+    jets carry a batch axis.
 
-    Each attribute is evaluated on first use, once for the whole array. Lane
-    k equals the per-point method at ``ts[k]`` bitwise: ``gamma`` is
-    ``gamma_jets``, ``nu1``, ``nu2`` and ``mu`` are ``frame_row`` 1-3 (the
-    ``*_jets`` methods), and ``alpha`` is ``curvature(t, order - 1).alpha``.
+    Each attribute is evaluated on first use, once for all of ``t``: the
+    evaluators give ``gamma`` and the pair ``frame`` = (nu1, nu2); ``mu`` is
+    nu1 x nu2, :meth:`row` a frame row of (nu1, nu2, mu), ``alpha`` the speed
+    gamma' . mu and ``curvature`` the framed curvature, whose jets (like
+    ``alpha``) are one order lower than ``order``. Lane k of a batch equals
+    the jets at the float ``t[k]`` bitwise.
     """
 
-    def __init__(self, curve: FramedCurve, ts, order: int):
-        # a private array, so the Frenet evaluators may match it by identity
-        self.ts = np.array(ts, dtype=float)
-        if self.ts.ndim != 1:
+    def __init__(self, curve: FramedCurve, t, order: int):
+        if isinstance(t, np.ndarray) and t.ndim != 1:
             raise ValueError("batch parameters must be a 1-D array")
         self.curve = curve
+        self.t = t
         self.order = order
 
     @functools.cached_property
     def gamma(self) -> VecJets:
-        return self.curve._gamma(self.ts, self.order)
+        return self.curve._gamma(self.t, self.order)
 
     @functools.cached_property
-    def nu1(self) -> VecJets:
-        return self.curve._nu1(self.ts, self.order)
-
-    @functools.cached_property
-    def nu2(self) -> VecJets:
-        return self.curve._nu2(self.ts, self.order)
+    def frame(self) -> tuple[VecJets, VecJets]:
+        return self.curve._frame(self.t, self.order)
 
     @functools.cached_property
     def mu(self) -> VecJets:
-        return cross3(self.nu1, self.nu2)
+        return cross3(*self.frame)
+
+    def row(self, i: int) -> VecJets:
+        """Frame row i, 1-indexed as (nu1, nu2, mu)."""
+        if i == 3:
+            return self.mu
+        if i not in (1, 2):
+            raise IndexError(i)
+        return self.frame[i - 1]
 
     @functools.cached_property
     def alpha(self) -> Jet:
         return dot3(shift3(self.gamma), self.mu)
+
+    @functools.cached_property
+    def curvature(self) -> FramedCurvature:
+        n1, n2 = self.frame
+        return FramedCurvature(
+            l=dot3(shift3(n1), n2),
+            m=dot3(shift3(n1), self.mu),
+            n=dot3(shift3(n2), self.mu),
+            alpha=self.alpha,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +288,10 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
     (|gamma'| tau, -|gamma'| kappa, 0, |gamma'|).
     """
 
-    parts_cache: dict = {}
-    last_batch: list = [None, None, None]   # (ts, order, parts)
-
-    def build(t, order: int):
-        g = gamma(t, order + 2)
-        g1 = shift3(g)
-        g2 = shift3(g1)
-        c = cross3(g1, g2)
+    def parts(t, order: int):
+        """|gamma' x gamma''|, |gamma'| and the frame (normal, binormal)."""
+        g1 = shift3(gamma(t, order + 2))
+        c = cross3(g1, shift3(g1))
         csq = dot3(c, c)
         flat = csq.value < tols.nondeg_tol**2
         if np.any(flat):
@@ -309,31 +301,13 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
         speed = norm3(g1)
         tv = tuple(x / speed for x in g1)
         bv = tuple(x / cn for x in c)
-        nv = cross3(bv, tv)
-        return (g1, g2, cn, speed, nv, bv)
+        return cn, speed, (cross3(bv, tv), bv)
 
-    def parts(t, order: int):
-        if isinstance(t, np.ndarray):
-            # nu1 and nu2 of one CurveBatch come with the same array
-            if last_batch[0] is not t or last_batch[1] != order:
-                last_batch[:] = (t, order, build(t, order))
-            return last_batch[2]
-        hit = parts_cache.get((t, order))
-        if hit is None:
-            hit = build(t, order)
-            if len(parts_cache) > 20000:
-                parts_cache.clear()
-            parts_cache[(t, order)] = hit
-        return hit
-
-    def nu1(t, order):
-        return parts(t, order)[4]
-
-    def nu2(t, order):
-        return parts(t, order)[5]
+    def frame(t, order):
+        return parts(t, order)[2]
 
     def kappa(t, order):
-        g1, g2, cn, speed, _, _ = parts(t, order)
+        cn, speed, _ = parts(t, order)
         return cn / (speed * speed * speed)
 
     def tau(t, order):
@@ -344,10 +318,10 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
         c = cross3(g1, g2)
         return det3(g1, g2, g3) / dot3(c, c)
 
-    for t in np.linspace(domain[0], domain[1], 33):
-        parts(float(t), 2)
+    # non-degeneracy at 33 domain samples, checked as one batch
+    parts(np.linspace(domain[0], domain[1], 33), 2)
 
-    return FramedCurve(gamma, nu1, nu2, domain, name=name, period=period,
+    return FramedCurve(gamma, frame, domain, name=name, period=period,
                        frenet=FrenetData(kappa, tau))
 
 
@@ -413,10 +387,13 @@ def build_curve(spec: CurveSpec, domain: tuple[float, float] = (-2.0, 2.0),
              - {spec.variable})
     if extra:
         raise ParseError(f"frame uses unknown identifiers {sorted(extra)}", 0)
-    return FramedCurve(gamma,
-                       _expression_vecfn(nu1_nodes, spec.variable),
-                       _expression_vecfn(nu2_nodes, spec.variable),
-                       domain, name=label)
+    rows = _expression_vecfn(nu1_nodes + nu2_nodes, spec.variable)
+
+    def frame(t, order):
+        r = rows(t, order)
+        return r[:3], r[3:]
+
+    return FramedCurve(gamma, frame, domain, name=label)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +435,13 @@ def _s0_a() -> FramedCurve:
         u = Jet.variable(t, order)
         return (u, u * u / 2, _const(t, order))
 
-    def nu1(t, order):
+    def frame(t, order):
         u = Jet.variable(t, order)
         s = jets.sqrt(1 + u * u)
-        return (-u / s, 1 / s, _const(t, order))
+        return ((-u / s, 1 / s, _const(t, order)),
+                (_const(t, order), _const(t, order), _const(t, order, 1.0)))
 
-    def nu2(t, order):
-        return (_const(t, order), _const(t, order), _const(t, order, 1.0))
-
-    return FramedCurve(gamma, nu1, nu2, (-2.0, 2.0), name="s0_a")
+    return FramedCurve(gamma, frame, (-2.0, 2.0), name="s0_a")
 
 
 @_register("s0_b")
@@ -475,15 +450,13 @@ def _s0_b() -> FramedCurve:
         v = Jet.variable(t, order)
         return (v, _const(t, order), v * v / 2)
 
-    def nu1(t, order):
+    def frame(t, order):
         v = Jet.variable(t, order)
         s = jets.sqrt(1 + v * v)
-        return (v / s, _const(t, order), -1 / s)
+        return ((v / s, _const(t, order), -1 / s),
+                (_const(t, order), _const(t, order, 1.0), _const(t, order)))
 
-    def nu2(t, order):
-        return (_const(t, order), _const(t, order, 1.0), _const(t, order))
-
-    return FramedCurve(gamma, nu1, nu2, (-2.0, 2.0), name="s0_b")
+    return FramedCurve(gamma, frame, (-2.0, 2.0), name="s0_b")
 
 
 @_register("s1p_a")
@@ -492,15 +465,13 @@ def _s1p_a() -> FramedCurve:
         u = Jet.variable(t, order)
         return (u, u * u * u / 3, _const(t, order))
 
-    def nu1(t, order):
+    def frame(t, order):
         u = Jet.variable(t, order)
         s = jets.sqrt(1 + (u * u) * (u * u))
-        return (-(u * u) / s, 1 / s, _const(t, order))
+        return ((-(u * u) / s, 1 / s, _const(t, order)),
+                (_const(t, order), _const(t, order), _const(t, order, 1.0)))
 
-    def nu2(t, order):
-        return (_const(t, order), _const(t, order), _const(t, order, 1.0))
-
-    return FramedCurve(gamma, nu1, nu2, (-2.0, 2.0), name="s1p_a")
+    return FramedCurve(gamma, frame, (-2.0, 2.0), name="s1p_a")
 
 
 @_register("s1p_b")
@@ -547,17 +518,14 @@ def _sin_curve() -> FramedCurve:
         u = Jet.variable(t, order)
         return (jets.sin(u), -jets.cos(u), -jets.cos(2 * u) / 2)
 
-    def nu1(t, order):
-        u = Jet.variable(t, order)
-        return (-jets.sin(u), jets.cos(u), _const(t, order))
-
-    def nu2(t, order):
+    def frame(t, order):
         u = Jet.variable(t, order)
         s2u = jets.sin(2 * u)
         s = jets.sqrt(s2u * s2u + 1)
-        return (-s2u * jets.cos(u) / s, -s2u * jets.sin(u) / s, 1 / s)
+        return ((-jets.sin(u), jets.cos(u), _const(t, order)),
+                (-s2u * jets.cos(u) / s, -s2u * jets.sin(u) / s, 1 / s))
 
-    return FramedCurve(gamma, nu1, nu2, (-math.pi, math.pi),
+    return FramedCurve(gamma, frame, (-math.pi, math.pi),
                        name="sin_curve", period=2 * math.pi)
 
 

@@ -90,11 +90,13 @@ class ThetaField:
         b = self.s.curve_v
         t31 = Jet.constant(0.0, 0.0, order)
         t32 = Jet.constant(0.0, 0.0, order)
-        row_b = b.mu_jets(v, order)
+        mu_b = b.frame_row(3, v, order)
+        nu1_a = a.frame_row(1, u, order)
+        nu2_a = a.frame_row(2, u, order)
         for c in range(3):
-            bj = _ray_jet(row_b[c], d2)
-            t31 = t31 + bj * _ray_jet(a.nu1_jets(u, order)[c], d1)
-            t32 = t32 + bj * _ray_jet(a.nu2_jets(u, order)[c], d1)
+            bj = _ray_jet(mu_b[c], d2)
+            t31 = t31 + bj * _ray_jet(nu1_a[c], d1)
+            t32 = t32 + bj * _ray_jet(nu2_a[c], d1)
         return t31, -t32
 
     def _ray_angle_jet(self, p, d):
@@ -421,9 +423,9 @@ def fs_invariants(s: TranslationSurface, theta: ThetaField | ThetaPoint,
                     - b2.truncate(degree - 1) * e1.truncate(degree - 1)))
 
     nu1 = [BiJet.from_u_jet(c, v, degree)
-           for c in s.curve_u.nu1_jets(u, degree + 1)]
+           for c in s.curve_u.frame_row(1, u, degree + 1)]
     nu2 = [BiJet.from_u_jet(c, v, degree)
-           for c in s.curve_u.nu2_jets(u, degree + 1)]
+           for c in s.curve_u.frame_row(2, u, degree + 1)]
     bn = tuple(sth * nu1[c] + cth * nu2[c] for c in range(3))
     return FSInvariants(a1=a1, b1=b1, a2=a2, b2=b2,
                         e1=e1, f1=f1, g1=g1, e2=e2, f2=f2, g2=g2,
@@ -466,8 +468,8 @@ def bn_value(s: TranslationSurface, theta_value: float,
              u: float) -> np.ndarray:
     """The normal bn = sin(theta) nu1 + cos(theta) nu2 of the u-curve's
     frame at u."""
-    n1 = vec_values(s.curve_u.nu1_jets(u, 2))
-    n2 = vec_values(s.curve_u.nu2_jets(u, 2))
+    n1 = vec_values(s.curve_u.frame_row(1, u, 2))
+    n2 = vec_values(s.curve_u.frame_row(2, u, 2))
     return math.sin(theta_value) * n1 + math.cos(theta_value) * n2
 
 

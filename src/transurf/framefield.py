@@ -70,10 +70,6 @@ class FrameField:
         bv = np.array([[c.value for c in row] for row in b_rows])
         return bv @ av.T
 
-    def matrix_bijets(self, u: float, v: float, degree: int = 3) -> list[list[BiJet]]:
-        return [[self.t_bijet(i, j, u, v, degree) for j in (1, 2, 3)]
-                for i in (1, 2, 3)]
-
     def partial_value(self, i: int, j: int, u: float, v: float,
                       du: int = 0, dv: int = 0) -> float:
         order = max(2, du + dv)
@@ -211,111 +207,93 @@ class OdeFramedCurve(FramedCurve):
         self.curvature_fn = curvature_fn   # (t, order) -> FramedCurvature
         self.t0 = float(t0)
         self.step = float(step)
-        self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            0: (np.asarray(R0, dtype=float), np.zeros(3))}
+        # RK4 node j at t0 + j * step: (R, gamma, F, alpha)
+        self._nodes: dict[int, tuple] = {
+            0: (np.asarray(R0, dtype=float), np.zeros(3), *self._fmat(self.t0))}
         self._far = {+1: 0, -1: 0}         # furthest integrated node per side
-
-        fcache: dict[float, tuple[np.ndarray, float]] = {}
-
-        def fmat(t: float) -> tuple[np.ndarray, float]:
-            hit = fcache.get(t)
-            if hit is None:
-                c = curvature_fn(t, 1)
-                hit = (_curvature_matrix(c), c.alpha.value)
-                if len(fcache) > 300000:
-                    fcache.clear()
-                fcache[t] = hit
-            return hit
-
-        self._fmat = fmat
         # the RK4 state is scalar, so a batch evaluates lane by lane
         super().__init__(lanewise(self._gamma_jets_impl),
-                         lanewise(self._nu_jets_impl(1)),
-                         lanewise(self._nu_jets_impl(2)), domain, name=name,
+                         lanewise(self._frame_impl), domain, name=name,
                          validate=False)
 
     # -- integration ---------------------------------------------------------
+
+    def _fmat(self, t: float) -> tuple[np.ndarray, float]:
+        c = self.curvature_fn(t, 1)
+        return _curvature_matrix(c), c.alpha.value
 
     def _advance_to(self, k: int):
         sign = 1 if k >= 0 else -1
         while sign * self._far[sign] < sign * k:
             j = self._far[sign]
-            R, g = self._dense[j]
-            h = sign * self.step
-            t = self.t0 + j * self.step
-            R, g = self._rk4_step(t, R, g, h)
-            self._dense[j + sign] = (polar_rotation(R), g)
+            end = self._fmat(self.t0 + (j + sign) * self.step)
+            R, g = self._rk4_step(self.t0 + j * self.step, self._nodes[j],
+                                  sign * self.step, end)
+            self._nodes[j + sign] = (polar_rotation(R), g, *end)
             self._far[sign] = j + sign
 
-    def _rk4_step(self, t, R, g, h):
-        def rhs(tt, Rc, _gc):
-            F, a = self._fmat(tt)
+    def _rk4_step(self, t, node, h, end):
+        """One RK4 step of length h from ``node`` = (R, gamma, F, alpha) at
+        t; ``end`` is (F, alpha) at t + h."""
+        R, g, F0, a0 = node
+        Fm, am = self._fmat(t + h / 2)
+        F1, a1 = end
+
+        def rhs(F, a, Rc):
             return F @ Rc, a * Rc[2]
 
-        k1R, k1g = rhs(t, R, g)
-        k2R, k2g = rhs(t + h / 2, R + h / 2 * k1R, g + h / 2 * k1g)
-        k3R, k3g = rhs(t + h / 2, R + h / 2 * k2R, g + h / 2 * k2g)
-        k4R, k4g = rhs(t + h, R + h * k3R, g + h * k3g)
+        k1R, k1g = rhs(F0, a0, R)
+        k2R, k2g = rhs(Fm, am, R + h / 2 * k1R)
+        k3R, k3g = rhs(Fm, am, R + h / 2 * k2R)
+        k4R, k4g = rhs(F1, a1, R + h * k3R)
         Rn = R + h / 6 * (k1R + 2 * k2R + 2 * k3R + k4R)
         gn = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
         return Rn, gn
 
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        x = (t - self.t0) / self.step
-        k = int(round(x))
+        k = int(round((t - self.t0) / self.step))
         self._advance_to(k)
-        R, g = self._dense[k]
-        dt = t - (self.t0 + k * self.step)
-        if dt != 0.0:
-            R, g = self._rk4_step(self.t0 + k * self.step, R, g, dt)
-            R = polar_rotation(R)
-        return R, g
+        node = self._nodes[k]
+        tk = self.t0 + k * self.step
+        if t == tk:
+            return node[0], node[1]
+        R, g = self._rk4_step(tk, node, t - tk, self._fmat(t))
+        return polar_rotation(R), g
 
     # -- jet assembly from the ODE -------------------------------------------
 
-    def _frame_derivative_stack(self, t: float, order: int) -> list[np.ndarray]:
-        """Matrices d^k R / dt^k for k = 0..order via R' = F R."""
+    def _derivative_stack(self, t: float, order: int):
+        """d^k R / dt^k for k = 0..order via R' = F R, as an array of shape
+        (order + 1, 3, 3), with gamma(t) and the framed curvature at t."""
         c = self.curvature_fn(t, order)
-        l, m, n = c.l, c.m, c.n
-        zero = np.zeros(order + 1)
-        Fj = [[None] * 3 for _ in range(3)]
-        entries = {(0, 1): l.d, (0, 2): m.d, (1, 0): -l.d, (1, 2): n.d,
-                   (2, 0): -m.d, (2, 1): -n.d}
-        for i in range(3):
-            for j in range(3):
-                Fj[i][j] = entries.get((i, j), zero)
+        F = np.zeros((order + 1, 3, 3))
+        entries = {(0, 1): c.l.d, (0, 2): c.m.d, (1, 0): -c.l.d, (1, 2): c.n.d,
+                   (2, 0): -c.m.d, (2, 1): -c.n.d}
+        for (r, s), d in entries.items():
+            n = min(len(d), order + 1)
+            F[:n, r, s] = d[:n]
 
-        R0, _ = self.state_at(t)
-        stack = [R0]
+        R, g = self.state_at(t)
+        stack = [R]
         for k in range(order):
             # d^{k+1} R = d^k (F R) by Leibniz over the stored stacks
             M = np.zeros((3, 3))
             for i in range(k + 1):
-                Fi = np.array([[Fj[r][s][i] if i < len(Fj[r][s]) else 0.0
-                                for s in range(3)] for r in range(3)])
-                M += math.comb(k, i) * Fi @ stack[k - i]
+                M += math.comb(k, i) * F[i] @ stack[k - i]
             stack.append(M)
-        return stack
+        return np.array(stack), g, c
 
-    def _nu_jets_impl(self, row: int):
-        def fn(t: float, order: int) -> VecJets:
-            stack = self._frame_derivative_stack(t, order)
-            return tuple(
-                Jet(t, np.array([stack[k][row - 1, c] for k in range(order + 1)]))
-                for c in range(3))
-        return fn
+    def _frame_impl(self, t: float, order: int) -> tuple[VecJets, VecJets]:
+        stack, _, _ = self._derivative_stack(t, order)
+        return tuple(tuple(Jet(t, stack[:, row, c]) for c in range(3))
+                     for row in (0, 1))
 
     def _gamma_jets_impl(self, t: float, order: int) -> VecJets:
-        stack = self._frame_derivative_stack(t, max(order - 1, 2))
-        _, g = self.state_at(t)
-        alpha = self.curvature_fn(t, max(order - 1, 2)).alpha
-        mu = tuple(
-            Jet(t, np.array([stack[k][2, c] for k in range(len(stack))]))
-            for c in range(3))
+        stack, g, c = self._derivative_stack(t, max(order - 1, 2))
         out = []
-        for c in range(3):
-            dj = (alpha * mu[c]).d[: order]
-            out.append(Jet(t, np.concatenate(([g[c]], dj))))
+        for k in range(3):
+            dj = (c.alpha * Jet(t, stack[:, 2, k])).d[: order]
+            out.append(Jet(t, np.concatenate(([g[k]], dj))))
         return tuple(out)
 
 

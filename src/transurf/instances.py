@@ -66,13 +66,11 @@ def line_curve(direction, normal_hint=(0.0, 0.0, 1.0),
         u = Jet.variable(t, order)
         return tuple(float(c) * u for c in d)
 
-    def const_vec(vec):
-        def fn(t, order):
-            return tuple(Jet.constant(float(c), t, order) for c in vec)
-        return fn
+    def frame(t, order):
+        return tuple(tuple(Jet.constant(float(c), t, order) for c in vec)
+                     for vec in (n1, n2))
 
-    return FramedCurve(gamma, const_vec(n1), const_vec(n2), (-3.0, 3.0),
-                       name=name)
+    return FramedCurve(gamma, frame, (-3.0, 3.0), name=name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,22 +97,20 @@ def cusp_curve(planar: bool = True, name: str = "cusp") -> FramedCurve:
             return (u * u / 2, u * u * u / 3, z)
         return (u * u / 2, u * u * u / 3, u * u * u * u / 4)
 
-    def nu1(t, order):
+    def frame(t, order):
         u = Jet.variable(t, order)
         s = jets.sqrt(1 + u * u)
-        return (-u / s, 1 / s, Jet.constant(0.0, t, order))
-
-    def nu2(t, order):
-        u = Jet.variable(t, order)
+        nu1 = (-u / s, 1 / s, Jet.constant(0.0, t, order))
         if planar:
-            return (Jet.constant(0.0, t, order), Jet.constant(0.0, t, order),
-                    Jet.constant(1.0, t, order))
+            return nu1, (Jet.constant(0.0, t, order),
+                         Jet.constant(0.0, t, order),
+                         Jet.constant(1.0, t, order))
         # nu2 = mu x nu1 for mu ~ (1, u, u^2)
-        s = jets.sqrt(1 + u * u)
         w = jets.sqrt(1 + u * u + (u * u) * (u * u))
-        return (-(u * u) / (s * w), -(u * u * u) / (s * w), (1 + u * u) / (s * w))
+        return nu1, (-(u * u) / (s * w), -(u * u * u) / (s * w),
+                     (1 + u * u) / (s * w))
 
-    return FramedCurve(gamma, nu1, nu2, (-1.2, 1.2), name=name)
+    return FramedCurve(gamma, frame, (-1.2, 1.2), name=name)
 
 
 def _quadratic(h0: float, h1: float, h2: float):
@@ -147,7 +143,7 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
 
     def direction(t: float, order: int):
         hj = h_jet(t, max(order, 2))
-        mu = base.mu_jets(hj.value, max(order, 2))
+        mu = base.frame_row(3, hj.value, max(order, 2))
         sp = np.zeros(max(order, 2) + 1)
         sp[0], sp[1] = s0 + s1 * t, s1
         spj = Jet(t, sp)
@@ -188,18 +184,13 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
 
     # a vanishing speed leaves the curve non-regular: frame it by transport
     @lanewise
-    def nu1(t, order):
+    def frame(t, order):
         hj = h_jet(t, max(order, 2))
-        row = base.nu1_jets(hj.value, max(order, 2))
-        return tuple(Jet(t, hj.compose_outer(row[c].d).d) for c in range(3))
+        rows = (base.frame_row(i, hj.value, max(order, 2)) for i in (1, 2))
+        return tuple(tuple(Jet(t, hj.compose_outer(c.d).d) for c in row)
+                     for row in rows)
 
-    @lanewise
-    def nu2(t, order):
-        hj = h_jet(t, max(order, 2))
-        row = base.nu2_jets(hj.value, max(order, 2))
-        return tuple(Jet(t, hj.compose_outer(row[c].d).d) for c in range(3))
-
-    return FramedCurve(gamma, nu1, nu2, domain, name=name)
+    return FramedCurve(gamma, frame, domain, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +274,12 @@ def rank_zero_pair(structured: bool = True
         v = Jet.variable(t, order)
         return (v * v / 2, Jet.constant(0.0, t, order), v * v * v / 3)
 
-    def nu1(t, order):
+    def frame(t, order):
         v = Jet.variable(t, order)
         s = jets.sqrt(1 + v * v)
-        return (-v / s, Jet.constant(0.0, t, order), 1 / s)
+        return ((-v / s, Jet.constant(0.0, t, order), 1 / s),
+                (Jet.constant(0.0, t, order), Jet.constant(-1.0, t, order),
+                 Jet.constant(0.0, t, order)))
 
-    def nu2(t, order):
-        return (Jet.constant(0.0, t, order), Jet.constant(-1.0, t, order),
-                Jet.constant(0.0, t, order))
-
-    other = FramedCurve(gamma, nu1, nu2, (-1.2, 1.2), name="cusp-z")
+    other = FramedCurve(gamma, frame, (-1.2, 1.2), name="cusp-z")
     return TranslationSurface.general(cusp_curve(planar=True), other), (0.0, 0.0)

@@ -209,8 +209,8 @@ def normal_decomposition_residual(s: TranslationSurface,
     """| x_u x x_v - (A nu1 + B nu2) | at p; identically zero in theory."""
     inv = gfs_invariants(s, p, degree=2)
     dx = s.dx_matrix(p)
-    n1 = vec_values(s.curve_u.nu1_jets(p[0], 2))
-    n2 = vec_values(s.curve_u.nu2_jets(p[0], 2))
+    n1 = vec_values(s.curve_u.frame_row(1, p[0], 2))
+    n2 = vec_values(s.curve_u.frame_row(2, p[0], 2))
     nu = np.cross(dx[:, 0], dx[:, 1])
     recon = inv.A.value * n1 + inv.B.value * n2
     return float(np.max(np.abs(nu - recon)))
@@ -232,8 +232,8 @@ def dependence_test(s: TranslationSurface,
                     p: tuple[float, float]) -> DependenceResult:
     """Pointwise linear dependence of the two tangent directions at p."""
     u, v = p
-    mu = vec_values(s.curve_u.mu_jets(u, 2))
-    mt = vec_values(s.curve_v.mu_jets(v, 2))
+    mu = vec_values(s.curve_u.frame_row(3, u, 2))
+    mt = vec_values(s.curve_v.frame_row(3, v, 2))
     cross = float(np.linalg.norm(np.cross(mu, mt)))
     t31 = s.field.partial_value(3, 1, u, v)
     t32 = s.field.partial_value(3, 2, u, v)
@@ -299,8 +299,9 @@ def residual_landscape(s: TranslationSurface, us: np.ndarray,
     on_v = s.curve_v.batch_jets(vs, 2)
     # t_ij(u, v) = (frame of v-curve)_i . (frame of u-curve)_j
     mu_v = [c.value[None, :] for c in on_v.mu]
-    t31 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu1])
-    t32 = frame_dot(mu_v, [c.value[:, None] for c in on_u.nu2])
+    nu1, nu2 = on_u.frame
+    t31 = frame_dot(mu_v, [c.value[:, None] for c in nu1])
+    t32 = frame_dot(mu_v, [c.value[:, None] for c in nu2])
     return on_u.alpha.value, on_v.alpha.value, t31, t32
 
 
@@ -363,9 +364,8 @@ def _newton_t3(s: TranslationSurface, us, vs, tol: float,
         if not live:
             return roots
         # frame rows as arrays indexed [component, derivative order, lane]
-        frame_u = s.curve_u.batch_jets(u[live], 2)
-        nu1 = np.array([c.d for c in frame_u.nu1])
-        nu2 = np.array([c.d for c in frame_u.nu2])
+        nu1, nu2 = (np.array([c.d for c in row])
+                    for row in s.curve_u.batch_jets(u[live], 2).frame)
         mu = np.array([c.d for c in s.curve_v.batch_jets(v[live], 2).mu])
         t31 = frame_dot(mu[:, 0], nu1[:, 0])
         t32 = frame_dot(mu[:, 0], nu2[:, 0])

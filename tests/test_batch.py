@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transurf import instances, jets, surface
-from transurf.curves import (build_curve, catalog, catalog_names, frenet_lift,
-                             parse_curve)
+from transurf.curves import (CurveJets, build_curve, catalog, catalog_names,
+                             frenet_lift, parse_curve)
 from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2)
 from transurf.framefield import frame_dot, reconstruct_framed_curves
@@ -34,6 +34,10 @@ def _assert_lanes(batch_vec, scalar_vecs):
         stacked = np.stack([vec[c].d for vec in scalar_vecs], axis=1)
         assert batch_vec[c].d.shape == stacked.shape
         assert _bits(batch_vec[c].d) == _bits(stacked)
+
+
+def _curvature_jets(c):
+    return (c.l, c.m, c.n, c.alpha)
 
 
 def _reconstructed():
@@ -71,12 +75,19 @@ def test_lanes_equal_scalar_evaluation(name, order, fracs):
     lo, hi = fc.domain
     ts = [lo + f * (hi - lo) for f in fracs]
     batch = fc.batch_jets(np.array(ts), order)
+    # the cached per-point methods, and uncached jets at each float t
+    points = [CurveJets(fc, t, order) for t in ts]
     _assert_lanes(batch.gamma, [fc.gamma_jets(t, order) for t in ts])
-    _assert_lanes(batch.nu1, [fc.nu1_jets(t, order) for t in ts])
-    _assert_lanes(batch.nu2, [fc.nu2_jets(t, order) for t in ts])
-    _assert_lanes(batch.mu, [fc.mu_jets(t, order) for t in ts])
+    _assert_lanes(batch.gamma, [p.gamma for p in points])
+    for i in (1, 2, 3):
+        _assert_lanes(batch.row(i), [fc.frame_row(i, t, order) for t in ts])
+        _assert_lanes(batch.row(i), [p.row(i) for p in points])
     _assert_lanes((batch.alpha,),
                   [(fc.curvature(t, order - 1).alpha,) for t in ts])
+    _assert_lanes(_curvature_jets(batch.curvature),
+                  [_curvature_jets(fc.curvature(t, order - 1)) for t in ts])
+    _assert_lanes(_curvature_jets(batch.curvature),
+                  [_curvature_jets(p.curvature) for p in points])
 
 
 def test_scaled_and_negated_curves_batch():
@@ -143,7 +154,7 @@ def test_landscape_nodes_equal_partial_value():
     us, vs = np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 1.5, 4)
     on_u, on_v = s.curve_u.batch_jets(us, 2), s.curve_v.batch_jets(vs, 2)
     mu_v = [c.value[None, :] for c in on_v.mu]
-    for j, row in ((1, on_u.nu1), (2, on_u.nu2)):
+    for j, row in zip((1, 2), on_u.frame):
         grid = frame_dot(mu_v, [c.value[:, None] for c in row])
         for a, u in enumerate(us):
             for b, v in enumerate(vs):
@@ -242,6 +253,6 @@ def test_failing_lane_of_frenet_curve_raises():
     # 33 validation samples over (-1, 1.1) miss the inflection at 0
     fc = frenet_lift(gamma, (-1.0, 1.1), name="cubic")
     with pytest.raises(NotNonDegenerate):
-        fc.nu1_jets(0.0, 2)
+        fc.frame_row(1, 0.0, 2)
     with pytest.raises(NotNonDegenerate, match="t=0.0"):
-        fc.batch_jets(np.array([0.5, 0.0, -0.5]), 2).nu1
+        fc.batch_jets(np.array([0.5, 0.0, -0.5]), 2).frame

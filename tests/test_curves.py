@@ -22,13 +22,11 @@ def _line_curve(direction=(1.0, 0.0, 0.0)):
         u = Jet.variable(t, order)
         return tuple(float(di) * u for di in d)
 
-    def nu1(t, order):
-        return tuple(Jet.constant(float(c), t, order) for c in n1)
+    def frame(t, order):
+        return tuple(tuple(Jet.constant(float(c), t, order) for c in vec)
+                     for vec in (n1, n2))
 
-    def nu2(t, order):
-        return tuple(Jet.constant(float(c), t, order) for c in n2)
-
-    return FramedCurve(gamma, nu1, nu2, (-2.0, 2.0), name="line")
+    return FramedCurve(gamma, frame, (-2.0, 2.0), name="line")
 
 
 def test_catalog_curvatures_match_closed_forms():
@@ -191,7 +189,7 @@ def test_gamma_dot_equals_alpha_mu_everywhere():
         for t in rng.uniform(lo, hi, size=20):
             t = float(t)
             gd = curves.shift3(fc.gamma_jets(t, 3))
-            mu = fc.mu_jets(t, 2)
+            mu = fc.frame_row(3, t, 2)
             alpha = fc.curvature(t, 2).alpha
             err = max(abs((gd[i] - alpha * mu[i]).value) for i in range(3))
             assert err < 1e-9

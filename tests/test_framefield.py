@@ -6,8 +6,9 @@ import pytest
 from transurf import curves
 from transurf.curves import FramedCurve, catalog
 from transurf.errors import NotIntegrable
-from transurf.framefield import (FrameField, check_compatibility,
-                                 polar_rotation, reconstruct_framed_curves,
+from transurf.framefield import (FrameField, OdeFramedCurve,
+                                 check_compatibility, polar_rotation,
+                                 reconstruct_framed_curves,
                                  reconstruct_from_field)
 from transurf.jets import BiJet, Jet
 
@@ -30,13 +31,11 @@ def _constant_frame_line(d, n1):
         u = Jet.variable(t, order)
         return tuple(float(c) * u for c in d)
 
-    def nu1(t, order):
-        return tuple(Jet.constant(float(c), t, order) for c in n1)
+    def frame(t, order):
+        return tuple(tuple(Jet.constant(float(c), t, order) for c in vec)
+                     for vec in (n1, n2))
 
-    def nu2(t, order):
-        return tuple(Jet.constant(float(c), t, order) for c in n2)
-
-    return FramedCurve(gamma, nu1, nu2, (-2.0, 2.0), name="line")
+    return FramedCurve(gamma, frame, (-2.0, 2.0), name="line")
 
 
 def test_example_matrix_values():
@@ -182,8 +181,9 @@ def test_identity_field_reconstructs_parallel_lines():
     pb = np.array([b.point(t) for t in (-0.5, 0.0, 0.5)])
     assert np.allclose(pa, pb, atol=1e-12)
     d = pa[2] - pa[0]
-    assert np.allclose(d / np.linalg.norm(d), a.mu_jets(0.0, 2)[0].value
-                       * np.array([0, 0, 0]) + [m.value for m in a.mu_jets(0.0, 2)],
+    assert np.allclose(d / np.linalg.norm(d), a.frame_row(3, 0.0, 2)[0].value
+                       * np.array([0, 0, 0])
+                       + [m.value for m in a.frame_row(3, 0.0, 2)],
                        atol=1e-12)
 
 
@@ -272,3 +272,35 @@ def test_incompatible_field_rejected():
     with pytest.raises(NotIntegrable):
         reconstruct_from_field(bogus, (0.5, 0.5), (0.2, 0.8), (0.2, 0.8),
                                one, one)
+
+
+def _counted_ode_curve(calls, t0=0.3, step=1e-3):
+    """An ODE curve over the s1m_a curvature that logs each (t, order) it
+    asks the curvature function for."""
+    base = catalog("s1m_a").curvature
+
+    def curvature_fn(t, order):
+        calls.append((t, order))
+        return base(t, order)
+
+    return OdeFramedCurve(curvature_fn, t0, np.eye(3), (-1.0, 1.0), step=step)
+
+
+def test_rk4_evaluates_curvature_once_per_stage_time():
+    # each step needs F at its midpoint and at its end node; the end node
+    # starts the next step
+    calls = []
+    n = 200
+    curve = _counted_ode_curve(calls)
+    curve.state_at(0.3 + n * 1e-3)
+    assert {order for _, order in calls} == {1}
+    assert len(calls) <= 2 * n + 1
+
+
+def test_frame_rows_share_one_derivative_stack():
+    calls = []
+    curve = _counted_ode_curve(calls)
+    t = 0.3171
+    curve.frame_row(1, t, 4)
+    curve.frame_row(2, t, 4)
+    assert calls.count((t, 4)) == 1

@@ -27,13 +27,11 @@ def _line(d, n1, name="line"):
         u = Jet.variable(t, order)
         return tuple(float(c) * u for c in d)
 
-    def nu1(t, order):
-        return tuple(Jet.constant(float(c), t, order) for c in n1)
+    def frame(t, order):
+        return tuple(tuple(Jet.constant(float(c), t, order) for c in vec)
+                     for vec in (n1, n2))
 
-    def nu2(t, order):
-        return tuple(Jet.constant(float(c), t, order) for c in n2)
-
-    return FramedCurve(gamma, nu1, nu2, (-2.0, 2.0), name=name)
+    return FramedCurve(gamma, frame, (-2.0, 2.0), name=name)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +102,7 @@ def test_x_u_is_alpha_mu(s0):
     p = (0.9, 0.2)
     xu = s0.x_partial_jets(p, 1, 0, degree=2)
     alpha = s0.curve_u.curvature(p[0], 2).alpha.value
-    mu = curves.vec_values(s0.curve_u.mu_jets(p[0], 2))
+    mu = curves.vec_values(s0.curve_u.frame_row(3, p[0], 2))
     assert np.allclose([c.value for c in xu], alpha * mu, atol=1e-12)
 
 
@@ -164,16 +162,14 @@ def test_scan_condition_i_curve():
         u = Jet.variable(t, order)
         return (u * u / 2, u * u * u / 3, Jet.constant(0.0, t, order))
 
-    def nu1(t, order):
+    def frame(t, order):
         u = Jet.variable(t, order)
         s = (1 + u * u) ** 0.5
-        return (-u / s, 1 / s, Jet.constant(0.0, t, order))
+        return ((-u / s, 1 / s, Jet.constant(0.0, t, order)),
+                (Jet.constant(0.0, t, order), Jet.constant(0.0, t, order),
+                 Jet.constant(1.0, t, order)))
 
-    def nu2(t, order):
-        return (Jet.constant(0.0, t, order), Jet.constant(0.0, t, order),
-                Jet.constant(1.0, t, order))
-
-    cusp = FramedCurve(gamma, nu1, nu2, (-1.5, 1.5), name="cusp")
+    cusp = FramedCurve(gamma, frame, (-1.5, 1.5), name="cusp")
     b = _line((0, 1, 1), (1, 0, 0))
     s = TranslationSurface.general(cusp, b)
     pts = find_singular_points(s, (-1.2, 1.2, -1.2, 1.2), grid_n=32)
