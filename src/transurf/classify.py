@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import FramedCurve
 from .errors import ClosedFormMismatch
-from .framedsurf import (ThetaField, ThetaPoint, align_pi, bn_value,
+from .framedsurf import (ThetaPoint, align_pi, bn_value,
                          closed_form_density_partials, construct_theta,
                          directional_derivative, discriminant, front_test,
                          wrap_pi)
@@ -370,14 +370,12 @@ def _alpha_identically_zero_derivative(curve: FramedCurve) -> bool:
     return True
 
 
-def classify_dependent_framed(cs: TranslationSurface,
-                              theta: ThetaField | ThetaPoint,
+def classify_dependent_framed(cs: TranslationSurface, pt: ThetaPoint,
                               p0: tuple[float, float],
                               data: PointData | None = None) -> Verdict:
     """Framed-surface route: regimes split by vanishing of the two speeds."""
     tols = cs.tols
     d = data or PointData(cs, p0)
-    pt = theta if isinstance(theta, ThetaPoint) else theta.at(p0)
     if not pt.available:
         return Verdict("Unclassified", "framed_surface", [],
                        ["normal angle available"],
@@ -613,13 +611,11 @@ def _trace_singular_curve(lam, p0):
     return pts
 
 
-def classify_generic_frontal(cs: TranslationSurface,
-                             theta: ThetaField | ThetaPoint,
+def classify_generic_frontal(cs: TranslationSurface, pt: ThetaPoint,
                              p0: tuple[float, float]) -> Verdict:
     """Cross-validation route built on the frontal criteria alone:
     continuation of the singular curve, finite differences of the signed
     density, and the cusp-detecting function along the curve."""
-    pt = theta if isinstance(theta, ThetaPoint) else theta.at(p0)
     if not pt.available:
         return Verdict("Unclassified", "generic_frontal", [],
                        ["normal angle available"],
@@ -766,8 +762,7 @@ def classify(s: TranslationSurface, p0: tuple[float, float],
                 report.final = report.s1
                 return report
 
-    theta = construct_theta(cs, p0=p0)
-    pt = theta.at(p0)
+    pt = construct_theta(cs, p0)
     report.framed = classify_dependent_framed(cs, pt, p0, data)
     if with_generic and pt.available:
         report.generic = classify_generic_frontal(cs, pt, p0)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -41,6 +42,8 @@ class RunConfig:
 
     def validate(self):
         u0, u1, v0, v1 = self.window
+        if not all(math.isfinite(x) for x in self.window):
+            raise ValueError("window bounds must be finite")
         if not (u1 > u0 and v1 > v0):
             raise ValueError("window must be a nonempty rectangle")
         if self.grid_n < 16:
@@ -48,8 +51,8 @@ class RunConfig:
         for k, v in self.tol_overrides.items():
             if k not in Tolerances.names():
                 raise ValueError(f"unknown tolerance {k!r}")
-            if not v > 0:
-                raise ValueError(f"tolerance {k} must be positive")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"tolerance {k} must be finite and positive")
         if self.self_kind is None and self.curve_b is None:
             raise ValueError("need --curve-b or --self")
 

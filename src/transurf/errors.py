@@ -49,9 +49,5 @@ class ThetaUnavailable(TransurfError):
     """No continuous normal-angle field at the requested point."""
 
 
-class ThetaResidualError(TransurfError):
-    """User-supplied normal-angle expression violates its defining equation."""
-
-
 class ClosedFormMismatch(TransurfError):
     """Closed-form and jet-differentiated values disagree; implementation bug."""

@@ -231,7 +231,7 @@ def variables(node: Node) -> set[str]:
 
 
 def evaluate(node: Node, env: dict):
-    """Evaluate over floats, Jets or BiJets (whatever ``env`` supplies)."""
+    """Evaluate over floats or Jets (whatever ``env`` supplies)."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Const):

@@ -43,15 +43,3 @@ def richardson_derivative(f, x: float, k: int, h: float | None = None) -> float:
 def normalized_error(a: float, b: float) -> float:
     """|a - b| scaled by max(1, |a|, |b|); relative above 1, absolute below."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def richardson_partial(f, u: float, v: float, i: int, j: int,
-                       h: float = 1e-4) -> float:
-    """Mixed partial d^{i+j} f / du^i dv^j by nested Richardson differences."""
-    if i == 0 and j == 0:
-        return f(u, v)
-    if i > 0:
-        return richardson_derivative(
-            lambda x: richardson_partial(f, x, v, i - 1, j, h), u, 1, h)
-    return richardson_derivative(
-        lambda y: richardson_partial(f, u, y, 0, j - 1, h), v, 1, h)

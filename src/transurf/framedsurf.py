@@ -1,15 +1,17 @@
-"""Framed-surface structure on a translation surface: the normal-angle field
+"""Framed-surface structure on a translation surface: the normal angle
 theta with t32 cos(theta) + t31 sin(theta) = 0, the framed-surface invariants
 and curvature, the signed area density, and the front test.
 
-Away from zeros of (t31, t32) the canonical branch is
-theta = atan2(-t32, t31), which makes Lambda = -t32 sin(theta) +
-t31 cos(theta) = hypot(t31, t32) > 0 and fixes the orientation of the normal.
-At a zero the canonical branch jumps by pi; the smooth continuation through
-the zero (the branch every criterion needs) is recovered from one-sided jets
-of (t31, t32) along rays: if the directional limits of the angle disagree
-there is no continuous normal and the surface is not a framed base surface
-at that point.
+The criteria at a point read the jets of theta at that point only, so theta
+is evaluated once per classified point (``construct_theta``) and every
+consumer takes the resulting ``ThetaPoint``. Away from zeros of (t31, t32)
+theta is the canonical branch atan2(-t32, t31), which makes
+Lambda = -t32 sin(theta) + t31 cos(theta) = hypot(t31, t32) > 0 and fixes
+the orientation of the normal. At a zero the canonical branch jumps by pi;
+the smooth continuation through the zero (the branch every criterion needs)
+is recovered from one-sided jets of (t31, t32) along rays: if the
+directional limits of the angle disagree there is no continuous normal and
+the surface is not a framed base surface at that point.
 """
 from __future__ import annotations
 
@@ -18,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as expr_mod
 from . import jets
 from .curves import vec_values
-from .errors import ThetaResidualError, ThetaUnavailable, TransurfError
+from .errors import ThetaUnavailable, TransurfError
 from .jets import BiJet, Jet
 from .surface import TranslationSurface
 
@@ -43,11 +44,9 @@ def _deflate(d: np.ndarray) -> np.ndarray:
 class ThetaPoint:
     """Normal angle at one point: value, jet data and provenance."""
 
-    u: float
-    v: float
     value: float = 0.0
     bijet: BiJet | None = None
-    provenance: str = "atan2_branch"    # | closed_form | limit_extension | unavailable
+    provenance: str = "atan2_branch"    # | limit_extension | unavailable
     residual: float = 0.0
     reason: str = ""
 
@@ -62,25 +61,13 @@ class ThetaPoint:
 
 
 class ThetaField:
-    """Branch-tracked normal-angle field over a region or around a point."""
+    """Normal-angle field of a surface, evaluated point by point on the
+    canonical branch (the limit extension at a zero of (t31, t32))."""
 
-    def __init__(self, s: TranslationSurface, user_nodes=None,
-                 anchor: tuple[float, float] | None = None):
+    def __init__(self, s: TranslationSurface):
         self.s = s
-        self.user_nodes = user_nodes
-        self.grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._anchor_value: float | None = None
-        if anchor is not None:
-            pt = self.at(anchor, ref=None)
-            if pt.available:
-                self._anchor_value = pt.value
 
     # -- raw ingredients ------------------------------------------------------
-
-    def _t_pair_bijets(self, p, degree):
-        u, v = p
-        ff = self.s.field
-        return (ff.t_bijet(3, 1, u, v, degree), ff.t_bijet(3, 2, u, v, degree))
 
     def _t_pair_ray(self, p, d, order=6):
         """Univariate jets of (t31, -t32) along p + s d."""
@@ -152,13 +139,13 @@ class ThetaField:
                 f"{spread:.3e}; the surface is not a framed base surface here")
         return mean2, spread, ""
 
-    def _extension(self, p, ref) -> ThetaPoint:
+    def _extension(self, p) -> ThetaPoint:
         mean2, spread, reason = self._ray_limit(p)
         if reason:
-            return ThetaPoint(p[0], p[1], provenance="unavailable",
-                              residual=spread, reason=reason)
+            return ThetaPoint(provenance="unavailable", residual=spread,
+                              reason=reason)
         tol = self.s.tols.theta_dir_tol
-        theta0 = align_pi(mean2 / 2.0, ref)
+        theta0 = mean2 / 2.0
 
         # derivatives from one-sided jets along the axes and diagonals
         def dpair(d):
@@ -200,7 +187,7 @@ class ThetaField:
             axes[name] = dpair(d) or fd_pair(d)
         if any(val is None for val in axes.values()):
             return ThetaPoint(
-                p[0], p[1], value=theta0, provenance="unavailable",
+                value=theta0, provenance="unavailable",
                 reason="one-sided angle derivatives disagree across the point")
         tu, tuu = axes["u"]
         tv, tvv = axes["v"]
@@ -213,8 +200,7 @@ class ThetaField:
         c[0, 0] = theta0
         c[1, 0], c[0, 1] = tu, tv
         c[2, 0], c[1, 1], c[0, 2] = tuu, 0.5 * (tuv + tuv_check), tvv
-        return ThetaPoint(p[0], p[1], value=theta0,
-                          bijet=BiJet(p[0], p[1], c),
+        return ThetaPoint(value=theta0, bijet=BiJet(p[0], p[1], c),
                           provenance="limit_extension",
                           residual=max(spread, resid))
 
@@ -229,122 +215,19 @@ class ThetaField:
 
     # -- public evaluation ----------------------------------------------------
 
-    def at(self, p: tuple[float, float], degree: int = 3,
-           ref="auto") -> ThetaPoint:
-        """Normal angle with derivatives at p, branch-aligned to the field.
-
-        ``ref`` is a reference angle for mod-pi branch selection; the default
-        pulls it from the tracked grid or the anchor point, None keeps the
-        canonical atan2 branch.
-        """
+    def at(self, p: tuple[float, float], degree: int = 3) -> ThetaPoint:
+        """Normal angle with derivatives to ``degree`` at p."""
         u, v = p
-        if ref == "auto":
-            ref = self.reference(p)
-        if self.user_nodes is not None:
-            env = {"u": BiJet.variable_u(u, v, degree),
-                   "v": BiJet.variable_v(u, v, degree)}
-            th = expr_mod.evaluate(self.user_nodes, env)
-            if isinstance(th, (int, float)):
-                th = BiJet.constant(float(th), u, v, degree)
-            resid = self._defining_residual(p, th.value)
-            if resid > self.s.tols.theta_tol:
-                raise ThetaResidualError(
-                    f"user theta violates its defining equation at {p} "
-                    f"(residual {resid:.3e})")
-            return ThetaPoint(u, v, value=th.value, bijet=th,
-                              provenance="closed_form", residual=resid)
-
         t31 = self.s.field.partial_value(3, 1, u, v)
         t32 = self.s.field.partial_value(3, 2, u, v)
         if math.hypot(t31, t32) < _EXT_RADIUS:
-            return self._extension(p, ref)
-        b31, b32 = self._t_pair_bijets(p, degree)
+            return self._extension(p)
+        b31 = self.s.field.t_bijet(3, 1, u, v, degree)
+        b32 = self.s.field.t_bijet(3, 2, u, v, degree)
         th = jets.atan2(-b32, b31)
-        value = align_pi(th.value, ref)
-        if value != th.value:
-            c = th.c.copy()
-            c[0, 0] = value
-            th = BiJet(u, v, c)
-        return ThetaPoint(u, v, value=value, bijet=th,
-                          provenance="atan2_branch",
-                          residual=self._defining_residual(p, value))
-
-    def _defining_residual(self, p, theta: float) -> float:
-        u, v = p
-        t31 = self.s.field.partial_value(3, 1, u, v)
-        t32 = self.s.field.partial_value(3, 2, u, v)
-        return abs(t32 * math.cos(theta) + t31 * math.sin(theta))
-
-    # -- region tracking ------------------------------------------------------
-
-    def track_region(self, window: tuple[float, float, float, float],
-                     grid_n: int = 33):
-        """Serpentine branch tracking over a grid; fills the reference field."""
-        u0, u1, v0, v1 = window
-        us = np.linspace(u0, u1, grid_n)
-        vs = np.linspace(v0, v1, grid_n)
-        vals = np.zeros((grid_n, grid_n))
-        prev = self._anchor_value
-        for i in range(grid_n):
-            js = range(grid_n) if i % 2 == 0 else range(grid_n - 1, -1, -1)
-            for j in js:
-                pt = self.at((float(us[i]), float(vs[j])), degree=2, ref=prev)
-                if pt.available:
-                    vals[i, j] = pt.value
-                    prev = pt.value
-                else:
-                    vals[i, j] = np.nan
-        self.grid = (us, vs, vals)
-        return self
-
-    def reference(self, p) -> float | None:
-        if self.grid is None:
-            return self._anchor_value
-        us, vs, vals = self.grid
-        i = int(np.clip(np.searchsorted(us, p[0]) - 1, 0, len(us) - 2))
-        j = int(np.clip(np.searchsorted(vs, p[1]) - 1, 0, len(vs) - 2))
-        block = vals[i:i + 2, j:j + 2]
-        good = block[np.isfinite(block)]
-        if len(good):
-            return float(good[0])
-        return self._anchor_value
-
-    def branch_continuity_violation(self) -> float:
-        """Largest jump between consecutive samples of the tracked path.
-
-        Around a point with no continuous normal angle (a cross cap) the
-        field carries a genuine branch cut, so only continuity along the
-        tracking path itself is meaningful there; transverse adjacencies can
-        jump by pi no matter how branches are chosen.
-        """
-        if self.grid is None:
-            raise ValueError("track_region first")
-        vals = self.grid[2]
-        n = vals.shape[0]
-        seq = []
-        for i in range(n):
-            js = range(n) if i % 2 == 0 else range(n - 1, -1, -1)
-            seq.extend(vals[i, j] for j in js)
-        arr = np.array([x for x in seq if np.isfinite(x)])
-        if len(arr) < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(arr))))
-
-    def export_csv(self, path: str):
-        """Grid dump ``u,v,theta,residual`` for debugging."""
-        if self.grid is None:
-            raise ValueError("track_region first")
-        us, vs, vals = self.grid
-        lines = ["u,v,theta,residual"]
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                th = vals[i, j]
-                resid = (self._defining_residual((float(u), float(v)), th)
-                         if np.isfinite(th) else float("nan"))
-                lines.append("{:.17g},{:.17g},{:.17g},{:.17g}".format(
-                    u, v, th, resid))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return ThetaPoint(value=th.value, bijet=th, provenance="atan2_branch",
+                          residual=abs(t32 * math.cos(th.value)
+                                       + t31 * math.sin(th.value)))
 
 
 def wrap_pi(x: float) -> float:
@@ -352,30 +235,17 @@ def wrap_pi(x: float) -> float:
     return (x + math.pi) % (2 * math.pi) - math.pi
 
 
-def align_pi(theta: float, ref: float | None) -> float:
+def align_pi(theta: float, ref: float) -> float:
     """Shift theta by a multiple of pi to land nearest the reference."""
-    if ref is None:
-        return theta
     k = round((ref - theta) / math.pi)
     return theta + k * math.pi
 
 
 def construct_theta(s: TranslationSurface,
-                    p0: tuple[float, float] | None = None,
-                    region: tuple[float, float, float, float] | None = None,
-                    grid_n: int = 33,
-                    user_expr: str | None = None) -> ThetaField:
-    """Build the normal-angle field for a surface.
-
-    ``p0`` anchors the branch at a point (the classification entry point);
-    ``region`` additionally tracks a grid for branch references and dumps.
-    ``user_expr`` supplies a closed-form angle in (u, v), residual-checked.
-    """
-    nodes = expr_mod.parse_expression(user_expr) if user_expr else None
-    fieldv = ThetaField(s, user_nodes=nodes, anchor=p0)
-    if region is not None:
-        fieldv.track_region(region, grid_n)
-    return fieldv
+                    p0: tuple[float, float]) -> ThetaPoint:
+    """The normal angle at p0 with its jets, evaluated once for every
+    criterion that reads it there."""
+    return ThetaField(s).at(p0)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +261,9 @@ class FSInvariants:
     bn: tuple[BiJet, BiJet, BiJet]
 
 
-def fs_invariants(s: TranslationSurface, theta: ThetaField | ThetaPoint,
+def fs_invariants(s: TranslationSurface, pt: ThetaPoint,
                   p: tuple[float, float], degree: int = 3) -> FSInvariants:
     """Invariants of (x, bn, mu) where bn = sin(theta) nu1 + cos(theta) nu2."""
-    pt = theta if isinstance(theta, ThetaPoint) else theta.at(p, degree)
     th = pt.require()
     degree = min(degree, th.degree)
     th = th.truncate(degree)
@@ -441,12 +310,10 @@ class Discriminant:
     lam: BiJet                 # alpha alpha~ Lambda = det(x_u, x_v, bn)
     Lambda: BiJet              # normalized density -t32 sin(theta) + t31 cos(theta)
     eta: tuple[BiJet, BiJet]   # null field coefficients (-alpha~ t33, alpha)
-    xi: tuple[float, float]    # transverse direction
 
 
-def discriminant(s: TranslationSurface, theta: ThetaField | ThetaPoint,
+def discriminant(s: TranslationSurface, pt: ThetaPoint,
                  p: tuple[float, float], degree: int = 3) -> Discriminant:
-    pt = theta if isinstance(theta, ThetaPoint) else theta.at(p, degree)
     th = pt.require()
     degree = min(degree, th.degree)
     th = th.truncate(degree)
@@ -460,8 +327,7 @@ def discriminant(s: TranslationSurface, theta: ThetaField | ThetaPoint,
     Lam = -t32 * sth + t31 * cth
     lam = al * at * Lam
     eta = (-(at * t33), al)
-    xi = (1.0, 0.0) if abs(al.value) > s.tols.hyp_tol else (0.0, 1.0)
-    return Discriminant(lam=lam, Lambda=Lam, eta=eta, xi=xi)
+    return Discriminant(lam=lam, Lambda=Lam, eta=eta)
 
 
 def bn_value(s: TranslationSurface, theta_value: float,
@@ -526,11 +392,11 @@ def front_decision(rank: int, HF: float, KF: float, tol: float) -> tuple[str, fl
     raise ValueError("front test applies to singular points only")
 
 
-def front_test(s: TranslationSurface, theta: ThetaField | ThetaPoint,
+def front_test(s: TranslationSurface, pt: ThetaPoint,
                p: tuple[float, float]) -> tuple[str, float, int]:
     """Classify p as front or frontal-only; returns (verdict, witness, rank)."""
     rank = s.dx_rank(p)
-    inv = fs_invariants(s, theta, p, degree=2)
+    inv = fs_invariants(s, pt, p, degree=2)
     verdict, witness = front_decision(rank, inv.HF.value, inv.KF.value,
                                       s.tols.front_tol)
     return verdict, witness, rank
@@ -540,12 +406,11 @@ def front_test(s: TranslationSurface, theta: ThetaField | ThetaPoint,
 # relational-equation oracles (test support, not production logic)
 # ---------------------------------------------------------------------------
 
-def lemma_oracle(s: TranslationSurface, theta: ThetaField | ThetaPoint,
+def lemma_oracle(s: TranslationSurface, pt: ThetaPoint,
                  p0: tuple[float, float]) -> dict[int, float]:
     """Residuals of the nine relations obtained by differentiating the
     defining equation of theta up to third order, evaluated at a dependent
     singular point."""
-    pt = theta if isinstance(theta, ThetaPoint) else theta.at(p0)
     th = pt.require()
     u, v = p0
     sth, cth = math.sin(pt.value), math.cos(pt.value)
@@ -600,11 +465,10 @@ def lemma_oracle(s: TranslationSurface, theta: ThetaField | ThetaPoint,
     return {k: float(val) for k, val in r.items()}
 
 
-def unit_speed_oracle(s: TranslationSurface, theta: ThetaField | ThetaPoint,
+def unit_speed_oracle(s: TranslationSurface, pt: ThetaPoint,
                       p0: tuple[float, float]) -> dict[int, float]:
     """The same relations specialized to a pair of non-degenerate unit-speed
     curves, expressed through curvature and torsion."""
-    pt = theta if isinstance(theta, ThetaPoint) else theta.at(p0)
     th = pt.require()
     u, v = p0
     if s.curve_u.frenet is None or s.curve_v.frenet is None:

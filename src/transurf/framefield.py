@@ -97,8 +97,6 @@ class CompatibilityReport:
     dv_identity: float = 0.0       # T_v - F~(v) T
     scalar_recursions: float = 0.0
     second_order: float = 0.0      # T_uv - T_v T^t T_u
-    grid_shape: tuple[int, int] = (0, 0)
-    worst_point: tuple[float, float] = (0.0, 0.0)
 
     def max_residual(self) -> float:
         return max(self.so3_orth, self.so3_det, self.du_identity,
@@ -115,7 +113,7 @@ class CompatibilityReport:
 
 def check_compatibility(ff: FrameField, us: np.ndarray, vs: np.ndarray) -> CompatibilityReport:
     """Evaluate every frame-matrix identity on the grid us x vs."""
-    rep = CompatibilityReport(grid_shape=(len(us), len(vs)))
+    rep = CompatibilityReport()
     for u in us:
         u = float(u)
         ca = ff.curve_a.curvature(u, 2)
@@ -151,9 +149,6 @@ def check_compatibility(ff: FrameField, us: np.ndarray, vs: np.ndarray) -> Compa
                           abs(Tv[1, j] - (-lt * T[0, j] + nt * T[2, j])),
                           abs(Tv[2, j] - (-mt * T[0, j] - nt * T[1, j])))
 
-            worst = max(so3, det, r1, r2, rec, r4)
-            if worst > rep.max_residual():
-                rep.worst_point = (u, v)
             rep.so3_orth = max(rep.so3_orth, so3)
             rep.so3_det = max(rep.so3_det, det)
             rep.du_identity = max(rep.du_identity, r1)

@@ -275,18 +275,6 @@ class BiJet:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def variable_u(u0: float, v0: float, degree: int = 3) -> "BiJet":
-        c = np.zeros((degree + 1, degree + 1))
-        c[0, 0], c[1, 0] = u0, 1.0
-        return BiJet(u0, v0, c)
-
-    @staticmethod
-    def variable_v(u0: float, v0: float, degree: int = 3) -> "BiJet":
-        c = np.zeros((degree + 1, degree + 1))
-        c[0, 0], c[0, 1] = v0, 1.0
-        return BiJet(u0, v0, c)
-
-    @staticmethod
     def constant(value: float, u0: float = 0.0, v0: float = 0.0,
                  degree: int = 3) -> "BiJet":
         c = np.zeros((degree + 1, degree + 1))

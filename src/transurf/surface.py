@@ -71,14 +71,6 @@ class TranslationSurface:
         return TranslationSurface(self.base, other, "general", base=self.base,
                                   tols=self.tols)
 
-    @property
-    def domain_u(self) -> tuple[float, float]:
-        return self.curve_u.domain
-
-    @property
-    def domain_v(self) -> tuple[float, float]:
-        return self.curve_v.domain
-
     # -- evaluation -----------------------------------------------------------
 
     def x_value(self, p: tuple[float, float]) -> np.ndarray:
@@ -252,7 +244,6 @@ class FieldDependenceReport:
     t_sigma_ratio: float
     ab_fields_dependent: bool
     ab_sigma_ratio: float
-    samples: int
 
 
 def ab_dependence_scan(s: TranslationSurface,
@@ -283,8 +274,7 @@ def ab_dependence_scan(s: TranslationSurface,
     ratio_tol = s.tols.ratio_tol
     return FieldDependenceReport(
         t_fields_dependent=bool(rt < ratio_tol), t_sigma_ratio=rt,
-        ab_fields_dependent=bool(rab < ratio_tol), ab_sigma_ratio=rab,
-        samples=n * n)
+        ab_fields_dependent=bool(rab < ratio_tol), ab_sigma_ratio=rab)
 
 
 def residual_landscape(s: TranslationSurface, us: np.ndarray,

@@ -20,7 +20,6 @@ built once, with the defaults). Which decision reads each field:
 - ``dep_tol``: the dependent condition |mu x mu~| < dep_tol, and |t33| = 1 in
   the S0/S1 tests.
 - ``ratio_tol``: sigma_min / sigma_max of the field-dependence scan.
-- ``theta_tol``: the defining-equation residual of a user-supplied theta.
 - ``theta_dir_tol``: agreement of the directional limits of theta at a zero
   of (t31, t32), which decides whether theta extends through the point.
 - ``front_tol``: |H^F| (rank 1) or |K^F| (rank 0) of the front test.
@@ -45,7 +44,6 @@ class Tolerances:
     sing_tol: float = 1e-8        # singular-point residual after Newton
     dep_tol: float = 1e-8         # |mu x mu~| threshold for the dependent condition
     ratio_tol: float = 1e-6       # sigma_min/sigma_max for field-dependence scans
-    theta_tol: float = 1e-8       # defining-equation residual of a theta field
     theta_dir_tol: float = 1e-6   # directional-limit agreement for theta extension
     front_tol: float = 1e-8       # |H^F| (or |K^F|) threshold for the front test
     lemma_tol: float = 1e-6       # closed form vs jets of the density partials

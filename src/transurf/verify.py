@@ -159,14 +159,14 @@ def suite_lemma() -> list[Check]:
         ("cylinder", *instances.cylinder_pair()),
     ]
     for name, s, p0 in cases:
-        theta = construct_theta(s, p0=p0)
-        res = lemma_oracle(s, theta, p0)
+        pt = construct_theta(s, p0)
+        res = lemma_oracle(s, pt, p0)
         out.append(Check(f"relations_1_5_{name}",
                          max(abs(res[k]) for k in range(1, 6)), 1e-6))
         out.append(Check(f"relations_6_9_{name}",
                          max(abs(res[k]) for k in range(6, 10)), 1e-6))
         if s.curve_u.frenet is not None and s.curve_v.frenet is not None:
-            res2 = unit_speed_oracle(s, theta, p0)
+            res2 = unit_speed_oracle(s, pt, p0)
             out.append(Check(f"unit_speed_items_1_5_{name}",
                              max(abs(res2[k]) for k in range(1, 6)), 1e-6))
     return out

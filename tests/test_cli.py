@@ -156,6 +156,12 @@ def test_tolerance_overrides_reach_catalog_curves():
     ["mesh", "--curve-a", "@s0_a", "--curve-b", "@s0_b"],   # no --out
     ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
      "--tol", "div_eps=1e-9"],                      # a name nothing reads
+    ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
+     "--window=0,inf,0,1"],                         # infinite window bound
+    ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
+     "--tol", "sing_tol=inf"],                      # infinite tolerance
+    ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
+     "--tol", "theta_tol=1e-9"],                    # removed with user theta
 ])
 def test_input_errors_exit_2(args, capsys):
     assert run_cli(args) == 2

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from transurf import framedsurf, instances
+from transurf import framedsurf, instances, verify
 from transurf.classify import classify
 from transurf.curves import catalog
-from transurf.errors import ThetaResidualError
-from transurf.framedsurf import (closed_form_density_partials,
+from transurf.framedsurf import (ThetaField, align_pi,
+                                 closed_form_density_partials,
                                  construct_theta, discriminant, front_decision,
                                  front_test, fs_invariants, lambda_direct_value,
                                  lemma_oracle, unit_speed_oracle)
@@ -17,21 +17,18 @@ from transurf.surface import TranslationSurface
 @pytest.fixture(scope="module")
 def edge_case():
     s, p0 = instances.slide_pair("edge")
-    theta = construct_theta(s, p0=p0)
-    return s, p0, theta
+    return s, p0, ThetaField(s)
 
 
 @pytest.fixture(scope="module")
 def planar():
     s, p0 = instances.planar_pair()
-    theta = construct_theta(s, p0=p0)
-    return s, p0, theta
+    return s, p0, ThetaField(s)
 
 
 def test_theta_unavailable_at_cross_cap():
     s = TranslationSurface.general(catalog("s0_a"), catalog("s0_b"))
-    theta = construct_theta(s, p0=(0.0, 0.0))
-    pt = theta.at((0.0, 0.0))
+    pt = construct_theta(s, (0.0, 0.0))
     assert not pt.available
     assert "not a framed base surface" in pt.reason or "isotropic" in pt.reason
 
@@ -55,51 +52,10 @@ def test_theta_extension_derivatives_match_theory(edge_case):
     assert pt.bijet.part(0, 1) == pytest.approx(-1.7 * tau / 2, abs=1e-9)
 
 
-def test_theta_region_tracking_continuity(edge_case):
-    s, p0, _ = edge_case
-    theta = construct_theta(s, p0=p0,
-                            region=(p0[0] - 0.2, p0[0] + 0.2, -0.2, 0.2),
-                            grid_n=17)
-    assert theta.branch_continuity_violation() < math.pi / 2
-
-
-def test_theta_tracking_survives_unavailable_points():
-    # region of the closed-curve minus pair containing a cross cap, where no
-    # continuous angle exists: tracking skips the gap and stays continuous
-    from transurf.curves import catalog as cat
-    s = TranslationSurface.self_translation(cat("sin_curve"), -1)
-    theta = construct_theta(s, p0=(0.3, 0.3),
-                            region=(-0.4, 0.7, 2.6, 3.6), grid_n=15)
-    us, vs, vals = theta.grid
-    assert np.isnan(vals).sum() < vals.size  # mostly available
-    assert theta.branch_continuity_violation() < math.pi / 2
-
-
-def test_theta_csv_dump(tmp_path, planar):
-    s, p0, _ = planar
-    theta = construct_theta(s, p0=p0, region=(-0.3, 0.3, -0.3, 0.3), grid_n=9)
-    path = tmp_path / "theta.csv"
-    theta.export_csv(str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "u,v,theta,residual"
-    assert len(lines) == 1 + 81
-
-
-def test_user_theta_override(planar):
-    s, p0, _ = planar
-    # t32 == 0 for the coplanar pair, so any constant multiple of pi works
-    theta = construct_theta(s, p0=None, user_expr="pi")
-    pt = theta.at((0.4, 0.1))
-    assert pt.provenance == "closed_form"
-    assert pt.value == math.pi
-    with pytest.raises(ThetaResidualError):
-        construct_theta(s, user_expr="u + 1/2").at((0.4, 0.1))
-
-
 def test_fs_invariants_structure(edge_case):
     s, p0, theta = edge_case
     p = (p0[0] + 0.15, p0[1] + 0.1)
-    inv = fs_invariants(s, theta, p)
+    inv = fs_invariants(s, theta.at(p), p)
     ca = s.curve_u.curvature(p[0], 2)
     cb = s.curve_v.curvature(p[1], 2)
     assert inv.a1.value == pytest.approx(ca.alpha.value, rel=1e-12)
@@ -121,10 +77,11 @@ def test_fs_invariants_structure(edge_case):
 
 def test_planar_pair_frontal_but_not_front(planar):
     s, p0, theta = planar
-    inv = fs_invariants(s, theta, p0, degree=2)
+    pt = theta.at(p0)
+    inv = fs_invariants(s, pt, p0, degree=2)
     assert inv.f1.value == pytest.approx(0.0, abs=1e-10)   # theta_u - l
     assert inv.HF.value == pytest.approx(0.0, abs=1e-10)
-    verdict, witness, rank = front_test(s, theta, p0)
+    verdict, witness, rank = front_test(s, pt, p0)
     assert verdict == "frontal_only" and rank == 1
 
 
@@ -136,10 +93,10 @@ def test_front_decision_rank0():
 
 def test_front_on_edge_instance(edge_case):
     s, p0, theta = edge_case
-    verdict, witness, rank = front_test(s, theta, p0)
+    pt = theta.at(p0)
+    verdict, witness, rank = front_test(s, pt, p0)
     assert verdict == "front" and rank == 1
     # the front witness is -1/2 of the explicit front condition value
-    pt = theta.at(p0)
     ca = s.curve_u.curvature(p0[0], 2)
     cb = s.curve_v.curvature(p0[1], 2)
     fv = (ca.alpha.value * pt.bijet.part(0, 1)
@@ -151,13 +108,13 @@ def test_front_on_edge_instance(edge_case):
 def test_discriminant_factorization(edge_case):
     s, p0, theta = edge_case
     for p in [p0, (p0[0] + 0.1, p0[1] - 0.05)]:
-        d = discriminant(s, theta, p)
+        pt = theta.at(p)
+        d = discriminant(s, pt, p)
         ca = s.curve_u.curvature(p[0], 2)
         cb = s.curve_v.curvature(p[1], 2)
         assert d.lam.value == pytest.approx(
             ca.alpha.value * cb.alpha.value * d.Lambda.value, rel=1e-11,
             abs=1e-13)
-        pt = theta.at(p)
         assert d.lam.value == pytest.approx(
             lambda_direct_value(s, pt.value, p), rel=1e-9, abs=1e-12)
 
@@ -188,7 +145,7 @@ def test_lambda_matches_determinant_at_random_points(edge_case):
 
 def test_theta_derivatives_match_tracked_field_fd(edge_case):
     # away from the singular set, jet derivatives of theta agree with finite
-    # differences of the branch-tracked field
+    # differences of its values aligned to one branch
     s, p0, theta = edge_case
     p = (p0[0] + 0.12, 0.08)
     pt = theta.at(p)
@@ -196,7 +153,7 @@ def test_theta_derivatives_match_tracked_field_fd(edge_case):
     ref = pt.value
 
     def th(q):
-        return theta.at(q, degree=2, ref=ref).value
+        return align_pi(theta.at(q, degree=2).value, ref)
 
     fd_u = (th((p[0] + h, p[1])) - th((p[0] - h, p[1]))) / (2 * h)
     fd_v = (th((p[0], p[1] + h)) - th((p[0], p[1] - h))) / (2 * h)
@@ -206,14 +163,14 @@ def test_theta_derivatives_match_tracked_field_fd(edge_case):
 
 def test_lemma_oracle_residuals(edge_case):
     s, p0, theta = edge_case
-    res = lemma_oracle(s, theta, p0)
+    res = lemma_oracle(s, theta.at(p0), p0)
     assert set(res) == set(range(1, 10))
     assert max(abs(v) for v in res.values()) < 1e-6
 
 
 def test_unit_speed_oracle_residuals(edge_case):
     s, p0, theta = edge_case
-    res = unit_speed_oracle(s, theta, p0)
+    res = unit_speed_oracle(s, theta.at(p0), p0)
     assert max(abs(v) for v in res.values()) < 1e-6
     # theta_u = tau/2 and t12 = 0 are items 3 and 2
     assert abs(res[2]) < 1e-8 and abs(res[3]) < 1e-8
@@ -221,8 +178,7 @@ def test_unit_speed_oracle_residuals(edge_case):
 
 def test_lemma_oracle_on_cylinder():
     s, p0 = instances.cylinder_pair()
-    theta = construct_theta(s, p0=p0)
-    res = lemma_oracle(s, theta, p0)
+    res = lemma_oracle(s, construct_theta(s, p0), p0)
     assert max(abs(v) for v in res.values()) < 1e-6
 
 
@@ -236,3 +192,31 @@ def test_unexpected_error_in_fd_pair_propagates(monkeypatch):
     s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
     with pytest.raises(RuntimeError, match="unexpected"):
         classify(s, (0.5, 0.5))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(framedsurf.ThetaField, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(framedsurf.ThetaField, name, spy)
+    return calls
+
+
+def test_classify_evaluates_theta_once_per_point(monkeypatch):
+    # a diagonal sample of the sin-minus pair is a zero of (t31, t32), so its
+    # angle comes from the ray extension; every route reads that one result
+    calls = _count_calls(monkeypatch, "_extension")
+    s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
+    classify(s, (0.5, 0.5))
+    assert len(calls) == 1
+
+
+def test_lemma_suite_evaluates_theta_once_per_case(monkeypatch):
+    calls = _count_calls(monkeypatch, "at")
+    checks = verify.suite_lemma()
+    assert all(c.passed for c in checks)
+    assert len(calls) == 3

@@ -11,6 +11,12 @@ from transurf.fd import normalized_error, richardson_derivative
 from transurf.jets import BiJet, Jet
 
 
+def _coordinates(u0, v0, degree):
+    """The coordinate functions u and v as BiJets at (u0, v0)."""
+    return (BiJet.from_u_jet(Jet.variable(u0, degree), v0, degree),
+            BiJet.from_v_jet(Jet.variable(v0, degree), u0, degree))
+
+
 def test_polynomial_product_derivatives():
     u = Jet.variable(0.0, 6)
     p = (1 + u) * (1 - u)
@@ -18,8 +24,7 @@ def test_polynomial_product_derivatives():
 
 
 def test_mixed_partial_of_u2_v():
-    U = BiJet.variable_u(0.7, -0.3, 3)
-    V = BiJet.variable_v(0.7, -0.3, 3)
+    U, V = _coordinates(0.7, -0.3, 3)
     f = U * U * V
     assert f.part(1, 1) == pytest.approx(2 * 0.7, abs=1e-14)
     assert f.part(2, 1) == pytest.approx(2.0, abs=1e-14)
@@ -97,8 +102,7 @@ def test_tensor_assembly_exact():
 
 def test_bijet_atan2_partials():
     u0, v0 = 1.0, 0.5
-    U = BiJet.variable_u(u0, v0, 3)
-    V = BiJet.variable_v(u0, v0, 3)
+    U, V = _coordinates(u0, v0, 3)
     th = jets.atan2(V, U)
     r2 = u0**2 + v0**2
     assert th.value == math.atan2(v0, u0)
@@ -183,8 +187,7 @@ def test_associativity_within_ulps(x, y, z):
 
 
 def test_bijet_derivative_shift():
-    U = BiJet.variable_u(0.3, 0.8, 4)
-    V = BiJet.variable_v(0.3, 0.8, 4)
+    U, V = _coordinates(0.3, 0.8, 4)
     f = jets.sin(U * V)
     fu = f.du()
     assert fu.value == f.part(1, 0)
