@@ -146,21 +146,6 @@ class PointData:
         self._phi = det3(xu, etax, eex)
         return self._phi
 
-    def phi_closed_bijet(self) -> BiJet:
-        """Expansion of phi in frame-matrix entries and curvatures."""
-        cs, (u, v), degree = self.s, self.p0, self.degree
-        ff = cs.field
-        _, m, n, al, _, mt, nt, at = cs.curvature_bijets(self.p0, degree)
-        t31 = ff.t_bijet(3, 1, u, v, degree)
-        t32 = ff.t_bijet(3, 2, u, v, degree)
-        t33 = ff.t_bijet(3, 3, u, v, degree)
-        t13 = ff.t_bijet(1, 3, u, v, degree)
-        t23 = ff.t_bijet(2, 3, u, v, degree)
-        al3 = al * al * al
-        at2 = at * at
-        return (-(al3 * (at2 * at) * t33 * (-(m * t32) + n * t31))
-                - (al3 * al) * at2 * t33 * t33 * t33 * (mt * t23 - nt * t13))
-
     def cross_cap_value(self) -> float:
         """m (m~ t21 - n~ t11) + n (m~ t22 - n~ t12)."""
         t = self.t

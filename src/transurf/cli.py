@@ -55,6 +55,16 @@ class RunConfig:
                 raise ValueError(f"tolerance {k} must be finite and positive")
         if self.self_kind is None and self.curve_b is None:
             raise ValueError("need --curve-b or --self")
+        # a value the run would ignore is an error, not a silent echo
+        if self.self_kind is not None and self.curve_b is not None:
+            raise ValueError("--curve-b is ignored with --self")
+        if self.self_kind is not None and self.frame_b != "frenet":
+            raise ValueError("--frame-b is ignored with --self")
+        for flag, curve, frame in (("--frame-a", self.curve_a, self.frame_a),
+                                   ("--frame-b", self.curve_b, self.frame_b)):
+            if frame != "frenet" and curve and curve.strip().startswith("@"):
+                raise ValueError(f"{flag} is ignored for the catalog curve "
+                                 f"{curve.strip()}, which has its own frame")
 
     def tolerances(self) -> Tolerances:
         return DEFAULT.replace(**self.tol_overrides)

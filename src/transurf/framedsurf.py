@@ -339,13 +339,6 @@ def bn_value(s: TranslationSurface, theta_value: float,
     return math.sin(theta_value) * n1 + math.cos(theta_value) * n2
 
 
-def lambda_direct_value(s: TranslationSurface, theta_value: float,
-                        p: tuple[float, float]) -> float:
-    """det(x_u, x_v, bn) evaluated directly; cross-check for the closed form."""
-    bn = bn_value(s, theta_value, p[0])
-    return float(np.linalg.det(np.column_stack([s.dx_matrix(p), bn])))
-
-
 def directional_derivative(f: BiJet, direction: tuple[BiJet, BiJet]) -> BiJet:
     """BiJet of (w . grad f) for a vector field w with BiJet coefficients."""
     d = f.degree - 1

@@ -15,7 +15,9 @@ order over "rows" (Python floats for a scalar jet, length-B arrays for a
 batch) with the same floating-point operations in the same order, so lane b
 of a batch result equals the scalar result at ``t0[b]`` bitwise. Checks on
 values (near-zero divisors, the sqrt/pow domain) raise when any lane fails.
-:class:`BiJet` has no batch axis.
+:class:`BiJet` has no batch axis; its products, quotients and compositions
+share one product kernel, which pairs each Leibniz term with its mate so
+that ``a*b`` and ``b*a`` agree bitwise.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -32,13 +34,9 @@ from .errors import DegenerateDivision, DomainError, OriginAtan2
 DIV_EPS = 1e-12
 
 _NMAX = 24
-_BINOM = np.zeros((_NMAX + 1, _NMAX + 1))
-for _n in range(_NMAX + 1):
-    for _k in range(_n + 1):
-        _BINOM[_n, _k] = math.comb(_n, _k)
-_FACT = np.array([math.factorial(k) for k in range(_NMAX + 1)], dtype=float)
-_BINOM_ROWS = _BINOM.tolist()
-_FACT_ROWS = _FACT.tolist()
+_BINOM_ROWS = [[float(math.comb(n, k)) for k in range(n + 1)]
+               for n in range(_NMAX + 1)]
+_FACT_ROWS = [float(math.factorial(k)) for k in range(_NMAX + 1)]
 
 
 def _rows(d: np.ndarray) -> list:
@@ -259,7 +257,9 @@ class BiJet:
     """Partial derivatives of a scalar function of (u, v) at a base point.
 
     ``c[i, j]`` holds the partial of order i in u and j in v; entries with
-    ``i + j > degree`` are kept at zero.
+    ``i + j > degree`` are kept at zero. Products go through
+    :func:`_product`; :meth:`compose_outer` is Horner's rule over it, and a
+    quotient is the dividend times a reciprocal composed from 1/x.
     """
 
     u0: float
@@ -359,14 +359,7 @@ class BiJet:
         a, b = self._align(other)
         if not isinstance(other, BiJet):
             return BiJet(self.u0, self.v0, a * b[0, 0])
-        n = a.shape[0] - 1
-        out = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                out[i, j] = math.fsum(
-                    _BINOM[i, p] * _BINOM[j, q] * a[p, q] * b[i - p, j - q]
-                    for p in range(i + 1) for q in range(j + 1))
-        return BiJet(self.u0, self.v0, out)
+        return BiJet(self.u0, self.v0, _product(a, b))
 
     __rmul__ = __mul__
 
@@ -378,23 +371,8 @@ class BiJet:
             return BiJet(self.u0, self.v0, a / b[0, 0])
         if abs(b[0, 0]) <= DIV_EPS:
             raise DegenerateDivision("division by bijet with near-zero value")
-        n = a.shape[0] - 1
-        r = np.zeros((n + 1, n + 1))
-        for s in range(n + 1):          # solve in graded order
-            for i in range(s, -1, -1):
-                j = s - i
-                acc = a[i, j]
-                for p in range(i + 1):
-                    for q in range(j + 1):
-                        if p == i and q == j:
-                            continue
-                        rpq = r[p, q]
-                        if rpq == 0.0:
-                            continue
-                        acc -= (_BINOM[i, p] * _BINOM[j, q]
-                                * rpq * b[i - p, j - q])
-                r[i, j] = acc / b[0, 0]
-        return BiJet(self.u0, self.v0, r)
+        return self * other.compose_outer(
+            _pow_derivs(other.value, -1.0, other.degree))
 
     def __rtruediv__(self, other):
         return BiJet.constant(float(other), self.u0, self.v0, self.degree) / self
@@ -406,12 +384,10 @@ class BiJet:
 
     def du(self) -> "BiJet":
         """Bijet of the u-partial; degree drops by one."""
-        n = self.degree
-        return BiJet(self.u0, self.v0, self.c[1: n + 1, : n])
+        return BiJet(self.u0, self.v0, self.c[1:, :-1])
 
     def dv(self) -> "BiJet":
-        n = self.degree
-        return BiJet(self.u0, self.v0, self.c[: n, 1: n + 1])
+        return BiJet(self.u0, self.v0, self.c[:-1, 1:])
 
     def compose_outer(self, outer_derivs: np.ndarray) -> "BiJet":
         """BiJet of F(self) given derivatives of F at ``self.value``."""
@@ -419,17 +395,15 @@ class BiJet:
         f = np.asarray(outer_derivs, dtype=float)[: n + 1]
         if len(f) < n + 1:
             raise ValueError("need outer derivatives up to the bijet degree")
-        fact2 = np.outer(_FACT[: n + 1], _FACT[: n + 1])
-        p = self.c / fact2
-        p = p.copy()
+        # Horner in p = self - value: F(self) = sum over k of f_k / k! p^k
+        p = self.c.copy()
         p[0, 0] = 0.0
-        ft = f / _FACT[: n + 1]
-        acc = np.zeros((n + 1, n + 1))
-        acc[0, 0] = ft[n]
+        acc = np.zeros_like(p)
+        acc[0, 0] = f[n] / _FACT_ROWS[n]
         for k in range(n - 1, -1, -1):
-            acc = _poly2_mul(acc, p, n)
-            acc[0, 0] += ft[k]
-        return BiJet(self.u0, self.v0, acc * fact2)
+            acc = _product(acc, p)
+            acc[0, 0] += f[k] / _FACT_ROWS[k]
+        return BiJet(self.u0, self.v0, acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,17 +415,37 @@ def _beyond_degree(n: int) -> np.ndarray:
     return mask
 
 
-def _poly2_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            aij = a[i, j]
-            if aij == 0.0:
-                continue
-            for p in range(n + 1 - i):
-                for q in range(n + 1 - i - j - p):
-                    out[i + p, j + q] += aij * b[p, q]
-    return out
+@functools.lru_cache(maxsize=None)
+def _product_terms(n: int) -> tuple:
+    """Read-only index table of :func:`_product` for n x n partials arrays.
+
+    Entry (i, j) of a product sums C(i, p) C(j, q) a[p, q] b[i - p, j - q]
+    over p <= i, q <= j. A term and its mate (i - p, j - q) share the weight,
+    so each pair is listed once, by ascending flat index ``lo`` of its first
+    member within each (i, j). The kernel counts a term that is its own mate
+    twice, so it carries half its weight (exact short of overflow).
+    """
+    rows = [(p * n + q, (i - p) * n + j - q, math.comb(i, p) * math.comb(j, q),
+             i * n + j)
+            for i in range(n) for j in range(n - i)
+            for p in range(i + 1) for q in range(j + 1)
+            if (p, q) <= (i - p, j - q)]
+    lo, hi, weight, out = (np.array(col) for col in zip(*rows))
+    table = (lo, hi, np.where(lo == hi, 0.5, 1.0) * weight, out)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Partials array of the product of two BiJets of one degree: a mated
+    pair is a[lo] b[hi] + a[hi] b[lo], symmetric in a and b, and one
+    ``np.bincount`` sums the weighted pairs in table order."""
+    n = a.shape[0]
+    lo, hi, weight, out = _product_terms(n)
+    a, b = a.ravel(), b.ravel()
+    terms = weight * (a[lo] * b[hi] + a[hi] * b[lo])
+    return np.bincount(out, weights=terms, minlength=n * n).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +515,8 @@ def _power(x, exponent):
         k = int(e)
         if k < 0:
             return 1.0 / _power(x, -k)
-        one = (Jet.constant(1.0, x.t0, x.order) if isinstance(x, Jet)
+        out = (Jet.constant(1.0, x.t0, x.order) if isinstance(x, Jet)
                else BiJet.constant(1.0, x.u0, x.v0, x.degree))
-        out = one
         for _ in range(k):
             out = out * x
         return out
@@ -554,10 +547,7 @@ def atan2(y, x):
         return (num / den).antiderivative(base)
     # Bivariate: compose atan on whichever ratio is well conditioned; the
     # branch constant only shifts the value, so pin it to atan2 exactly.
-    if abs(x0) >= abs(y0):
-        th = atan(y / x)
-    else:
-        th = -atan(x / y)
+    th = atan(y / x) if abs(x0) >= abs(y0) else -atan(x / y)
     c = th.c.copy()
     c[0, 0] = base
     return BiJet(th.u0, th.v0, c)

@@ -196,18 +196,6 @@ def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
     raise ValueError(f"unknown frame choice {frame!r}")
 
 
-def normal_decomposition_residual(s: TranslationSurface,
-                                  p: tuple[float, float]) -> float:
-    """| x_u x x_v - (A nu1 + B nu2) | at p; identically zero in theory."""
-    inv = gfs_invariants(s, p, degree=2)
-    dx = s.dx_matrix(p)
-    n1 = vec_values(s.curve_u.frame_row(1, p[0], 2))
-    n2 = vec_values(s.curve_u.frame_row(2, p[0], 2))
-    nu = np.cross(dx[:, 0], dx[:, 1])
-    recon = inv.A.value * n1 + inv.B.value * n2
-    return float(np.max(np.abs(nu - recon)))
-
-
 # ---------------------------------------------------------------------------
 # dependence tests
 # ---------------------------------------------------------------------------

@@ -162,6 +162,10 @@ def test_tolerance_overrides_reach_catalog_curves():
      "--tol", "sing_tol=inf"],                      # infinite tolerance
     ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
      "--tol", "theta_tol=1e-9"],                    # removed with user theta
+    ["scan", "--curve-a", "@sin_curve", "--curve-b", "@s0_b",
+     "--self", "minus"],                            # --curve-b ignored
+    ["scan", "--curve-a", "@s0_a", "--frame-a", "(1,0,0);(0,1,0)",
+     "--curve-b", "@s0_b"],                         # catalog frame ignored
 ])
 def test_input_errors_exit_2(args, capsys):
     assert run_cli(args) == 2

@@ -6,12 +6,19 @@ import pytest
 from transurf import framedsurf, instances, verify
 from transurf.classify import classify
 from transurf.curves import catalog
-from transurf.framedsurf import (ThetaField, align_pi,
+from transurf.framedsurf import (ThetaField, align_pi, bn_value,
                                  closed_form_density_partials,
                                  construct_theta, discriminant, front_decision,
-                                 front_test, fs_invariants, lambda_direct_value,
-                                 lemma_oracle, unit_speed_oracle)
+                                 front_test, fs_invariants, lemma_oracle,
+                                 unit_speed_oracle)
 from transurf.surface import TranslationSurface
+
+
+def lambda_direct_value(s: TranslationSurface, theta_value: float,
+                        p: tuple[float, float]) -> float:
+    """det(x_u, x_v, bn) evaluated directly; cross-check for the closed form."""
+    bn = bn_value(s, theta_value, p[0])
+    return float(np.linalg.det(np.column_stack([s.dx_matrix(p), bn])))
 
 
 @pytest.fixture(scope="module")

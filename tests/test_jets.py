@@ -11,6 +11,63 @@ from transurf.fd import normalized_error, richardson_derivative
 from transurf.jets import BiJet, Jet
 
 
+# Reference BiJet arithmetic over partials arrays: an exactly rounded
+# Leibniz sum, a quotient solved in graded order, and composition by Horner's
+# rule on Taylor coefficients. They are independent of the product kernel.
+
+def _ref_product(a, b):
+    n = a.shape[0] - 1
+    out = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i, j] = math.fsum(
+                math.comb(i, p) * math.comb(j, q) * a[p, q] * b[i - p, j - q]
+                for p in range(i + 1) for q in range(j + 1))
+    return out
+
+
+def _ref_quotient(a, b):
+    n = a.shape[0] - 1
+    r = np.zeros((n + 1, n + 1))
+    for s in range(n + 1):
+        for i in range(s, -1, -1):
+            j = s - i
+            acc = a[i, j]
+            for p in range(i + 1):
+                for q in range(j + 1):
+                    if (p, q) != (i, j):
+                        acc -= (math.comb(i, p) * math.comb(j, q)
+                                * r[p, q] * b[i - p, j - q])
+            r[i, j] = acc / b[0, 0]
+    return r
+
+
+def _poly2_mul(a, b, n):
+    """Product of two truncated Taylor-coefficient arrays."""
+    out = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            for p in range(n + 1 - i):
+                for q in range(n + 1 - i - j - p):
+                    out[i + p, j + q] += a[i, j] * b[p, q]
+    return out
+
+
+def _ref_compose(c, outer_derivs):
+    n = c.shape[0] - 1
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    fact2 = np.outer(fact, fact)
+    p = c / fact2
+    p[0, 0] = 0.0
+    ft = np.asarray(outer_derivs[: n + 1], dtype=float) / fact
+    acc = np.zeros((n + 1, n + 1))
+    acc[0, 0] = ft[n]
+    for k in range(n - 1, -1, -1):
+        acc = _poly2_mul(acc, p, n)
+        acc[0, 0] += ft[k]
+    return acc * fact2
+
+
 def _coordinates(u0, v0, degree):
     """The coordinate functions u and v as BiJets at (u0, v0)."""
     return (BiJet.from_u_jet(Jet.variable(u0, degree), v0, degree),
@@ -164,6 +221,37 @@ def test_commutativity_bitwise(x1, x2, y1, y2):
     assert (ab * ba).d.tobytes() == (ba * ab).d.tobytes()
     assert (ab * ba).d[:, 0].tobytes() == (a6 * b6).d.tobytes()
     assert (ab * ba).d[:, 1].tobytes() == (b6 * a6).d.tobytes()
+    # BiJets whose partials cycle through the entries of the order-6 jets
+    for n in (3, 5):
+        p = BiJet(0.0, 0.0, np.resize(a6.d, (n + 1, n + 1)))
+        q = BiJet(0.0, 0.0, np.resize(b6.d, (n + 1, n + 1)))
+        assert (p * q).c.tobytes() == (q * p).c.tobytes()
+
+
+@st.composite
+def _bijet_pairs(draw):
+    """Two BiJets of one degree in 2..5, entries in [-2, 2], |b00| >= 0.5."""
+    n = draw(st.integers(2, 5)) + 1
+    entry = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    a, b = (np.reshape(draw(st.lists(entry, min_size=n * n, max_size=n * n)),
+                       (n, n)) for _ in range(2))
+    b[0, 0] = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0))
+    return BiJet(0.3, -0.7, a), BiJet(0.3, -0.7, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bijet_pairs())
+def test_bijet_arithmetic_matches_reference(pair):
+    a, b = pair
+    assert (a * b).c.tobytes() == (b * a).c.tobytes()
+    n = a.degree
+    s, c = math.sin(a.value), math.cos(a.value)
+    sin_derivs = [(s, c, -s, -c)[k % 4] for k in range(n + 1)]
+    for got, want in ((a * b, _ref_product(a.c, b.c)),
+                      (a / b, _ref_quotient(a.c, b.c)),
+                      (jets.sin(a), _ref_compose(a.c, sin_derivs))):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got.c - want)) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 
 from transurf import curves
-from transurf.curves import FramedCurve, catalog
+from transurf.curves import FramedCurve, catalog, vec_values
 from transurf.jets import Jet
 from transurf.surface import (TranslationSurface, ab_dependence_scan,
                               canonical_periodic_points, dependence_test,
-                              find_singular_points, gfs_invariants,
-                              normal_decomposition_residual)
+                              find_singular_points, gfs_invariants)
 
 PI = math.pi
+
+
+def normal_decomposition_residual(s: TranslationSurface,
+                                  p: tuple[float, float]) -> float:
+    """| x_u x x_v - (A nu1 + B nu2) | at p; identically zero in theory."""
+    inv = gfs_invariants(s, p, degree=2)
+    dx = s.dx_matrix(p)
+    n1 = vec_values(s.curve_u.frame_row(1, p[0], 2))
+    n2 = vec_values(s.curve_u.frame_row(2, p[0], 2))
+    nu = np.cross(dx[:, 0], dx[:, 1])
+    recon = inv.A.value * n1 + inv.B.value * n2
+    return float(np.max(np.abs(nu - recon)))
 
 
 def _line(d, n1, name="line"):
