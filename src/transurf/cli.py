@@ -70,6 +70,7 @@ class RunConfig:
         return DEFAULT.replace(**self.tol_overrides)
 
     def build_surface(self) -> TranslationSurface:
+        self.validate()
         tols = self.tolerances()
         u0, u1, v0, v1 = self.window
         a = _curve_from_arg(self.curve_a, self.frame_a, (u0, u1), tols)
@@ -106,7 +107,6 @@ def _curve_from_arg(src: str, frame: str, span: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 def cmd_scan(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.fmt not in (None, "csv"):
         raise ValueError("scan writes csv loci; use the mesh command for obj")
     s = cfg.build_surface()
@@ -190,7 +190,6 @@ def write_obj(s: TranslationSurface, window, n: int, path: str):
 
 
 def cmd_mesh(cfg: RunConfig, locus: str | None = None) -> int:
-    cfg.validate()
     if cfg.fmt not in (None, "obj"):
         raise ValueError("mesh writes obj; use the scan command for csv")
     if not cfg.out:

@@ -102,6 +102,12 @@ class FramedCurve:
     methods (``gamma_jets``, ``frame_row``, ``curvature``, ...) take floats
     only and read one cached :class:`CurveJets` per (t, order);
     :meth:`batch_jets` returns an uncached one.
+
+    A curvature source, as :class:`~transurf.framefield.OdeFramedCurve`
+    takes it, maps (ts, order) with ``ts`` a 1-D array to a
+    :class:`FramedCurvature` of batch jets whose lane k equals
+    ``curvature(ts[k], order)`` bitwise; :meth:`batch_curvature` is one.
+    Arrays go to the batch methods only, never to the per-point ones.
     """
 
     def __init__(self, gamma: VecFn, frame: FrameFn,
@@ -140,6 +146,12 @@ class FramedCurve:
     def curvature(self, t: float, order: int = 5) -> FramedCurvature:
         """Framed curvature (l, m, n, alpha) as jets of the given order."""
         return self._jets(t, order + 1).curvature
+
+    def batch_curvature(self, ts, order: int = 5) -> FramedCurvature:
+        """Framed curvature at every parameter of the 1-D array ``ts``: the
+        curvature source that :class:`~transurf.framefield.OdeFramedCurve`
+        takes."""
+        return self.batch_jets(ts, order + 1).curvature
 
     def point(self, t: float) -> np.ndarray:
         return vec_values(self.gamma_jets(t, 2))

@@ -83,8 +83,13 @@ class FrameField:
 # ---------------------------------------------------------------------------
 
 def _curvature_matrix(c: FramedCurvature) -> np.ndarray:
-    l, m, n = c.l.value, c.m.value, c.n.value
-    return np.array([[0.0, l, m], [-l, 0.0, n], [-m, -n, 0.0]])
+    """F = [[0, l, m], [-l, 0, n], [-m, -n, 0]]; for batch jets one matrix
+    per lane, of shape (B, 3, 3)."""
+    l, m, n = (np.asarray(x.value) for x in (c.l, c.m, c.n))
+    F = np.zeros(l.shape + (3, 3))
+    F[..., 0, 1], F[..., 0, 2], F[..., 1, 2] = l, m, n
+    F[..., 1, 0], F[..., 2, 0], F[..., 2, 1] = -l, -m, -n
+    return F
 
 
 @dataclass
@@ -192,6 +197,13 @@ class OdeFramedCurve(FramedCurve):
     gamma' = alpha(t) mu(t) from gamma(t0) = 0, integrated with fixed-step
     RK4 and a polar re-orthonormalization after every step. Jets at any t
     come from the ODE recursion, so only the values depend on the integrator.
+
+    ``curvature_fn(ts, order)`` is called only with a 1-D array of times and
+    returns a :class:`FramedCurvature` of batch jets whose lane k equals the
+    curvature at ``ts[k]``; a single time is a batch of length one.
+    :meth:`FramedCurve.batch_curvature` is such a source. The times of every
+    step that one call integrates are known before the first step, so they
+    are evaluated in one call.
     """
 
     def __init__(self, curvature_fn, t0: float, R0: np.ndarray,
@@ -199,12 +211,13 @@ class OdeFramedCurve(FramedCurve):
                  name: str = "reconstructed"):
         if not step > 1e-12:
             raise ValueError("integration step underflow")
-        self.curvature_fn = curvature_fn   # (t, order) -> FramedCurvature
+        self.curvature_fn = curvature_fn   # (ts, order) -> FramedCurvature
         self.t0 = float(t0)
         self.step = float(step)
         # RK4 node j at t0 + j * step: (R, gamma, F, alpha)
         self._nodes: dict[int, tuple] = {
-            0: (np.asarray(R0, dtype=float), np.zeros(3), *self._fmat(self.t0))}
+            0: (np.asarray(R0, dtype=float), np.zeros(3),
+                *self._stage_values([self.t0])[0])}
         self._far = {+1: 0, -1: 0}         # furthest integrated node per side
         # the RK4 state is scalar, so a batch evaluates lane by lane
         super().__init__(lanewise(self._gamma_jets_impl),
@@ -213,25 +226,35 @@ class OdeFramedCurve(FramedCurve):
 
     # -- integration ---------------------------------------------------------
 
-    def _fmat(self, t: float) -> tuple[np.ndarray, float]:
-        c = self.curvature_fn(t, 1)
-        return _curvature_matrix(c), c.alpha.value
+    def _stage_values(self, ts) -> list[tuple[np.ndarray, float]]:
+        """(F, alpha) at each time of ``ts``, from one call of the source."""
+        c = self.curvature_fn(np.array(ts, dtype=float), 1)
+        return list(zip(_curvature_matrix(c), c.alpha.value.tolist()))
 
     def _advance_to(self, k: int):
         sign = 1 if k >= 0 else -1
-        while sign * self._far[sign] < sign * k:
-            j = self._far[sign]
-            end = self._fmat(self.t0 + (j + sign) * self.step)
-            R, g = self._rk4_step(self.t0 + j * self.step, self._nodes[j],
-                                  sign * self.step, end)
+        js = range(self._far[sign], k, sign)
+        if not js:
+            return
+        h = sign * self.step
+        # each step's midpoint and end node, as floats formed exactly as a
+        # step from t0 + j * step would form them
+        times = []
+        for j in js:
+            times += [(self.t0 + j * self.step) + h / 2,
+                      self.t0 + (j + sign) * self.step]
+        stages = self._stage_values(times)
+        for j, mid, end in zip(js, stages[0::2], stages[1::2]):
+            R, g = self._rk4_step(self._nodes[j], h, mid, end)
             self._nodes[j + sign] = (polar_rotation(R), g, *end)
-            self._far[sign] = j + sign
+        self._far[sign] = k
 
-    def _rk4_step(self, t, node, h, end):
+    @staticmethod
+    def _rk4_step(node, h, mid, end):
         """One RK4 step of length h from ``node`` = (R, gamma, F, alpha) at
-        t; ``end`` is (F, alpha) at t + h."""
+        a time t; ``mid`` and ``end`` are (F, alpha) at t + h/2 and t + h."""
         R, g, F0, a0 = node
-        Fm, am = self._fmat(t + h / 2)
+        Fm, am = mid
         F1, a1 = end
 
         def rhs(F, a, Rc):
@@ -252,7 +275,8 @@ class OdeFramedCurve(FramedCurve):
         tk = self.t0 + k * self.step
         if t == tk:
             return node[0], node[1]
-        R, g = self._rk4_step(tk, node, t - tk, self._fmat(t))
+        h = t - tk
+        R, g = self._rk4_step(node, h, *self._stage_values([tk + h / 2, t]))
         return polar_rotation(R), g
 
     # -- jet assembly from the ODE -------------------------------------------
@@ -260,7 +284,9 @@ class OdeFramedCurve(FramedCurve):
     def _derivative_stack(self, t: float, order: int):
         """d^k R / dt^k for k = 0..order via R' = F R, as an array of shape
         (order + 1, 3, 3), with gamma(t) and the framed curvature at t."""
-        c = self.curvature_fn(t, order)
+        lane = self.curvature_fn(np.array([t]), order)
+        c = FramedCurvature(*(Jet(t, x.d[:, 0]) for x in
+                              (lane.l, lane.m, lane.n, lane.alpha)))
         F = np.zeros((order + 1, 3, 3))
         entries = {(0, 1): c.l.d, (0, 2): c.m.d, (1, 0): -c.l.d, (1, 2): c.n.d,
                    (2, 0): -c.m.d, (2, 1): -c.n.d}
@@ -301,8 +327,11 @@ def reconstruct_framed_curves(curv_a, curv_b, T0: np.ndarray,
     """Build two framed curves whose frame matrix is the one generated by the
     curvature data and the initial matrix T0 at p0.
 
-    ``curv_a`` and ``curv_b`` map (t, order) to a FramedCurvature; the
-    ``curvature`` method of a framed curve is one.
+    ``curv_a`` and ``curv_b`` are curvature sources as
+    :class:`OdeFramedCurve` takes them: they map (ts, order), with ``ts`` a
+    1-D array, to a FramedCurvature of batch jets whose lane k equals the
+    curvature at ``ts[k]``. The ``batch_curvature`` method of a framed curve
+    is one.
 
     The first curve starts from the identity frame at u0 and the second from
     T0 (both gammas start at the origin; the data only fixes them up to
@@ -351,8 +380,10 @@ def reconstruct_from_field(field_fn, p0: tuple[float, float],
             f"field fails the mixed-derivative identity (residual {worst:.3e})")
 
     def curv_from_F(extract, alpha_fn):
-        # curvature entries (and two derivative orders) by central differences
-        def fn(t: float, order: int) -> FramedCurvature:
+        # curvature entries (and two derivative orders) by central
+        # differences; ``field_fn`` takes floats, so per lane
+        @lanewise
+        def entries(t: float, order: int):
             hh, ht = 1e-5, 1e-4
             stencil = [extract(t + s * ht, hh) for s in (-1, 0, 1)]
 
@@ -366,8 +397,11 @@ def reconstruct_from_field(field_fn, p0: tuple[float, float],
                     d[2] = (vals[2] - 2 * vals[1] + vals[0]) / ht**2
                 return Jet(t, d)
 
-            return FramedCurvature(l=entry_jet(0, 1), m=entry_jet(0, 2),
-                                   n=entry_jet(1, 2), alpha=alpha_fn(t, order))
+            return (entry_jet(0, 1), entry_jet(0, 2), entry_jet(1, 2),
+                    alpha_fn(t, order))
+
+        def fn(ts, order: int) -> FramedCurvature:
+            return FramedCurvature(*entries(ts, order))
         return fn
 
     def extract_a(u, hh):

@@ -133,7 +133,8 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
     ``speed`` is a constant or a coefficient pair (s0, s1) for s0 + s1 v.
     The tangent indicatrix of B retraces the one of ``base``, which makes the
     translation surface of (base, B) a framed base surface near the tangency
-    curve u = h(v).
+    curve u = h(v). B(t) is a Simpson sum over at least 17 nodes in [0, t],
+    and the base frame at all of them is evaluated as one batch.
     """
     h_jet = _quadratic(h0, h1, h2)
     if isinstance(speed, (int, float)):
@@ -163,12 +164,17 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
         ss = np.linspace(0.0, t, n + 1)
         w = np.ones(n + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        vals = np.array([[c.value for c in direction(float(x), 2)] for x in ss])
+        # the values of ``direction`` at every Simpson node, from one batch
+        # of the base frame with the same float operations: h as in
+        # ``_quadratic``, and 0.0 + mu as the value ``compose_outer`` forms
+        mu = base.batch_jets(h0 + h1 * ss + 0.5 * h2 * ss * ss, 2).mu
+        vals = (s0 + s1 * ss)[:, None] * (0.0 + np.stack(
+            [c.value for c in mu], axis=1))
         out = (t / n) / 3.0 * (w[:, None] * vals).sum(axis=0)
         cache[t] = out
         return out
 
-    # the quadrature in ``value`` is scalar, so a batch evaluates per lane
+    # each t has its own quadrature in ``value``, so a batch evaluates per lane
     @lanewise
     def gamma(t: float, order: int):
         dirj = direction(t, max(order - 1, 2))

@@ -138,7 +138,7 @@ def suite_reconstruction(step: float = 1e-3) -> list[Check]:
         a, b = (curves.catalog(n) for n in CATALOG_PAIRS[key])
         ff = FrameField(a, b)
         ra, rb = reconstruct_framed_curves(
-            a.curvature, b.curvature, ff.value(0.0, 0.0),
+            a.batch_curvature, b.batch_curvature, ff.value(0.0, 0.0),
             (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=step)
         ffr = FrameField(ra, rb)
         worst = 0.0

@@ -228,7 +228,7 @@ def test_c07_reconstruction_roundtrip_and_order():
         a, b = (catalog(n) for n in CATALOG_PAIRS[key])
         ff = FrameField(a, b)
         ra, rb = reconstruct_framed_curves(
-            a.curvature, b.curvature, ff.value(0.0, 0.0),
+            a.batch_curvature, b.batch_curvature, ff.value(0.0, 0.0),
             (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=1e-3)
         ffr = FrameField(ra, rb)
         worst = max(

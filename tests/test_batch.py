@@ -1,7 +1,8 @@
 """Jets with a batch axis: every lane equals the scalar evaluation bitwise.
 
 Covers the curve batch method against the per-point methods, the batched
-Newton refinement of the scan against a scalar reference loop, the
+quadrature of the tangent-sliding curves against a per-node reference, the
+batched Newton refinement of the scan against a scalar reference loop, the
 residual landscape against ``partial_value``, the field-dependence scan
 against a per-point reference loop, and errors raised by a single failing
 lane.
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from transurf import instances, jets, surface
 from transurf.curves import (CurveJets, build_curve, catalog, catalog_names,
-                             frenet_lift, parse_curve)
+                             frenet_lift, parse_curve, vec_values)
 from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2)
 from transurf.framefield import frame_dot, reconstruct_framed_curves
@@ -42,7 +43,7 @@ def _curvature_jets(c):
 
 def _reconstructed():
     a, _ = reconstruct_framed_curves(
-        catalog("s1m_a").curvature, catalog("s0_b").curvature,
+        catalog("s1m_a").batch_curvature, catalog("s0_b").batch_curvature,
         np.eye(3), (0.0, 0.0), (-0.5, 0.5), (-0.5, 0.5), step=1e-2)
     return a
 
@@ -96,6 +97,55 @@ def test_scaled_and_negated_curves_batch():
     for fc in (base.scaled(0.5), base.scaled(0.5).negated()):
         _assert_lanes(fc.batch_jets(ts, 3).gamma,
                       [fc.gamma_jets(float(t), 3) for t in ts])
+
+
+def _slide_value_reference(base, h0, h1, h2, s0, s1, t):
+    """The Simpson sum of a tangent-sliding curve with one scalar direction
+    jet per node: speed(x) * (mu_base o h)(x), both jets of order 2."""
+    h_jet = instances._quadratic(h0, h1, h2)
+
+    def direction(x):
+        hj = h_jet(x, 2)
+        mu = base.frame_row(3, hj.value, 2)
+        spj = Jet(x, [s0 + s1 * x, s1, 0.0])
+        return [(spj * Jet(x, hj.compose_outer(mu[c].d).d)).value
+                for c in range(3)]
+
+    n = max(16, 2 * int(abs(t) / 0.05) + 2)
+    ss = np.linspace(0.0, t, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    vals = np.array([direction(float(x)) for x in ss])
+    return (t / n) / 3.0 * (w[:, None] * vals).sum(axis=0)
+
+
+# (surface builder, base curve, h0, h1, h2, s0, s1) as each instance
+# passes them to ``tangent_slide_curve``
+SLIDES = {
+    "edge": (lambda: instances.slide_pair("edge"), instances.helix,
+             0.2, 1.7, 0.6, 1.0, 0.0),
+    "swallowtail": (lambda: instances.slide_pair("swallowtail"),
+                    instances.helix, 0.2, -1.0, 0.8, 1.0, 0.0),
+    "nonfront": (lambda: instances.slide_pair("nonfront"), instances.helix,
+                 0.2, 1.0, 0.9, 1.0, 0.0),
+    "cusp": (instances.singular_speed_pair,
+             lambda: instances.cusp_curve(planar=False),
+             0.0, 1.3, 0.0, 1.0, 0.0),
+    "fading": (instances.rank_zero_pair,
+               lambda: instances.cusp_curve(planar=False),
+               0.0, 1.4, 0.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SLIDES))
+def test_slide_quadrature_matches_scalar_reference(kind):
+    pair, base, *params = SLIDES[kind]
+    slide = pair()[0].curve_v
+    # |t| = 0.45 takes 20 Simpson intervals, more than the minimum of 16
+    for t in (-0.45, -0.1, 0.17, 0.45):
+        got = vec_values(slide.gamma_jets(t, 2))
+        want = _slide_value_reference(base(), *params, t)
+        assert _bits(got) == _bits(want), t
 
 
 def _newton_reference(s, u, v, tol, max_iter=80):

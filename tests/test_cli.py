@@ -172,6 +172,15 @@ def test_input_errors_exit_2(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_build_surface_validates():
+    # Python callers build surfaces without the command line; a frame the
+    # catalog curve would drop is an error there too
+    cfg = RunConfig(curve_a="@s0_a", frame_a="(1,0,0);(0,1,0)",
+                    curve_b="@s0_b")
+    with pytest.raises(ValueError, match="--frame-a is ignored"):
+        cfg.build_surface()
+
+
 def test_verify_command(capsys):
     assert run_cli(["verify", "jets"]) == 0
     out = capsys.readouterr().out

@@ -191,7 +191,7 @@ def _roundtrip_error(name_a, name_b, step, window=0.9, grid=6):
     a, b = catalog(name_a), catalog(name_b)
     ff = FrameField(a, b)
     ra, rb = reconstruct_framed_curves(
-        a.curvature, b.curvature, ff.value(0.0, 0.0),
+        a.batch_curvature, b.batch_curvature, ff.value(0.0, 0.0),
         (0.0, 0.0), (-window, window), (-window, window), step=step)
     ffr = FrameField(ra, rb)
     worst = 0.0
@@ -274,14 +274,16 @@ def test_incompatible_field_rejected():
                                one, one)
 
 
-def _counted_ode_curve(calls, t0=0.3, step=1e-3):
+def _counted_ode_curve(calls, sources, t0=0.3, step=1e-3):
     """An ODE curve over the s1m_a curvature that logs each (t, order) it
-    asks the curvature function for."""
-    base = catalog("s1m_a").curvature
+    asks the curvature source for, one entry per lane, and the length of
+    each source call."""
+    base = catalog("s1m_a").batch_curvature
 
-    def curvature_fn(t, order):
-        calls.append((t, order))
-        return base(t, order)
+    def curvature_fn(ts, order):
+        calls.extend((float(t), order) for t in ts)
+        sources.append(len(ts))
+        return base(ts, order)
 
     return OdeFramedCurve(curvature_fn, t0, np.eye(3), (-1.0, 1.0), step=step)
 
@@ -289,18 +291,75 @@ def _counted_ode_curve(calls, t0=0.3, step=1e-3):
 def test_rk4_evaluates_curvature_once_per_stage_time():
     # each step needs F at its midpoint and at its end node; the end node
     # starts the next step
-    calls = []
+    calls, sources = [], []
     n = 200
-    curve = _counted_ode_curve(calls)
+    curve = _counted_ode_curve(calls, sources)
+    before = len(sources)
     curve.state_at(0.3 + n * 1e-3)
     assert {order for _, order in calls} == {1}
     assert len(calls) <= 2 * n + 1
+    # the stage times of all n steps are known in advance: one source call
+    assert len(sources) == before + 1
 
 
 def test_frame_rows_share_one_derivative_stack():
     calls = []
-    curve = _counted_ode_curve(calls)
+    curve = _counted_ode_curve(calls, [])
     t = 0.3171
     curve.frame_row(1, t, 4)
     curve.frame_row(2, t, 4)
     assert calls.count((t, 4)) == 1
+
+
+def _reference_state(curvature, t0, step, t):
+    """The per-step RK4 integrator from R = I, gamma = 0 at t0: F and alpha
+    at each stage time from their own scalar curvature call, then an
+    off-node step to t."""
+    def fmat(x):
+        c = curvature(x, 1)
+        l, m, n = c.l.value, c.m.value, c.n.value
+        return (np.array([[0.0, l, m], [-l, 0.0, n], [-m, -n, 0.0]]),
+                c.alpha.value)
+
+    def rk4_step(tk, node, h, end):
+        R, g, F0, a0 = node
+        Fm, am = fmat(tk + h / 2)
+        F1, a1 = end
+
+        def rhs(F, a, Rc):
+            return F @ Rc, a * Rc[2]
+
+        k1R, k1g = rhs(F0, a0, R)
+        k2R, k2g = rhs(Fm, am, R + h / 2 * k1R)
+        k3R, k3g = rhs(Fm, am, R + h / 2 * k2R)
+        k4R, k4g = rhs(F1, a1, R + h * k3R)
+        return (R + h / 6 * (k1R + 2 * k2R + 2 * k3R + k4R),
+                g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
+
+    k = int(round((t - t0) / step))
+    sign = 1 if k >= 0 else -1
+    node = (np.eye(3), np.zeros(3), *fmat(t0))
+    for j in range(0, k, sign):
+        end = fmat(t0 + (j + sign) * step)
+        R, g = rk4_step(t0 + j * step, node, sign * step, end)
+        node = (polar_rotation(R), g, *end)
+    tk = t0 + k * step
+    if t == tk:
+        return node[0], node[1]
+    R, g = rk4_step(tk, node, t - tk, fmat(t))
+    return polar_rotation(R), g
+
+
+@pytest.mark.parametrize("step,n", [(1e-3, 60), (1.6e-2, 40)])
+def test_batched_stage_times_match_per_step_reference(step, n):
+    # nodes on both sides of t0 = 0.3, and one off-node time on each side
+    base = catalog("s1m_a")
+    curve = OdeFramedCurve(base.batch_curvature, 0.3, np.eye(3), (-1.0, 1.0),
+                           step=step)
+    times = [0.3 + j * step for j in (n, 1, -n, -1, 0)]
+    times += [0.3 + 2.5 * step, 0.3 - 3.5 * step]
+    for t in times:
+        R, g = curve.state_at(t)
+        R_ref, g_ref = _reference_state(base.curvature, 0.3, step, t)
+        assert R.tobytes() == R_ref.tobytes(), t
+        assert g.tobytes() == g_ref.tobytes(), t
