@@ -109,6 +109,8 @@ def _curve_from_arg(src: str, frame: str, span: tuple[float, float],
 def cmd_scan(cfg: RunConfig) -> int:
     if cfg.fmt not in (None, "csv"):
         raise ValueError("scan writes csv loci; use the mesh command for obj")
+    if cfg.fmt and not cfg.out:
+        raise ValueError("--format is ignored without --out")
     s = cfg.build_surface()
     points = find_singular_points(s, cfg.window, grid_n=cfg.grid_n)
     docs = []
@@ -194,6 +196,8 @@ def cmd_mesh(cfg: RunConfig, locus: str | None = None) -> int:
         raise ValueError("mesh writes obj; use the scan command for csv")
     if not cfg.out:
         raise ValueError("mesh requires --out PATH")
+    if cfg.report:
+        raise ValueError("--report is ignored by mesh, which writes no report")
     s = cfg.build_surface()
     write_obj(s, cfg.window, cfg.grid_n, cfg.out)
     if locus:

@@ -23,21 +23,44 @@ import numpy as np
 from . import jets
 from .curves import vec_values
 from .errors import ThetaUnavailable, TransurfError
+from .framefield import frame_dot
 from .jets import BiJet, Jet
 from .surface import TranslationSurface
 
 _EXT_RADIUS = 1e-6     # hypot(t31, t32) below this uses the limit extension
 _RAY_ZERO_TOL = 1e-9   # relative size below which a ray-jet coefficient is 0
 
-
-def _ray_jet(f: Jet, d: float) -> Jet:
-    """Jet in s of t -> f(t0 + s d) at s = 0."""
-    return Jet(0.0, f.d * np.power(d, np.arange(f.order + 1)))
+# the ray directions whose limits decide the angle at a zero of (t31, t32)
+_FAN = tuple((math.cos(k * math.pi / 8), math.sin(k * math.pi / 8))
+             for k in range(16))
+# the extension's one-sided derivative directions, exact (the even lanes of
+# the fan differ in the last bit), each followed by its negative
+_H = math.sqrt(0.5)
+_AXES = {"u": (1.0, 0.0), "v": (0.0, 1.0), "diag": (_H, _H), "anti": (_H, -_H)}
+_AXIS_RAYS = tuple(r for d in _AXES.values() for r in (d, (-d[0], -d[1])))
 
 
 def _deflate(d: np.ndarray) -> np.ndarray:
     """Taylor division by s for a jet vanishing at 0 (derivative storage)."""
     return d[1:] / np.arange(1.0, len(d))
+
+
+def _angle_jet(da: np.ndarray, db: np.ndarray) -> Jet | None:
+    """Jet of the angle of a pair with derivative rows (da, db) along a ray,
+    after factoring out their common zeros; None when the pair vanishes to
+    high order."""
+    scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
+    if scale < 1e-12:
+        # the pair vanishes along this ray up to roundoff
+        return None
+    while (abs(da[0]) < _RAY_ZERO_TOL * scale
+           and abs(db[0]) < _RAY_ZERO_TOL * scale and len(da) > 3):
+        da, db = _deflate(da), _deflate(db)
+    r = math.hypot(da[0], db[0])
+    if r < _RAY_ZERO_TOL * scale:
+        return None
+    # a common positive rescale leaves the angle (and its jet) unchanged
+    return jets.atan2(Jet(0.0, db / r), Jet(0.0, da / r))
 
 
 @dataclass
@@ -69,60 +92,36 @@ class ThetaField:
 
     # -- raw ingredients ------------------------------------------------------
 
-    def _t_pair_ray(self, p, d, order=6):
-        """Univariate jets of (t31, -t32) along p + s d."""
+    def _ray_angle_jets(self, p, dirs, order=6) -> list[Jet | None]:
+        """One-sided jets of the angle of (t31, -t32) along p + s d for each
+        direction d of ``dirs`` (None where the pair vanishes to high order),
+        from one batched product of the pair's jets, one lane per ray."""
         u, v = p
-        d1, d2 = d
-        a = self.s.curve_u
-        b = self.s.curve_v
-        t31 = Jet.constant(0.0, 0.0, order)
-        t32 = Jet.constant(0.0, 0.0, order)
-        mu_b = b.frame_row(3, v, order)
-        nu1_a = a.frame_row(1, u, order)
-        nu2_a = a.frame_row(2, u, order)
-        for c in range(3):
-            bj = _ray_jet(mu_b[c], d2)
-            t31 = t31 + bj * _ray_jet(nu1_a[c], d1)
-            t32 = t32 + bj * _ray_jet(nu2_a[c], d1)
-        return t31, -t32
+        k = np.arange(order + 1)
+        # jets in s of t -> f(t0 + s d) at s = 0, one lane per ray
+        wu = np.array([np.power(d[0], k) for d in dirs]).T
+        wv = np.array([np.power(d[1], k) for d in dirs]).T
 
-    def _ray_angle_jet(self, p, d):
-        """One-sided jet of the angle of (t31, -t32) along the ray direction d.
+        def along(row, w):
+            return [Jet(0.0, c.d[:, None] * w) for c in row]
 
-        Common zeros of the pair are factored out first; returns None for a
-        ray along which the pair vanishes to high order.
-        """
-        a, b = self._t_pair_ray(p, d)
-        da, db = a.d.copy(), b.d.copy()
-        scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
-        if scale < 1e-12:
-            # the pair vanishes along this ray up to roundoff
-            return None
-        while (abs(da[0]) < _RAY_ZERO_TOL * scale
-               and abs(db[0]) < _RAY_ZERO_TOL * scale and len(da) > 3):
-            da, db = _deflate(da), _deflate(db)
-        r = math.hypot(da[0], db[0])
-        if r < _RAY_ZERO_TOL * scale:
-            return None
-        # a common positive rescale leaves the angle (and its jet) unchanged
-        return jets.atan2(Jet(0.0, db / r), Jet(0.0, da / r))
+        mu_b = along(self.s.curve_v.frame_row(3, v, order), wv)
+        t31 = frame_dot(mu_b, along(self.s.curve_u.frame_row(1, u, order), wu))
+        t32 = frame_dot(mu_b, along(self.s.curve_u.frame_row(2, u, order), wu))
+        return [_angle_jet(da, db) for da, db in zip(t31.d.T, (-t32).d.T)]
 
     # -- limit extension ------------------------------------------------------
 
-    def _ray_limit(self, p) -> tuple[float, float, str]:
-        """Limit of the angle at p from the directional limits along 16 rays.
+    def _ray_limit(self, fan) -> tuple[float, float, str]:
+        """Limit of the angle at a point from its directional limits along
+        the 16 rays of ``_FAN``, whose angle jets are ``fan``.
 
         Returns (twice the limit, spread, reason): the doubled-angle mean of
         the directional limits (mod-pi agreement), the largest deviation of
         a limit from it, and why there is no limit ("" when there is one:
         the spread is within theta_dir_tol).
         """
-        doubled = []
-        for k in range(16):
-            psi = k * math.pi / 8
-            aj = self._ray_angle_jet(p, (math.cos(psi), math.sin(psi)))
-            if aj is not None:
-                doubled.append(2.0 * aj.value)
+        doubled = [2.0 * aj.value for aj in fan if aj is not None]
         if len(doubled) < 8:
             return 0.0, 0.0, ("tangent pair vanishes to high order along "
                               "most directions")
@@ -140,7 +139,8 @@ class ThetaField:
         return mean2, spread, ""
 
     def _extension(self, p) -> ThetaPoint:
-        mean2, spread, reason = self._ray_limit(p)
+        rays = self._ray_angle_jets(p, _FAN + _AXIS_RAYS)
+        mean2, spread, reason = self._ray_limit(rays[:len(_FAN)])
         if reason:
             return ThetaPoint(provenance="unavailable", residual=spread,
                               reason=reason)
@@ -148,9 +148,7 @@ class ThetaField:
         theta0 = mean2 / 2.0
 
         # derivatives from one-sided jets along the axes and diagonals
-        def dpair(d):
-            plus = self._ray_angle_jet(p, d)
-            minus = self._ray_angle_jet(p, (-d[0], -d[1]))
+        def dpair(plus, minus):
             if plus is None or minus is None:
                 return None
             d1p, d1m = plus.deriv(1), -minus.deriv(1)
@@ -180,11 +178,9 @@ class ThetaField:
             d2b = (samples[5e-4] - 2 * theta0 + samples[-5e-4]) / 2.5e-7
             return ((4 * d1b - d1a) / 3.0, (4 * d2b - d2a) / 3.0)
 
-        axes = {}
-        for name, d in (("u", (1.0, 0.0)), ("v", (0.0, 1.0)),
-                        ("diag", (math.sqrt(0.5), math.sqrt(0.5))),
-                        ("anti", (math.sqrt(0.5), -math.sqrt(0.5)))):
-            axes[name] = dpair(d) or fd_pair(d)
+        pairs = rays[len(_FAN):]
+        axes = {name: dpair(*pairs[2 * k: 2 * k + 2]) or fd_pair(d)
+                for k, (name, d) in enumerate(_AXES.items())}
         if any(val is None for val in axes.values()):
             return ThetaPoint(
                 value=theta0, provenance="unavailable",
@@ -210,7 +206,7 @@ class ThetaField:
         t32 = self.s.field.partial_value(3, 2, q[0], q[1])
         if math.hypot(t31, t32) >= _EXT_RADIUS:
             return align_pi(math.atan2(-t32, t31), ref)
-        mean2, _, reason = self._ray_limit(q)
+        mean2, _, reason = self._ray_limit(self._ray_angle_jets(q, _FAN))
         return None if reason else align_pi(mean2 / 2.0, ref)
 
     # -- public evaluation ----------------------------------------------------

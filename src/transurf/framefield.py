@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import FramedCurve, FramedCurvature, VecJets, lanewise, shift3
+from .curves import (FramedCurve, FramedCurvature, VecJets, lanewise,
+                     shift3, vec_values)
 from .errors import NotIntegrable
 from .jets import BiJet, Jet
 
@@ -63,12 +64,17 @@ class FrameField:
             c = c + np.outer(row_a[k].d[: degree + 1], row_b[k].d[: degree + 1])
         return BiJet(u, v, c)
 
-    def value(self, u: float, v: float) -> np.ndarray:
-        a_rows = [self.curve_a.frame_row(i, u, 2) for i in (1, 2, 3)]
-        b_rows = [self.curve_b.frame_row(i, v, 2) for i in (1, 2, 3)]
-        av = np.array([[c.value for c in row] for row in a_rows])
-        bv = np.array([[c.value for c in row] for row in b_rows])
-        return bv @ av.T
+    def value(self, u, v) -> np.ndarray:
+        """T at (u, v), a 3 x 3 matrix. For 1-D arrays ``u`` and ``v``, T at
+        every node of the grid u x v, of shape (len(u), len(v), 3, 3), from
+        one batch per curve; a float call is the grid of one node."""
+        if not isinstance(u, np.ndarray):
+            return self.value(np.array([u]), np.array([v]))[0, 0]
+        ja, jb = self.curve_a.batch_jets(u, 2), self.curve_b.batch_jets(v, 2)
+        # the frame rows (nu1, nu2, mu) of a curve, one 3 x 3 matrix per lane
+        av, bv = (np.ascontiguousarray(np.moveaxis(np.array(
+            [vec_values(on.row(i)) for i in (1, 2, 3)]), -1, 0)) for on in (ja, jb))
+        return bv[None] @ av[:, None].swapaxes(-1, -2)
 
     def partial_value(self, i: int, j: int, u: float, v: float,
                       du: int = 0, dv: int = 0) -> float:
@@ -90,6 +96,10 @@ def _curvature_matrix(c: FramedCurvature) -> np.ndarray:
     F[..., 0, 1], F[..., 0, 2], F[..., 1, 2] = l, m, n
     F[..., 1, 0], F[..., 2, 0], F[..., 2, 1] = -l, -m, -n
     return F
+
+
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
 
 
 @dataclass
@@ -117,50 +127,40 @@ class CompatibilityReport:
 
 
 def check_compatibility(ff: FrameField, us: np.ndarray, vs: np.ndarray) -> CompatibilityReport:
-    """Evaluate every frame-matrix identity on the grid us x vs."""
-    rep = CompatibilityReport()
-    for u in us:
-        u = float(u)
-        ca = ff.curve_a.curvature(u, 2)
-        Fu = _curvature_matrix(ca)
-        for v in vs:
-            v = float(v)
-            cb = ff.curve_b.curvature(v, 2)
-            Fv = _curvature_matrix(cb)
-            M = [[ff.t_bijet(i, j, u, v, degree=2) for j in (1, 2, 3)]
-                 for i in (1, 2, 3)]
-            T = np.array([[M[i][j].value for j in range(3)] for i in range(3)])
-            Tu = np.array([[M[i][j].part(1, 0) for j in range(3)] for i in range(3)])
-            Tv = np.array([[M[i][j].part(0, 1) for j in range(3)] for i in range(3)])
-            Tuv = np.array([[M[i][j].part(1, 1) for j in range(3)] for i in range(3)])
+    """Evaluate every frame-matrix identity on the grid us x vs.
 
-            so3 = float(np.max(np.abs(T.T @ T - np.eye(3))))
-            det = abs(float(np.linalg.det(T)) - 1.0)
-            r1 = float(np.max(np.abs(Tu + T @ Fu)))
-            r2 = float(np.max(np.abs(Tv - Fv @ T)))
-            r4 = float(np.max(np.abs(Tuv - Tv @ T.T @ Tu)))
+    T, T_u, T_v and T_uv at every node come from one ``batch_jets`` per
+    curve, as ``frame_dot`` of frame-row derivatives; each equals the
+    matching ``t_bijet`` entry bitwise.
+    """
+    ja, jb = ff.curve_a.batch_jets(us, 3), ff.curve_b.batch_jets(vs, 3)
 
-            l, m, n = ca.l.value, ca.m.value, ca.n.value
-            lt, mt, nt = cb.l.value, cb.m.value, cb.n.value
-            rec = 0.0
-            for i in range(3):
-                rec = max(rec,
-                          abs(Tu[i, 0] - (l * T[i, 1] + m * T[i, 2])),
-                          abs(Tu[i, 1] - (-l * T[i, 0] + n * T[i, 2])),
-                          abs(Tu[i, 2] - (-m * T[i, 0] - n * T[i, 1])))
-            for j in range(3):
-                rec = max(rec,
-                          abs(Tv[0, j] - (lt * T[1, j] + mt * T[2, j])),
-                          abs(Tv[1, j] - (-lt * T[0, j] + nt * T[2, j])),
-                          abs(Tv[2, j] - (-mt * T[0, j] - nt * T[1, j])))
+    def partial(p, q):
+        # d^p/du^p d^q/dv^q T at every node: shape (len(us), len(vs), 3, 3)
+        return np.stack([np.stack([
+            frame_dot([c.d[q][None, :] for c in jb.row(i)],
+                      [c.d[p][:, None] for c in ja.row(j)])
+            for j in (1, 2, 3)], axis=-1) for i in (1, 2, 3)], axis=-2)
 
-            rep.so3_orth = max(rep.so3_orth, so3)
-            rep.so3_det = max(rep.so3_det, det)
-            rep.du_identity = max(rep.du_identity, r1)
-            rep.dv_identity = max(rep.dv_identity, r2)
-            rep.scalar_recursions = max(rep.scalar_recursions, rec)
-            rep.second_order = max(rep.second_order, r4)
-    return rep
+    T, Tu, Tv, Tuv = partial(0, 0), partial(1, 0), partial(0, 1), partial(1, 1)
+    ca, cb = ja.curvature, jb.curvature
+    Tt = T.swapaxes(-1, -2)
+    # curvatures along the u or v axis; the last axis is the row or column
+    l, m, n = (x.value[:, None, None] for x in (ca.l, ca.m, ca.n))
+    lt, mt, nt = (x.value[None, :, None] for x in (cb.l, cb.m, cb.n))
+    rec = [Tu[..., 0] - (l * T[..., 1] + m * T[..., 2]),
+           Tu[..., 1] - (-l * T[..., 0] + n * T[..., 2]),
+           Tu[..., 2] - (-m * T[..., 0] - n * T[..., 1]),
+           Tv[..., 0, :] - (lt * T[..., 1, :] + mt * T[..., 2, :]),
+           Tv[..., 1, :] - (-lt * T[..., 0, :] + nt * T[..., 2, :]),
+           Tv[..., 2, :] - (-mt * T[..., 0, :] - nt * T[..., 1, :])]
+    return CompatibilityReport(
+        so3_orth=_max_abs(Tt @ T - np.eye(3)),
+        so3_det=_max_abs(np.linalg.det(T) - 1.0),
+        du_identity=_max_abs(Tu + T @ _curvature_matrix(ca)[:, None]),
+        dv_identity=_max_abs(Tv - _curvature_matrix(cb)[None, :] @ T),
+        scalar_recursions=max(_max_abs(r) for r in rec),
+        second_order=_max_abs(Tuv - Tv @ Tt @ Tu))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +354,12 @@ def reconstruct_from_field(field_fn, p0: tuple[float, float],
                            ) -> tuple[OdeFramedCurve, OdeFramedCurve]:
     """Reconstruct from a closed-form matrix field T(u, v).
 
+    ``field_fn(us, vs)`` takes 1-D arrays and returns T on the grid us x vs,
+    of shape (len(us), len(vs), 3, 3), as :meth:`FrameField.value` does.
+    ``alpha_a`` and ``alpha_b`` map (ts, order), with ``ts`` a 1-D array, to
+    the speed jets at ``ts``, as the ``alpha`` of
+    :meth:`FramedCurve.batch_curvature`.
+
     The field must satisfy the mixed-derivative identity
     T_uv = T_v T^t T_u (checked by finite differences on a sample grid);
     otherwise NotIntegrable is raised. The curvature matrices are recovered
@@ -362,58 +368,54 @@ def reconstruct_from_field(field_fn, p0: tuple[float, float],
     u0, v0 = p0
     h = 1e-5
 
-    def Tm(u, v):
-        return np.asarray(field_fn(u, v), dtype=float)
+    def stencil(ts, hh):
+        return np.concatenate((ts - hh, ts, ts + hh))
 
-    worst = 0.0
-    for u in np.linspace(domain_a[0] + h, domain_a[1] - h, check_points):
-        for v in np.linspace(domain_b[0] + h, domain_b[1] - h, check_points):
-            T = Tm(u, v)
-            Tu = (Tm(u + h, v) - Tm(u - h, v)) / (2 * h)
-            Tv = (Tm(u, v + h) - Tm(u, v - h)) / (2 * h)
-            Tuv = (Tm(u + h, v + h) - Tm(u - h, v + h)
-                   - Tm(u + h, v - h) + Tm(u - h, v - h)) / (4 * h * h)
-            worst = max(worst, float(np.max(np.abs(Tuv - Tv @ T.T @ Tu))))
-            worst = max(worst, float(np.max(np.abs(T.T @ T - np.eye(3)))))
+    us = np.linspace(domain_a[0] + h, domain_a[1] - h, check_points)
+    vs = np.linspace(domain_b[0] + h, domain_b[1] - h, check_points)
+    # node [i, a, j, b] is T(us[a] + (i - 1) h, vs[b] + (j - 1) h)
+    G = field_fn(stencil(us, h), stencil(vs, h)).reshape(
+        3, check_points, 3, check_points, 3, 3)
+    T = G[1, :, 1]
+    Tu = (G[2, :, 1] - G[0, :, 1]) / (2 * h)
+    Tv = (G[1, :, 2] - G[1, :, 0]) / (2 * h)
+    Tuv = (G[2, :, 2] - G[0, :, 2] - G[2, :, 0] + G[0, :, 0]) / (4 * h * h)
+    Tt = T.swapaxes(-1, -2)
+    worst = max(_max_abs(Tuv - Tv @ Tt @ Tu), _max_abs(Tt @ T - np.eye(3)))
     if worst > _FIELD_FD_TOL:
         raise NotIntegrable(
             f"field fails the mixed-derivative identity (residual {worst:.3e})")
 
     def curv_from_F(extract, alpha_fn):
         # curvature entries (and two derivative orders) by central
-        # differences; ``field_fn`` takes floats, so per lane
-        @lanewise
-        def entries(t: float, order: int):
-            hh, ht = 1e-5, 1e-4
-            stencil = [extract(t + s * ht, hh) for s in (-1, 0, 1)]
-
-            def entry_jet(i, j):
-                vals = [m[i, j] for m in stencil]
-                d = np.zeros(order + 1)
-                d[0] = vals[1]
-                if order >= 1:
-                    d[1] = (vals[2] - vals[0]) / (2 * ht)
-                if order >= 2:
-                    d[2] = (vals[2] - 2 * vals[1] + vals[0]) / ht**2
-                return Jet(t, d)
-
-            return (entry_jet(0, 1), entry_jet(0, 2), entry_jet(1, 2),
-                    alpha_fn(t, order))
+        # differences; one call of ``extract`` takes every lane's stencil
+        ht = 1e-4
 
         def fn(ts, order: int) -> FramedCurvature:
-            return FramedCurvature(*entries(ts, order))
+            F = extract(stencil(ts, ht)).reshape(3, len(ts), 3, 3)
+
+            def entry_jet(i, j):
+                lo, mid, hi = F[:, :, i, j]
+                rows = (mid, (hi - lo) / (2 * ht), (hi - 2 * mid + lo) / ht**2)
+                d = np.zeros((order + 1, len(ts)))
+                d[:3] = rows[: order + 1]
+                return Jet(ts, d)
+
+            return FramedCurvature(entry_jet(0, 1), entry_jet(0, 2),
+                                   entry_jet(1, 2), alpha_fn(ts, order))
         return fn
 
-    def extract_a(u, hh):
-        T = Tm(u, v0)
-        Tu = (Tm(u + hh, v0) - Tm(u - hh, v0)) / (2 * hh)
-        return -T.T @ Tu
+    def extract_a(us):
+        G = field_fn(stencil(us, h), np.array([v0]))[:, 0]
+        G = G.reshape(3, len(us), 3, 3)
+        return -G[1].swapaxes(-1, -2) @ ((G[2] - G[0]) / (2 * h))
 
-    def extract_b(v, hh):
-        T = Tm(u0, v)
-        Tv = (Tm(u0, v + hh) - Tm(u0, v - hh)) / (2 * hh)
-        return Tv @ T.T
+    def extract_b(vs):
+        G = field_fn(np.array([u0]), stencil(vs, h))[0]
+        G = G.reshape(3, len(vs), 3, 3)
+        return ((G[2] - G[0]) / (2 * h)) @ G[1].swapaxes(-1, -2)
 
     return reconstruct_framed_curves(
         curv_from_F(extract_a, alpha_a), curv_from_F(extract_b, alpha_b),
-        Tm(u0, v0), p0, domain_a, domain_b, step=step)
+        field_fn(np.array([u0]), np.array([v0]))[0, 0], p0, domain_a,
+        domain_b, step=step)

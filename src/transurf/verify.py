@@ -58,6 +58,12 @@ def all_pairs() -> list[str]:
     return list(CATALOG_PAIRS) + list(SELF_PAIRS)
 
 
+def _grid(s: TranslationSurface, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n parameters of each curve, 0.05 inside the ends of its domain."""
+    return tuple(np.linspace(c.domain[0] + 0.05, c.domain[1] - 0.05, n)
+                 for c in (s.curve_u, s.curve_v))
+
+
 # ---------------------------------------------------------------------------
 
 def suite_jets(probes: int = 200) -> list[Check]:
@@ -103,15 +109,9 @@ def suite_frames(grid_n: int = 12) -> list[Check]:
     out = []
     for key in all_pairs():
         s = surface_for(key)
-        lo_u, hi_u = s.curve_u.domain
-        lo_v, hi_v = s.curve_v.domain
-        worst_orth, worst_det = 0.0, 0.0
-        for u in np.linspace(lo_u + 0.05, hi_u - 0.05, grid_n):
-            for v in np.linspace(lo_v + 0.05, hi_v - 0.05, grid_n):
-                T = s.field.value(float(u), float(v))
-                worst_orth = max(worst_orth,
-                                 float(np.max(np.abs(T.T @ T - np.eye(3)))))
-                worst_det = max(worst_det, abs(float(np.linalg.det(T)) - 1.0))
+        T = s.field.value(*_grid(s, grid_n))
+        worst_orth = float(np.max(np.abs(T.swapaxes(-1, -2) @ T - np.eye(3))))
+        worst_det = float(np.max(np.abs(np.linalg.det(T) - 1.0)))
         out.append(Check(f"so3_orthogonality_{key}", worst_orth, 1e-9))
         out.append(Check(f"so3_determinant_{key}", worst_det, 1e-9))
     return out
@@ -121,12 +121,7 @@ def suite_compat(grid_n: int = 32) -> list[Check]:
     out = []
     for key in all_pairs():
         s = surface_for(key)
-        lo_u, hi_u = s.curve_u.domain
-        lo_v, hi_v = s.curve_v.domain
-        rep = check_compatibility(
-            s.field,
-            np.linspace(lo_u + 0.05, hi_u - 0.05, grid_n),
-            np.linspace(lo_v + 0.05, hi_v - 0.05, grid_n))
+        rep = check_compatibility(s.field, *_grid(s, grid_n))
         for name, val in rep.rows():
             out.append(Check(f"{name}_{key}", val, 1e-8))
     return out
@@ -140,13 +135,9 @@ def suite_reconstruction(step: float = 1e-3) -> list[Check]:
         ra, rb = reconstruct_framed_curves(
             a.batch_curvature, b.batch_curvature, ff.value(0.0, 0.0),
             (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=step)
-        ffr = FrameField(ra, rb)
-        worst = 0.0
-        for u in np.linspace(-0.9, 0.9, 6):
-            for v in np.linspace(-0.9, 0.9, 6):
-                worst = max(worst, float(np.max(np.abs(
-                    ffr.value(float(u), float(v))
-                    - ff.value(float(u), float(v))))))
+        g = np.linspace(-0.9, 0.9, 6)
+        worst = float(np.max(np.abs(FrameField(ra, rb).value(g, g)
+                                    - ff.value(g, g))))
         out.append(Check(f"reconstruction_roundtrip_{key}", worst, 1e-6))
     return out
 

@@ -166,10 +166,16 @@ def test_tolerance_overrides_reach_catalog_curves():
      "--self", "minus"],                            # --curve-b ignored
     ["scan", "--curve-a", "@s0_a", "--frame-a", "(1,0,0);(0,1,0)",
      "--curve-b", "@s0_b"],                         # catalog frame ignored
+    ["mesh", "--curve-a", "@s0_a", "--curve-b", "@s0_b", "--out", "{tmp}/m.obj",
+     "--report", "{tmp}/r.json"],                   # mesh writes no report
+    ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
+     "--format", "csv"],                            # --format without --out
 ])
-def test_input_errors_exit_2(args, capsys):
-    assert run_cli(args) == 2
+def test_input_errors_exit_2(args, tmp_path, capsys):
+    assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in args]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
 
 
 def test_build_surface_validates():

@@ -1,16 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from transurf import framedsurf, instances, verify
+from transurf import framedsurf, instances, jets, verify
 from transurf.classify import classify
-from transurf.curves import catalog
+from transurf.curves import FramedCurve, catalog
 from transurf.framedsurf import (ThetaField, align_pi, bn_value,
                                  closed_form_density_partials,
                                  construct_theta, discriminant, front_decision,
                                  front_test, fs_invariants, lemma_oracle,
                                  unit_speed_oracle)
+from transurf.jets import Jet
 from transurf.surface import TranslationSurface
 
 
@@ -227,3 +229,72 @@ def test_lemma_suite_evaluates_theta_once_per_case(monkeypatch):
     checks = verify.suite_lemma()
     assert all(c.passed for c in checks)
     assert len(calls) == 3
+
+
+def _ray_angle_jet_reference(s, p, d, order=6):
+    """One ray of the theta extension on its own: the jets of (t31, -t32)
+    along p + s d as a chain of scalar jets, then the angle jet."""
+    def ray_jet(f, w):
+        return Jet(0.0, f.d * np.power(w, np.arange(f.order + 1)))
+
+    u, v = p
+    t31 = Jet.constant(0.0, 0.0, order)
+    t32 = Jet.constant(0.0, 0.0, order)
+    mu_b = s.curve_v.frame_row(3, v, order)
+    nu1_a = s.curve_u.frame_row(1, u, order)
+    nu2_a = s.curve_u.frame_row(2, u, order)
+    for c in range(3):
+        bj = ray_jet(mu_b[c], d[1])
+        t31 = t31 + bj * ray_jet(nu1_a[c], d[0])
+        t32 = t32 + bj * ray_jet(nu2_a[c], d[0])
+    da, db = t31.d.copy(), (-t32).d.copy()
+    scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
+    if scale < 1e-12:
+        return None
+    tol = framedsurf._RAY_ZERO_TOL
+    while abs(da[0]) < tol * scale and abs(db[0]) < tol * scale and len(da) > 3:
+        da, db = framedsurf._deflate(da), framedsurf._deflate(db)
+    r = math.hypot(da[0], db[0])
+    if r < tol * scale:
+        return None
+    return jets.atan2(Jet(0.0, db / r), Jet(0.0, da / r))
+
+
+RAY_POINTS = {
+    "slide_edge": lambda: instances.slide_pair("edge"),
+    "planar": instances.planar_pair,
+    "sin_minus_diagonal": lambda: (
+        TranslationSurface.self_translation(catalog("sin_curve"), -1),
+        (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAY_POINTS))
+def test_ray_fan_lanes_equal_scalar_reference(case):
+    s, p = RAY_POINTS[case]()
+    dirs = framedsurf._FAN + framedsurf._AXIS_RAYS
+    got = ThetaField(s)._ray_angle_jets(p, dirs)
+    assert len(got) == 24
+    for d, g in zip(dirs, got):
+        want = _ray_angle_jet_reference(s, p, d)
+        assert (g is None) == (want is None), d
+        if want is not None:
+            assert g.d.tobytes() == want.d.tobytes(), d
+
+
+def test_rays_of_a_point_read_the_frame_once(monkeypatch):
+    # the 16 fan rays and the 8 axis rays of the extension come from one
+    # batch, so the ray code reads each of its three frame rows once
+    s, p0 = instances.slide_pair("edge")
+    calls = []
+    original = FramedCurve.frame_row
+
+    def spy(self, *args, **kwargs):
+        if sys._getframe(1).f_code.co_filename == framedsurf.__file__:
+            calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FramedCurve, "frame_row", spy)
+    pt = construct_theta(s, p0)
+    assert pt.provenance == "limit_extension"
+    assert len(calls) <= 6

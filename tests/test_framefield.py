@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from transurf import curves
+from transurf import curves, verify
 from transurf.curves import FramedCurve, catalog
 from transurf.errors import NotIntegrable
-from transurf.framefield import (FrameField, OdeFramedCurve,
+from transurf.framefield import (CompatibilityReport, FrameField,
+                                 OdeFramedCurve, _curvature_matrix,
                                  check_compatibility, polar_rotation,
                                  reconstruct_framed_curves,
                                  reconstruct_from_field)
@@ -151,6 +152,116 @@ def test_compatibility_identities(na, nb):
     assert rep.max_residual() < 1e-8, rep.rows()
 
 
+def _check_compatibility_reference(ff, us, vs):
+    """The identities of check_compatibility node by node: nine t_bijet
+    calls per node and one curvature call per u and per v."""
+    rep = CompatibilityReport()
+    for u in us:
+        u = float(u)
+        ca = ff.curve_a.curvature(u, 2)
+        Fu = _curvature_matrix(ca)
+        for v in vs:
+            v = float(v)
+            cb = ff.curve_b.curvature(v, 2)
+            Fv = _curvature_matrix(cb)
+            M = [[ff.t_bijet(i, j, u, v, degree=2) for j in (1, 2, 3)]
+                 for i in (1, 2, 3)]
+            T = np.array([[M[i][j].value for j in range(3)] for i in range(3)])
+            Tu = np.array([[M[i][j].part(1, 0) for j in range(3)] for i in range(3)])
+            Tv = np.array([[M[i][j].part(0, 1) for j in range(3)] for i in range(3)])
+            Tuv = np.array([[M[i][j].part(1, 1) for j in range(3)] for i in range(3)])
+
+            so3 = float(np.max(np.abs(T.T @ T - np.eye(3))))
+            det = abs(float(np.linalg.det(T)) - 1.0)
+            r1 = float(np.max(np.abs(Tu + T @ Fu)))
+            r2 = float(np.max(np.abs(Tv - Fv @ T)))
+            r4 = float(np.max(np.abs(Tuv - Tv @ T.T @ Tu)))
+
+            l, m, n = ca.l.value, ca.m.value, ca.n.value
+            lt, mt, nt = cb.l.value, cb.m.value, cb.n.value
+            rec = 0.0
+            for i in range(3):
+                rec = max(rec,
+                          abs(Tu[i, 0] - (l * T[i, 1] + m * T[i, 2])),
+                          abs(Tu[i, 1] - (-l * T[i, 0] + n * T[i, 2])),
+                          abs(Tu[i, 2] - (-m * T[i, 0] - n * T[i, 1])))
+            for j in range(3):
+                rec = max(rec,
+                          abs(Tv[0, j] - (lt * T[1, j] + mt * T[2, j])),
+                          abs(Tv[1, j] - (-lt * T[0, j] + nt * T[2, j])),
+                          abs(Tv[2, j] - (-mt * T[0, j] - nt * T[1, j])))
+
+            rep.so3_orth = max(rep.so3_orth, so3)
+            rep.so3_det = max(rep.so3_det, det)
+            rep.du_identity = max(rep.du_identity, r1)
+            rep.dv_identity = max(rep.dv_identity, r2)
+            rep.scalar_recursions = max(rep.scalar_recursions, rec)
+            rep.second_order = max(rep.second_order, r4)
+    return rep
+
+
+def _suite_grid(s, n):
+    lo_u, hi_u = s.curve_u.domain
+    lo_v, hi_v = s.curve_v.domain
+    return (np.linspace(lo_u + 0.05, hi_u - 0.05, n),
+            np.linspace(lo_v + 0.05, hi_v - 0.05, n))
+
+
+@pytest.mark.parametrize("grid_n", [6, 32])
+@pytest.mark.parametrize("key", verify.all_pairs())
+def test_compatibility_grid_matches_pointwise_reference(key, grid_n):
+    s = verify.surface_for(key)
+    us, vs = _suite_grid(s, grid_n)
+    got = check_compatibility(s.field, us, vs)
+    want = _check_compatibility_reference(s.field, us, vs)
+    for (name, g), (_, w) in zip(got.rows(), want.rows()):
+        assert type(g) is float, name
+        assert float(g).hex() == float(w).hex(), name
+
+
+def _value_reference(ff, u, v):
+    """T at one point from the per-point frame rows."""
+    a_rows = [ff.curve_a.frame_row(i, u, 2) for i in (1, 2, 3)]
+    b_rows = [ff.curve_b.frame_row(i, v, 2) for i in (1, 2, 3)]
+    av = np.array([[c.value for c in row] for row in a_rows])
+    bv = np.array([[c.value for c in row] for row in b_rows])
+    return bv @ av.T
+
+
+def _frames_reference(s, grid_n):
+    """suite_frames' residuals for one pair, node by node."""
+    us, vs = _suite_grid(s, grid_n)
+    worst_orth, worst_det = 0.0, 0.0
+    for u in us:
+        for v in vs:
+            T = _value_reference(s.field, float(u), float(v))
+            worst_orth = max(worst_orth,
+                             float(np.max(np.abs(T.T @ T - np.eye(3)))))
+            worst_det = max(worst_det, abs(float(np.linalg.det(T)) - 1.0))
+    return worst_orth, worst_det
+
+
+@pytest.mark.parametrize("key", verify.all_pairs())
+def test_value_grid_nodes_equal_pointwise_reference(key):
+    s = verify.surface_for(key)
+    us, vs = _suite_grid(s, 12)
+    grid = s.field.value(us, vs)
+    assert grid.shape == (12, 12, 3, 3)
+    for a, u in enumerate(us):
+        for b, v in enumerate(vs):
+            want = _value_reference(s.field, float(u), float(v)).tobytes()
+            assert grid[a, b].tobytes() == want
+            assert s.field.value(float(u), float(v)).tobytes() == want
+
+
+def test_frames_suite_matches_pointwise_reference():
+    checks = {c.name: c.value for c in verify.suite_frames()}
+    for key in verify.all_pairs():
+        orth, det = _frames_reference(verify.surface_for(key), 12)
+        assert checks[f"so3_orthogonality_{key}"] == orth
+        assert checks[f"so3_determinant_{key}"] == det
+
+
 def test_constant_frames_zero_residual():
     a = _constant_frame_line((1, 0, 0), (0, 1, 0))
     b = _constant_frame_line((0, 1, 1), (1, 0, 0))
@@ -243,11 +354,11 @@ def test_reconstruction_rk4_order():
 def test_reconstruct_from_closed_form_field():
     ff = FrameField(catalog("s0_a"), catalog("s0_b"))
 
-    def alpha_a(t, order):
-        return catalog("s0_a").curvature(t, order).alpha
+    def alpha_a(ts, order):
+        return catalog("s0_a").batch_curvature(ts, order).alpha
 
-    def alpha_b(t, order):
-        return catalog("s0_b").curvature(t, order).alpha
+    def alpha_b(ts, order):
+        return catalog("s0_b").batch_curvature(ts, order).alpha
 
     ra, rb = reconstruct_from_field(ff.value, (0.0, 0.0), (-0.5, 0.5),
                                     (-0.5, 0.5), alpha_a, alpha_b)
@@ -261,10 +372,14 @@ def test_reconstruct_from_closed_form_field():
 
 
 def test_incompatible_field_rejected():
-    def bogus(u, v):
-        # orthogonal for each (u, v) but not generated by any curve pair
-        c, s = math.cos(u * v), math.sin(u * v)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    def bogus(us, vs):
+        # orthogonal at each node (u, v) but not generated by any curve pair
+        w = np.multiply.outer(us, vs)
+        c, s = np.cos(w), np.sin(w)
+        T = np.zeros(w.shape + (3, 3))
+        T[..., 0, 0], T[..., 0, 1], T[..., 1, 0], T[..., 1, 1] = c, -s, s, c
+        T[..., 2, 2] = 1.0
+        return T
 
     def one(t, order):
         return Jet.constant(1.0, t, order)
