@@ -26,12 +26,12 @@ import numpy as np
 
 from .curves import FramedCurve
 from .errors import ClosedFormMismatch
-from .framedsurf import (ThetaPoint, align_pi, bn_value,
-                         closed_form_density_partials, construct_theta,
-                         directional_derivative, discriminant, front_test,
-                         wrap_pi)
+from .framedsurf import (ThetaPoint, align_pi, closed_form_density_partials,
+                         construct_theta, directional_derivative,
+                         discriminant, front_test, wrap_pi)
 from .jets import BiJet, det3
-from .surface import TranslationSurface, dependence_test, singular_conditions
+from .surface import (PointJets, TranslationSurface, dependence_test,
+                      singular_conditions)
 
 GEN_TOL = 1e-4   # threshold for finite-difference quantities (generic route)
 TRACE_STEP = 0.02   # predictor step of the singular-curve continuation
@@ -100,17 +100,16 @@ def _crit(name, value, tol, nonzero=True) -> CriterionValue:
 # ---------------------------------------------------------------------------
 
 class PointData:
-    """Curvatures, frame-matrix entries and phi jets at one point."""
+    """Curvatures, frame-matrix entries and phi jets at one point, read from
+    the point's ``PointJets``."""
 
-    def __init__(self, cs: TranslationSurface, p0: tuple[float, float],
-                 degree: int = 3):
-        self.s = cs
-        self.p0 = p0
-        u, v = p0
-        self.ca = cs.curve_u.curvature(u, degree + 1)
-        self.cb = cs.curve_v.curvature(v, degree + 1)
-        self.t = {(i, j): cs.field.partial_value(i, j, u, v)
-                  for i in (1, 2, 3) for j in (1, 2, 3)}
+    def __init__(self, pj: PointJets, degree: int = 3):
+        self.pj = pj
+        self.s = pj.s
+        self.p0 = pj.p
+        self.ca = pj.ju.curvature
+        self.cb = pj.jv.curvature
+        self.t = {(i, j): pj.t(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
         self.au = self.ca.alpha.value
         self.av = self.cb.alpha.value
         self.degree = degree
@@ -123,15 +122,14 @@ class PointData:
         eta = -alpha~ d_u + alpha t33 d_v, differentiated as a field."""
         if self._phi is not None:
             return self._phi
-        cs, (u, v), degree = self.s, self.p0, self.degree
-        ff = cs.field
-        xu = cs.x_partial_jets(self.p0, 1, 0, degree)
-        xv = cs.x_partial_jets(self.p0, 0, 1, degree)
-        xuu = cs.x_partial_jets(self.p0, 2, 0, degree)
-        xvv = cs.x_partial_jets(self.p0, 0, 2, degree)
-        t33 = ff.t_bijet(3, 3, u, v, degree)
-        t33u = ff.t_bijet(3, 3, u, v, degree, du=1)
-        t33v = ff.t_bijet(3, 3, u, v, degree, dv=1)
+        pj, (u, v), degree = self.pj, self.p0, self.degree
+        xu = pj.x_partial_jets(1, 0, degree)
+        xv = pj.x_partial_jets(0, 1, degree)
+        xuu = pj.x_partial_jets(2, 0, degree)
+        xvv = pj.x_partial_jets(0, 2, degree)
+        t33 = pj.t_bijet(3, 3, degree)
+        t33u = pj.t_bijet(3, 3, degree, du=1)
+        t33v = pj.t_bijet(3, 3, degree, dv=1)
         al = BiJet.from_u_jet(self.ca.alpha, v, degree)
         alu = BiJet.from_u_jet(self.ca.alpha.differentiate(), v, degree)
         at = BiJet.from_v_jet(self.cb.alpha, u, degree)
@@ -214,12 +212,11 @@ class PointData:
         a, b = self.s.curve_u, self.s.curve_v
         if a.frenet is None or b.frenet is None:
             return False
-        u, v = self.p0
         tols = self.s.tols
         if a.is_arc_length(tols.arc_tol) and b.is_arc_length(tols.arc_tol):
             return True
-        return (a.unit_speed_gate(u, tols.hyp_tol)
-                and b.unit_speed_gate(v, tols.hyp_tol))
+        return (self.pj.ju.unit_speed_gate(tols.hyp_tol)
+                and self.pj.jv.unit_speed_gate(tols.hyp_tol))
 
     def frenet_values(self) -> dict[str, float]:
         u, v = self.p0
@@ -241,9 +238,9 @@ class PointData:
 # rank / corank
 # ---------------------------------------------------------------------------
 
-def corank(s: TranslationSurface, p0: tuple[float, float]) -> int | str:
-    """1, 2, or "regular" from the numerical rank of dx at p0."""
-    rank = s.dx_rank(p0)
+def corank(pj: PointJets) -> int | str:
+    """1, 2, or "regular" from the numerical rank of dx at a point."""
+    rank = pj.dx_rank()
     if rank == 2:
         return "regular"
     return 2 - rank
@@ -253,12 +250,10 @@ def corank(s: TranslationSurface, p0: tuple[float, float]) -> int | str:
 # route 1: direct criteria
 # ---------------------------------------------------------------------------
 
-def classify_S0(cs: TranslationSurface, p0: tuple[float, float],
-                data: PointData | None = None) -> Verdict:
+def classify_S0(d: PointData) -> Verdict:
     """Cross-cap test at a dependent singular point."""
-    tols = cs.tols
-    d = data or PointData(cs, p0)
-    dep = dependence_test(cs, p0)
+    tols = d.s.tols
+    dep = dependence_test(d.pj)
     alpha_prod = d.au * d.av
     s0val = d.cross_cap_value()
     phi = d.phi_bijet()
@@ -289,12 +284,10 @@ def classify_S0(cs: TranslationSurface, p0: tuple[float, float],
     return v
 
 
-def classify_S1(cs: TranslationSurface, p0: tuple[float, float],
-                data: PointData | None = None) -> Verdict:
+def classify_S1(d: PointData) -> Verdict:
     """S1± test: sign of det Hess phi plus the independence witness."""
-    tols = cs.tols
-    d = data or PointData(cs, p0)
-    dep = dependence_test(cs, p0)
+    tols = d.s.tols
+    dep = dependence_test(d.pj)
     s0val = d.cross_cap_value()
     Hc = d.hessian_closed()
     Hj = d.phi_bijet().hessian
@@ -348,25 +341,19 @@ def classify_S1(cs: TranslationSurface, p0: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 def _alpha_identically_zero_derivative(curve: FramedCurve) -> bool:
-    lo, hi = curve.domain
-    for t in np.linspace(lo, hi, 64):
-        if abs(curve.curvature(float(t), 1).alpha.deriv(1)) > SPEED_CONST_TOL:
-            return False
-    return True
+    """|alpha'| <= SPEED_CONST_TOL at 64 domain samples, one batch."""
+    alpha = curve.batch_jets(np.linspace(*curve.domain, 64), 2).alpha
+    return not np.any(np.abs(alpha.d[1]) > SPEED_CONST_TOL)
 
 
-def classify_dependent_framed(cs: TranslationSurface, pt: ThetaPoint,
-                              p0: tuple[float, float],
-                              data: PointData | None = None) -> Verdict:
+def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     """Framed-surface route: regimes split by vanishing of the two speeds."""
-    tols = cs.tols
-    d = data or PointData(cs, p0)
+    cs, tols = d.s, d.s.tols
     if not pt.available:
         return Verdict("Unclassified", "framed_surface", [],
                        ["normal angle available"],
                        [f"theta_unavailable: {pt.reason}"])
     th = pt.require()
-    u0, v0 = p0
     sth, cth = math.sin(pt.value), math.cos(pt.value)
     l, m, n = d.ca.l.value, d.ca.m.value, d.ca.n.value
     mt, nt = d.cb.m.value, d.cb.n.value
@@ -378,8 +365,8 @@ def classify_dependent_framed(cs: TranslationSurface, pt: ThetaPoint,
     al_u = d.ca.alpha.deriv(1)
     at_v = d.cb.alpha.deriv(1)
 
-    disc = discriminant(cs, pt, p0, degree=min(3, th.degree))
-    cf = closed_form_density_partials(cs, pt, p0)
+    disc = discriminant(d.pj, pt, degree=min(3, th.degree))
+    cf = closed_form_density_partials(d.pj, pt)
     etaLam = directional_derivative(disc.Lambda, disc.eta)
     eta_eta_lam = directional_derivative(
         directional_derivative(disc.lam, disc.eta), disc.eta).value
@@ -500,70 +487,105 @@ def classify_dependent_framed(cs: TranslationSurface, pt: ThetaPoint,
 # route 3: generic frontal criteria
 # ---------------------------------------------------------------------------
 
+def _at_points(cs: TranslationSurface, points) -> PointJets:
+    """Both curves at a list of points (u_k, v_k): one ``PointJets`` of
+    batch jets, lane k for point k, from one ``batch_jets(·, 2)`` per curve
+    at the distinct values of its parameter. Element k of each of its values
+    equals the value at point k bitwise."""
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    return cs.at((pts[:, 0], pts[:, 1]), order=2)
+
+
+def _eta(st: PointJets) -> list[np.ndarray]:
+    """The null field (-alpha~ t33, alpha) at every point of a batch."""
+    au, av = (a.tolist() for a in st.alpha_values())
+    return [np.array([-b * t33, a])
+            for a, b, t33 in zip(au, av, st.t(3, 3).tolist())]
+
+
+def _theta_near(st: PointJets, refs) -> list[float]:
+    """The canonical angle atan2(-t32, t31) at point k of a batch, shifted
+    by pi to refs[k]."""
+    return [align_pi(math.atan2(-t32, t31), ref) for t31, t32, ref in
+            zip(st.t(3, 1).tolist(), st.t(3, 2).tolist(), refs)]
+
+
+def _bn(st: PointJets, thetas) -> list[np.ndarray]:
+    """The normal sin(theta) nu1 + cos(theta) nu2 of the u-curve's frame at
+    point k of a batch, with theta = thetas[k]."""
+    n1, n2 = (np.stack([c.value for c in st.ju.row(i)], axis=1)
+              for i in (1, 2))
+    return [math.sin(th) * a + math.cos(th) * b
+            for th, a, b in zip(thetas, n1, n2)]
+
+
+def _cross(p, h) -> list[tuple[float, float]]:
+    """p shifted by +-h along u, then by +-h along v."""
+    return [(p[0] + h, p[1]), (p[0] - h, p[1]),
+            (p[0], p[1] + h), (p[0], p[1] - h)]
+
+
 class _GenericDensity:
     """Signed area density for finite differencing: the hypot of (t31, t32)
-    signed by mod-pi alignment of the local canonical angle with theta0."""
+    signed by mod-pi alignment of the local canonical angle with theta0.
+    Each finite-difference stencil is evaluated as one batch."""
 
     def __init__(self, cs: TranslationSurface, theta0: float):
         self.cs = cs
         self.theta0 = theta0
 
-    def __call__(self, p) -> float:
-        u, v = float(p[0]), float(p[1])
-        t31 = self.cs.field.partial_value(3, 1, u, v)
-        t32 = self.cs.field.partial_value(3, 2, u, v)
-        h = math.hypot(t31, t32)
-        au, av = self.cs.alpha_values((u, v))
-        if h == 0.0:
-            return 0.0
-        gap = abs(wrap_pi(math.atan2(-t32, t31) - self.theta0))
-        sgn = 1.0 if gap < math.pi / 2 else -1.0
-        return au * av * sgn * h
+    def values(self, points) -> list[float]:
+        """The density at every point of ``points``."""
+        st = _at_points(self.cs, points)
+        out = []
+        for au, av, t31, t32 in zip(*(x.tolist() for x in (
+                *st.alpha_values(), st.t(3, 1), st.t(3, 2)))):
+            h = math.hypot(t31, t32)
+            if h == 0.0:
+                out.append(0.0)
+                continue
+            gap = abs(wrap_pi(math.atan2(-t32, t31) - self.theta0))
+            sgn = 1.0 if gap < math.pi / 2 else -1.0
+            out.append(au * av * sgn * h)
+        return out
 
-    def grad(self, p, h=1e-5):
-        return np.array([
-            (self((p[0] + h, p[1])) - self((p[0] - h, p[1]))) / (2 * h),
-            (self((p[0], p[1] + h)) - self((p[0], p[1] - h))) / (2 * h)])
+    def value_and_grad(self, p, h=1e-5):
+        """The density at p and its gradient, as one stencil."""
+        f = self.values([p] + _cross(p, h))
+        return f[0], np.array([(f[1] - f[2]) / (2 * h),
+                               (f[3] - f[4]) / (2 * h)])
 
     def hessian(self, p, h=1e-3):
-        f = self
-        fuu = (f((p[0] + h, p[1])) - 2 * f(p) + f((p[0] - h, p[1]))) / h**2
-        fvv = (f((p[0], p[1] + h)) - 2 * f(p) + f((p[0], p[1] - h))) / h**2
-        fuv = (f((p[0] + h, p[1] + h)) - f((p[0] + h, p[1] - h))
-               - f((p[0] - h, p[1] + h)) + f((p[0] - h, p[1] - h))) / (4 * h**2)
+        f = self.values([p] + _cross(p, h) + [
+            (p[0] + h, p[1] + h), (p[0] + h, p[1] - h),
+            (p[0] - h, p[1] + h), (p[0] - h, p[1] - h)])
+        fuu = (f[1] - 2 * f[0] + f[2]) / h**2
+        fvv = (f[3] - 2 * f[0] + f[4]) / h**2
+        fuv = (f[5] - f[6] - f[7] + f[8]) / (4 * h**2)
         return np.array([[fuu, fuv], [fuv, fvv]])
 
 
-def _eta_values(cs, p):
-    au, av = cs.alpha_values(p)
-    t33 = cs.field.partial_value(3, 3, p[0], p[1])
-    return np.array([-av * t33, au])
-
-
-def _eta_lambda_fd(cs, lam, p, s=1e-4):
-    e = _eta_values(cs, p)
-
-    def g(q):
-        eq = _eta_values(cs, q)
-        return (lam((q[0] + s * eq[0], q[1] + s * eq[1]))
-                - lam((q[0] - s * eq[0], q[1] - s * eq[1]))) / (2 * s)
-
+def _eta_lambda_fd(pj: PointJets, lam: _GenericDensity, s=1e-4):
+    """eta Lambda and eta eta Lambda at the point of ``pj`` by central
+    differences along the null field eta: eta at the two outer points is
+    one stencil, and Lambda at the six points it differences another."""
+    p = pj.p
+    au, av = pj.alpha_values()
+    e = np.array([-av * pj.t(3, 3), au])
     s2 = 1e-3
-    gp = g((p[0] + s2 * e[0], p[1] + s2 * e[1]))
-    gm = g((p[0] - s2 * e[0], p[1] - s2 * e[1]))
-    return g(p), (gp - gm) / (2 * s2)
+    qs = [p, (p[0] + s2 * e[0], p[1] + s2 * e[1]),
+          (p[0] - s2 * e[0], p[1] - s2 * e[1])]
+    f = lam.values([
+        pm for q, eq in zip(qs, [e] + _eta(_at_points(pj.s, qs[1:])))
+        for pm in ((q[0] + s * eq[0], q[1] + s * eq[1]),
+                   (q[0] - s * eq[0], q[1] - s * eq[1]))])
+    g, gp, gm = ((f[k] - f[k + 1]) / (2 * s) for k in (0, 2, 4))
+    return g, (gp - gm) / (2 * s2)
 
 
-def _theta_near(cs, p, ref):
-    """The canonical angle atan2(-t32, t31) at p, shifted by pi to ref."""
-    t31 = cs.field.partial_value(3, 1, p[0], p[1])
-    t32 = cs.field.partial_value(3, 2, p[0], p[1])
-    return align_pi(math.atan2(-t32, t31), ref)
-
-
-def _trace_singular_curve(lam, p0):
-    """Few predictor-corrector steps along lam = 0 through p0 (both ways)."""
-    g0 = lam.grad(p0)
+def _trace_singular_curve(lam, p0, g0):
+    """Few predictor-corrector steps along lam = 0 through p0 (both ways),
+    where lam has the gradient g0."""
     nrm = float(np.linalg.norm(g0))
     if nrm < 1e-12:
         return None
@@ -571,11 +593,15 @@ def _trace_singular_curve(lam, p0):
 
     def correct(q):
         for _ in range(6):
-            g = lam.grad(q)
+            f, g = lam.value_and_grad(q)
             gn = float(np.linalg.norm(g))
             if gn < 1e-14:
                 return None
-            q = q - g * (lam(q) / gn**2)
+            q_next = q - g * (f / gn**2)
+            # an iterate that repeats exactly repeats from then on
+            if q_next.tobytes() == q.tobytes():
+                break
+            q = q_next
         return q
 
     pts = {0: np.asarray(p0, float)}
@@ -596,8 +622,7 @@ def _trace_singular_curve(lam, p0):
     return pts
 
 
-def classify_generic_frontal(cs: TranslationSurface, pt: ThetaPoint,
-                             p0: tuple[float, float]) -> Verdict:
+def classify_generic_frontal(pj: PointJets, pt: ThetaPoint) -> Verdict:
     """Cross-validation route built on the frontal criteria alone:
     continuation of the singular curve, finite differences of the signed
     density, and the cusp-detecting function along the curve."""
@@ -605,12 +630,13 @@ def classify_generic_frontal(cs: TranslationSurface, pt: ThetaPoint,
         return Verdict("Unclassified", "generic_frontal", [],
                        ["normal angle available"],
                        [f"theta_unavailable: {pt.reason}"])
+    cs, p0 = pj.s, pj.p
     theta0 = pt.value
     lam = _GenericDensity(cs, theta0)
-    rank = cs.dx_rank(p0)
-    grad = lam.grad(p0)
+    rank = pj.dx_rank()
+    _, grad = lam.value_and_grad(p0)
     gnorm = float(np.linalg.norm(grad))
-    eta_lam, eta_eta_lam = _eta_lambda_fd(cs, lam, p0)
+    eta_lam, eta_eta_lam = _eta_lambda_fd(pj, lam)
     conds = [
         CriterionValue("grad_density_fd", gnorm, GEN_TOL, gnorm > GEN_TOL),
         CriterionValue("eta_density_fd", eta_lam, GEN_TOL,
@@ -620,36 +646,46 @@ def classify_generic_frontal(cs: TranslationSurface, pt: ThetaPoint,
     notes = []
 
     if gnorm > GEN_TOL:
-        trace = _trace_singular_curve(lam, p0)
+        trace = _trace_singular_curve(lam, p0, grad)
         if trace is None:
             return Verdict("Unclassified", "generic_frontal", conds, hyps,
                            notes + ["continuation failed"])
 
-        def phi_x(k):
-            q = trace[k]
-            qm, qp = trace[k - 1], trace[k + 1]
-            dq = (qp - qm) / 2.0
-            dx = cs.dx_matrix(q)
-            dx_dt = dx[:, 0] * dq[0] + dx[:, 1] * dq[1]
-            th_q = (pt.value if k == 0 else _theta_near(cs, q, theta0))
-            bn = bn_value(cs, th_q, q[0])
-            e = _eta_values(cs, q)
+        def phi_x(ks):
+            # the cusp function det(dx/dt, bn, eta bn) at trace[k] for each k
+            # of ks: the trace points are one stencil, and their neighbours
+            # along eta another
             s = 1e-4
-            qp_ = (q[0] + s * e[0], q[1] + s * e[1])
-            qm_ = (q[0] - s * e[0], q[1] - s * e[1])
-            bnp = bn_value(cs, _theta_near(cs, qp_, th_q), qp_[0])
-            bnm = bn_value(cs, _theta_near(cs, qm_, th_q), qm_[0])
-            dbn = (bnp - bnm) / (2 * s)
-            return float(np.linalg.det(np.column_stack([dx_dt, bn, dbn])))
+            qs = [trace[k] for k in ks]
+            at_q = _at_points(cs, qs)
+            ths = [pt.value if k == 0 else th for k, th in
+                   zip(ks, _theta_near(at_q, [theta0] * len(ks)))]
+            nbrs = _at_points(cs, [
+                pm for q, e in zip(qs, _eta(at_q))
+                for pm in ((q[0] + s * e[0], q[1] + s * e[1]),
+                           (q[0] - s * e[0], q[1] - s * e[1]))])
+            bn_n = _bn(nbrs, _theta_near(nbrs, [th for th in ths
+                                                for _ in (0, 1)]))
+            xu, xv = (np.stack([c.d[1] for c in on.gamma], axis=1)
+                      for on in (at_q.ju, at_q.jv))
+            out = []
+            for a, (k, bn) in enumerate(zip(ks, _bn(at_q, ths))):
+                dq = (trace[k + 1] - trace[k - 1]) / 2.0
+                dx_dt = xu[a] * dq[0] + xv[a] * dq[1]
+                dbn = (bn_n[2 * a] - bn_n[2 * a + 1]) / (2 * s)
+                out.append(float(np.linalg.det(
+                    np.column_stack([dx_dt, bn, dbn]))))
+            return out
 
         if abs(eta_lam) > GEN_TOL:
-            phi0 = phi_x(0)
+            phi0, = phi_x([0])
             conds.append(CriterionValue("cusp_function", phi0, GEN_TOL,
                                         abs(phi0) > GEN_TOL))
             if abs(phi0) > GEN_TOL:
                 return Verdict("CuspidalEdge", "generic_frontal", conds, hyps,
                                notes)
-            dphi = (phi_x(1) - phi_x(-1)) / float(
+            phi_p, phi_m = phi_x([1, -1])
+            dphi = (phi_p - phi_m) / float(
                 np.linalg.norm(trace[1] - trace[-1]))
             conds.append(CriterionValue("cusp_function_derivative", dphi,
                                         GEN_TOL, abs(dphi) > GEN_TOL))
@@ -661,7 +697,7 @@ def classify_generic_frontal(cs: TranslationSurface, pt: ThetaPoint,
                                     "cuspidal cross cap"])
         # eta lambda = 0: swallowtail needs the front property plus the
         # second directional derivative
-        front = front_test(cs, pt, p0)[0] == "front"
+        front = front_test(pj, pt)[0] == "front"
         conds.append(CriterionValue("eta_eta_density_fd", eta_eta_lam, GEN_TOL,
                                     abs(eta_eta_lam) > GEN_TOL))
         hyps.append("front via framed-surface curvature")
@@ -675,7 +711,7 @@ def classify_generic_frontal(cs: TranslationSurface, pt: ThetaPoint,
     conds.append(CriterionValue("det_hess_density_fd", detH, GEN_TOL,
                                 abs(detH) > GEN_TOL))
     if rank == 1:
-        front = front_test(cs, pt, p0)[0] == "front"
+        front = front_test(pj, pt)[0] == "front"
         if detH > GEN_TOL and front:
             return Verdict("CuspidalLips", "generic_frontal", conds, hyps,
                            notes + ["positive Hessian determinant: cuspidal "
@@ -709,9 +745,10 @@ def classify(s: TranslationSurface, p0: tuple[float, float],
         notes.append("criteria evaluated on the unscaled generator pair; the "
                      "surface is its image under scaling by 1/2")
 
-    rank = corank(cs, p0)
-    dep = dependence_test(cs, p0)
-    au, av = cs.alpha_values(p0)
+    pj = cs.at(p0)
+    rank = corank(pj)
+    dep = dependence_test(pj)
+    au, av = pj.alpha_values()
 
     report = ClassificationReport(
         point=p0,
@@ -723,7 +760,7 @@ def classify(s: TranslationSurface, p0: tuple[float, float],
     if rank == "regular":
         report.final = Verdict("RegularPoint", "gfs",
                                [_crit("singular_residual",
-                                      cs.singular_residual(p0),
+                                      pj.singular_residual(),
                                       tols.sing_tol)])
         return report
 
@@ -735,22 +772,22 @@ def classify(s: TranslationSurface, p0: tuple[float, float],
             notes=["independent condition: see prior work"])
         return report
 
-    data = PointData(cs, p0)
+    data = PointData(pj)
     if abs(au * av) > tols.hyp_tol:
-        report.gfs = classify_S0(cs, p0, data)
+        report.gfs = classify_S0(data)
         if report.gfs.tag == "CrossCap":
             report.final = report.gfs
             return report
         if abs(data.cross_cap_value()) < tols.hyp_tol:
-            report.s1 = classify_S1(cs, p0, data)
+            report.s1 = classify_S1(data)
             if report.s1.tag in ("S1Plus", "S1Minus"):
                 report.final = report.s1
                 return report
 
-    pt = construct_theta(cs, p0)
-    report.framed = classify_dependent_framed(cs, pt, p0, data)
+    pt = construct_theta(pj)
+    report.framed = classify_dependent_framed(data, pt)
     if with_generic and pt.available:
-        report.generic = classify_generic_frontal(cs, pt, p0)
+        report.generic = classify_generic_frontal(pj, pt)
 
     final = report.framed
     if report.generic is not None:

@@ -62,6 +62,9 @@ class RunConfig:
             raise ValueError("--frame-b is ignored with --self")
         for flag, curve, frame in (("--frame-a", self.curve_a, self.frame_a),
                                    ("--frame-b", self.curve_b, self.frame_b)):
+            if frame != "frenet" and frame.count(";") != 1:
+                raise ValueError(f"{flag} must be 'frenet' or two triples "
+                                 "joined by one ';': '(x,y,z);(x,y,z)'")
             if frame != "frenet" and curve and curve.strip().startswith("@"):
                 raise ValueError(f"{flag} is ignored for the catalog curve "
                                  f"{curve.strip()}, which has its own frame")

@@ -99,9 +99,9 @@ class FramedCurve:
     ``jets`` functions meet it unchanged. One that needs scalar side-work
     (an ODE state, a quadrature) is wrapped in :func:`lanewise`, which
     stacks nested tuples such as the frame pair lane by lane. The per-point
-    methods (``gamma_jets``, ``frame_row``, ``curvature``, ...) take floats
-    only and read one cached :class:`CurveJets` per (t, order);
-    :meth:`batch_jets` returns an uncached one.
+    readers (``gamma_jets``, ``frame_row``, ``curvature``) take floats only
+    and evaluate a fresh :class:`CurveJets` on every call; code that reads a
+    point more than once holds its ``CurveJets`` instead.
 
     A curvature source, as :class:`~transurf.framefield.OdeFramedCurve`
     takes it, maps (ts, order) with ``ts`` a 1-D array to a
@@ -121,31 +121,22 @@ class FramedCurve:
         self.name = name
         self.period = period
         self.frenet = frenet
-        self._cache: dict[tuple[float, int], CurveJets] = {}
         self._speed_deviation: float | None = None
         if validate:
             self._validate_frames()
 
     # -- evaluation ----------------------------------------------------------
 
-    def _jets(self, t: float, order: int) -> "CurveJets":
-        hit = self._cache.get((t, order))
-        if hit is None:
-            if len(self._cache) > 20000:
-                self._cache.clear()
-            hit = self._cache[(t, order)] = CurveJets(self, t, order)
-        return hit
-
     def gamma_jets(self, t: float, order: int = 6) -> VecJets:
-        return self._jets(t, order).gamma
+        return CurveJets(self, t, order).gamma
 
     def frame_row(self, i: int, t: float, order: int = 6) -> VecJets:
         """Row i of the moving frame, 1-indexed as (nu1, nu2, mu)."""
-        return self._jets(t, order).row(i)
+        return CurveJets(self, t, order).row(i)
 
     def curvature(self, t: float, order: int = 5) -> FramedCurvature:
         """Framed curvature (l, m, n, alpha) as jets of the given order."""
-        return self._jets(t, order + 1).curvature
+        return CurveJets(self, t, order + 1).curvature
 
     def batch_curvature(self, ts, order: int = 5) -> FramedCurvature:
         """Framed curvature at every parameter of the 1-D array ``ts``: the
@@ -165,7 +156,7 @@ class FramedCurve:
 
     def frame_residual(self, t: float) -> float:
         """Worst violation of unit/orthogonality/tangency at t."""
-        at = self._jets(t, 2)
+        at = CurveJets(self, t, 2)
         (n1, n2), mu = at.frame, at.mu
         gd = shift3(self.gamma_jets(t, 3))
         alpha = dot3(gd, mu)
@@ -194,18 +185,10 @@ class FramedCurve:
         The sup is computed once per curve and serves every tolerance.
         """
         if self._speed_deviation is None:
-            a, b = self.domain
+            alpha = self.batch_jets(np.linspace(*self.domain, 33), 2).alpha
             self._speed_deviation = max(
-                abs(abs(self.curvature(float(t), 2).alpha.value) - 1.0)
-                for t in np.linspace(a, b, 33))
+                abs(abs(a) - 1.0) for a in alpha.value.tolist())
         return bool(self._speed_deviation < arc_tol)
-
-    def unit_speed_gate(self, t: float, hyp_tol: float) -> bool:
-        """Pointwise relaxation of the arc-length hypothesis:
-        |alpha| = 1 and alpha' = 0 at t, each to within hyp_tol."""
-        c = self.curvature(t, 2)
-        return (abs(abs(c.alpha.value) - 1.0) < hyp_tol
-                and abs(c.alpha.deriv(1)) < hyp_tol)
 
     # -- derived curves ------------------------------------------------------
 
@@ -241,7 +224,9 @@ class CurveJets:
     nu1 x nu2, :meth:`row` a frame row of (nu1, nu2, mu), ``alpha`` the speed
     gamma' . mu and ``curvature`` the framed curvature, whose jets (like
     ``alpha``) are one order lower than ``order``. Lane k of a batch equals
-    the jets at the float ``t[k]`` bitwise.
+    the jets at the float ``t[k]`` bitwise, and every jet of a lower order
+    is the truncation of the one here, bitwise: a point read at several
+    orders is evaluated once, at the highest.
     """
 
     def __init__(self, curve: FramedCurve, t, order: int):
@@ -271,9 +256,30 @@ class CurveJets:
             raise IndexError(i)
         return self.frame[i - 1]
 
+    def take(self, idx) -> "CurveJets":
+        """The jets of a batch at ``t[idx]``, read off its lanes with no
+        evaluator call: for an int k the scalar jets at the float t[k], for
+        an int array a batch with one lane per entry. Each lane equals a
+        fresh evaluation at its parameter bitwise."""
+        t = float(self.t[idx]) if isinstance(idx, int) else self.t[idx]
+
+        def pick(x):
+            if isinstance(x, Jet):
+                return Jet(t, x.d[:, idx])
+            return tuple(pick(y) for y in x)
+        out = CurveJets(self.curve, t, self.order)
+        out.gamma, out.frame = pick(self.gamma), pick(self.frame)
+        return out
+
     @functools.cached_property
     def alpha(self) -> Jet:
         return dot3(shift3(self.gamma), self.mu)
+
+    def unit_speed_gate(self, hyp_tol: float) -> bool:
+        """Pointwise relaxation of the arc-length hypothesis:
+        |alpha| = 1 and alpha' = 0 at t, each to within hyp_tol."""
+        return (abs(abs(self.alpha.value) - 1.0) < hyp_tol
+                and abs(self.alpha.deriv(1)) < hyp_tol)
 
     @functools.cached_property
     def curvature(self) -> FramedCurvature:

@@ -20,13 +20,24 @@ _STENCILS = {
 DEFAULT_STEPS = {1: 1e-4, 2: 1e-4, 3: 1e-3, 4: 1e-2}
 
 
+def central_points(x: float, k: int, h: float) -> list[float]:
+    """The points at which :func:`central_derivative` evaluates f."""
+    r = _STENCILS[k][1]
+    return [x + i * h for i in range(-r, r + 1)]
+
+
 def central_derivative(f, x: float, k: int, h: float) -> float:
-    """Plain central difference of order-2 accuracy for the k-th derivative."""
-    if k == 0:
-        return f(x)
-    w, r = _STENCILS[k]
-    pts = [f(x + i * h) for i in range(-r, r + 1)]
-    return float(np.dot(w, pts) / h**k)
+    """Plain central difference of order-2 accuracy for the k-th derivative,
+    k >= 1."""
+    pts = [f(t) for t in central_points(x, k, h)]
+    return float(np.dot(_STENCILS[k][0], pts) / h**k)
+
+
+def richardson_points(x: float, k: int) -> list[float]:
+    """The points at which :func:`richardson_derivative` evaluates f at its
+    default step, so that a caller can evaluate them as one batch."""
+    h = DEFAULT_STEPS[k]
+    return central_points(x, k, h) + central_points(x, k, h / 2.0)
 
 
 def richardson_derivative(f, x: float, k: int, h: float | None = None) -> float:

@@ -4,7 +4,8 @@ and curvature, the signed area density, and the front test.
 
 The criteria at a point read the jets of theta at that point only, so theta
 is evaluated once per classified point (``construct_theta``) and every
-consumer takes the resulting ``ThetaPoint``. Away from zeros of (t31, t32)
+consumer takes the resulting ``ThetaPoint``, beside the point's
+``PointJets``. Away from zeros of (t31, t32)
 theta is the canonical branch atan2(-t32, t31), which makes
 Lambda = -t32 sin(theta) + t31 cos(theta) = hypot(t31, t32) > 0 and fixes
 the orientation of the normal. At a zero the canonical branch jumps by pi;
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .curves import vec_values
 from .errors import ThetaUnavailable, TransurfError
 from .framefield import frame_dot
 from .jets import BiJet, Jet
-from .surface import TranslationSurface
+from .surface import PointJets, TranslationSurface
 
 _EXT_RADIUS = 1e-6     # hypot(t31, t32) below this uses the limit extension
 _RAY_ZERO_TOL = 1e-9   # relative size below which a ray-jet coefficient is 0
@@ -92,12 +92,13 @@ class ThetaField:
 
     # -- raw ingredients ------------------------------------------------------
 
-    def _ray_angle_jets(self, p, dirs, order=6) -> list[Jet | None]:
-        """One-sided jets of the angle of (t31, -t32) along p + s d for each
-        direction d of ``dirs`` (None where the pair vanishes to high order),
-        from one batched product of the pair's jets, one lane per ray."""
-        u, v = p
-        k = np.arange(order + 1)
+    @staticmethod
+    def _ray_pairs(pj: PointJets, dirs) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Derivative rows (da, db) of the pair (t31, -t32) along p + s d at
+        s = 0, for each direction d of ``dirs``: one batched product of the
+        pair's jets, one lane per ray. ``_angle_jet`` turns a pair into the
+        one-sided jet of its angle."""
+        k = np.arange(pj.ju.order + 1)
         # jets in s of t -> f(t0 + s d) at s = 0, one lane per ray
         wu = np.array([np.power(d[0], k) for d in dirs]).T
         wv = np.array([np.power(d[1], k) for d in dirs]).T
@@ -105,10 +106,10 @@ class ThetaField:
         def along(row, w):
             return [Jet(0.0, c.d[:, None] * w) for c in row]
 
-        mu_b = along(self.s.curve_v.frame_row(3, v, order), wv)
-        t31 = frame_dot(mu_b, along(self.s.curve_u.frame_row(1, u, order), wu))
-        t32 = frame_dot(mu_b, along(self.s.curve_u.frame_row(2, u, order), wu))
-        return [_angle_jet(da, db) for da, db in zip(t31.d.T, (-t32).d.T)]
+        mu_b = along(pj.jv.row(3), wv)
+        t31 = frame_dot(mu_b, along(pj.ju.row(1), wu))
+        t32 = frame_dot(mu_b, along(pj.ju.row(2), wu))
+        return list(zip(t31.d.T, (-t32).d.T))
 
     # -- limit extension ------------------------------------------------------
 
@@ -138,9 +139,11 @@ class ThetaField:
                 f"{spread:.3e}; the surface is not a framed base surface here")
         return mean2, spread, ""
 
-    def _extension(self, p) -> ThetaPoint:
-        rays = self._ray_angle_jets(p, _FAN + _AXIS_RAYS)
-        mean2, spread, reason = self._ray_limit(rays[:len(_FAN)])
+    def _extension(self, pj: PointJets) -> ThetaPoint:
+        p = pj.p
+        pairs = self._ray_pairs(pj, _FAN + _AXIS_RAYS)
+        mean2, spread, reason = self._ray_limit(
+            [_angle_jet(*pair) for pair in pairs[:len(_FAN)]])
         if reason:
             return ThetaPoint(provenance="unavailable", residual=spread,
                               reason=reason)
@@ -163,7 +166,12 @@ class ThetaField:
             # signal; difference the extended values of neighbours instead
             def f(step):
                 q = (p[0] + step * d[0], p[1] + step * d[1])
-                return self._smooth_value(q, theta0)
+                # a curve whose parameter the step leaves bitwise unchanged
+                # (an axis direction) is not evaluated again
+                ju, jv = (j if float(a).hex() == float(b).hex() else None
+                          for j, a, b in zip((pj.ju, pj.jv), q, p))
+                return self._smooth_value(PointJets(self.s, q, ju=ju, jv=jv),
+                                          theta0)
 
             try:
                 samples = {s: f(s) for s in
@@ -178,8 +186,9 @@ class ThetaField:
             d2b = (samples[5e-4] - 2 * theta0 + samples[-5e-4]) / 2.5e-7
             return ((4 * d1b - d1a) / 3.0, (4 * d2b - d2a) / 3.0)
 
-        pairs = rays[len(_FAN):]
-        axes = {name: dpair(*pairs[2 * k: 2 * k + 2]) or fd_pair(d)
+        # the axis lanes' angle jets, formed only once the fan has a limit
+        rays = [_angle_jet(*pair) for pair in pairs[len(_FAN):]]
+        axes = {name: dpair(*rays[2 * k: 2 * k + 2]) or fd_pair(d)
                 for k, (name, d) in enumerate(_AXES.items())}
         if any(val is None for val in axes.values()):
             return ThetaPoint(
@@ -200,26 +209,26 @@ class ThetaField:
                           provenance="limit_extension",
                           residual=max(spread, resid))
 
-    def _smooth_value(self, q, ref) -> float | None:
-        """Branch-aligned angle value at q (extension where needed)."""
-        t31 = self.s.field.partial_value(3, 1, q[0], q[1])
-        t32 = self.s.field.partial_value(3, 2, q[0], q[1])
+    def _smooth_value(self, qj: PointJets, ref) -> float | None:
+        """Branch-aligned angle value at the point of ``qj`` (extension
+        where needed)."""
+        t31, t32 = qj.t(3, 1), qj.t(3, 2)
         if math.hypot(t31, t32) >= _EXT_RADIUS:
             return align_pi(math.atan2(-t32, t31), ref)
-        mean2, _, reason = self._ray_limit(self._ray_angle_jets(q, _FAN))
+        mean2, _, reason = self._ray_limit(
+            [_angle_jet(*pair) for pair in self._ray_pairs(qj, _FAN)])
         return None if reason else align_pi(mean2 / 2.0, ref)
 
     # -- public evaluation ----------------------------------------------------
 
-    def at(self, p: tuple[float, float], degree: int = 3) -> ThetaPoint:
-        """Normal angle with derivatives to ``degree`` at p."""
-        u, v = p
-        t31 = self.s.field.partial_value(3, 1, u, v)
-        t32 = self.s.field.partial_value(3, 2, u, v)
+    def at(self, pj: PointJets, degree: int = 3) -> ThetaPoint:
+        """Normal angle with derivatives to ``degree`` at the point of
+        ``pj``, a point of this field's surface."""
+        t31, t32 = pj.t(3, 1), pj.t(3, 2)
         if math.hypot(t31, t32) < _EXT_RADIUS:
-            return self._extension(p)
-        b31 = self.s.field.t_bijet(3, 1, u, v, degree)
-        b32 = self.s.field.t_bijet(3, 2, u, v, degree)
+            return self._extension(pj)
+        b31 = pj.t_bijet(3, 1, degree)
+        b32 = pj.t_bijet(3, 2, degree)
         th = jets.atan2(-b32, b31)
         return ThetaPoint(value=th.value, bijet=th, provenance="atan2_branch",
                           residual=abs(t32 * math.cos(th.value)
@@ -237,11 +246,10 @@ def align_pi(theta: float, ref: float) -> float:
     return theta + k * math.pi
 
 
-def construct_theta(s: TranslationSurface,
-                    p0: tuple[float, float]) -> ThetaPoint:
-    """The normal angle at p0 with its jets, evaluated once for every
+def construct_theta(pj: PointJets) -> ThetaPoint:
+    """The normal angle at a point with its jets, evaluated once for every
     criterion that reads it there."""
-    return ThetaField(s).at(p0)
+    return ThetaField(pj.s).at(pj)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +265,17 @@ class FSInvariants:
     bn: tuple[BiJet, BiJet, BiJet]
 
 
-def fs_invariants(s: TranslationSurface, pt: ThetaPoint,
-                  p: tuple[float, float], degree: int = 3) -> FSInvariants:
+def fs_invariants(pj: PointJets, pt: ThetaPoint,
+                  degree: int = 3) -> FSInvariants:
     """Invariants of (x, bn, mu) where bn = sin(theta) nu1 + cos(theta) nu2."""
     th = pt.require()
     degree = min(degree, th.degree)
     th = th.truncate(degree)
-    u, v = p
-    l, m, n, al, lt, mt, nt, at = s.curvature_bijets(p, degree)
-    ff = s.field
-    t31 = ff.t_bijet(3, 1, u, v, degree)
-    t32 = ff.t_bijet(3, 2, u, v, degree)
-    t33 = ff.t_bijet(3, 3, u, v, degree)
+    u, v = pj.p
+    l, m, n, al, lt, mt, nt, at = pj.curvature_bijets(degree)
+    t31 = pj.t_bijet(3, 1, degree)
+    t32 = pj.t_bijet(3, 2, degree)
+    t33 = pj.t_bijet(3, 3, degree)
     sth, cth = jets.sin(th), jets.cos(th)
     zero = BiJet.constant(0.0, u, v, degree)
     Lam = -t32 * sth + t31 * cth
@@ -287,10 +294,8 @@ def fs_invariants(s: TranslationSurface, pt: ThetaPoint,
                  - (b1.truncate(degree - 1) * e2.truncate(degree - 1)
                     - b2.truncate(degree - 1) * e1.truncate(degree - 1)))
 
-    nu1 = [BiJet.from_u_jet(c, v, degree)
-           for c in s.curve_u.frame_row(1, u, degree + 1)]
-    nu2 = [BiJet.from_u_jet(c, v, degree)
-           for c in s.curve_u.frame_row(2, u, degree + 1)]
+    nu1 = [BiJet.from_u_jet(c, v, degree) for c in pj.ju.row(1)]
+    nu2 = [BiJet.from_u_jet(c, v, degree) for c in pj.ju.row(2)]
     bn = tuple(sth * nu1[c] + cth * nu2[c] for c in range(3))
     return FSInvariants(a1=a1, b1=b1, a2=a2, b2=b2,
                         e1=e1, f1=f1, g1=g1, e2=e2, f2=f2, g2=g2,
@@ -308,31 +313,20 @@ class Discriminant:
     eta: tuple[BiJet, BiJet]   # null field coefficients (-alpha~ t33, alpha)
 
 
-def discriminant(s: TranslationSurface, pt: ThetaPoint,
-                 p: tuple[float, float], degree: int = 3) -> Discriminant:
+def discriminant(pj: PointJets, pt: ThetaPoint,
+                 degree: int = 3) -> Discriminant:
     th = pt.require()
     degree = min(degree, th.degree)
     th = th.truncate(degree)
-    u, v = p
-    _, _, _, al, _, _, _, at = s.curvature_bijets(p, degree)
-    ff = s.field
-    t31 = ff.t_bijet(3, 1, u, v, degree)
-    t32 = ff.t_bijet(3, 2, u, v, degree)
-    t33 = ff.t_bijet(3, 3, u, v, degree)
+    _, _, _, al, _, _, _, at = pj.curvature_bijets(degree)
+    t31 = pj.t_bijet(3, 1, degree)
+    t32 = pj.t_bijet(3, 2, degree)
+    t33 = pj.t_bijet(3, 3, degree)
     sth, cth = jets.sin(th), jets.cos(th)
     Lam = -t32 * sth + t31 * cth
     lam = al * at * Lam
     eta = (-(at * t33), al)
     return Discriminant(lam=lam, Lambda=Lam, eta=eta)
-
-
-def bn_value(s: TranslationSurface, theta_value: float,
-             u: float) -> np.ndarray:
-    """The normal bn = sin(theta) nu1 + cos(theta) nu2 of the u-curve's
-    frame at u."""
-    n1 = vec_values(s.curve_u.frame_row(1, u, 2))
-    n2 = vec_values(s.curve_u.frame_row(2, u, 2))
-    return math.sin(theta_value) * n1 + math.cos(theta_value) * n2
 
 
 def directional_derivative(f: BiJet, direction: tuple[BiJet, BiJet]) -> BiJet:
@@ -342,21 +336,18 @@ def directional_derivative(f: BiJet, direction: tuple[BiJet, BiJet]) -> BiJet:
             + direction[1].truncate(d) * f.dv())
 
 
-def closed_form_density_partials(s: TranslationSurface, pt: ThetaPoint,
-                                 p: tuple[float, float]) -> dict[str, float]:
+def closed_form_density_partials(pj: PointJets,
+                                 pt: ThetaPoint) -> dict[str, float]:
     """First/second partials of the normalized density at a dependent
     singular point, in closed form (the jet route is the cross-check)."""
-    u, v = p
     th = pt.value
     sthv, cthv = math.sin(th), math.cos(th)
-    ca = s.curve_u.curvature(u, 2)
-    cb = s.curve_v.curvature(v, 2)
+    ca, cb = pj.ju.curvature, pj.jv.curvature
     l, m, n = ca.l.value, ca.m.value, ca.n.value
     m_u, n_u = ca.m.deriv(1), ca.n.deriv(1)
     lt, mt, nt = cb.l.value, cb.m.value, cb.n.value
     mt_v, nt_v = cb.m.deriv(1), cb.n.deriv(1)
-    ff = s.field
-    t = {(i, j): ff.partial_value(i, j, u, v) for i in (1, 2, 3) for j in (1, 2, 3)}
+    t = {(i, j): pj.t(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
     return {
         "Lambda_u": t[3, 3] * (-n * sthv + m * cthv),
         "Lambda_v": ((mt * t[1, 2] + nt * t[2, 2]) * sthv
@@ -381,13 +372,13 @@ def front_decision(rank: int, HF: float, KF: float, tol: float) -> tuple[str, fl
     raise ValueError("front test applies to singular points only")
 
 
-def front_test(s: TranslationSurface, pt: ThetaPoint,
-               p: tuple[float, float]) -> tuple[str, float, int]:
-    """Classify p as front or frontal-only; returns (verdict, witness, rank)."""
-    rank = s.dx_rank(p)
-    inv = fs_invariants(s, pt, p, degree=2)
+def front_test(pj: PointJets, pt: ThetaPoint) -> tuple[str, float, int]:
+    """Classify a point as front or frontal-only; returns (verdict, witness,
+    rank)."""
+    rank = pj.dx_rank()
+    inv = fs_invariants(pj, pt, degree=2)
     verdict, witness = front_decision(rank, inv.HF.value, inv.KF.value,
-                                      s.tols.front_tol)
+                                      pj.s.tols.front_tol)
     return verdict, witness, rank
 
 
@@ -395,27 +386,23 @@ def front_test(s: TranslationSurface, pt: ThetaPoint,
 # relational-equation oracles (test support, not production logic)
 # ---------------------------------------------------------------------------
 
-def lemma_oracle(s: TranslationSurface, pt: ThetaPoint,
-                 p0: tuple[float, float]) -> dict[int, float]:
+def lemma_oracle(pj: PointJets, pt: ThetaPoint) -> dict[int, float]:
     """Residuals of the nine relations obtained by differentiating the
     defining equation of theta up to third order, evaluated at a dependent
     singular point."""
     th = pt.require()
-    u, v = p0
     sth, cth = math.sin(pt.value), math.cos(pt.value)
     tu, tv = th.part(1, 0), th.part(0, 1)
     tuu, tuv, tvv = th.part(2, 0), th.part(1, 1), th.part(0, 2)
-    ca = s.curve_u.curvature(u, 3)
-    cb = s.curve_v.curvature(v, 3)
+    ca, cb = pj.ju.curvature, pj.jv.curvature
     l, m, n = ca.l.value, ca.m.value, ca.n.value
     l_u, m_u, n_u = ca.l.deriv(1), ca.m.deriv(1), ca.n.deriv(1)
     m_uu, n_uu = ca.m.deriv(2), ca.n.deriv(2)
     lt, mt, nt = cb.l.value, cb.m.value, cb.n.value
     lt_v, mt_v, nt_v = cb.l.deriv(1), cb.m.deriv(1), cb.n.deriv(1)
     mt_vv, nt_vv = cb.m.deriv(2), cb.n.deriv(2)
-    ff = s.field
-    t = {(i, j): ff.partial_value(i, j, u, v) for i in (1, 2) for j in (1, 2, 3)}
-    t[3, 3] = ff.partial_value(3, 3, u, v)
+    t = {(i, j): pj.t(i, j) for i in (1, 2) for j in (1, 2, 3)}
+    t[3, 3] = pj.t(3, 3)
 
     r = {}
     r[1] = m * sth + n * cth
@@ -454,12 +441,11 @@ def lemma_oracle(s: TranslationSurface, pt: ThetaPoint,
     return {k: float(val) for k, val in r.items()}
 
 
-def unit_speed_oracle(s: TranslationSurface, pt: ThetaPoint,
-                      p0: tuple[float, float]) -> dict[int, float]:
+def unit_speed_oracle(pj: PointJets, pt: ThetaPoint) -> dict[int, float]:
     """The same relations specialized to a pair of non-degenerate unit-speed
     curves, expressed through curvature and torsion."""
     th = pt.require()
-    u, v = p0
+    s, (u, v) = pj.s, pj.p
     if s.curve_u.frenet is None or s.curve_v.frenet is None:
         raise ValueError("both curves need curvature/torsion data")
     tu, tv = th.part(1, 0), th.part(0, 1)
@@ -472,11 +458,7 @@ def unit_speed_oracle(s: TranslationSurface, pt: ThetaPoint,
     tau, tau_u = ta.value, ta.deriv(1)
     kappat, kappat_v = kb.value, kb.deriv(1)
     taut, taut_v = tb.value, tb.deriv(1)
-    ff = s.field
-    t11 = ff.partial_value(1, 1, u, v)
-    t12 = ff.partial_value(1, 2, u, v)
-    t22 = ff.partial_value(2, 2, u, v)
-    t33 = ff.partial_value(3, 3, u, v)
+    t11, t12, t22, t33 = pj.t(1, 1), pj.t(1, 2), pj.t(2, 2), pj.t(3, 3)
 
     return {
         1: math.sin(pt.value),

@@ -32,13 +32,30 @@ def frame_dot(row_b, row_a):
     """sum_c row_b[c] row_a[c] over three components, added left to right
     from zero: ((0 + b0 a0) + b1 a1) + b2 a2.
 
-    This is the order in which :meth:`FrameField.t_bijet` accumulates its
+    This is the order in which :func:`entry_bijet` accumulates its
     entries, so a value formed here from frame-row derivatives equals the
     matching BiJet entry bitwise. The components are floats or arrays, which
     broadcast: per lane for Newton iterates, outer for a grid.
     """
     return ((0.0 + row_b[0] * row_a[0]) + row_b[1] * row_a[1]
             + row_b[2] * row_a[2])
+
+
+def entry_bijet(row_b: VecJets, row_a: VecJets, u: float, v: float,
+                degree: int = 3, du: int = 0, dv: int = 0) -> BiJet:
+    """BiJet of (d/du)^du (d/dv)^dv t_ij at (u, v) from the frame row i of
+    curve B at v and row j of curve A at u, jets of order at least
+    degree + max(du, dv).
+
+    Differentiated entries are assembled from shifted univariate frame jets,
+    so they have full degree (no truncation loss).
+    """
+    row_b, row_a = shift3(row_b, dv), shift3(row_a, du)
+    # the partials of f(u) g(v) are f^(p)(u) g^(q)(v): an outer product
+    c = np.zeros((degree + 1, degree + 1))
+    for k in range(3):
+        c = c + np.outer(row_a[k].d[: degree + 1], row_b[k].d[: degree + 1])
+    return BiJet(u, v, c)
 
 
 class FrameField:
@@ -50,19 +67,12 @@ class FrameField:
 
     def t_bijet(self, i: int, j: int, u: float, v: float,
                 degree: int = 3, du: int = 0, dv: int = 0) -> BiJet:
-        """BiJet of (d/du)^du (d/dv)^dv t_ij at (u, v).
-
-        Differentiated entries are assembled from shifted univariate frame
-        jets, so they have full degree (no truncation loss).
-        """
+        """BiJet of (d/du)^du (d/dv)^dv t_ij at (u, v); see
+        :func:`entry_bijet`."""
         order = degree + max(du, dv)
-        row_b = shift3(self.curve_b.frame_row(i, v, order), dv)
-        row_a = shift3(self.curve_a.frame_row(j, u, order), du)
-        # the partials of f(u) g(v) are f^(p)(u) g^(q)(v): an outer product
-        c = np.zeros((degree + 1, degree + 1))
-        for k in range(3):
-            c = c + np.outer(row_a[k].d[: degree + 1], row_b[k].d[: degree + 1])
-        return BiJet(u, v, c)
+        return entry_bijet(self.curve_b.frame_row(i, v, order),
+                           self.curve_a.frame_row(j, u, order), u, v, degree,
+                           du, dv)
 
     def value(self, u, v) -> np.ndarray:
         """T at (u, v), a 3 x 3 matrix. For 1-D arrays ``u`` and ``v``, T at
@@ -76,12 +86,16 @@ class FrameField:
             [vec_values(on.row(i)) for i in (1, 2, 3)]), -1, 0)) for on in (ja, jb))
         return bv[None] @ av[:, None].swapaxes(-1, -2)
 
-    def partial_value(self, i: int, j: int, u: float, v: float,
-                      du: int = 0, dv: int = 0) -> float:
-        order = max(2, du + dv)
-        row_b = shift3(self.curve_b.frame_row(i, v, order), dv)
-        row_a = shift3(self.curve_a.frame_row(j, u, order), du)
-        return frame_dot([c.value for c in row_b], [c.value for c in row_a])
+    def partial_value(self, i: int, j: int, u: float, v: float) -> float:
+        """t_ij at (u, v), from one evaluation of each curve."""
+        return entry_value(self.curve_b.frame_row(i, v, 2),
+                           self.curve_a.frame_row(j, u, 2))
+
+
+def entry_value(row_b: VecJets, row_a: VecJets) -> float:
+    """t_ij from the frame row i of curve B and row j of curve A: the value
+    of the matching :func:`entry_bijet`, bitwise."""
+    return frame_dot([c.value for c in row_b], [c.value for c in row_a])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import jets
-from .curves import FramedCurve, frenet_lift, lanewise
+from .curves import CurveJets, FramedCurve, frenet_lift, lanewise
 from .jets import Jet
 from .surface import TranslationSurface
 
@@ -192,7 +192,7 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
     @lanewise
     def frame(t, order):
         hj = h_jet(t, max(order, 2))
-        rows = (base.frame_row(i, hj.value, max(order, 2)) for i in (1, 2))
+        rows = CurveJets(base, hj.value, max(order, 2)).frame
         return tuple(tuple(Jet(t, hj.compose_outer(c.d).d) for c in row)
                      for row in rows)
 

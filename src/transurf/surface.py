@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import FramedCurve, shift3, vec_values
-from .framefield import FrameField, frame_dot
+from .curves import CurveJets, FramedCurve, shift3, vec_values
+from .framefield import FrameField, entry_bijet, entry_value, frame_dot
 from .jets import BiJet
 from .tolerances import DEFAULT, Tolerances
 
@@ -77,24 +77,62 @@ class TranslationSurface:
         u, v = p
         return self.curve_u.point(u) + self.curve_v.point(v)
 
-    def x_partial_jets(self, p: tuple[float, float], du: int, dv: int,
+    def at(self, p: tuple[float, float], order: int = 6) -> "PointJets":
+        """The jets of both curves at p, each curve evaluated once."""
+        return PointJets(self, p, order)
+
+
+class PointJets:
+    """The jets of both curves of a surface at one point p = (u, v).
+
+    Each curve is evaluated once there, as one :class:`CurveJets` (``ju`` at
+    u, ``jv`` at v) of an order that covers every reader: 6 by default, the
+    order the theta rays read. A reader of a lower order reads the
+    truncation, which equals a fresh evaluation at that order bitwise. Every
+    point-level criterion takes this bundle in place of (surface, point).
+    With p a pair of 1-D arrays it holds one batch per curve, lane k for the
+    point (p[0][k], p[1][k]), and :meth:`t` and :meth:`alpha_values` return
+    arrays. As t_ij(u, v) = (frame of the v-curve at v)_i . (frame of the
+    u-curve at u)_j, each curve is then evaluated only at the distinct
+    values of its parameter.
+    """
+
+    def __init__(self, s: TranslationSurface, p: tuple[float, float],
+                 order: int = 6, ju: CurveJets | None = None,
+                 jv: CurveJets | None = None):
+        self.s = s
+        self.p = p
+        self.ju = _curve_jets(s.curve_u, p[0], order) if ju is None else ju
+        self.jv = _curve_jets(s.curve_v, p[1], order) if jv is None else jv
+
+    def t(self, i: int, j: int) -> float:
+        """The frame-matrix entry t_ij at p."""
+        return entry_value(self.jv.row(i), self.ju.row(j))
+
+    def t_bijet(self, i: int, j: int, degree: int = 3, du: int = 0,
+                dv: int = 0) -> BiJet:
+        """BiJet of (d/du)^du (d/dv)^dv t_ij at p."""
+        return entry_bijet(self.jv.row(i), self.ju.row(j), *self.p, degree,
+                           du, dv)
+
+    def x_partial_jets(self, du: int, dv: int,
                        degree: int = 3) -> tuple[BiJet, BiJet, BiJet]:
         """BiJets of d^{du+dv} x / du^du dv^dv, assembled exactly.
 
         Cross partials of x vanish identically; (du, dv) = (0, 0) gives x
         itself.
         """
-        u, v = p
+        u, v = self.p
         if du > 0 and dv > 0:
             return tuple(BiJet.constant(0.0, u, v, degree) for _ in range(3))
 
         def along_u():
-            g = shift3(self.curve_u.gamma_jets(u, degree + du), du)
-            return [BiJet.from_u_jet(c, v, degree) for c in g]
+            return [BiJet.from_u_jet(c, v, degree)
+                    for c in shift3(self.ju.gamma, du)]
 
         def along_v():
-            g = shift3(self.curve_v.gamma_jets(v, degree + dv), dv)
-            return [BiJet.from_v_jet(c, u, degree) for c in g]
+            return [BiJet.from_v_jet(c, u, degree)
+                    for c in shift3(self.jv.gamma, dv)]
 
         if du > 0:
             return tuple(along_u())
@@ -102,43 +140,46 @@ class TranslationSurface:
             return tuple(along_v())
         return tuple(a + b for a, b in zip(along_u(), along_v()))
 
-    def curvature_bijets(self, p: tuple[float, float],
-                         degree: int = 3) -> tuple[BiJet, ...]:
+    def curvature_bijets(self, degree: int = 3) -> tuple[BiJet, ...]:
         """(l, m, n, alpha, l~, m~, n~, alpha~) at p as BiJets in (u, v):
         the u-curve's framed curvature as functions of u, the v-curve's as
         functions of v."""
-        u, v = p
-        ca = self.curve_u.curvature(u, degree + 1)
-        cb = self.curve_v.curvature(v, degree + 1)
+        u, v = self.p
+        ca, cb = self.ju.curvature, self.jv.curvature
         return (tuple(BiJet.from_u_jet(j, v, degree)
                       for j in (ca.l, ca.m, ca.n, ca.alpha))
                 + tuple(BiJet.from_v_jet(j, u, degree)
                         for j in (cb.l, cb.m, cb.n, cb.alpha)))
 
-    def dx_matrix(self, p: tuple[float, float]) -> np.ndarray:
+    def dx_matrix(self) -> np.ndarray:
         """3x2 Jacobian [x_u | x_v] at p."""
-        u, v = p
-        xu = [c.deriv(1) for c in self.curve_u.gamma_jets(u, 2)]
-        xv = [c.deriv(1) for c in self.curve_v.gamma_jets(v, 2)]
-        return np.column_stack([xu, xv])
+        return np.column_stack([[c.deriv(1) for c in self.ju.gamma],
+                                [c.deriv(1) for c in self.jv.gamma]])
 
-    def dx_rank(self, p: tuple[float, float]) -> int:
+    def dx_rank(self) -> int:
         """Numerical rank of dx at p: the number of singular values above
         rank_tol * max(1, sigma_max)."""
-        sv = np.linalg.svd(self.dx_matrix(p), compute_uv=False)
-        return int(np.sum(sv > self.tols.rank_tol * max(1.0, float(sv[0]))))
+        sv = np.linalg.svd(self.dx_matrix(), compute_uv=False)
+        return int(np.sum(sv > self.s.tols.rank_tol * max(1.0, float(sv[0]))))
 
-    def alpha_values(self, p: tuple[float, float]) -> tuple[float, float]:
-        u, v = p
-        return (self.curve_u.curvature(u, 1).alpha.value,
-                self.curve_v.curvature(v, 1).alpha.value)
+    def alpha_values(self) -> tuple[float, float]:
+        return self.ju.alpha.value, self.jv.alpha.value
 
-    def singular_residual(self, p: tuple[float, float]) -> float:
+    def singular_residual(self) -> float:
         """min(|alpha(u)|, |alpha~(v)|, hypot(t31, t32)) at p."""
-        au, av = self.alpha_values(p)
-        t31 = self.field.partial_value(3, 1, p[0], p[1])
-        t32 = self.field.partial_value(3, 2, p[0], p[1])
-        return min(abs(au), abs(av), math.hypot(t31, t32))
+        au, av = self.alpha_values()
+        return min(abs(au), abs(av), math.hypot(self.t(3, 1), self.t(3, 2)))
+
+
+def _curve_jets(curve: FramedCurve, t, order: int) -> CurveJets:
+    """The jets of a curve at a float t, or at every entry of a 1-D array t:
+    one batch at its distinct values (told apart bitwise, so 0.0 and -0.0
+    are two), with one lane per entry read off it."""
+    if not isinstance(t, np.ndarray):
+        return CurveJets(curve, t, order)
+    _, first, inv = np.unique(np.ascontiguousarray(t).view(np.int64),
+                              return_index=True, return_inverse=True)
+    return curve.batch_jets(t[first], order).take(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +198,8 @@ class GFSInvariants:
     A: BiJet; B: BiJet
 
 
-def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
-                   frame: str = "nu_of_A", degree: int = 3) -> GFSInvariants:
+def gfs_invariants(pj: PointJets, frame: str = "nu_of_A",
+                   degree: int = 3) -> GFSInvariants:
     """Closed-form invariants of (x, nu1, nu2) or (x, nu1~, nu2~).
 
     With the first curve's frame: (a1,b1,c1) = (0,0,alpha),
@@ -167,14 +208,12 @@ def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
     the roles. Self-translation surfaces inherit the half factors through
     their generator curves.
     """
-    u, v = p
-    ff = s.field
-    l, m, n, al, lt, mt, nt, at = s.curvature_bijets(p, degree)
-    zero = BiJet.constant(0.0, u, v, degree)
+    l, m, n, al, lt, mt, nt, at = pj.curvature_bijets(degree)
+    zero = BiJet.constant(0.0, *pj.p, degree)
     if frame == "nu_of_A":
-        t31 = ff.t_bijet(3, 1, u, v, degree)
-        t32 = ff.t_bijet(3, 2, u, v, degree)
-        t33 = ff.t_bijet(3, 3, u, v, degree)
+        t31 = pj.t_bijet(3, 1, degree)
+        t32 = pj.t_bijet(3, 2, degree)
+        t33 = pj.t_bijet(3, 3, degree)
         return GFSInvariants(
             frame=frame,
             a1=zero, b1=zero, c1=al,
@@ -183,9 +222,9 @@ def gfs_invariants(s: TranslationSurface, p: tuple[float, float],
             e2=zero, f2=zero, g2=zero,
             A=-(al * at * t32), B=al * at * t31)
     if frame == "nu_of_B":
-        t13 = ff.t_bijet(1, 3, u, v, degree)
-        t23 = ff.t_bijet(2, 3, u, v, degree)
-        t33 = ff.t_bijet(3, 3, u, v, degree)
+        t13 = pj.t_bijet(1, 3, degree)
+        t23 = pj.t_bijet(2, 3, degree)
+        t33 = pj.t_bijet(3, 3, degree)
         return GFSInvariants(
             frame=frame,
             a1=al * t13, b1=al * t23, c1=al * t33,
@@ -208,20 +247,14 @@ class DependenceResult:
     t33: float
 
 
-def dependence_test(s: TranslationSurface,
-                    p: tuple[float, float]) -> DependenceResult:
-    """Pointwise linear dependence of the two tangent directions at p."""
-    u, v = p
-    mu = vec_values(s.curve_u.frame_row(3, u, 2))
-    mt = vec_values(s.curve_v.frame_row(3, v, 2))
-    cross = float(np.linalg.norm(np.cross(mu, mt)))
-    t31 = s.field.partial_value(3, 1, u, v)
-    t32 = s.field.partial_value(3, 2, u, v)
-    t33 = s.field.partial_value(3, 3, u, v)
-    return DependenceResult(dependent=bool(cross < s.tols.dep_tol),
+def dependence_test(pj: PointJets) -> DependenceResult:
+    """Pointwise linear dependence of the two tangent directions at a point."""
+    cross = float(np.linalg.norm(np.cross(vec_values(pj.ju.mu),
+                                          vec_values(pj.jv.mu))))
+    return DependenceResult(dependent=bool(cross < pj.s.tols.dep_tol),
                             mu_cross_norm=cross,
-                            t_pair_norm=math.hypot(t31, t32),
-                            t33=t33)
+                            t_pair_norm=math.hypot(pj.t(3, 1), pj.t(3, 2)),
+                            t33=pj.t(3, 3))
 
 
 @dataclass(frozen=True)
@@ -302,20 +335,37 @@ class SingularPoint:
         return (self.u, self.v)
 
 
-def _newton_alpha(curve: FramedCurve, t: float, tol: float,
-                  max_iter: int = 30) -> float | None:
+def _newton_alpha(curve: FramedCurve, ts, tol: float,
+                  max_iter: int = 30) -> list[float | None]:
+    """Newton iteration on alpha = 0 from every start ``ts[k]``.
+
+    Each start is a lane that runs the scalar algorithm: it stops at a root
+    once |alpha| < tol, gives up where alpha' = 0, and takes the Newton step
+    halved until it is at most 0.5 long. Each iteration evaluates the curve
+    once at all live iterates. Returns the root of each start, or None.
+    """
+    t = np.array(ts, dtype=float)
+    roots: list[float | None] = [None] * len(t)
+    live = list(range(len(t)))
     for _ in range(max_iter):
-        c = curve.curvature(t, 1)
-        f, df = c.alpha.value, c.alpha.deriv(1)
-        if abs(f) < tol:
-            return t
-        if df == 0.0:
-            return None
-        step = -f / df
-        while abs(step) > 0.5:
-            step *= 0.5
-        t = t + step
-    return None
+        if not live:
+            break
+        alpha = curve.batch_jets(t[live], 2).alpha
+        still = []
+        for lane, f, df in zip(live, alpha.value.tolist(),
+                               alpha.d[1].tolist()):
+            if abs(f) < tol:
+                roots[lane] = float(t[lane])
+                continue
+            if df == 0.0:
+                continue
+            step = -f / df
+            while abs(step) > 0.5:
+                step *= 0.5
+            t[lane] = t[lane] + step
+            still.append(lane)
+        live = still
+    return roots
 
 
 def _newton_t3(s: TranslationSurface, us, vs, tol: float,
@@ -409,14 +459,12 @@ def find_singular_points(s: TranslationSurface,
     # Newton discards false positives
     thresh = 2.0 * spacing
     roots: list[tuple[float, float] | None] = []
-    for i in np.flatnonzero(
-            np.abs(alpha_u) < thresh * np.maximum(1.0, _slope(alpha_u, du))):
-        root = _newton_alpha(s.curve_u, float(us[i]), tol)
+    cand = np.abs(alpha_u) < thresh * np.maximum(1.0, _slope(alpha_u, du))
+    for root in _newton_alpha(s.curve_u, us[cand], tol):
         if root is not None:
             roots += [(root, float(vs[j])) for j in range(0, grid_n, 2)]
-    for j in np.flatnonzero(
-            np.abs(alpha_v) < thresh * np.maximum(1.0, _slope(alpha_v, dv))):
-        root = _newton_alpha(s.curve_v, float(vs[j]), tol)
+    cand = np.abs(alpha_v) < thresh * np.maximum(1.0, _slope(alpha_v, dv))
+    for root in _newton_alpha(s.curve_v, vs[cand], tol):
         if root is not None:
             roots += [(float(us[i]), root) for i in range(0, grid_n, 2)]
     ii, jj = np.nonzero(
@@ -428,8 +476,15 @@ def find_singular_points(s: TranslationSurface,
     inside = [p for p in roots if p is not None
               and u0 - slack <= p[0] <= u1 + slack
               and v0 - slack <= p[1] <= v1 + slack]
-    return [_make_point(s, (pu, pv), isolated)
-            for pu, pv, isolated in _merge_points(inside, merge_radius)]
+    kept = _merge_points(inside, merge_radius)
+    if not kept:
+        return []
+    # the kept points' data, lane k of one batch per curve for point k
+    on = s.at((np.array([q[0] for q in kept]), np.array([q[1] for q in kept])),
+              order=2)
+    return [_make_point(PointJets(s, (pu, pv), ju=on.ju.take(k),
+                                  jv=on.jv.take(k)), isolated)
+            for k, (pu, pv, isolated) in enumerate(kept)]
 
 
 def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,16 +516,16 @@ def singular_conditions(s: TranslationSurface, alphas: tuple[float, float],
                  if r < s.tols.sing_tol * 10)
 
 
-def _make_point(s: TranslationSurface, p: tuple[float, float],
-                isolated: bool) -> SingularPoint:
-    dep = dependence_test(s, p)
+def _make_point(pj: PointJets, isolated: bool) -> SingularPoint:
+    dep = dependence_test(pj)
     return SingularPoint(
-        u=p[0], v=p[1],
-        conditions=singular_conditions(s, s.alpha_values(p), dep.t_pair_norm),
+        u=pj.p[0], v=pj.p[1],
+        conditions=singular_conditions(pj.s, pj.alpha_values(),
+                                       dep.t_pair_norm),
         dependence="dependent" if dep.dependent else "independent",
-        corank=max(2 - s.dx_rank(p), 1),
+        corank=max(2 - pj.dx_rank(), 1),
         isolated=isolated,
-        residual=s.singular_residual(p))
+        residual=pj.singular_residual())
 
 
 def _merge_points(points: list[tuple[float, float]],

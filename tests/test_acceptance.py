@@ -230,12 +230,9 @@ def test_c07_reconstruction_roundtrip_and_order():
         ra, rb = reconstruct_framed_curves(
             a.batch_curvature, b.batch_curvature, ff.value(0.0, 0.0),
             (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=1e-3)
-        ffr = FrameField(ra, rb)
-        worst = max(
-            float(np.max(np.abs(ffr.value(float(u), float(v))
-                                - ff.value(float(u), float(v)))))
-            for u in np.linspace(-0.9, 0.9, 5)
-            for v in np.linspace(-0.9, 0.9, 5))
+        g = np.linspace(-0.9, 0.9, 5)
+        worst = float(np.max(np.abs(FrameField(ra, rb).value(g, g)
+                                    - ff.value(g, g))))
         assert worst < 1e-6, key
 
     # observed order under step halving, against the exact rotation flow
@@ -281,10 +278,11 @@ def test_c08_jets_vs_richardson():
 def test_c09_relational_equations():
     for kind in ("edge", "nonfront"):
         s, p0 = instances.slide_pair(kind)
-        theta = construct_theta(s, p0=p0)
-        lem = lemma_oracle(s, theta, p0)
+        pj = s.at(p0)
+        theta = construct_theta(pj)
+        lem = lemma_oracle(pj, theta)
         assert max(abs(lem[k]) for k in range(1, 6)) < 1e-6, kind
-        uso = unit_speed_oracle(s, theta, p0)
+        uso = unit_speed_oracle(pj, theta)
         assert max(abs(uso[k]) for k in range(1, 6)) < 1e-6, kind
     _ok("criterion 9: relations (1)-(5) and unit-speed items (1)-(5) < 1e-6")
 

@@ -19,7 +19,8 @@ from transurf.curves import (CurveJets, build_curve, catalog, catalog_names,
                              frenet_lift, parse_curve, vec_values)
 from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2)
-from transurf.framefield import frame_dot, reconstruct_framed_curves
+from transurf.framefield import (entry_bijet, entry_value, frame_dot,
+                                 reconstruct_framed_curves)
 from transurf.jets import Jet
 from transurf.surface import TranslationSurface, _newton_t3
 from transurf.verify import all_pairs, surface_for
@@ -76,19 +77,50 @@ def test_lanes_equal_scalar_evaluation(name, order, fracs):
     lo, hi = fc.domain
     ts = [lo + f * (hi - lo) for f in fracs]
     batch = fc.batch_jets(np.array(ts), order)
-    # the cached per-point methods, and uncached jets at each float t
+    # one CurveJets at each float t, and the curvature reader, whose order
+    # is one lower than that of its CurveJets
     points = [CurveJets(fc, t, order) for t in ts]
-    _assert_lanes(batch.gamma, [fc.gamma_jets(t, order) for t in ts])
     _assert_lanes(batch.gamma, [p.gamma for p in points])
     for i in (1, 2, 3):
-        _assert_lanes(batch.row(i), [fc.frame_row(i, t, order) for t in ts])
         _assert_lanes(batch.row(i), [p.row(i) for p in points])
-    _assert_lanes((batch.alpha,),
-                  [(fc.curvature(t, order - 1).alpha,) for t in ts])
-    _assert_lanes(_curvature_jets(batch.curvature),
-                  [_curvature_jets(fc.curvature(t, order - 1)) for t in ts])
+    _assert_lanes((batch.alpha,), [(p.alpha,) for p in points])
     _assert_lanes(_curvature_jets(batch.curvature),
                   [_curvature_jets(p.curvature) for p in points])
+    _assert_lanes(_curvature_jets(batch.curvature),
+                  [_curvature_jets(fc.curvature(t, order - 1)) for t in ts])
+    # a lane read off the batch is the scalar CurveJets at its t, and lanes
+    # gathered in any order are the batch at those t
+    lanes = [batch.take(k) for k in range(len(ts))]
+    assert [lane.t for lane in lanes] == ts
+    for i in (1, 2, 3):
+        _assert_lanes(batch.row(i), [lane.row(i) for lane in lanes])
+    _assert_lanes(_curvature_jets(batch.curvature),
+                  [_curvature_jets(lane.curvature) for lane in lanes])
+    idx = np.array([len(ts) - 1, 0, len(ts) - 1])
+    gathered = batch.take(idx)
+    for i in (1, 2, 3):
+        _assert_lanes(gathered.row(i), [points[k].row(i) for k in idx])
+    _assert_lanes(_curvature_jets(gathered.curvature),
+                  [_curvature_jets(points[k].curvature) for k in idx])
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_lower_order_is_a_truncation(name):
+    # a point read at several orders is evaluated once, at the highest: the
+    # jets of every lower order are its truncations, bitwise
+    fc = CURVES[name]()
+    lo, hi = fc.domain
+    for t in np.linspace(lo, hi, 5)[1:-1]:
+        top = CurveJets(fc, float(t), 7)
+        for order in range(2, 7):
+            at = CurveJets(fc, float(t), order)
+            pairs = list(zip(at.gamma, top.gamma))
+            for i in (1, 2, 3):
+                pairs += zip(at.row(i), top.row(i))
+            pairs += zip(_curvature_jets(at.curvature),
+                         _curvature_jets(top.curvature))
+            for a, b in pairs:
+                assert _bits(a.d) == _bits(b.d[: len(a.d)]), (t, order)
 
 
 def test_scaled_and_negated_curves_batch():
@@ -149,11 +181,14 @@ def test_slide_quadrature_matches_scalar_reference(kind):
 
 
 def _newton_reference(s, u, v, tol, max_iter=80):
-    """The scalar Newton loop on (t31, t32) = 0, one start at a time."""
+    """The scalar Newton loop on (t31, t32) = 0, one start at a time, each
+    iterate from one scalar evaluation of each curve."""
     converged = False
     for _ in range(max_iter):
-        b31 = s.field.t_bijet(3, 1, u, v, degree=2)
-        b32 = s.field.t_bijet(3, 2, u, v, degree=2)
+        mu_b = CurveJets(s.curve_v, v, 2).row(3)
+        ju = CurveJets(s.curve_u, u, 2)
+        b31 = entry_bijet(mu_b, ju.row(1), u, v, degree=2)
+        b32 = entry_bijet(mu_b, ju.row(2), u, v, degree=2)
         r = np.array([b31.value, b32.value])
         rn = math.hypot(*r)
         if rn < tol:
@@ -215,15 +250,17 @@ def test_landscape_nodes_equal_partial_value():
 
 
 def _dependence_rows_reference(s, window, n):
-    """Rows (t31, t32) and (A, B) of the dependence scan, point by point."""
+    """Rows (t31, t32) and (A, B) of the dependence scan, point by point
+    from one scalar evaluation of each curve per grid parameter."""
     u0, u1, v0, v1 = window
+    on_v = [CurveJets(s.curve_v, float(v), 2) for v in np.linspace(v0, v1, n)]
     rows_t, rows_ab = [], []
     for u in np.linspace(u0, u1, n):
-        for v in np.linspace(v0, v1, n):
-            u_, v_ = float(u), float(v)
-            t31 = s.field.partial_value(3, 1, u_, v_)
-            t32 = s.field.partial_value(3, 2, u_, v_)
-            au, av = s.alpha_values((u_, v_))
+        ju = CurveJets(s.curve_u, float(u), 2)
+        for jv in on_v:
+            t31 = entry_value(jv.row(3), ju.row(1))
+            t32 = entry_value(jv.row(3), ju.row(2))
+            au, av = ju.alpha.value, jv.alpha.value
             rows_t.append((t31, t32))
             rows_ab.append((-au * av * t32, au * av * t31))
     return np.asarray(rows_t), np.asarray(rows_ab)
@@ -270,9 +307,9 @@ def test_scan_evaluates_only_merged_points(monkeypatch):
     made = []
     original = surface._make_point
 
-    def spy(*args, **kwargs):
-        made.append(args[1])
-        return original(*args, **kwargs)
+    def spy(pj, *args, **kwargs):
+        made.append(pj.p)
+        return original(pj, *args, **kwargs)
 
     monkeypatch.setattr(surface, "_make_point", spy)
     pts = surface.find_singular_points(s, (-1.5, 1.5, -1.5, 1.5), grid_n=20)
@@ -305,3 +342,71 @@ def test_failing_lane_of_frenet_curve_raises():
         fc.frame_row(1, 0.0, 2)
     with pytest.raises(NotNonDegenerate, match="t=0.0"):
         fc.batch_jets(np.array([0.5, 0.0, -0.5]), 2).frame
+
+
+def _newton_alpha_reference(curve, t, tol, max_iter=30):
+    """The scalar Newton loop on alpha = 0 from one start."""
+    for _ in range(max_iter):
+        c = curve.curvature(t, 1)
+        f, df = c.alpha.value, c.alpha.deriv(1)
+        if abs(f) < tol:
+            return t
+        if df == 0.0:
+            return None
+        step = -f / df
+        while abs(step) > 0.5:
+            step *= 0.5
+        t = t + step
+    return None
+
+
+ALPHA_CURVES = {
+    "cusp_planar": lambda: instances.cusp_curve(planar=True),
+    "cusp_spatial": lambda: instances.cusp_curve(planar=False),
+    "slide_fading": lambda: instances.rank_zero_pair()[0].curve_v,
+    "sin_curve": lambda: catalog("sin_curve"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_CURVES))
+def test_batched_alpha_newton_matches_scalar_reference(name):
+    fc = ALPHA_CURVES[name]()
+    starts = np.linspace(*fc.domain, 9)
+    tol = 1e-12
+    got = surface._newton_alpha(fc, starts, tol)
+    want = [_newton_alpha_reference(fc, float(t), tol) for t in starts]
+    # alpha >= 1 on sin_curve; the others vanish at t = 0
+    assert all(w is None for w in want) == (name == "sin_curve")
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert type(g) is float and _bits(g) == _bits(w)
+
+
+def test_scan_reads_kept_points_from_one_batch_per_curve(monkeypatch):
+    # the data of every kept point are lanes of one batch per curve: the
+    # only scalar CurveJets of a scan are those lanes, and a kept point's
+    # criteria evaluate no curve
+    s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
+    built, making = [], []
+    original = CurveJets.__init__
+
+    def spy(self, curve, t, order):
+        built.append((isinstance(t, np.ndarray), bool(making)))
+        original(self, curve, t, order)
+
+    make = surface._make_point
+
+    def spy_make(pj, isolated):
+        making.append(pj)
+        try:
+            return make(pj, isolated)
+        finally:
+            making.pop()
+
+    monkeypatch.setattr(CurveJets, "__init__", spy)
+    monkeypatch.setattr(surface, "_make_point", spy_make)
+    pts = surface.find_singular_points(s, (-3.2, 3.2, -3.2, 3.2), grid_n=20)
+    assert len(pts) > 2
+    assert not any(in_make for _, in_make in built)
+    assert sum(not batch for batch, _ in built) == 2 * len(pts)

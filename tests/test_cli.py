@@ -170,10 +170,19 @@ def test_tolerance_overrides_reach_catalog_curves():
      "--report", "{tmp}/r.json"],                   # mesh writes no report
     ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
      "--format", "csv"],                            # --format without --out
+    ["scan", "--curve-a", "(u, u^2, 0)", "--frame-a", "(0,0,1)",
+     "--curve-b", "(v,0,v^2)"],                     # a frame of one triple
+    ["scan", "--curve-a", "(u, u^2, 0)", "--curve-b", "(v,0,v^2)",
+     "--frame-b", "(0,0,1);(1,0,0);(0,1,0)"],       # three triples
 ])
 def test_input_errors_exit_2(args, tmp_path, capsys):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in args]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    # a malformed frame is named by its flag
+    for flag in ("--frame-a", "--frame-b"):
+        if flag in args and args[args.index(flag) + 1].count(";") != 1:
+            assert flag in err and "(x,y,z);(x,y,z)" in err
     assert not list(tmp_path.iterdir())
 
 

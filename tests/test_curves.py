@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from transurf import curves, jets
-from transurf.curves import FramedCurve, build_curve, catalog, frenet_lift, parse_curve
+from transurf.curves import (CurveJets, FramedCurve, build_curve, catalog,
+                             frenet_lift, parse_curve)
 from transurf.errors import InvalidFrame, NotNonDegenerate, UnknownCurve
 from transurf.jets import Jet
 from transurf.tolerances import DEFAULT
@@ -90,9 +91,8 @@ def test_frenet_lift_rejects_straight_line():
 
 def test_self_s1p_unit_speed_gate():
     fc = catalog("self_s1p")
-    assert fc.unit_speed_gate(0.0, DEFAULT.hyp_tol)
-    assert fc.unit_speed_gate(math.pi, DEFAULT.hyp_tol)
-    assert not fc.unit_speed_gate(0.9, DEFAULT.hyp_tol)
+    for t, unit in ((0.0, True), (math.pi, True), (0.9, False)):
+        assert CurveJets(fc, t, 3).unit_speed_gate(DEFAULT.hyp_tol) is unit
     assert fc.frenet.kappa(0.0, 2).value == pytest.approx(math.sqrt(2), rel=1e-9)
     assert fc.frenet.tau(0.0, 2).value == pytest.approx(-math.sqrt(2), rel=1e-9)
     assert fc.frenet.kappa(math.pi, 2).value == pytest.approx(math.sqrt(2), rel=1e-9)

@@ -6,21 +6,29 @@ import pytest
 
 from transurf import framedsurf, instances, jets, verify
 from transurf.classify import classify
-from transurf.curves import FramedCurve, catalog
-from transurf.framedsurf import (ThetaField, align_pi, bn_value,
+from transurf.curves import CurveJets, catalog, vec_values
+from transurf.framedsurf import (ThetaField, align_pi,
                                  closed_form_density_partials,
                                  construct_theta, discriminant, front_decision,
                                  front_test, fs_invariants, lemma_oracle,
                                  unit_speed_oracle)
 from transurf.jets import Jet
-from transurf.surface import TranslationSurface
+from transurf.surface import PointJets, TranslationSurface
 
 
-def lambda_direct_value(s: TranslationSurface, theta_value: float,
-                        p: tuple[float, float]) -> float:
+def bn_value(s: TranslationSurface, theta_value: float,
+             u: float) -> np.ndarray:
+    """The normal bn = sin(theta) nu1 + cos(theta) nu2 of the u-curve's
+    frame at u."""
+    n1 = vec_values(s.curve_u.frame_row(1, u, 2))
+    n2 = vec_values(s.curve_u.frame_row(2, u, 2))
+    return math.sin(theta_value) * n1 + math.cos(theta_value) * n2
+
+
+def lambda_direct_value(pj: PointJets, theta_value: float) -> float:
     """det(x_u, x_v, bn) evaluated directly; cross-check for the closed form."""
-    bn = bn_value(s, theta_value, p[0])
-    return float(np.linalg.det(np.column_stack([s.dx_matrix(p), bn])))
+    bn = bn_value(pj.s, theta_value, pj.p[0])
+    return float(np.linalg.det(np.column_stack([pj.dx_matrix(), bn])))
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +45,7 @@ def planar():
 
 def test_theta_unavailable_at_cross_cap():
     s = TranslationSurface.general(catalog("s0_a"), catalog("s0_b"))
-    pt = construct_theta(s, (0.0, 0.0))
+    pt = construct_theta(s.at((0.0, 0.0)))
     assert not pt.available
     assert "not a framed base surface" in pt.reason or "isotropic" in pt.reason
 
@@ -45,7 +53,7 @@ def test_theta_unavailable_at_cross_cap():
 def test_theta_defining_equation_planar(planar):
     s, p0, theta = planar
     for p in [(0.0, 0.0), (0.7, -0.4), (1.1, 0.9)]:
-        pt = theta.at(p)
+        pt = theta.at(s.at(p))
         assert pt.available
         assert pt.residual < 1e-12
         assert math.sin(pt.value) == pytest.approx(0.0, abs=1e-12)
@@ -54,7 +62,7 @@ def test_theta_defining_equation_planar(planar):
 def test_theta_extension_derivatives_match_theory(edge_case):
     # theta_u = tau/2 and theta_v = -h' tau / 2 on a tangent-sliding pair
     s, p0, theta = edge_case
-    pt = theta.at(p0)
+    pt = theta.at(s.at(p0))
     assert pt.provenance == "limit_extension"
     tau = s.curve_u.frenet.tau(p0[0], 2).value
     assert pt.bijet.part(1, 0) == pytest.approx(tau / 2, abs=1e-9)
@@ -64,7 +72,8 @@ def test_theta_extension_derivatives_match_theory(edge_case):
 def test_fs_invariants_structure(edge_case):
     s, p0, theta = edge_case
     p = (p0[0] + 0.15, p0[1] + 0.1)
-    inv = fs_invariants(s, theta.at(p), p)
+    pj = s.at(p)
+    inv = fs_invariants(pj, theta.at(pj))
     ca = s.curve_u.curvature(p[0], 2)
     cb = s.curve_v.curvature(p[1], 2)
     assert inv.a1.value == pytest.approx(ca.alpha.value, rel=1e-12)
@@ -86,11 +95,12 @@ def test_fs_invariants_structure(edge_case):
 
 def test_planar_pair_frontal_but_not_front(planar):
     s, p0, theta = planar
-    pt = theta.at(p0)
-    inv = fs_invariants(s, pt, p0, degree=2)
+    pj = s.at(p0)
+    pt = theta.at(pj)
+    inv = fs_invariants(pj, pt, degree=2)
     assert inv.f1.value == pytest.approx(0.0, abs=1e-10)   # theta_u - l
     assert inv.HF.value == pytest.approx(0.0, abs=1e-10)
-    verdict, witness, rank = front_test(s, pt, p0)
+    verdict, witness, rank = front_test(pj, pt)
     assert verdict == "frontal_only" and rank == 1
 
 
@@ -102,8 +112,9 @@ def test_front_decision_rank0():
 
 def test_front_on_edge_instance(edge_case):
     s, p0, theta = edge_case
-    pt = theta.at(p0)
-    verdict, witness, rank = front_test(s, pt, p0)
+    pj = s.at(p0)
+    pt = theta.at(pj)
+    verdict, witness, rank = front_test(pj, pt)
     assert verdict == "front" and rank == 1
     # the front witness is -1/2 of the explicit front condition value
     ca = s.curve_u.curvature(p0[0], 2)
@@ -117,22 +128,24 @@ def test_front_on_edge_instance(edge_case):
 def test_discriminant_factorization(edge_case):
     s, p0, theta = edge_case
     for p in [p0, (p0[0] + 0.1, p0[1] - 0.05)]:
-        pt = theta.at(p)
-        d = discriminant(s, pt, p)
+        pj = s.at(p)
+        pt = theta.at(pj)
+        d = discriminant(pj, pt)
         ca = s.curve_u.curvature(p[0], 2)
         cb = s.curve_v.curvature(p[1], 2)
         assert d.lam.value == pytest.approx(
             ca.alpha.value * cb.alpha.value * d.Lambda.value, rel=1e-11,
             abs=1e-13)
         assert d.lam.value == pytest.approx(
-            lambda_direct_value(s, pt.value, p), rel=1e-9, abs=1e-12)
+            lambda_direct_value(pj, pt.value), rel=1e-9, abs=1e-12)
 
 
 def test_density_closed_partials_match_jets(edge_case):
     s, p0, theta = edge_case
-    pt = theta.at(p0)
-    d = discriminant(s, pt, p0)
-    cf = closed_form_density_partials(s, pt, p0)
+    pj = s.at(p0)
+    pt = theta.at(pj)
+    d = discriminant(pj, pt)
+    cf = closed_form_density_partials(pj, pt)
     assert d.Lambda.part(1, 0) == pytest.approx(cf["Lambda_u"], abs=1e-8)
     assert d.Lambda.part(0, 1) == pytest.approx(cf["Lambda_v"], abs=1e-8)
     assert d.Lambda.part(2, 0) == pytest.approx(cf["Lambda_uu"], abs=1e-7)
@@ -146,10 +159,11 @@ def test_lambda_matches_determinant_at_random_points(edge_case):
     for _ in range(100):
         p = (p0[0] + float(rng.uniform(-0.15, 0.15)),
              float(rng.uniform(-0.2, 0.2)))
-        pt = theta.at(p, degree=2)
-        d = discriminant(s, pt, p, degree=2)
+        pj = s.at(p, order=4)
+        pt = theta.at(pj, degree=2)
+        d = discriminant(pj, pt, degree=2)
         assert d.lam.value == pytest.approx(
-            lambda_direct_value(s, pt.value, p), rel=1e-9, abs=1e-12)
+            lambda_direct_value(pj, pt.value), rel=1e-9, abs=1e-12)
 
 
 def test_theta_derivatives_match_tracked_field_fd(edge_case):
@@ -157,12 +171,12 @@ def test_theta_derivatives_match_tracked_field_fd(edge_case):
     # differences of its values aligned to one branch
     s, p0, theta = edge_case
     p = (p0[0] + 0.12, 0.08)
-    pt = theta.at(p)
+    pt = theta.at(s.at(p))
     h = 1e-5
     ref = pt.value
 
     def th(q):
-        return align_pi(theta.at(q, degree=2).value, ref)
+        return align_pi(theta.at(s.at(q, order=2), degree=2).value, ref)
 
     fd_u = (th((p[0] + h, p[1])) - th((p[0] - h, p[1]))) / (2 * h)
     fd_v = (th((p[0], p[1] + h)) - th((p[0], p[1] - h))) / (2 * h)
@@ -172,14 +186,16 @@ def test_theta_derivatives_match_tracked_field_fd(edge_case):
 
 def test_lemma_oracle_residuals(edge_case):
     s, p0, theta = edge_case
-    res = lemma_oracle(s, theta.at(p0), p0)
+    pj = s.at(p0)
+    res = lemma_oracle(pj, theta.at(pj))
     assert set(res) == set(range(1, 10))
     assert max(abs(v) for v in res.values()) < 1e-6
 
 
 def test_unit_speed_oracle_residuals(edge_case):
     s, p0, theta = edge_case
-    res = unit_speed_oracle(s, theta.at(p0), p0)
+    pj = s.at(p0)
+    res = unit_speed_oracle(pj, theta.at(pj))
     assert max(abs(v) for v in res.values()) < 1e-6
     # theta_u = tau/2 and t12 = 0 are items 3 and 2
     assert abs(res[2]) < 1e-8 and abs(res[3]) < 1e-8
@@ -187,7 +203,8 @@ def test_unit_speed_oracle_residuals(edge_case):
 
 def test_lemma_oracle_on_cylinder():
     s, p0 = instances.cylinder_pair()
-    res = lemma_oracle(s, construct_theta(s, p0), p0)
+    pj = s.at(p0)
+    res = lemma_oracle(pj, construct_theta(pj))
     assert max(abs(v) for v in res.values()) < 1e-6
 
 
@@ -273,7 +290,8 @@ RAY_POINTS = {
 def test_ray_fan_lanes_equal_scalar_reference(case):
     s, p = RAY_POINTS[case]()
     dirs = framedsurf._FAN + framedsurf._AXIS_RAYS
-    got = ThetaField(s)._ray_angle_jets(p, dirs)
+    got = [framedsurf._angle_jet(*pair)
+           for pair in ThetaField._ray_pairs(s.at(p), dirs)]
     assert len(got) == 24
     for d, g in zip(dirs, got):
         want = _ray_angle_jet_reference(s, p, d)
@@ -287,14 +305,33 @@ def test_rays_of_a_point_read_the_frame_once(monkeypatch):
     # batch, so the ray code reads each of its three frame rows once
     s, p0 = instances.slide_pair("edge")
     calls = []
-    original = FramedCurve.frame_row
+    original = CurveJets.row
 
     def spy(self, *args, **kwargs):
         if sys._getframe(1).f_code.co_filename == framedsurf.__file__:
             calls.append(args)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(FramedCurve, "frame_row", spy)
-    pt = construct_theta(s, p0)
+    monkeypatch.setattr(CurveJets, "row", spy)
+    pt = construct_theta(s.at(p0))
     assert pt.provenance == "limit_extension"
-    assert len(calls) <= 6
+    assert 3 <= len(calls) <= 6
+
+
+def test_axis_angle_jets_wait_for_a_fan_limit(monkeypatch):
+    # the angle jets of the 8 axis lanes are formed only once the 16 fan
+    # rays have a limit; at this diagonal point of the sin-minus pair they
+    # have none, so only the fan's 16 are formed
+    s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
+    calls = []
+    original = framedsurf._angle_jet
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(framedsurf, "_angle_jet", spy)
+    pt = construct_theta(s.criteria_surface().at((0.1, 0.1)))
+    assert not pt.available
+    assert "no continuous normal angle" in pt.reason
+    assert len(calls) == 16

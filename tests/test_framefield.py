@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from transurf import curves, verify
-from transurf.curves import FramedCurve, catalog
+from transurf.curves import CurveJets, FramedCurve, catalog
 from transurf.errors import NotIntegrable
 from transurf.framefield import (CompatibilityReport, FrameField,
                                  OdeFramedCurve, _curvature_matrix,
-                                 check_compatibility, polar_rotation,
+                                 check_compatibility, entry_bijet,
+                                 polar_rotation,
                                  reconstruct_framed_curves,
                                  reconstruct_from_field)
 from transurf.jets import BiJet, Jet
@@ -112,10 +113,11 @@ def test_t_bijet_equals_bijet_product_assembly(degree, du, dv):
         ff = FrameField(catalog(na), catalog(nb))
         for _ in range(3):
             u, v = (float(x) for x in rng.uniform(-1.5, 1.5, 2))
+            order = degree + max(du, dv)
+            on_b = CurveJets(ff.curve_b, v, order)
+            on_a = CurveJets(ff.curve_a, u, order)
             for i, j in ((3, 1), (3, 2), (1, 3), (2, 2), (3, 3)):
-                order = degree + max(du, dv)
-                row_b = ff.curve_b.frame_row(i, v, order)
-                row_a = ff.curve_a.frame_row(j, u, order)
+                row_b, row_a = on_b.row(i), on_a.row(j)
                 for _ in range(dv):
                     row_b = curves.shift3(row_b)
                 for _ in range(du):
@@ -153,19 +155,21 @@ def test_compatibility_identities(na, nb):
 
 
 def _check_compatibility_reference(ff, us, vs):
-    """The identities of check_compatibility node by node: nine t_bijet
-    calls per node and one curvature call per u and per v."""
+    """The identities of check_compatibility node by node: nine t_ij BiJets
+    per node, from one scalar evaluation of each curve per grid parameter."""
     rep = CompatibilityReport()
+    on_b = [CurveJets(ff.curve_b, float(v), 3) for v in vs]
     for u in us:
         u = float(u)
-        ca = ff.curve_a.curvature(u, 2)
+        ja = CurveJets(ff.curve_a, u, 3)
+        ca = ja.curvature
         Fu = _curvature_matrix(ca)
-        for v in vs:
-            v = float(v)
-            cb = ff.curve_b.curvature(v, 2)
+        for jb in on_b:
+            v = jb.t
+            cb = jb.curvature
             Fv = _curvature_matrix(cb)
-            M = [[ff.t_bijet(i, j, u, v, degree=2) for j in (1, 2, 3)]
-                 for i in (1, 2, 3)]
+            M = [[entry_bijet(jb.row(i), ja.row(j), u, v, degree=2)
+                  for j in (1, 2, 3)] for i in (1, 2, 3)]
             T = np.array([[M[i][j].value for j in range(3)] for i in range(3)])
             Tu = np.array([[M[i][j].part(1, 0) for j in range(3)] for i in range(3)])
             Tv = np.array([[M[i][j].part(0, 1) for j in range(3)] for i in range(3)])
@@ -219,22 +223,29 @@ def test_compatibility_grid_matches_pointwise_reference(key, grid_n):
         assert float(g).hex() == float(w).hex(), name
 
 
-def _value_reference(ff, u, v):
-    """T at one point from the per-point frame rows."""
-    a_rows = [ff.curve_a.frame_row(i, u, 2) for i in (1, 2, 3)]
-    b_rows = [ff.curve_b.frame_row(i, v, 2) for i in (1, 2, 3)]
-    av = np.array([[c.value for c in row] for row in a_rows])
-    bv = np.array([[c.value for c in row] for row in b_rows])
+def _frame_values(curve, ts):
+    """The frame rows (nu1, nu2, mu) as a 3 x 3 matrix at each float of
+    ``ts``, from one scalar evaluation per parameter."""
+    out = []
+    for t in ts:
+        at = CurveJets(curve, float(t), 2)
+        out.append(np.array([[c.value for c in at.row(i)] for i in (1, 2, 3)]))
+    return out
+
+
+def _value_reference(av, bv):
+    """T at one point from the frame-row matrices of its two curves."""
     return bv @ av.T
 
 
 def _frames_reference(s, grid_n):
     """suite_frames' residuals for one pair, node by node."""
     us, vs = _suite_grid(s, grid_n)
+    on_b = _frame_values(s.curve_v, vs)
     worst_orth, worst_det = 0.0, 0.0
-    for u in us:
-        for v in vs:
-            T = _value_reference(s.field, float(u), float(v))
+    for av in _frame_values(s.curve_u, us):
+        for bv in on_b:
+            T = _value_reference(av, bv)
             worst_orth = max(worst_orth,
                              float(np.max(np.abs(T.T @ T - np.eye(3)))))
             worst_det = max(worst_det, abs(float(np.linalg.det(T)) - 1.0))
@@ -247,9 +258,10 @@ def test_value_grid_nodes_equal_pointwise_reference(key):
     us, vs = _suite_grid(s, 12)
     grid = s.field.value(us, vs)
     assert grid.shape == (12, 12, 3, 3)
+    on_a, on_b = _frame_values(s.curve_u, us), _frame_values(s.curve_v, vs)
     for a, u in enumerate(us):
         for b, v in enumerate(vs):
-            want = _value_reference(s.field, float(u), float(v)).tobytes()
+            want = _value_reference(on_a[a], on_b[b]).tobytes()
             assert grid[a, b].tobytes() == want
             assert s.field.value(float(u), float(v)).tobytes() == want
 
@@ -304,13 +316,9 @@ def _roundtrip_error(name_a, name_b, step, window=0.9, grid=6):
     ra, rb = reconstruct_framed_curves(
         a.batch_curvature, b.batch_curvature, ff.value(0.0, 0.0),
         (0.0, 0.0), (-window, window), (-window, window), step=step)
-    ffr = FrameField(ra, rb)
-    worst = 0.0
-    for u in np.linspace(-window, window, grid):
-        for v in np.linspace(-window, window, grid):
-            worst = max(worst, float(np.max(np.abs(
-                ffr.value(float(u), float(v)) - ff.value(float(u), float(v))))))
-    return worst
+    g = np.linspace(-window, window, grid)
+    return float(np.max(np.abs(FrameField(ra, rb).value(g, g)
+                               - ff.value(g, g))))
 
 
 @pytest.mark.parametrize("na,nb", [("s0_a", "s0_b"), ("s1m_a", "s1m_b")])
@@ -362,12 +370,9 @@ def test_reconstruct_from_closed_form_field():
 
     ra, rb = reconstruct_from_field(ff.value, (0.0, 0.0), (-0.5, 0.5),
                                     (-0.5, 0.5), alpha_a, alpha_b)
-    ffr = FrameField(ra, rb)
-    worst = 0.0
-    for u in np.linspace(-0.45, 0.45, 4):
-        for v in np.linspace(-0.45, 0.45, 4):
-            worst = max(worst, float(np.max(np.abs(
-                ffr.value(float(u), float(v)) - ff.value(float(u), float(v))))))
+    g = np.linspace(-0.45, 0.45, 4)
+    worst = float(np.max(np.abs(FrameField(ra, rb).value(g, g)
+                                - ff.value(g, g))))
     assert worst < 1e-6
 
 
@@ -418,11 +423,13 @@ def test_rk4_evaluates_curvature_once_per_stage_time():
 
 
 def test_frame_rows_share_one_derivative_stack():
+    # one CurveJets evaluates the frame pair once, from one derivative stack
     calls = []
     curve = _counted_ode_curve(calls, [])
     t = 0.3171
-    curve.frame_row(1, t, 4)
-    curve.frame_row(2, t, 4)
+    at = CurveJets(curve, t, 4)
+    at.row(1)
+    at.row(2)
     assert calls.count((t, 4)) == 1
 
 

@@ -8,7 +8,8 @@ from transurf.curves import FramedCurve, catalog, vec_values
 from transurf.jets import Jet
 from transurf.surface import (TranslationSurface, ab_dependence_scan,
                               canonical_periodic_points, dependence_test,
-                              find_singular_points, gfs_invariants)
+                              find_singular_points, gfs_invariants,
+                              residual_landscape)
 
 PI = math.pi
 
@@ -16,10 +17,11 @@ PI = math.pi
 def normal_decomposition_residual(s: TranslationSurface,
                                   p: tuple[float, float]) -> float:
     """| x_u x x_v - (A nu1 + B nu2) | at p; identically zero in theory."""
-    inv = gfs_invariants(s, p, degree=2)
-    dx = s.dx_matrix(p)
-    n1 = vec_values(s.curve_u.frame_row(1, p[0], 2))
-    n2 = vec_values(s.curve_u.frame_row(2, p[0], 2))
+    pj = s.at(p, order=3)
+    inv = gfs_invariants(pj, degree=2)
+    dx = pj.dx_matrix()
+    n1 = vec_values(pj.ju.row(1))
+    n2 = vec_values(pj.ju.row(2))
     nu = np.cross(dx[:, 0], dx[:, 1])
     recon = inv.A.value * n1 + inv.B.value * n2
     return float(np.max(np.abs(nu - recon)))
@@ -51,7 +53,7 @@ def s0():
 
 
 def test_gfs_invariants_at_origin(s0):
-    inv = gfs_invariants(s0, (0.0, 0.0))
+    inv = gfs_invariants(s0.at((0.0, 0.0)))
     assert (inv.a2.value, inv.b2.value, inv.c2.value) == pytest.approx((0, 0, 1), abs=1e-14)
     assert inv.A.value == pytest.approx(0.0, abs=1e-14)
     assert inv.B.value == pytest.approx(0.0, abs=1e-14)
@@ -60,7 +62,7 @@ def test_gfs_invariants_at_origin(s0):
 
 
 def test_gfs_invariants_off_origin_cross_checked(s0):
-    inv = gfs_invariants(s0, (1.0, 0.0))
+    inv = gfs_invariants(s0.at((1.0, 0.0)))
     assert inv.A.value == pytest.approx(0.0, abs=1e-14)
     assert inv.B.value == pytest.approx(-1.0, rel=1e-12)
     # direct decomposition of x_u x x_v against A nu1 + B nu2
@@ -69,12 +71,12 @@ def test_gfs_invariants_off_origin_cross_checked(s0):
 
 def test_gfs_mirrored_frame(s0):
     p = (0.6, -0.8)
-    inv = gfs_invariants(s0, p, frame="nu_of_B")
+    inv = gfs_invariants(s0.at(p), frame="nu_of_B")
     assert inv.e1.value == 0.0 and inv.f1.value == 0.0 and inv.g1.value == 0.0
     cb = s0.curve_v.curvature(p[1], 2)
     assert inv.e2.value == pytest.approx(cb.l.value, abs=1e-14)
     # A, B from either frame vanish together (they span the same normal part)
-    inv_a = gfs_invariants(s0, p)
+    inv_a = gfs_invariants(s0.at(p))
     za = math.hypot(inv_a.A.value, inv_a.B.value)
     zb = math.hypot(inv.A.value, inv.B.value)
     assert za > 1e-3 and zb > 1e-3
@@ -95,13 +97,13 @@ def test_normal_decomposition_random_points():
 
 def test_x_partials_split_variables(s0):
     p = (0.4, -0.7)
-    xu = s0.x_partial_jets(p, 1, 0)
+    xu = s0.at(p).x_partial_jets(1, 0)
     for c in xu:
         for i in range(4):
             for j in range(1, 4):
                 if i + j <= 3:
                     assert c.part(i, j) == 0.0
-    x = s0.x_partial_jets(p, 0, 0)
+    x = s0.at(p).x_partial_jets(0, 0)
     gu = s0.curve_u.gamma_jets(p[0], 4)
     gv = s0.curve_v.gamma_jets(p[1], 4)
     for c, a, b in zip(x, gu, gv):
@@ -111,7 +113,7 @@ def test_x_partials_split_variables(s0):
 
 def test_x_u_is_alpha_mu(s0):
     p = (0.9, 0.2)
-    xu = s0.x_partial_jets(p, 1, 0, degree=2)
+    xu = s0.at(p).x_partial_jets(1, 0, degree=2)
     alpha = s0.curve_u.curvature(p[0], 2).alpha.value
     mu = curves.vec_values(s0.curve_u.frame_row(3, p[0], 2))
     assert np.allclose([c.value for c in xu], alpha * mu, atol=1e-12)
@@ -119,15 +121,15 @@ def test_x_u_is_alpha_mu(s0):
 
 def test_dependence_examples(s0):
     s1m = TranslationSurface.general(catalog("s1m_a"), catalog("s1m_b"))
-    d = dependence_test(s1m, (0.0, 0.0))
+    d = dependence_test(s1m.at((0.0, 0.0)))
     assert d.dependent and d.t33 == pytest.approx(1.0, abs=1e-12)
-    assert not dependence_test(s0, (1.0, 1.0)).dependent
+    assert not dependence_test(s0.at((1.0, 1.0))).dependent
     sc = catalog("sin_curve")
     selfp = TranslationSurface.self_translation(sc, +1)
-    d = dependence_test(selfp, (0.7, 0.7))
+    d = dependence_test(selfp.at((0.7, 0.7)))
     assert d.dependent and d.t33 == pytest.approx(1.0, abs=1e-12)
     # the two dependence measures agree exactly in theory
-    d2 = dependence_test(s0, (0.9, -0.3))
+    d2 = dependence_test(s0.at((0.9, -0.3)))
     assert d2.mu_cross_norm == pytest.approx(d2.t_pair_norm, rel=1e-12)
 
 
@@ -201,16 +203,20 @@ def test_scan_is_complete_and_consistent():
     for q in pts:
         assert q.residual < 10 * tol
         if "iii" in q.conditions:
-            assert dependence_test(xm, q.p).t_pair_norm < 10 * tol
+            assert dependence_test(xm.at(q.p, order=2)).t_pair_norm < 10 * tol
     spacing = 2 * PI / (grid_n - 1)
     merge_radius = 3.0 * spacing
     us = np.linspace(*window[:2], grid_n)
     vs = np.linspace(*window[2:], grid_n)
-    for u in us:
-        for v in vs:
-            if xm.singular_residual((float(u), float(v))) < tol / 10:
-                near = min(math.hypot(q.u - u, q.v - v) for q in pts)
-                assert near < merge_radius, (u, v, near)
+    # the singular residual of every grid node, from the grid landscape
+    alpha_u, alpha_v, t31, t32 = residual_landscape(xm, us, vs)
+    residual = np.minimum(np.minimum(np.abs(alpha_u)[:, None],
+                                     np.abs(alpha_v)[None, :]),
+                          np.hypot(t31, t32))
+    for a, b in zip(*np.nonzero(residual < tol / 10)):
+        u, v = us[a], vs[b]
+        near = min(math.hypot(q.u - u, q.v - v) for q in pts)
+        assert near < merge_radius, (u, v, near)
 
 
 def test_self_translation_invariants_carry_half_factors():
@@ -222,8 +228,8 @@ def test_self_translation_invariants_carry_half_factors():
     cv = sc.curvature(v, 2)
     t31 = xp.field.partial_value(3, 1, u, v)
     t33 = xp.field.partial_value(3, 3, u, v)
-    invp = gfs_invariants(xp, (u, v))
-    invm = gfs_invariants(xm, (u, v))
+    invp = gfs_invariants(xp.at((u, v)))
+    invm = gfs_invariants(xm.at((u, v)))
     assert invp.c1.value == pytest.approx(c.alpha.value / 2, rel=1e-12)
     assert invm.c1.value == pytest.approx(c.alpha.value / 2, rel=1e-12)
     assert invp.a2.value == pytest.approx(cv.alpha.value * t31 / 2, rel=1e-12, abs=1e-12)
