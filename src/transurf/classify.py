@@ -799,7 +799,11 @@ def classify(s: TranslationSurface, p0: tuple[float, float],
                             notes=[f"routes disagree: framed={ft}, "
                                    f"generic={gt}"])
         elif ft == "Unclassified" and gt in _DEFINITE:
-            final = report.generic
+            # a definite verdict needs both routes; the candidate is a note
+            raw = ", ".join(f"{c.name}={c.value:.6g}"
+                            for c in report.generic.conditions)
+            final.notes.append(f"generic route alone says {gt} ({raw}); "
+                               "the framed route does not confirm it")
         elif gt == ft and ft in _DEFINITE:
             final.notes.append("generic route agrees")
     report.final = final

@@ -37,27 +37,23 @@ def vec_values(v: VecJets) -> np.ndarray:
     return np.array([c.value for c in v])
 
 
-def _stack_lanes(t: np.ndarray, lanes):
-    """One batch jet per leaf of the nested tuples the lanes share."""
-    if isinstance(lanes[0], Jet):
-        return Jet(t, np.stack([lane.d for lane in lanes], axis=1))
-    return tuple(_stack_lanes(t, [lane[k] for lane in lanes])
-                 for k in range(len(lanes[0])))
+def _pick(x, t, idx):
+    """Lanes ``idx`` of nested tuples of batch jets, with base point ``t``:
+    scalar jets for an int, a batch for an int array."""
+    if isinstance(x, Jet):
+        return Jet(t, x.d[:, idx])
+    return tuple(_pick(y, t, idx) for y in x)
 
 
-def lanewise(fn):
-    """Evaluator for a batch of parameters from a scalar-only evaluator.
-
-    For an evaluator that does scalar side-work (an ODE state, a quadrature)
-    this calls ``fn`` once per lane and stacks the lanes, so each lane is the
-    scalar evaluation itself. ``fn`` may return nested tuples of jets (a
-    frame pair); the batch result has the same nesting.
-    """
+def batch_evaluator(fn):
+    """Evaluator over a 1-D array of parameters: a float ``t`` is evaluated
+    as a batch of one, whose lane is returned as scalar jets. ``fn`` may
+    return nested tuples of jets (a frame pair)."""
     @functools.wraps(fn)
     def wrapped(t, order: int):
-        if not isinstance(t, np.ndarray):
+        if isinstance(t, np.ndarray):
             return fn(t, order)
-        return _stack_lanes(t, [fn(float(tk), order) for tk in t])
+        return _pick(fn(np.array([t], dtype=float), order), t, 0)
     return wrapped
 
 
@@ -96,9 +92,11 @@ class FramedCurve:
     :meth:`batch_jets`, and the evaluator then returns jets with a batch axis
     whose lane k equals its scalar result at ``t[k]`` bitwise. Evaluators
     built from ``Jet.variable``, ``Jet.constant``, jet arithmetic and the
-    ``jets`` functions meet it unchanged. One that needs scalar side-work
-    (an ODE state, a quadrature) is wrapped in :func:`lanewise`, which
-    stacks nested tuples such as the frame pair lane by lane. The per-point
+    ``jets`` functions meet it unchanged. One that does side-work over its
+    parameters (an ODE state, a quadrature) is written for arrays and
+    wrapped in :func:`batch_evaluator`, so a float goes through the same
+    code as a batch of one; no operation of such an evaluator may mix lanes
+    or depend on which other lanes share its batch. The per-point
     readers (``gamma_jets``, ``frame_row``, ``curvature``) take floats only
     and evaluate a fresh :class:`CurveJets` on every call; code that reads a
     point more than once holds its ``CurveJets`` instead.
@@ -262,13 +260,9 @@ class CurveJets:
         an int array a batch with one lane per entry. Each lane equals a
         fresh evaluation at its parameter bitwise."""
         t = float(self.t[idx]) if isinstance(idx, int) else self.t[idx]
-
-        def pick(x):
-            if isinstance(x, Jet):
-                return Jet(t, x.d[:, idx])
-            return tuple(pick(y) for y in x)
         out = CurveJets(self.curve, t, self.order)
-        out.gamma, out.frame = pick(self.gamma), pick(self.frame)
+        out.gamma = _pick(self.gamma, t, idx)
+        out.frame = _pick(self.frame, t, idx)
         return out
 
     @functools.cached_property

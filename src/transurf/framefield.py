@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (FramedCurve, FramedCurvature, VecJets, lanewise,
+from .curves import (FramedCurve, FramedCurvature, VecJets, batch_evaluator,
                      shift3, vec_values)
 from .errors import NotIntegrable
 from .jets import BiJet, Jet
@@ -233,9 +233,8 @@ class OdeFramedCurve(FramedCurve):
             0: (np.asarray(R0, dtype=float), np.zeros(3),
                 *self._stage_values([self.t0])[0])}
         self._far = {+1: 0, -1: 0}         # furthest integrated node per side
-        # the RK4 state is scalar, so a batch evaluates lane by lane
-        super().__init__(lanewise(self._gamma_jets_impl),
-                         lanewise(self._frame_impl), domain, name=name,
+        super().__init__(batch_evaluator(self._gamma_jets_impl),
+                         batch_evaluator(self._frame_impl), domain, name=name,
                          validate=False)
 
     # -- integration ---------------------------------------------------------
@@ -295,41 +294,42 @@ class OdeFramedCurve(FramedCurve):
 
     # -- jet assembly from the ODE -------------------------------------------
 
-    def _derivative_stack(self, t: float, order: int):
-        """d^k R / dt^k for k = 0..order via R' = F R, as an array of shape
-        (order + 1, 3, 3), with gamma(t) and the framed curvature at t."""
-        lane = self.curvature_fn(np.array([t]), order)
-        c = FramedCurvature(*(Jet(t, x.d[:, 0]) for x in
-                              (lane.l, lane.m, lane.n, lane.alpha)))
-        F = np.zeros((order + 1, 3, 3))
+    def _derivative_stacks(self, ts: np.ndarray, order: int):
+        """d^k R / dt^k for k = 0..order via R' = F R at each time of the 1-D
+        array ``ts``, shape (len(ts), order + 1, 3, 3), with gamma, shape
+        (len(ts), 3), and the framed curvature from one source call."""
+        c = self.curvature_fn(ts, order)
+        F = np.zeros((len(ts), order + 1, 3, 3))
         entries = {(0, 1): c.l.d, (0, 2): c.m.d, (1, 0): -c.l.d, (1, 2): c.n.d,
                    (2, 0): -c.m.d, (2, 1): -c.n.d}
         for (r, s), d in entries.items():
             n = min(len(d), order + 1)
-            F[:n, r, s] = d[:n]
+            F[:, :n, r, s] = d[:n].T
 
-        R, g = self.state_at(t)
-        stack = [R]
-        for k in range(order):
-            # d^{k+1} R = d^k (F R) by Leibniz over the stored stacks
-            M = np.zeros((3, 3))
-            for i in range(k + 1):
-                M += math.comb(k, i) * F[i] @ stack[k - i]
-            stack.append(M)
-        return np.array(stack), g, c
+        stacks, gs = [], []
+        for t, Fl in zip(ts.tolist(), F):
+            R, g = self.state_at(t)
+            stack = [R]
+            for k in range(order):
+                # d^{k+1} R = d^k (F R) by Leibniz over the stored stacks
+                M = np.zeros((3, 3))
+                for i in range(k + 1):
+                    M += math.comb(k, i) * Fl[i] @ stack[k - i]
+                stack.append(M)
+            stacks.append(stack)
+            gs.append(g)
+        return np.array(stacks), np.array(gs), c
 
-    def _frame_impl(self, t: float, order: int) -> tuple[VecJets, VecJets]:
-        stack, _, _ = self._derivative_stack(t, order)
-        return tuple(tuple(Jet(t, stack[:, row, c]) for c in range(3))
+    def _frame_impl(self, ts: np.ndarray, order: int) -> tuple[VecJets, VecJets]:
+        stacks, _, _ = self._derivative_stacks(ts, order)
+        return tuple(tuple(Jet(ts, stacks[:, :, row, c].T) for c in range(3))
                      for row in (0, 1))
 
-    def _gamma_jets_impl(self, t: float, order: int) -> VecJets:
-        stack, g, c = self._derivative_stack(t, max(order - 1, 2))
-        out = []
-        for k in range(3):
-            dj = (c.alpha * Jet(t, stack[:, 2, k])).d[: order]
-            out.append(Jet(t, np.concatenate(([g[k]], dj))))
-        return tuple(out)
+    def _gamma_jets_impl(self, ts: np.ndarray, order: int) -> VecJets:
+        stacks, g, c = self._derivative_stacks(ts, max(order - 1, 2))
+        return tuple(Jet(ts, np.concatenate((
+            g[None, :, k], (c.alpha * Jet(ts, stacks[:, :, 2, k].T)).d[:order])))
+            for k in range(3))
 
 
 def reconstruct_framed_curves(curv_a, curv_b, T0: np.ndarray,

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import jets
-from .curves import CurveJets, FramedCurve, frenet_lift, lanewise
+from .curves import FramedCurve, batch_evaluator, frenet_lift
 from .jets import Jet
 from .surface import TranslationSurface
 
@@ -114,8 +114,8 @@ def cusp_curve(planar: bool = True, name: str = "cusp") -> FramedCurve:
 
 
 def _quadratic(h0: float, h1: float, h2: float):
-    def h_jet(t: float, order: int) -> Jet:
-        d = np.zeros(order + 1)
+    def h_jet(t, order: int) -> Jet:
+        d = np.zeros((order + 1,) + np.shape(t))
         d[0] = h0 + h1 * t + 0.5 * h2 * t * t
         d[1] = h1 + h2 * t
         if order >= 2:
@@ -133,8 +133,12 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
     ``speed`` is a constant or a coefficient pair (s0, s1) for s0 + s1 v.
     The tangent indicatrix of B retraces the one of ``base``, which makes the
     translation surface of (base, B) a framed base surface near the tangency
-    curve u = h(v). B(t) is a Simpson sum over at least 17 nodes in [0, t],
-    and the base frame at all of them is evaluated as one batch.
+    curve u = h(v). B(t) is a Simpson sum over n + 1 nodes in [0, t], n =
+    max(16, 2 int(|t| / 0.05) + 2), and B(0) = 0. The evaluators take a 1-D
+    array of t (see :func:`~transurf.curves.batch_evaluator`): one call
+    reads the base curve from one batch, at h(t) and at the Simpson nodes of
+    every lane, and each lane is formed with the float operations of its
+    own scalar evaluation.
     """
     h_jet = _quadratic(h0, h1, h2)
     if isinstance(speed, (int, float)):
@@ -142,59 +146,48 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
     else:
         s0, s1 = float(speed[0]), float(speed[1])
 
-    def direction(t: float, order: int):
-        hj = h_jet(t, max(order, 2))
-        mu = base.frame_row(3, hj.value, max(order, 2))
-        sp = np.zeros(max(order, 2) + 1)
-        sp[0], sp[1] = s0 + s1 * t, s1
-        spj = Jet(t, sp)
-        out = []
-        for c in range(3):
-            comp = hj.compose_outer(mu[c].d)
-            out.append(spj * Jet(t, comp.d))
-        return tuple(out)
-
-    cache: dict[float, np.ndarray] = {0.0: np.zeros(3)}
-
-    def value(t: float) -> np.ndarray:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        n = max(16, 2 * int(abs(t) / 0.05) + 2)
-        ss = np.linspace(0.0, t, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        # the values of ``direction`` at every Simpson node, from one batch
-        # of the base frame with the same float operations: h as in
-        # ``_quadratic``, and 0.0 + mu as the value ``compose_outer`` forms
-        mu = base.batch_jets(h0 + h1 * ss + 0.5 * h2 * ss * ss, 2).mu
-        vals = (s0 + s1 * ss)[:, None] * (0.0 + np.stack(
-            [c.value for c in mu], axis=1))
-        out = (t / n) / 3.0 * (w[:, None] * vals).sum(axis=0)
-        cache[t] = out
-        return out
-
-    # each t has its own quadrature in ``value``, so a batch evaluates per lane
-    @lanewise
-    def gamma(t: float, order: int):
-        dirj = direction(t, max(order - 1, 2))
-        val = value(t)
-        out = []
-        for c in range(3):
-            d = np.concatenate(([val[c]], dirj[c].d[:order]))
-            out.append(Jet(t, d))
-        return tuple(out)
+    @batch_evaluator
+    def gamma(ts, order: int):
+        k = max(order - 1, 2)
+        hj = h_jet(ts, k)
+        n = np.maximum(16, 2 * (np.abs(ts) / 0.05).astype(int) + 2)
+        # lanes grouped by node count; a lane whose step vanishes (t = 0)
+        # keeps B = 0: in linspace it would change the formula of its group
+        live = ts / n != 0.0
+        groups = [(m, np.flatnonzero(live & (n == m)))
+                  for m in sorted(set(n[live].tolist()))]
+        nodes = [np.linspace(0.0, ts[idx], m + 1) for m, idx in groups]
+        mu = [c.d for c in base.batch_jets(np.concatenate(
+            [hj.value] + [h_jet(ss.ravel(), 2).value for ss in nodes]), k).mu]
+        lanes = len(ts)
+        sp = np.zeros((k + 1, lanes))
+        sp[0], sp[1] = s0 + s1 * ts, s1
+        direction = [Jet(ts, sp) * hj.compose_outer(c[:, :lanes]) for c in mu]
+        val = np.zeros((lanes, 3))
+        start = lanes
+        for (m, idx), ss in zip(groups, nodes):
+            stop = start + ss.size
+            w = np.ones(m + 1)
+            w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+            # the values of ``direction`` at the nodes, with 0.0 + mu as
+            # the value ``compose_outer`` forms
+            vals = (s0 + s1 * ss)[..., None] * (0.0 + np.stack(
+                [c[0, start:stop].reshape(ss.shape) for c in mu], axis=-1))
+            val[idx] = ((ts[idx] / m) / 3.0)[:, None] * (
+                w[:, None, None] * vals).sum(axis=0)
+            start = stop
+        return tuple(Jet(ts, np.concatenate((val[None, :, c], dj.d[:order])))
+                     for c, dj in enumerate(direction))
 
     if s1 == 0.0 and s0 != 0.0:
         return frenet_lift(gamma, domain, name=name)
 
     # a vanishing speed leaves the curve non-regular: frame it by transport
-    @lanewise
-    def frame(t, order):
-        hj = h_jet(t, max(order, 2))
-        rows = CurveJets(base, hj.value, max(order, 2)).frame
-        return tuple(tuple(Jet(t, hj.compose_outer(c.d).d) for c in row)
-                     for row in rows)
+    @batch_evaluator
+    def frame(ts, order: int):
+        hj = h_jet(ts, max(order, 2))
+        rows = base.batch_jets(hj.value, max(order, 2)).frame
+        return tuple(tuple(hj.compose_outer(c.d) for c in row) for row in rows)
 
     return FramedCurve(gamma, frame, domain, name=name)
 

@@ -259,7 +259,7 @@ class BiJet:
     ``c[i, j]`` holds the partial of order i in u and j in v; entries with
     ``i + j > degree`` are kept at zero. Products go through
     :func:`_product`; :meth:`compose_outer` is Horner's rule over it, and a
-    quotient is the dividend times a reciprocal composed from 1/x.
+    quotient is solved over it shell by shell of total degree.
     """
 
     u0: float
@@ -371,8 +371,15 @@ class BiJet:
             return BiJet(self.u0, self.v0, a / b[0, 0])
         if abs(b[0, 0]) <= DIV_EPS:
             raise DegenerateDivision("division by bijet with near-zero value")
-        return self * other.compose_outer(
-            _pow_derivs(other.value, -1.0, other.degree))
+        # graded solve of r b = a: on the shell i + j = s, r b is b00 times
+        # r's own shell plus terms of the shells of r below s
+        n = a.shape[0]
+        shells = np.add.outer(np.arange(n), np.arange(n))
+        r = np.zeros_like(a)
+        for s in range(n):
+            on = shells == s
+            r[on] = (a[on] - _product(r, b)[on]) / b[0, 0]
+        return BiJet(self.u0, self.v0, r)
 
     def __rtruediv__(self, other):
         return BiJet.constant(float(other), self.u0, self.v0, self.degree) / self

@@ -1,11 +1,12 @@
 """Jets with a batch axis: every lane equals the scalar evaluation bitwise.
 
-Covers the curve batch method against the per-point methods, the batched
-quadrature of the tangent-sliding curves against a per-node reference, the
-batched Newton refinement of the scan against a scalar reference loop, the
-residual landscape against ``partial_value``, the field-dependence scan
-against a per-point reference loop, and errors raised by a single failing
-lane.
+Covers the curve batch method against the per-point methods; the
+tangent-sliding and reconstructed curves against stacked scalar lanes and
+their former scalar algorithms (a quadrature per node, a derivative stack
+per lane); the slide's reads of its base in a classify; the batched Newton
+refinement of the scan against a scalar reference loop; the residual
+landscape against ``partial_value``; the field-dependence scan against a
+per-point reference loop; and errors raised by a single failing lane.
 """
 import math
 
@@ -19,8 +20,9 @@ from transurf.curves import (CurveJets, build_curve, catalog, catalog_names,
                              frenet_lift, parse_curve, vec_values)
 from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2)
-from transurf.framefield import (entry_bijet, entry_value, frame_dot,
-                                 reconstruct_framed_curves)
+from transurf.classify import classify
+from transurf.framefield import (FrameField, entry_bijet, entry_value,
+                                 frame_dot, reconstruct_framed_curves)
 from transurf.jets import Jet
 from transurf.surface import TranslationSurface, _newton_t3
 from transurf.verify import all_pairs, surface_for
@@ -131,24 +133,64 @@ def test_scaled_and_negated_curves_batch():
                       [fc.gamma_jets(float(t), 3) for t in ts])
 
 
+def _slide_direction_reference(base, h0, h1, h2, s0, s1, t, order):
+    """speed * (mu_base o h) at one t, from one scalar evaluation of the
+    base curve at h(t)."""
+    hj = instances._quadratic(h0, h1, h2)(t, order)
+    mu = CurveJets(base, hj.value, order).mu
+    sp = np.zeros(order + 1)
+    sp[0], sp[1] = s0 + s1 * t, s1
+    return [Jet(t, sp) * hj.compose_outer(c.d) for c in mu]
+
+
 def _slide_value_reference(base, h0, h1, h2, s0, s1, t):
     """The Simpson sum of a tangent-sliding curve with one scalar direction
     jet per node: speed(x) * (mu_base o h)(x), both jets of order 2."""
-    h_jet = instances._quadratic(h0, h1, h2)
-
-    def direction(x):
-        hj = h_jet(x, 2)
-        mu = base.frame_row(3, hj.value, 2)
-        spj = Jet(x, [s0 + s1 * x, s1, 0.0])
-        return [(spj * Jet(x, hj.compose_outer(mu[c].d).d)).value
-                for c in range(3)]
-
     n = max(16, 2 * int(abs(t) / 0.05) + 2)
     ss = np.linspace(0.0, t, n + 1)
     w = np.ones(n + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    vals = np.array([direction(float(x)) for x in ss])
+    vals = np.array([[c.value for c in _slide_direction_reference(
+        base, h0, h1, h2, s0, s1, float(x), 2)] for x in ss])
     return (t / n) / 3.0 * (w[:, None] * vals).sum(axis=0)
+
+
+def _slide_gamma_reference(base, h0, h1, h2, s0, s1, t, order):
+    """The scalar gamma jets of a tangent-sliding curve at one t: B(t) from
+    the Simpson sum (B(0) = 0), then the direction's jets."""
+    val = (np.zeros(3) if t == 0.0
+           else _slide_value_reference(base, h0, h1, h2, s0, s1, t))
+    direction = _slide_direction_reference(base, h0, h1, h2, s0, s1, t,
+                                           max(order - 1, 2))
+    return tuple(Jet(t, np.concatenate(([val[c]], dj.d[:order])))
+                 for c, dj in enumerate(direction))
+
+
+def _stack_lanes(t, lanes):
+    """One batch jet per leaf of the nested tuples the lanes share."""
+    if isinstance(lanes[0], Jet):
+        return Jet(t, np.stack([lane.d for lane in lanes], axis=1))
+    return tuple(_stack_lanes(t, [lane[k] for lane in lanes])
+                 for k in range(len(lanes[0])))
+
+
+def _lanewise(fn):
+    """A batch evaluator that calls ``fn`` once per lane with a float and
+    stacks the lanes: the reference for the evaluators written for arrays."""
+    def wrapped(t, order):
+        return _stack_lanes(t, [fn(float(tk), order) for tk in t])
+    return wrapped
+
+
+def _leaves(x):
+    return [x] if isinstance(x, Jet) else [y for z in x for y in _leaves(z)]
+
+
+def _assert_same_jets(got, want):
+    got, want = _leaves(got), _leaves(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.d.shape == w.d.shape and _bits(g.d) == _bits(w.d)
 
 
 # (surface builder, base curve, h0, h1, h2, s0, s1) as each instance
@@ -178,6 +220,76 @@ def test_slide_quadrature_matches_scalar_reference(kind):
         got = vec_values(slide.gamma_jets(t, 2))
         want = _slide_value_reference(base(), *params, t)
         assert _bits(got) == _bits(want), t
+
+
+# t = 0, and lanes of 20, 16, 18 and 16 Simpson intervals in one batch
+MIXED_TS = np.array([0.0, -0.45, 0.17, 0.41, -0.1, 0.45, 0.0])
+
+
+@pytest.mark.parametrize("kind", sorted(SLIDES))
+def test_slide_batch_equals_scalar_lanes(kind):
+    pair, base, *params = SLIDES[kind]
+    slide = pair()[0].curve_v
+    batch = slide.batch_jets(MIXED_TS, 6)
+    _assert_same_jets(batch.gamma, _lanewise(slide._gamma)(MIXED_TS, 6))
+    _assert_same_jets(batch.frame, _lanewise(slide._frame)(MIXED_TS, 6))
+    # each lane is the former scalar algorithm: one base evaluation for the
+    # direction and one per Simpson node
+    _assert_same_jets(batch.gamma, _stack_lanes(MIXED_TS, [
+        _slide_gamma_reference(base(), *params, float(t), 6)
+        for t in MIXED_TS]))
+    assert not np.any(vec_values(batch.gamma)[:, 0])
+
+
+def _ode_frame_reference(curve, t, order):
+    """The frame jets of an ODE curve at one t: the derivative stack
+    d^{k+1} R = d^k (F R) from the RK4 state and one curvature lane."""
+    c = curve.curvature_fn(np.array([t]), order)
+    F = np.zeros((order + 1, 3, 3))
+    for (r, s), x in {(0, 1): c.l, (0, 2): c.m, (1, 2): c.n}.items():
+        F[:, r, s], F[:, s, r] = x.d[: order + 1, 0], -x.d[: order + 1, 0]
+    stack = [curve.state_at(t)[0]]
+    for k in range(order):
+        M = np.zeros((3, 3))
+        for i in range(k + 1):
+            M += math.comb(k, i) * F[i] @ stack[k - i]
+        stack.append(M)
+    stack = np.array(stack)
+    return tuple(tuple(Jet(t, stack[:, row, c]) for c in range(3))
+                 for row in (0, 1))
+
+
+def test_ode_curve_batch_equals_scalar_lanes():
+    # the s0 curve of ``verify recon``, at nodes and between them
+    a, b = (catalog(n) for n in ("s0_a", "s0_b"))
+    curve, _ = reconstruct_framed_curves(
+        a.batch_curvature, b.batch_curvature, FrameField(a, b).value(0.0, 0.0),
+        (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=1e-3)
+    ts = np.array([0.0, -0.35, 0.2, 5e-4, 0.41, -0.0123])
+    batch = curve.batch_jets(ts, 6)
+    _assert_same_jets(batch.gamma, _lanewise(curve._gamma)(ts, 6))
+    _assert_same_jets(batch.frame, _lanewise(curve._frame)(ts, 6))
+    _assert_same_jets(batch.frame, _stack_lanes(
+        ts, [_ode_frame_reference(curve, float(t), 6) for t in ts]))
+
+
+@pytest.mark.parametrize("kind", sorted(SLIDES))
+def test_slide_classify_reads_its_base_in_batches(kind, monkeypatch):
+    # the slide's evaluators read the base curve as batches: the only
+    # scalar base jets of a classify are the surface's own, at the point
+    pair, base, *_ = SLIDES[kind]
+    s, p0 = pair()
+    built = []
+    original = CurveJets.__init__
+
+    def spy(self, curve, t, order):
+        if curve is base() and not isinstance(t, np.ndarray):
+            built.append(t)
+        original(self, curve, t, order)
+
+    monkeypatch.setattr(CurveJets, "__init__", spy)
+    classify(s, p0)
+    assert len(built) <= 10
 
 
 def _newton_reference(s, u, v, tol, max_iter=80):
