@@ -31,7 +31,7 @@ def main():
         pts = find_singular_points(s, WINDOWS[key], grid_n=40)
         tags = {}
         for q in pts:
-            rep = classify(s, q.p, with_generic=False)
+            rep = classify(s, q.p)
             tags[rep.tag] = tags.get(rep.tag, 0) + 1
         row = ", ".join(f"{t}x{c}" for t, c in sorted(tags.items()))
         print(f"{key:16s} {len(pts):3d} singular samples: {row or '(none)'}")

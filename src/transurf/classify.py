@@ -37,6 +37,7 @@ GEN_TOL = 1e-4   # threshold for finite-difference quantities (generic route)
 TRACE_STEP = 0.02   # predictor step of the singular-curve continuation
 TRACE_STEPS = 2     # continuation steps each way from the point
 SPEED_CONST_TOL = 1e-9   # |alpha'| bound for a constant-speed curve
+PHI_DEGREE = 3      # BiJet degree of phi and of the jets it is formed from
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +50,6 @@ class CriterionValue:
     value: float
     threshold: float
     satisfied: bool
-
-    def row(self):
-        return (self.name, self.value, self.threshold, self.satisfied)
 
 
 @dataclass
@@ -86,9 +84,6 @@ class ClassificationReport:
     def tag(self) -> str:
         return self.final.tag
 
-    def routes(self) -> list[Verdict]:
-        return [v for v in (self.gfs, self.s1, self.framed, self.generic) if v]
-
 
 def _crit(name, value, tol, nonzero=True) -> CriterionValue:
     ok = abs(value) > tol if nonzero else abs(value) < tol
@@ -103,7 +98,7 @@ class PointData:
     """Curvatures, frame-matrix entries and phi jets at one point, read from
     the point's ``PointJets``."""
 
-    def __init__(self, pj: PointJets, degree: int = 3):
+    def __init__(self, pj: PointJets):
         self.pj = pj
         self.s = pj.s
         self.p0 = pj.p
@@ -112,7 +107,6 @@ class PointData:
         self.t = {(i, j): pj.t(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
         self.au = self.ca.alpha.value
         self.av = self.cb.alpha.value
-        self.degree = degree
         self._phi = None
 
     # -- phi machinery -------------------------------------------------------
@@ -122,7 +116,7 @@ class PointData:
         eta = -alpha~ d_u + alpha t33 d_v, differentiated as a field."""
         if self._phi is not None:
             return self._phi
-        pj, (u, v), degree = self.pj, self.p0, self.degree
+        pj, (u, v), degree = self.pj, self.p0, PHI_DEGREE
         xu = pj.x_partial_jets(1, 0, degree)
         xv = pj.x_partial_jets(0, 1, degree)
         xuu = pj.x_partial_jets(2, 0, degree)
@@ -735,8 +729,7 @@ _DEFINITE = {"CuspidalEdge", "Swallowtail", "CuspidalCrossCap",
              "CuspidalBeaks", "CuspidalLips", "NeverD4"}
 
 
-def classify(s: TranslationSurface, p0: tuple[float, float],
-             with_generic: bool = True) -> ClassificationReport:
+def classify(s: TranslationSurface, p0: tuple[float, float]) -> ClassificationReport:
     """Full pipeline at one point; see the module docstring for the routes."""
     tols = s.tols
     cs = s.criteria_surface()
@@ -786,7 +779,7 @@ def classify(s: TranslationSurface, p0: tuple[float, float],
 
     pt = construct_theta(pj)
     report.framed = classify_dependent_framed(data, pt)
-    if with_generic and pt.available:
+    if pt.available:
         report.generic = classify_generic_frontal(pj, pt)
 
     final = report.framed

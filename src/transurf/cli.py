@@ -38,7 +38,6 @@ class RunConfig:
     tol_overrides: dict = field(default_factory=dict)
     out: str | None = None
     report: str | None = None
-    fmt: str | None = None
 
     def validate(self):
         u0, u1, v0, v1 = self.window
@@ -110,10 +109,6 @@ def _curve_from_arg(src: str, frame: str, span: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.fmt not in (None, "csv"):
-        raise ValueError("scan writes csv loci; use the mesh command for obj")
-    if cfg.fmt and not cfg.out:
-        raise ValueError("--format is ignored without --out")
     s = cfg.build_surface()
     points = find_singular_points(s, cfg.window, grid_n=cfg.grid_n)
     docs = []
@@ -195,8 +190,6 @@ def write_obj(s: TranslationSurface, window, n: int, path: str):
 
 
 def cmd_mesh(cfg: RunConfig, locus: str | None = None) -> int:
-    if cfg.fmt not in (None, "obj"):
-        raise ValueError("mesh writes obj; use the scan command for csv")
     if not cfg.out:
         raise ValueError("mesh requires --out PATH")
     if cfg.report:
@@ -237,9 +230,6 @@ def _add_surface_args(p: argparse.ArgumentParser):
                    metavar="NAME=VAL", help="tolerance override (repeatable)")
     p.add_argument("--out", default=None, help="output path (csv/obj)")
     p.add_argument("--report", default=None, help="classification report path")
-    p.add_argument("--format", dest="fmt", choices=("obj", "csv"),
-                   default=None, help="output format of --out "
-                   "(csv for scan, obj for mesh)")
 
 
 def _config_from(ns) -> RunConfig:
@@ -255,8 +245,7 @@ def _config_from(ns) -> RunConfig:
     return RunConfig(curve_a=ns.curve_a, frame_a=ns.frame_a,
                      curve_b=ns.curve_b, frame_b=ns.frame_b,
                      self_kind=ns.self_kind, window=window, grid_n=ns.grid,
-                     tol_overrides=tols, out=ns.out, report=ns.report,
-                     fmt=ns.fmt)
+                     tol_overrides=tols, out=ns.out, report=ns.report)
 
 
 def main(argv=None) -> int:

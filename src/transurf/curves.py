@@ -66,9 +66,6 @@ class FramedCurvature:
     n: Jet
     alpha: Jet
 
-    def values(self) -> tuple[float, float, float, float]:
-        return self.l.value, self.m.value, self.n.value, self.alpha.value
-
 
 class FrenetData:
     """Curvature/torsion evaluators attached to Frenet-lifted curves."""

@@ -41,10 +41,6 @@ class InvalidFrame(TransurfError):
     """Explicit frame fails orthonormality or tangency requirements."""
 
 
-class NotIntegrable(TransurfError):
-    """Frame-matrix field fails the compatibility identities."""
-
-
 class ThetaUnavailable(TransurfError):
     """No continuous normal-angle field at the requested point."""
 

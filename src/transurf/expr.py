@@ -1,6 +1,6 @@
 """Tiny expression language for curve input.
 
-Grammar (one variable for curves, two for normal-angle overrides):
+Grammar (one variable per curve):
 
     tuple   := '(' expr ',' expr ',' expr ')'
     expr    := term (('+' | '-') term)*
@@ -10,12 +10,14 @@ Grammar (one variable for curves, two for normal-angle overrides):
     atom    := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Known functions: sin cos tan sqrt exp atan. Known constant: pi. Any other
-identifier is a variable. Anything richer than this belongs in the curve
-catalog as code.
+identifier is a variable. A constant subexpression must evaluate to a
+finite real number. Anything richer than this belongs in the curve catalog
+as code.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import jets
@@ -104,9 +106,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"bad number {text!r}", i)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is out of range", i)
             toks.append(("num", text, i))
             i = j
             continue
@@ -230,6 +234,22 @@ def variables(node: Node) -> set[str]:
     return set()
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+def _real(fn, node: Node, *args) -> float:
+    """``fn(*args)``, the value of ``node`` over floats, which must be a
+    finite real number (not a float error, an infinity or a complex power)."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError):
+        value = None
+    if isinstance(value, (int, float)) and math.isfinite(value):
+        return value
+    raise ParseError(f"{serialize(node)} is not a finite real number", 0)
+
+
 def evaluate(node: Node, env: dict):
     """Evaluate over floats or Jets (whatever ``env`` supplies)."""
     if isinstance(node, Num):
@@ -244,23 +264,17 @@ def evaluate(node: Node, env: dict):
         arg = evaluate(node.arg, env)
         plain, jet = FUNCTIONS[node.fn]
         if isinstance(arg, (int, float)):
-            return plain(arg)
+            return _real(plain, node, arg)
         return jet(arg)
     if isinstance(node, Bin):
         lhs = evaluate(node.left, env)
         rhs = evaluate(node.right, env)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            return lhs / rhs
-        if node.op == "^":
-            if not isinstance(rhs, (int, float)):
-                raise ParseError("exponent must be constant", 0)
-            return lhs ** rhs
+        scalar = isinstance(rhs, (int, float))
+        if node.op == "^" and not scalar:
+            raise ParseError("exponent must be constant", 0)
+        if scalar and isinstance(lhs, (int, float)):
+            return _real(_BINARY[node.op], node, lhs, rhs)
+        return _BINARY[node.op](lhs, rhs)
     raise TypeError(f"unknown node {node!r}")
 
 

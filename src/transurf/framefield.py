@@ -19,13 +19,7 @@ import numpy as np
 
 from .curves import (FramedCurve, FramedCurvature, VecJets, batch_evaluator,
                      shift3, vec_values)
-from .errors import NotIntegrable
 from .jets import BiJet, Jet
-
-# bound on the mixed-derivative residual of a closed-form field in
-# reconstruct_from_field: its finite differences (step 1e-5) cannot
-# certify a smaller one
-_FIELD_FD_TOL = 1e-5
 
 
 def frame_dot(row_b, row_a):
@@ -126,10 +120,6 @@ class CompatibilityReport:
     dv_identity: float = 0.0       # T_v - F~(v) T
     scalar_recursions: float = 0.0
     second_order: float = 0.0      # T_uv - T_v T^t T_u
-
-    def max_residual(self) -> float:
-        return max(self.so3_orth, self.so3_det, self.du_identity,
-                   self.dv_identity, self.scalar_recursions, self.second_order)
 
     def rows(self) -> list[tuple[str, float]]:
         return [("so3_orthogonality", self.so3_orth),
@@ -358,78 +348,3 @@ def reconstruct_framed_curves(curv_a, curv_b, T0: np.ndarray,
                        step=step, name="reconstructed-b")
     return a, b
 
-
-def reconstruct_from_field(field_fn, p0: tuple[float, float],
-                           domain_a: tuple[float, float],
-                           domain_b: tuple[float, float],
-                           alpha_a, alpha_b,
-                           step: float = 1e-3,
-                           check_points: int = 9,
-                           ) -> tuple[OdeFramedCurve, OdeFramedCurve]:
-    """Reconstruct from a closed-form matrix field T(u, v).
-
-    ``field_fn(us, vs)`` takes 1-D arrays and returns T on the grid us x vs,
-    of shape (len(us), len(vs), 3, 3), as :meth:`FrameField.value` does.
-    ``alpha_a`` and ``alpha_b`` map (ts, order), with ``ts`` a 1-D array, to
-    the speed jets at ``ts``, as the ``alpha`` of
-    :meth:`FramedCurve.batch_curvature`.
-
-    The field must satisfy the mixed-derivative identity
-    T_uv = T_v T^t T_u (checked by finite differences on a sample grid);
-    otherwise NotIntegrable is raised. The curvature matrices are recovered
-    as F(u) = -T^t T_u and F~(v) = T_v T^t.
-    """
-    u0, v0 = p0
-    h = 1e-5
-
-    def stencil(ts, hh):
-        return np.concatenate((ts - hh, ts, ts + hh))
-
-    us = np.linspace(domain_a[0] + h, domain_a[1] - h, check_points)
-    vs = np.linspace(domain_b[0] + h, domain_b[1] - h, check_points)
-    # node [i, a, j, b] is T(us[a] + (i - 1) h, vs[b] + (j - 1) h)
-    G = field_fn(stencil(us, h), stencil(vs, h)).reshape(
-        3, check_points, 3, check_points, 3, 3)
-    T = G[1, :, 1]
-    Tu = (G[2, :, 1] - G[0, :, 1]) / (2 * h)
-    Tv = (G[1, :, 2] - G[1, :, 0]) / (2 * h)
-    Tuv = (G[2, :, 2] - G[0, :, 2] - G[2, :, 0] + G[0, :, 0]) / (4 * h * h)
-    Tt = T.swapaxes(-1, -2)
-    worst = max(_max_abs(Tuv - Tv @ Tt @ Tu), _max_abs(Tt @ T - np.eye(3)))
-    if worst > _FIELD_FD_TOL:
-        raise NotIntegrable(
-            f"field fails the mixed-derivative identity (residual {worst:.3e})")
-
-    def curv_from_F(extract, alpha_fn):
-        # curvature entries (and two derivative orders) by central
-        # differences; one call of ``extract`` takes every lane's stencil
-        ht = 1e-4
-
-        def fn(ts, order: int) -> FramedCurvature:
-            F = extract(stencil(ts, ht)).reshape(3, len(ts), 3, 3)
-
-            def entry_jet(i, j):
-                lo, mid, hi = F[:, :, i, j]
-                rows = (mid, (hi - lo) / (2 * ht), (hi - 2 * mid + lo) / ht**2)
-                d = np.zeros((order + 1, len(ts)))
-                d[:3] = rows[: order + 1]
-                return Jet(ts, d)
-
-            return FramedCurvature(entry_jet(0, 1), entry_jet(0, 2),
-                                   entry_jet(1, 2), alpha_fn(ts, order))
-        return fn
-
-    def extract_a(us):
-        G = field_fn(stencil(us, h), np.array([v0]))[:, 0]
-        G = G.reshape(3, len(us), 3, 3)
-        return -G[1].swapaxes(-1, -2) @ ((G[2] - G[0]) / (2 * h))
-
-    def extract_b(vs):
-        G = field_fn(np.array([u0]), stencil(vs, h))[0]
-        G = G.reshape(3, len(vs), 3, 3)
-        return ((G[2] - G[0]) / (2 * h)) @ G[1].swapaxes(-1, -2)
-
-    return reconstruct_framed_curves(
-        curv_from_F(extract_a, alpha_a), curv_from_F(extract_b, alpha_b),
-        field_fn(np.array([u0]), np.array([v0]))[0, 0], p0, domain_a,
-        domain_b, step=step)

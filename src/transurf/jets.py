@@ -200,7 +200,20 @@ class Jet:
         return Jet.constant(float(other), self.t0, self.order) / self
 
     def __pow__(self, exponent):
-        return _power(self, exponent)
+        if isinstance(exponent, Jet):
+            raise TypeError("jet-valued exponents are not supported")
+        e = float(exponent)
+        if e == int(e):
+            k = int(e)
+            if k < 0:
+                return 1.0 / self ** -k
+            out = Jet.constant(1.0, self.t0, self.order)
+            for _ in range(k):
+                out = out * self
+            return out
+        if _any(self.value <= 0.0):
+            raise DomainError("real power of nonpositive value")
+        return self.compose_outer(_pow_derivs(self.value, e, self.order))
 
     # -- calculus ------------------------------------------------------------
 
@@ -312,10 +325,6 @@ class BiJet:
         return float(self.c[i, j])
 
     @property
-    def grad(self) -> tuple[float, float]:
-        return float(self.c[1, 0]), float(self.c[0, 1])
-
-    @property
     def hessian(self) -> np.ndarray:
         return np.array([[self.c[2, 0], self.c[1, 1]],
                          [self.c[1, 1], self.c[0, 2]]])
@@ -348,10 +357,6 @@ class BiJet:
         a, b = self._align(other)
         return BiJet(self.u0, self.v0, a - b)
 
-    def __rsub__(self, other):
-        a, b = self._align(other)
-        return BiJet(self.u0, self.v0, b - a)
-
     def __neg__(self):
         return BiJet(self.u0, self.v0, -self.c)
 
@@ -380,12 +385,6 @@ class BiJet:
             on = shells == s
             r[on] = (a[on] - _product(r, b)[on]) / b[0, 0]
         return BiJet(self.u0, self.v0, r)
-
-    def __rtruediv__(self, other):
-        return BiJet.constant(float(other), self.u0, self.v0, self.degree) / self
-
-    def __pow__(self, exponent):
-        return _power(self, exponent)
 
     # -- calculus ------------------------------------------------------------
 
@@ -512,24 +511,6 @@ def sqrt(x):
     if _any(x.value <= 0.0):
         raise DomainError("sqrt of nonpositive value")
     return x.compose_outer(_pow_derivs(x.value, 0.5, _order_of(x)))
-
-
-def _power(x, exponent):
-    if isinstance(exponent, (Jet, BiJet)):
-        raise TypeError("jet-valued exponents are not supported")
-    e = float(exponent)
-    if e == int(e):
-        k = int(e)
-        if k < 0:
-            return 1.0 / _power(x, -k)
-        out = (Jet.constant(1.0, x.t0, x.order) if isinstance(x, Jet)
-               else BiJet.constant(1.0, x.u0, x.v0, x.degree))
-        for _ in range(k):
-            out = out * x
-        return out
-    if _any(x.value <= 0.0):
-        raise DomainError("real power of nonpositive value")
-    return x.compose_outer(_pow_derivs(x.value, e, _order_of(x)))
 
 
 def atan(x):

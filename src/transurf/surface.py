@@ -24,6 +24,9 @@ from .jets import BiJet
 from .tolerances import DEFAULT, Tolerances
 
 CONDITION_NAMES = ("i", "ii", "iii")
+ALPHA_NEWTON_ITER = 30   # iteration cap of a Newton run on alpha = 0
+T3_NEWTON_ITER = 80      # iteration cap of a Newton run on (t31, t32) = 0
+PERIOD_MERGE_RADIUS = 1e-6   # folded points closer than this are one point
 
 
 class TranslationSurface:
@@ -335,8 +338,7 @@ class SingularPoint:
         return (self.u, self.v)
 
 
-def _newton_alpha(curve: FramedCurve, ts, tol: float,
-                  max_iter: int = 30) -> list[float | None]:
+def _newton_alpha(curve: FramedCurve, ts, tol: float) -> list[float | None]:
     """Newton iteration on alpha = 0 from every start ``ts[k]``.
 
     Each start is a lane that runs the scalar algorithm: it stops at a root
@@ -347,7 +349,7 @@ def _newton_alpha(curve: FramedCurve, ts, tol: float,
     t = np.array(ts, dtype=float)
     roots: list[float | None] = [None] * len(t)
     live = list(range(len(t)))
-    for _ in range(max_iter):
+    for _ in range(ALPHA_NEWTON_ITER):
         if not live:
             break
         alpha = curve.batch_jets(t[live], 2).alpha
@@ -368,8 +370,8 @@ def _newton_alpha(curve: FramedCurve, ts, tol: float,
     return roots
 
 
-def _newton_t3(s: TranslationSurface, us, vs, tol: float,
-               max_iter: int = 80) -> list[tuple[float, float] | None]:
+def _newton_t3(s: TranslationSurface, us, vs,
+               tol: float) -> list[tuple[float, float] | None]:
     """Newton iteration on (t31, t32) = 0 from every start (us[k], vs[k]).
 
     Each start is a lane that runs the scalar algorithm: a least-squares
@@ -388,7 +390,7 @@ def _newton_t3(s: TranslationSurface, us, vs, tol: float,
     roots: list[tuple[float, float] | None] = [None] * len(u)
     converged = np.zeros(len(u), dtype=bool)
     live = list(range(len(u)))
-    for _ in range(max_iter):
+    for _ in range(T3_NEWTON_ITER):
         if not live:
             return roots
         # frame rows as arrays indexed [component, derivative order, lane]
@@ -549,8 +551,8 @@ def _merge_points(points: list[tuple[float, float]],
     return out
 
 
-def canonical_periodic_points(points: list[SingularPoint], period: float,
-                              merge_radius: float = 1e-6) -> list[SingularPoint]:
+def canonical_periodic_points(points: list[SingularPoint],
+                              period: float) -> list[SingularPoint]:
     """Fold a singular set of a doubly periodic surface into [0, period)^2.
 
     Boundary duplicates collapse, and points whose curve-shaped component only
@@ -561,9 +563,9 @@ def canonical_periodic_points(points: list[SingularPoint], period: float,
     for q in points:
         u = q.u % period
         v = q.v % period
-        if abs(u - period) < merge_radius:
+        if abs(u - period) < PERIOD_MERGE_RADIUS:
             u = 0.0
-        if abs(v - period) < merge_radius:
+        if abs(v - period) < PERIOD_MERGE_RADIUS:
             v = 0.0
         folded.append(SingularPoint(u, v, q.conditions, q.dependence,
                                     q.corank, q.isolated, q.residual))
@@ -575,7 +577,7 @@ def canonical_periodic_points(points: list[SingularPoint], period: float,
 
     kept: list[SingularPoint] = []
     for q in sorted(folded, key=lambda r: (r.u, r.v)):
-        if all(pdist(q, k) > merge_radius for k in kept):
+        if all(pdist(q, k) > PERIOD_MERGE_RADIUS for k in kept):
             kept.append(q)
     for q in kept:
         near = [k for k in kept if k is not q and pdist(q, k) < 0.5]

@@ -6,8 +6,8 @@ import pytest
 
 from transurf import classify as classify_mod
 from transurf import instances, verify
-from transurf.classify import (PointData, classify, classify_S0, classify_S1,
-                               classify_dependent_framed,
+from transurf.classify import (PHI_DEGREE, PointData, classify, classify_S0,
+                               classify_S1, classify_dependent_framed,
                                classify_generic_frontal, corank)
 from transurf.curves import CurveJets, catalog
 from transurf.framedsurf import align_pi, construct_theta, wrap_pi
@@ -20,7 +20,7 @@ PI = math.pi
 
 def phi_closed_bijet(d: PointData) -> BiJet:
     """Expansion of phi in frame-matrix entries and curvatures."""
-    pj, degree = d.pj, d.degree
+    pj, degree = d.pj, PHI_DEGREE
     _, m, n, al, _, mt, nt, at = pj.curvature_bijets(degree)
     t31 = pj.t_bijet(3, 1, degree)
     t32 = pj.t_bijet(3, 2, degree)

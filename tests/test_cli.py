@@ -168,12 +168,18 @@ def test_tolerance_overrides_reach_catalog_curves():
      "--curve-b", "@s0_b"],                         # catalog frame ignored
     ["mesh", "--curve-a", "@s0_a", "--curve-b", "@s0_b", "--out", "{tmp}/m.obj",
      "--report", "{tmp}/r.json"],                   # mesh writes no report
-    ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
-     "--format", "csv"],                            # --format without --out
     ["scan", "--curve-a", "(u, u^2, 0)", "--frame-a", "(0,0,1)",
      "--curve-b", "(v,0,v^2)"],                     # a frame of one triple
     ["scan", "--curve-a", "(u, u^2, 0)", "--curve-b", "(v,0,v^2)",
      "--frame-b", "(0,0,1);(1,0,0);(0,1,0)"],       # three triples
+    # a constant that is not a finite real number
+    ["scan", "--curve-a", "(u, 1/0 + u^2, 0)", "--curve-b", "(v,0,v^2)"],
+    ["scan", "--curve-a", "(u, u^2, 0^-1)", "--curve-b", "(v,0,v^2)"],
+    ["scan", "--curve-a", "(u, u^2, 10^400)", "--curve-b", "(v,0,v^2)"],
+    ["scan", "--curve-a", "(u, u^2, (-8)^(1/3))", "--curve-b", "(v,0,v^2)"],
+    ["scan", "--curve-a", "(u, u^2, 1e400)", "--curve-b", "(v,0,v^2)"],
+    ["mesh", "--curve-a", "(u, u^2, 1e400)", "--curve-b", "(v,0,v^2)",
+     "--out", "{tmp}/m.obj"],                       # no inf vertices
 ])
 def test_input_errors_exit_2(args, tmp_path, capsys):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in args]) == 2

