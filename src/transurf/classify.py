@@ -543,11 +543,17 @@ class _GenericDensity:
             out.append(au * av * sgn * h)
         return out
 
+    def values_and_grads(self, ps, h=1e-5) -> list[tuple[float, np.ndarray]]:
+        """The density at each point p of ``ps`` and its gradient: the
+        stencils of all the points as one batch."""
+        f = self.values([q for p in ps for q in [p] + _cross(p, h)])
+        return [(f[k], np.array([(f[k + 1] - f[k + 2]) / (2 * h),
+                                 (f[k + 3] - f[k + 4]) / (2 * h)]))
+                for k in range(0, len(f), 5)]
+
     def value_and_grad(self, p, h=1e-5):
         """The density at p and its gradient, as one stencil."""
-        f = self.values([p] + _cross(p, h))
-        return f[0], np.array([(f[1] - f[2]) / (2 * h),
-                               (f[3] - f[4]) / (2 * h)])
+        return self.values_and_grads([p], h)[0]
 
     def hessian(self, p, h=1e-3):
         f = self.values([p] + _cross(p, h) + [
@@ -577,42 +583,59 @@ def _eta_lambda_fd(pj: PointJets, lam: _GenericDensity, s=1e-4):
     return g, (gp - gm) / (2 * s2)
 
 
+def _trace_direction(q, t_dir):
+    """Predictor-corrector steps along lam = 0 from q, heading t_dir, as a
+    generator: it yields each point where it needs the value and gradient
+    of lam and is sent them back. It returns the corrected points in order,
+    or None when a gradient vanishes."""
+    out = []
+    for _ in range(TRACE_STEPS):
+        q_corr = q + TRACE_STEP * t_dir
+        for _ in range(6):
+            f, g = yield q_corr
+            gn = float(np.linalg.norm(g))
+            if gn < 1e-14:
+                return None
+            q_next = q_corr - g * (f / gn**2)
+            # an iterate that repeats exactly repeats from then on
+            if q_next.tobytes() == q_corr.tobytes():
+                break
+            q_corr = q_next
+        out.append(q_corr)
+        t_new = q_corr - q
+        nn = float(np.linalg.norm(t_new))
+        if nn > 0:
+            t_dir = t_new / nn
+        q = q_corr
+    return out
+
+
 def _trace_singular_curve(lam, p0, g0):
     """Few predictor-corrector steps along lam = 0 through p0 (both ways),
-    where lam has the gradient g0."""
+    where lam has the gradient g0. The two directions run in lockstep: each
+    round evaluates the gradient stencils of the directions still running
+    as one batch. None when either direction fails."""
     nrm = float(np.linalg.norm(g0))
     if nrm < 1e-12:
         return None
     tangent = np.array([-g0[1], g0[0]]) / nrm
-
-    def correct(q):
-        for _ in range(6):
-            f, g = lam.value_and_grad(q)
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-14:
-                return None
-            q_next = q - g * (f / gn**2)
-            # an iterate that repeats exactly repeats from then on
-            if q_next.tobytes() == q.tobytes():
-                break
-            q = q_next
-        return q
-
-    pts = {0: np.asarray(p0, float)}
+    q0 = np.asarray(p0, float)
+    runs = {sgn: _trace_direction(q0, tangent * sgn) for sgn in (+1, -1)}
+    asks = {sgn: next(run) for sgn, run in runs.items()}
+    done = {}
+    while asks:
+        answers = lam.values_and_grads(list(asks.values()))
+        for sgn, fg in zip(list(asks), answers):
+            try:
+                asks[sgn] = runs[sgn].send(fg)
+            except StopIteration as stop:
+                if stop.value is None:
+                    return None
+                del asks[sgn]
+                done[sgn] = stop.value
+    pts = {0: q0}
     for sgn in (+1, -1):
-        q = np.asarray(p0, float)
-        t_dir = tangent * sgn
-        for k in range(1, TRACE_STEPS + 1):
-            q_pred = q + TRACE_STEP * t_dir
-            q_corr = correct(q_pred)
-            if q_corr is None:
-                return None
-            pts[sgn * k] = q_corr
-            t_new = q_corr - q
-            nn = float(np.linalg.norm(t_new))
-            if nn > 0:
-                t_dir = t_new / nn
-            q = q_corr
+        pts.update({sgn * k: q for k, q in enumerate(done[sgn], 1)})
     return pts
 
 

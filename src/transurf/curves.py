@@ -289,17 +289,25 @@ class CurveJets:
 
 def frenet_lift(gamma: VecFn, domain: tuple[float, float],
                 name: str = "frenet-curve", period: float | None = None,
-                tols: Tolerances = DEFAULT) -> FramedCurve:
+                tols: Tolerances = DEFAULT,
+                velocity: VecFn | None = None) -> FramedCurve:
     """Frame a non-degenerate regular curve with (principal normal, binormal).
 
     For an arc-length parameter the framed curvature is (tau, -kappa, 0, 1);
     for a general regular parameter it evaluates to
     (|gamma'| tau, -|gamma'| kappa, 0, |gamma'|).
+
+    The frame reads gamma' alone: ``velocity(t, order)``, when given, is its
+    jet of that order, equal bitwise to ``shift3(gamma(t, order + 1))``, for
+    a curve whose gamma costs more than its derivative (a quadrature).
     """
+    if velocity is None:
+        def velocity(t, order):
+            return shift3(gamma(t, order + 1))
 
     def parts(t, order: int):
         """|gamma' x gamma''|, |gamma'| and the frame (normal, binormal)."""
-        g1 = shift3(gamma(t, order + 2))
+        g1 = velocity(t, order + 1)
         c = cross3(g1, shift3(g1))
         csq = dot3(c, c)
         flat = csq.value < tols.nondeg_tol**2
@@ -320,8 +328,7 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
         return cn / (speed * speed * speed)
 
     def tau(t, order):
-        g = gamma(t, order + 4)
-        g1 = shift3(g)
+        g1 = velocity(t, order + 3)
         g2 = shift3(g1)
         g3 = shift3(g2)
         c = cross3(g1, g2)
@@ -364,7 +371,8 @@ def parse_curve(src: str) -> CurveSpec:
     nodes = expr.parse_tuple3(src)
     names = set().union(*(expr.variables(n) for n in nodes))
     if len(names) > 1:
-        raise ParseError(f"curve must use one variable, found {sorted(names)}", 0)
+        raise ParseError(
+            f"curve must use one variable, found {sorted(names)}")
     var = names.pop() if names else "u"
     return CurveSpec(components=nodes, variable=var)
 
@@ -395,7 +403,8 @@ def build_curve(spec: CurveSpec, domain: tuple[float, float] = (-2.0, 2.0),
     extra = (set().union(*(expr.variables(n) for n in nu1_nodes + nu2_nodes))
              - {spec.variable})
     if extra:
-        raise ParseError(f"frame uses unknown identifiers {sorted(extra)}", 0)
+        raise ParseError(
+            f"frame uses unknown identifiers {sorted(extra)}")
     rows = _expression_vecfn(nu1_nodes + nu2_nodes, spec.variable)
 
     def frame(t, order):

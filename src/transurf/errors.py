@@ -18,10 +18,13 @@ class OriginAtan2(TransurfError):
 
 
 class ParseError(TransurfError):
-    """Curve/expression syntax error; carries the character offset."""
+    """Curve/expression syntax error; carries the character offset where
+    one is known (a fault the parser meets), else None (a fault in a parsed
+    expression, which keeps no source positions)."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} at offset {pos}")
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None
+                         else f"{message} at offset {pos}")
         self.pos = pos
 
 

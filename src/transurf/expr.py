@@ -247,7 +247,7 @@ def _real(fn, node: Node, *args) -> float:
         value = None
     if isinstance(value, (int, float)) and math.isfinite(value):
         return value
-    raise ParseError(f"{serialize(node)} is not a finite real number", 0)
+    raise ParseError(f"{serialize(node)} is not a finite real number")
 
 
 def evaluate(node: Node, env: dict):
@@ -271,7 +271,7 @@ def evaluate(node: Node, env: dict):
         rhs = evaluate(node.right, env)
         scalar = isinstance(rhs, (int, float))
         if node.op == "^" and not scalar:
-            raise ParseError("exponent must be constant", 0)
+            raise ParseError("exponent must be constant")
         if scalar and isinstance(lhs, (int, float)):
             return _real(_BINARY[node.op], node, lhs, rhs)
         return _BINARY[node.op](lhs, rhs)

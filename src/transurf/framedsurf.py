@@ -45,22 +45,34 @@ def _deflate(d: np.ndarray) -> np.ndarray:
     return d[1:] / np.arange(1.0, len(d))
 
 
-def _angle_jet(da: np.ndarray, db: np.ndarray) -> Jet | None:
-    """Jet of the angle of a pair with derivative rows (da, db) along a ray,
-    after factoring out their common zeros; None when the pair vanishes to
-    high order."""
-    scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
-    if scale < 1e-12:
-        # the pair vanishes along this ray up to roundoff
-        return None
-    while (abs(da[0]) < _RAY_ZERO_TOL * scale
-           and abs(db[0]) < _RAY_ZERO_TOL * scale and len(da) > 3):
-        da, db = _deflate(da), _deflate(db)
-    r = math.hypot(da[0], db[0])
-    if r < _RAY_ZERO_TOL * scale:
-        return None
-    # a common positive rescale leaves the angle (and its jet) unchanged
-    return jets.atan2(Jet(0.0, db / r), Jet(0.0, da / r))
+def _angle_jets(pairs) -> list[Jet | None]:
+    """Jets of the angles of pairs with derivative rows (da, db) along rays,
+    each after factoring out the common zeros of its pair; None for a pair
+    that vanishes to high order. The lanes are grouped by the length left
+    after factoring, and each group is one batched ``jets.atan2``, whose
+    lane k equals the angle jet of pair k on its own bitwise."""
+    out = [None] * len(pairs)
+    groups = {}
+    for k, (da, db) in enumerate(pairs):
+        scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
+        if scale < 1e-12:
+            # the pair vanishes along this ray up to roundoff
+            continue
+        while (abs(da[0]) < _RAY_ZERO_TOL * scale
+               and abs(db[0]) < _RAY_ZERO_TOL * scale and len(da) > 3):
+            da, db = _deflate(da), _deflate(db)
+        r = math.hypot(da[0], db[0])
+        if r < _RAY_ZERO_TOL * scale:
+            continue
+        # a common positive rescale leaves the angle (and its jet) unchanged
+        groups.setdefault(len(da), []).append((k, da / r, db / r))
+    for lanes in groups.values():
+        idx, da, db = zip(*lanes)
+        th = jets.atan2(Jet(0.0, np.stack(db, axis=1)),
+                        Jet(0.0, np.stack(da, axis=1)))
+        for j, k in enumerate(idx):
+            out[k] = Jet(0.0, th.d[:, j])
+    return out
 
 
 @dataclass
@@ -94,17 +106,23 @@ class ThetaField:
 
     @staticmethod
     def _ray_pairs(pj: PointJets, dirs) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Derivative rows (da, db) of the pair (t31, -t32) along p + s d at
-        s = 0, for each direction d of ``dirs``: one batched product of the
-        pair's jets, one lane per ray. ``_angle_jet`` turns a pair into the
-        one-sided jet of its angle."""
-        k = np.arange(pj.ju.order + 1)
-        # jets in s of t -> f(t0 + s d) at s = 0, one lane per ray
+        """Derivative rows (da, db) of the pair (t31, -t32) along q + s d at
+        s = 0, for each point q of ``pj`` (one point, or a batch) and each
+        direction d of ``dirs``: one batched product of the pair's jets,
+        one lane per point and ray, point-major. ``_angle_jets`` turns the
+        pairs into one-sided jets of their angles."""
+        n = pj.ju.order + 1
+        k = np.arange(n)
+        # jets in s of t -> f(t0 + s d) at s = 0, one column per ray
         wu = np.array([np.power(d[0], k) for d in dirs]).T
         wv = np.array([np.power(d[1], k) for d in dirs]).T
+        shape = (n, max(np.size(pj.p[0]), np.size(pj.p[1])), len(dirs))
 
         def along(row, w):
-            return [Jet(0.0, c.d[:, None] * w) for c in row]
+            # a curve shared by every point of a batch is one scalar jet
+            return [Jet(0.0, np.broadcast_to(
+                c.d.reshape(n, -1, 1) * w[:, None, :], shape).reshape(n, -1))
+                for c in row]
 
         mu_b = along(pj.jv.row(3), wv)
         t31 = frame_dot(mu_b, along(pj.ju.row(1), wu))
@@ -142,8 +160,7 @@ class ThetaField:
     def _extension(self, pj: PointJets) -> ThetaPoint:
         p = pj.p
         pairs = self._ray_pairs(pj, _FAN + _AXIS_RAYS)
-        mean2, spread, reason = self._ray_limit(
-            [_angle_jet(*pair) for pair in pairs[:len(_FAN)]])
+        mean2, spread, reason = self._ray_limit(_angle_jets(pairs[:len(_FAN)]))
         if reason:
             return ThetaPoint(provenance="unavailable", residual=spread,
                               reason=reason)
@@ -164,30 +181,23 @@ class ThetaField:
         def fd_pair(d):
             # along a direction inside the singular set the rays carry no
             # signal; difference the extended values of neighbours instead
-            def f(step):
-                q = (p[0] + step * d[0], p[1] + step * d[1])
-                # a curve whose parameter the step leaves bitwise unchanged
-                # (an axis direction) is not evaluated again
-                ju, jv = (j if float(a).hex() == float(b).hex() else None
-                          for j, a, b in zip((pj.ju, pj.jv), q, p))
-                return self._smooth_value(PointJets(self.s, q, ju=ju, jv=jv),
-                                          theta0)
-
             try:
-                samples = {s: f(s) for s in
-                           (1e-3, -1e-3, 5e-4, -5e-4)}
+                vals = self._smooth_values(
+                    self._neighbours(pj, d, (1e-3, -1e-3, 5e-4, -5e-4)),
+                    theta0)
             except TransurfError:
                 return None
-            if any(val is None for val in samples.values()):
+            if any(val is None for val in vals):
                 return None
-            d1a = (samples[1e-3] - samples[-1e-3]) / 2e-3
-            d1b = (samples[5e-4] - samples[-5e-4]) / 1e-3
-            d2a = (samples[1e-3] - 2 * theta0 + samples[-1e-3]) / 1e-6
-            d2b = (samples[5e-4] - 2 * theta0 + samples[-5e-4]) / 2.5e-7
+            p1, m1, p2, m2 = vals
+            d1a = (p1 - m1) / 2e-3
+            d1b = (p2 - m2) / 1e-3
+            d2a = (p1 - 2 * theta0 + m1) / 1e-6
+            d2b = (p2 - 2 * theta0 + m2) / 2.5e-7
             return ((4 * d1b - d1a) / 3.0, (4 * d2b - d2a) / 3.0)
 
         # the axis lanes' angle jets, formed only once the fan has a limit
-        rays = [_angle_jet(*pair) for pair in pairs[len(_FAN):]]
+        rays = _angle_jets(pairs[len(_FAN):])
         axes = {name: dpair(*rays[2 * k: 2 * k + 2]) or fd_pair(d)
                 for k, (name, d) in enumerate(_AXES.items())}
         if any(val is None for val in axes.values()):
@@ -209,15 +219,37 @@ class ThetaField:
                           provenance="limit_extension",
                           residual=max(spread, resid))
 
-    def _smooth_value(self, qj: PointJets, ref) -> float | None:
-        """Branch-aligned angle value at the point of ``qj`` (extension
-        where needed)."""
-        t31, t32 = qj.t(3, 1), qj.t(3, 2)
-        if math.hypot(t31, t32) >= _EXT_RADIUS:
-            return align_pi(math.atan2(-t32, t31), ref)
-        mean2, _, reason = self._ray_limit(
-            [_angle_jet(*pair) for pair in self._ray_pairs(qj, _FAN)])
-        return None if reason else align_pi(mean2 / 2.0, ref)
+    def _neighbours(self, pj: PointJets, d, steps) -> PointJets:
+        """The batch of the points p + s d of ``pj``'s point p, one lane per
+        step s of ``steps``. A curve whose parameter no step changes bitwise
+        (an axis direction) is not evaluated again: the batch shares its
+        jets at p."""
+        p = pj.p
+        qs = [(p[0] + s * d[0], p[1] + s * d[1]) for s in steps]
+        q = tuple(np.array(x) for x in zip(*qs))
+        ju, jv = (j if all(a.hex() == float(b).hex() for a in x.tolist())
+                  else None for j, x, b in zip((pj.ju, pj.jv), q, p))
+        return PointJets(self.s, q, ju=ju, jv=jv)
+
+    def _smooth_values(self, qj: PointJets, ref) -> list[float | None]:
+        """Branch-aligned angle value at each point of the batch ``qj``
+        (extension where needed; None where the rays have no limit). The
+        fans of all the points that need one are one batch."""
+        n = len(qj.p[0])
+        t31, t32 = (np.broadcast_to(qj.t(3, i), n).tolist() for i in (1, 2))
+        out = [align_pi(math.atan2(-b, a), ref)
+               if math.hypot(a, b) >= _EXT_RADIUS else None
+               for a, b in zip(t31, t32)]
+        near = [k for k, val in enumerate(out) if val is None]
+        if near:
+            pairs = self._ray_pairs(qj, _FAN)
+            m = len(_FAN)
+            fans = _angle_jets([pairs[k * m + r] for k in near
+                                for r in range(m)])
+            for j, k in enumerate(near):
+                mean2, _, reason = self._ray_limit(fans[j * m:(j + 1) * m])
+                out[k] = None if reason else align_pi(mean2 / 2.0, ref)
+        return out
 
     # -- public evaluation ----------------------------------------------------
 

@@ -146,6 +146,13 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
     else:
         s0, s1 = float(speed[0]), float(speed[1])
 
+    def direction(ts, hj, mu):
+        """speed(t) mu_base(h(t)) from the derivative rows ``mu`` of
+        mu_base at h(t), at the order of ``hj``."""
+        sp = np.zeros(hj.d.shape)
+        sp[0], sp[1] = s0 + s1 * ts, s1
+        return [Jet(ts, sp) * hj.compose_outer(c) for c in mu]
+
     @batch_evaluator
     def gamma(ts, order: int):
         k = max(order - 1, 2)
@@ -160,9 +167,6 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
         mu = [c.d for c in base.batch_jets(np.concatenate(
             [hj.value] + [h_jet(ss.ravel(), 2).value for ss in nodes]), k).mu]
         lanes = len(ts)
-        sp = np.zeros((k + 1, lanes))
-        sp[0], sp[1] = s0 + s1 * ts, s1
-        direction = [Jet(ts, sp) * hj.compose_outer(c[:, :lanes]) for c in mu]
         val = np.zeros((lanes, 3))
         start = lanes
         for (m, idx), ss in zip(groups, nodes):
@@ -176,11 +180,21 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
             val[idx] = ((ts[idx] / m) / 3.0)[:, None] * (
                 w[:, None, None] * vals).sum(axis=0)
             start = stop
+        dirs = direction(ts, hj, [c[:, :lanes] for c in mu])
         return tuple(Jet(ts, np.concatenate((val[None, :, c], dj.d[:order])))
-                     for c, dj in enumerate(direction))
+                     for c, dj in enumerate(dirs))
 
     if s1 == 0.0 and s0 != 0.0:
-        return frenet_lift(gamma, domain, name=name)
+        # the frame reads B' alone: the base at h(t), no quadrature
+        @batch_evaluator
+        def velocity(ts, order: int):
+            k = max(order, 2)
+            hj = h_jet(ts, k)
+            mu = base.batch_jets(hj.value, k).mu
+            return tuple(Jet(ts, dj.d[:order + 1])
+                         for dj in direction(ts, hj, [c.d for c in mu]))
+
+        return frenet_lift(gamma, domain, name=name, velocity=velocity)
 
     # a vanishing speed leaves the curve non-regular: frame it by transport
     @batch_evaluator

@@ -97,7 +97,8 @@ class PointJets:
     point (p[0][k], p[1][k]), and :meth:`t` and :meth:`alpha_values` return
     arrays. As t_ij(u, v) = (frame of the v-curve at v)_i . (frame of the
     u-curve at u)_j, each curve is then evaluated only at the distinct
-    values of its parameter.
+    values of its parameter; scalar jets passed as ``ju`` or ``jv`` serve
+    every lane of a batch whose parameter of that curve does not vary.
     """
 
     def __init__(self, s: TranslationSurface, p: tuple[float, float],

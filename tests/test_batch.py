@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transurf import instances, jets, surface
-from transurf.curves import (CurveJets, build_curve, catalog, catalog_names,
-                             frenet_lift, parse_curve, vec_values)
+from transurf.curves import (CurveJets, FramedCurve, build_curve, catalog,
+                             catalog_names, frenet_lift, parse_curve,
+                             vec_values)
 from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2)
 from transurf.classify import classify
@@ -239,6 +240,30 @@ def test_slide_batch_equals_scalar_lanes(kind):
         _slide_gamma_reference(base(), *params, float(t), 6)
         for t in MIXED_TS]))
     assert not np.any(vec_values(batch.gamma)[:, 0])
+
+
+@pytest.mark.parametrize("kind", ["edge", "cusp"])
+def test_slide_frame_reads_the_base_at_h_alone(kind, monkeypatch):
+    # the Frenet frame of a constant-speed slide reads B' alone: a frame
+    # evaluation asks the base for the lanes h(t) and no Simpson node, and
+    # equals the frame lifted from the derivatives of B's gamma bitwise
+    pair, base, h0, h1, h2, *_ = SLIDES[kind]
+    slide = pair()[0].curve_v
+    asked = []
+    original = FramedCurve.batch_jets
+
+    def spy(self, ts, order=6):
+        if self is base():
+            asked.append(np.array(ts))
+        return original(self, ts, order)
+
+    monkeypatch.setattr(FramedCurve, "batch_jets", spy)
+    frame = slide.batch_jets(MIXED_TS, 6).frame
+    monkeypatch.undo()
+    h = instances._quadratic(h0, h1, h2)(MIXED_TS, 2).value
+    assert len(asked) == 1 and _bits(asked[0]) == _bits(h)
+    lifted = frenet_lift(slide._gamma, slide.domain)
+    _assert_same_jets(frame, lifted.batch_jets(MIXED_TS, 6).frame)
 
 
 def _ode_frame_reference(curve, t, order):

@@ -302,6 +302,24 @@ def test_classify_evaluates_each_curve_once_at_the_point(case, monkeypatch):
     assert (len(at_u), len(at_v)) == (1, 1)
 
 
+def test_generic_route_traces_both_directions_in_lockstep(monkeypatch):
+    # one density stencil at the point, one for eta eta Lambda, and one per
+    # corrector round of the two trace directions together: at most 12
+    # rounds (two steps of at most six iterations)
+    s, p0 = instances.slide_pair("edge")
+    calls = []
+    original = classify_mod._GenericDensity.values
+
+    def spy(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(classify_mod._GenericDensity, "values", spy)
+    rep = classify(s, p0)
+    assert rep.generic.tag == "CuspidalEdge"
+    assert len(calls) <= 14
+
+
 # -- the generic route's stencils against per-point references ---------------
 
 def _density_reference(cs, theta0, p):
@@ -443,6 +461,33 @@ def test_corrector_early_exit_keeps_the_trace(case):
     assert want is not None and sorted(got) == sorted(want)
     for k in want:
         assert _bits(got[k]) == _bits(want[k]), k
+
+
+class _LevelV:
+    """lam(u, v) = v, whose gradient vanishes on one side of u = 0 past
+    ``cut``: a stand-in density on which one trace direction fails."""
+
+    def __init__(self, cut=None):
+        self.cut = cut
+
+    def value_and_grad(self, p):
+        dead = self.cut is not None and p[0] * self.cut > self.cut ** 2
+        return p[1], np.zeros(2) if dead else np.array([0.0, 1.0])
+
+    def values_and_grads(self, ps):
+        return [self.value_and_grad(p) for p in ps]
+
+
+def test_trace_fails_when_either_direction_fails():
+    # the tangent is (-1, 0): the +1 direction heads to u < 0
+    g0 = np.array([0.0, 1.0])
+    got = classify_mod._trace_singular_curve(_LevelV(), (0.0, 0.0), g0)
+    assert {k: tuple(q) for k, q in got.items()} == {
+        0: (0.0, 0.0), 1: (-0.02, 0.0), 2: (-0.04, 0.0),
+        -1: (0.02, 0.0), -2: (0.04, 0.0)}
+    for cut in (-0.03, 0.03, -0.01, 0.01):
+        assert classify_mod._trace_singular_curve(
+            _LevelV(cut), (0.0, 0.0), g0) is None, cut
 
 
 def _cusp_function_reference(cs, theta0, theta_p0, trace, k, s=1e-4):

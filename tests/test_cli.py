@@ -185,6 +185,8 @@ def test_input_errors_exit_2(args, tmp_path, capsys):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in args]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # a fault found after parsing has no source offset to report
+    assert not err.rstrip().endswith("at offset 0")
     # a malformed frame is named by its flag
     for flag in ("--frame-a", "--frame-b"):
         if flag in args and args[args.index(flag) + 1].count(";") != 1:

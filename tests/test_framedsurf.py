@@ -214,7 +214,7 @@ def test_unexpected_error_in_fd_pair_propagates(monkeypatch):
     def boom(self, q, ref):
         raise RuntimeError("unexpected")
 
-    monkeypatch.setattr(framedsurf.ThetaField, "_smooth_value", boom)
+    monkeypatch.setattr(framedsurf.ThetaField, "_smooth_values", boom)
     s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
     with pytest.raises(RuntimeError, match="unexpected"):
         classify(s, (0.5, 0.5))
@@ -248,6 +248,22 @@ def test_lemma_suite_evaluates_theta_once_per_case(monkeypatch):
     assert len(calls) == 3
 
 
+def _angle_jet_reference(da, db):
+    """The angle jet of one pair of ray rows on its own, after factoring out
+    their common zeros; None when the pair vanishes to high order: the
+    scalar algorithm that ``_angle_jets`` batches."""
+    scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
+    if scale < 1e-12:
+        return None
+    tol = framedsurf._RAY_ZERO_TOL
+    while abs(da[0]) < tol * scale and abs(db[0]) < tol * scale and len(da) > 3:
+        da, db = framedsurf._deflate(da), framedsurf._deflate(db)
+    r = math.hypot(da[0], db[0])
+    if r < tol * scale:
+        return None
+    return jets.atan2(Jet(0.0, db / r), Jet(0.0, da / r))
+
+
 def _ray_angle_jet_reference(s, p, d, order=6):
     """One ray of the theta extension on its own: the jets of (t31, -t32)
     along p + s d as a chain of scalar jets, then the angle jet."""
@@ -264,25 +280,20 @@ def _ray_angle_jet_reference(s, p, d, order=6):
         bj = ray_jet(mu_b[c], d[1])
         t31 = t31 + bj * ray_jet(nu1_a[c], d[0])
         t32 = t32 + bj * ray_jet(nu2_a[c], d[0])
-    da, db = t31.d.copy(), (-t32).d.copy()
-    scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
-    if scale < 1e-12:
-        return None
-    tol = framedsurf._RAY_ZERO_TOL
-    while abs(da[0]) < tol * scale and abs(db[0]) < tol * scale and len(da) > 3:
-        da, db = framedsurf._deflate(da), framedsurf._deflate(db)
-    r = math.hypot(da[0], db[0])
-    if r < tol * scale:
-        return None
-    return jets.atan2(Jet(0.0, db / r), Jet(0.0, da / r))
+    return _angle_jet_reference(t31.d.copy(), (-t32).d.copy())
+
+
+def _sin_minus(p):
+    return lambda: (
+        TranslationSurface.self_translation(catalog("sin_curve"), -1), p)
 
 
 RAY_POINTS = {
     "slide_edge": lambda: instances.slide_pair("edge"),
     "planar": instances.planar_pair,
-    "sin_minus_diagonal": lambda: (
-        TranslationSurface.self_translation(catalog("sin_curve"), -1),
-        (0.5, 0.5)),
+    "sin_minus_diagonal": _sin_minus((0.5, 0.5)),
+    # its lanes deflate to two lengths, so the fan is two atan2 batches
+    "sin_minus_near_origin": _sin_minus((0.1, 0.1)),
 }
 
 
@@ -290,14 +301,56 @@ RAY_POINTS = {
 def test_ray_fan_lanes_equal_scalar_reference(case):
     s, p = RAY_POINTS[case]()
     dirs = framedsurf._FAN + framedsurf._AXIS_RAYS
-    got = [framedsurf._angle_jet(*pair)
-           for pair in ThetaField._ray_pairs(s.at(p), dirs)]
+    got = framedsurf._angle_jets(ThetaField._ray_pairs(s.at(p), dirs))
     assert len(got) == 24
+    orders = set()
     for d, g in zip(dirs, got):
         want = _ray_angle_jet_reference(s, p, d)
         assert (g is None) == (want is None), d
         if want is not None:
             assert g.d.tobytes() == want.d.tobytes(), d
+            orders.add(want.order)
+    if case == "sin_minus_near_origin":
+        assert orders == {5, 6}
+
+
+def _smooth_value_reference(s, q, ref):
+    """The branch-aligned angle at one neighbour q of an extension point,
+    from its own evaluation of each curve and one ray at a time."""
+    pj = s.at(q)
+    t31, t32 = pj.t(3, 1), pj.t(3, 2)
+    if math.hypot(t31, t32) >= framedsurf._EXT_RADIUS:
+        return align_pi(math.atan2(-t32, t31), ref)
+    fan = [_angle_jet_reference(*pair)
+           for pair in ThetaField._ray_pairs(pj, framedsurf._FAN)]
+    mean2, _, reason = ThetaField(s)._ray_limit(fan)
+    return None if reason else align_pi(mean2 / 2.0, ref)
+
+
+@pytest.mark.parametrize("case", ["cylinder", "sin_minus_diagonal"])
+def test_extension_samples_equal_pointwise_reference(case):
+    # the finite-difference neighbours of an extension point are one batch,
+    # and the fans of those near a zero of (t31, t32) one more; each value
+    # equals the neighbour evaluated on its own bitwise. The cylinder's
+    # u-curve is shared along the v axis, the sin pair's diagonal moves both
+    s, p0 = {"cylinder": instances.cylinder_pair,
+             "sin_minus_diagonal": _sin_minus((0.5, 0.5))}[case]()
+    pj = s.at(p0)
+    theta0 = construct_theta(pj).value
+    steps = (1e-3, -1e-3, 5e-4, -5e-4)
+    field = ThetaField(s)
+    near = 0
+    for d in framedsurf._AXES.values():
+        got = field._smooth_values(field._neighbours(pj, d, steps), theta0)
+        for step, g in zip(steps, got):
+            q = (p0[0] + step * d[0], p0[1] + step * d[1])
+            want = _smooth_value_reference(s, q, theta0)
+            assert (g is None) == (want is None), (d, step)
+            if want is not None:
+                assert np.float64(g).tobytes() == np.float64(want).tobytes()
+            qj = s.at(q)
+            near += math.hypot(qj.t(3, 1), qj.t(3, 2)) < framedsurf._EXT_RADIUS
+    assert near >= 4
 
 
 def test_rays_of_a_point_read_the_frame_once(monkeypatch):
@@ -323,15 +376,15 @@ def test_axis_angle_jets_wait_for_a_fan_limit(monkeypatch):
     # rays have a limit; at this diagonal point of the sin-minus pair they
     # have none, so only the fan's 16 are formed
     s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
-    calls = []
-    original = framedsurf._angle_jet
+    lanes = []
+    original = framedsurf._angle_jets
 
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
+    def spy(pairs):
+        lanes.append(len(pairs))
+        return original(pairs)
 
-    monkeypatch.setattr(framedsurf, "_angle_jet", spy)
+    monkeypatch.setattr(framedsurf, "_angle_jets", spy)
     pt = construct_theta(s.criteria_surface().at((0.1, 0.1)))
     assert not pt.available
     assert "no continuous normal angle" in pt.reason
-    assert len(calls) == 16
+    assert sum(lanes) == 16
