@@ -230,18 +230,29 @@ class CurveJets:
         self.curve = curve
         self.t = t
         self.order = order
+        self._lanes = None      # (batch, index) of jets made by :meth:`take`
+
+    def _read(self, name: str, evaluate: Callable[[], object]):
+        """Attribute ``name``: read off the lanes of the batch these jets
+        were taken from, else ``evaluate()``."""
+        if self._lanes is None:
+            return evaluate()
+        batch, idx = self._lanes
+        return _pick(getattr(batch, name), self.t, idx)
 
     @functools.cached_property
     def gamma(self) -> VecJets:
-        return self.curve._gamma(self.t, self.order)
+        return self._read("gamma",
+                          lambda: self.curve._gamma(self.t, self.order))
 
     @functools.cached_property
     def frame(self) -> tuple[VecJets, VecJets]:
-        return self.curve._frame(self.t, self.order)
+        return self._read("frame",
+                          lambda: self.curve._frame(self.t, self.order))
 
     @functools.cached_property
     def mu(self) -> VecJets:
-        return cross3(*self.frame)
+        return self._read("mu", lambda: cross3(*self.frame))
 
     def row(self, i: int) -> VecJets:
         """Frame row i, 1-indexed as (nu1, nu2, mu)."""
@@ -254,17 +265,25 @@ class CurveJets:
     def take(self, idx) -> "CurveJets":
         """The jets of a batch at ``t[idx]``, read off its lanes with no
         evaluator call: for an int k the scalar jets at the float t[k], for
-        an int array a batch with one lane per entry. Each lane equals a
-        fresh evaluation at its parameter bitwise."""
+        an int array a batch with one lane per entry. ``gamma``, ``frame``,
+        ``mu`` and ``alpha`` are read on first use, each evaluated once on
+        this batch for all the jets taken from it. Each lane equals a fresh
+        evaluation at its parameter bitwise."""
         t = float(self.t[idx]) if isinstance(idx, int) else self.t[idx]
         out = CurveJets(self.curve, t, self.order)
-        out.gamma = _pick(self.gamma, t, idx)
-        out.frame = _pick(self.frame, t, idx)
+        out._lanes = (self, idx)
+        return out
+
+    def for_curve(self, curve: FramedCurve) -> "CurveJets":
+        """The jets at ``t`` of ``curve``, which has this curve's frame
+        evaluator: this frame and mu, and gamma from its own evaluator."""
+        out = CurveJets(curve, self.t, self.order)
+        out.frame, out.mu = self.frame, self.mu
         return out
 
     @functools.cached_property
     def alpha(self) -> Jet:
-        return dot3(shift3(self.gamma), self.mu)
+        return self._read("alpha", lambda: dot3(shift3(self.gamma), self.mu))
 
     def unit_speed_gate(self, hyp_tol: float) -> bool:
         """Pointwise relaxation of the arc-length hypothesis:
@@ -538,10 +557,10 @@ def _sin_curve() -> FramedCurve:
 
     def frame(t, order):
         u = Jet.variable(t, order)
-        s2u = jets.sin(2 * u)
+        su, cu, s2u = jets.sin(u), jets.cos(u), jets.sin(2 * u)
         s = jets.sqrt(s2u * s2u + 1)
-        return ((-jets.sin(u), jets.cos(u), _const(t, order)),
-                (-s2u * jets.cos(u) / s, -s2u * jets.sin(u) / s, 1 / s))
+        return ((-su, cu, _const(t, order)),
+                (-s2u * cu / s, -s2u * su / s, 1 / s))
 
     return FramedCurve(gamma, frame, (-math.pi, math.pi),
                        name="sin_curve", period=2 * math.pi)
@@ -555,9 +574,10 @@ def _self_s1p() -> FramedCurve:
 
     def gamma(t, order):
         u = Jet.variable(t, order)
-        x = (jets.sin(u) + jets.sin(2 * u)) / (2 * w2) - jets.sin(3 * u) / (6 * w2)
+        s2u = jets.sin(2 * u)
+        x = (jets.sin(u) + s2u) / (2 * w2) - jets.sin(3 * u) / (6 * w2)
         y = -jets.cos(2 * u) / (2 * w2)
-        z = jets.sin(2 * u) / (2 * w2)
+        z = s2u / (2 * w2)
         return (x, y, z)
 
     return frenet_lift(gamma, (-1.0, math.pi + 1.0), name="self_s1p",

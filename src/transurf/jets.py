@@ -102,6 +102,17 @@ class Jet:
         arr.setflags(write=False)
         object.__setattr__(self, "d", arr)
 
+    @staticmethod
+    def _fresh(t0, d) -> "Jet":
+        """A jet on rows or an array that its operation has just built and
+        nothing else holds: made read-only in place, with no copy."""
+        d = np.asarray(d, dtype=float)
+        d.setflags(write=False)
+        jet = object.__new__(Jet)
+        object.__setattr__(jet, "t0", t0)
+        object.__setattr__(jet, "d", d)
+        return jet
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -153,26 +164,26 @@ class Jet:
 
     def __add__(self, other):
         a, b = self._align(other)
-        return Jet(self.t0, a + b)
+        return Jet._fresh(self.t0, a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self._align(other)
-        return Jet(self.t0, a - b)
+        return Jet._fresh(self.t0, a - b)
 
     def __rsub__(self, other):
         a, b = self._align(other)
-        return Jet(self.t0, b - a)
+        return Jet._fresh(self.t0, b - a)
 
     def __neg__(self):
-        return Jet(self.t0, -self.d)
+        return Jet._fresh(self.t0, -self.d)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.t0, self.d * float(other))
+            return Jet._fresh(self.t0, self.d * float(other))
         a, b = self._align(other)
-        return Jet(self.t0, _leibniz(_rows(a), _rows(b), len(a) - 1))
+        return Jet._fresh(self.t0, _leibniz(_rows(a), _rows(b), len(a) - 1))
 
     __rmul__ = __mul__
 
@@ -181,7 +192,7 @@ class Jet:
             other = float(other)
             if abs(other) <= DIV_EPS:
                 raise DegenerateDivision("division by near-zero constant")
-            return Jet(self.t0, self.d / other)
+            return Jet._fresh(self.t0, self.d / other)
         a, b = self._align(other)
         a, b = _rows(a), _rows(b)
         b0 = b[0]
@@ -194,7 +205,7 @@ class Jet:
             for i in range(k):
                 acc = acc - binom[i] * r[i] * b[k - i]
             r.append(acc / b0)
-        return Jet(self.t0, r)
+        return Jet._fresh(self.t0, r)
 
     def __rtruediv__(self, other):
         return Jet.constant(float(other), self.t0, self.order) / self
@@ -224,7 +235,7 @@ class Jet:
     def antiderivative(self, value: float) -> "Jet":
         """Jet of an antiderivative with prescribed value; order rises by one."""
         head = np.reshape(value, (1,) + self.d.shape[1:])
-        return Jet(self.t0, np.concatenate((head, self.d)))
+        return Jet._fresh(self.t0, np.concatenate((head, self.d)))
 
     def compose_outer(self, outer_derivs) -> "Jet":
         """Jet of F(self) given derivatives of F at ``self.value``.
@@ -251,7 +262,7 @@ class Jet:
                     s = s + acc[i] * p[m - i]
                 nxt.append(s)
             acc = nxt
-        return Jet(self.t0, [acc[k] * fact[k] for k in range(n + 1)])
+        return Jet._fresh(self.t0, [acc[k] * fact[k] for k in range(n + 1)])
 
 
 def _blank(t0, order: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveJets, FramedCurve, shift3, vec_values
+from .errors import TransurfError
 from .framefield import FrameField, entry_bijet, entry_value, frame_dot
 from .jets import BiJet
 from .tolerances import DEFAULT, Tolerances
@@ -96,8 +97,9 @@ class PointJets:
     With p a pair of 1-D arrays it holds one batch per curve, lane k for the
     point (p[0][k], p[1][k]), and :meth:`t` and :meth:`alpha_values` return
     arrays. As t_ij(u, v) = (frame of the v-curve at v)_i . (frame of the
-    u-curve at u)_j, each curve is then evaluated only at the distinct
-    values of its parameter; scalar jets passed as ``ju`` or ``jv`` serve
+    u-curve at u)_j, each curve is then one batch at its parameter, and a
+    self pair's shared frame is evaluated once for both
+    (:func:`_pair_jets`); scalar jets passed as ``ju`` or ``jv`` serve
     every lane of a batch whose parameter of that curve does not vary.
     """
 
@@ -106,8 +108,7 @@ class PointJets:
                  jv: CurveJets | None = None):
         self.s = s
         self.p = p
-        self.ju = _curve_jets(s.curve_u, p[0], order) if ju is None else ju
-        self.jv = _curve_jets(s.curve_v, p[1], order) if jv is None else jv
+        self.ju, self.jv = _pair_jets(s, p, order, ju, jv)
 
     def t(self, i: int, j: int) -> float:
         """The frame-matrix entry t_ij at p."""
@@ -175,15 +176,46 @@ class PointJets:
         return min(abs(au), abs(av), math.hypot(self.t(3, 1), self.t(3, 2)))
 
 
-def _curve_jets(curve: FramedCurve, t, order: int) -> CurveJets:
-    """The jets of a curve at a float t, or at every entry of a 1-D array t:
-    one batch at its distinct values (told apart bitwise, so 0.0 and -0.0
-    are two), with one lane per entry read off it."""
-    if not isinstance(t, np.ndarray):
-        return CurveJets(curve, t, order)
+def _pair_jets(s: TranslationSurface, p, order: int,
+               ju: CurveJets | None = None,
+               jv: CurveJets | None = None) -> tuple[CurveJets, CurveJets]:
+    """The jets of both curves of ``s`` at p = (u, v), a pair of floats or of
+    1-D arrays, for each side not given as ``ju`` or ``jv``.
+
+    Each curve is evaluated at its own parameter, unless the two curves have
+    one frame evaluator (a self pair). Then the frame and mu are evaluated
+    once, at the distinct values of u and v together, told apart bitwise
+    (once for a point with u == v bitwise), and so is gamma if the curves
+    are one curve (x+); each entry reads its lane. Should that shared
+    evaluation raise, the curves are evaluated apart, so the error is
+    theirs. Every lane equals the separate evaluation bitwise.
+    """
+    u, v = p
+    cu, cv = s.curve_u, s.curve_v
+    batch = isinstance(u, np.ndarray)
+    if (ju is None and jv is None and cu._frame is cv._frame
+            and (batch or float(u).hex() == float(v).hex())):
+        ts, inv = _distinct(np.concatenate((u, v))) if batch else (u, None)
+        both = CurveJets(cu, ts, order)
+        try:
+            both.mu     # the frame and mu of both sides, evaluated once here
+        except TransurfError:
+            pass        # evaluated apart below, so that the error is theirs
+        else:
+            on_v = both if cv is cu else both.for_curve(cv)
+            if not batch:
+                return both, on_v
+            return both.take(inv[:len(u)]), on_v.take(inv[len(u):])
+    return (CurveJets(cu, u, order) if ju is None else ju,
+            CurveJets(cv, v, order) if jv is None else jv)
+
+
+def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-D array, told apart bitwise, and the
+    index of every entry among them."""
     _, first, inv = np.unique(np.ascontiguousarray(t).view(np.int64),
                               return_index=True, return_inverse=True)
-    return curve.batch_jets(t[first], order).take(inv)
+    return t[first], inv
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +338,12 @@ def residual_landscape(s: TranslationSurface, us: np.ndarray,
                        vs: np.ndarray) -> tuple[np.ndarray, ...]:
     """alpha on us, alpha~ on vs, and t31, t32 on the grid us x vs.
 
-    One batch evaluation per curve. Node (a, b) of a grid equals
+    One batch evaluation per curve, or of the shared frame of a self pair
+    (:func:`_pair_jets`). Node (a, b) of a grid equals
     ``s.field.partial_value(3, j, us[a], vs[b])`` bitwise, and the alphas
     equal ``s.alpha_values``.
     """
-    on_u = s.curve_u.batch_jets(us, 2)
-    on_v = s.curve_v.batch_jets(vs, 2)
+    on_u, on_v = _pair_jets(s, (us, vs), 2)
     # t_ij(u, v) = (frame of v-curve)_i . (frame of u-curve)_j
     mu_v = [c.value[None, :] for c in on_v.mu]
     nu1, nu2 = on_u.frame
@@ -382,9 +414,10 @@ def _newton_t3(s: TranslationSurface, us, vs,
     be degenerate (the Jacobian drops rank exactly at the points of
     interest), which turns the convergence linear; a lane iterates until the
     step itself collapses rather than stopping at the residual tolerance.
-    Each iteration evaluates both curves once at all live iterates; a lane
-    retires when its step collapses, its iterate leaves the finite range or
-    it runs out of iterations. Returns the root of each start, or None.
+    Each iteration evaluates both curves once at all live iterates, a self
+    pair's shared frame once (:func:`_pair_jets`); a lane retires when its
+    step collapses, its iterate leaves the finite range or it runs out of
+    iterations. Returns the root of each start, or None.
     """
     u = np.array(us, dtype=float)
     v = np.array(vs, dtype=float)
@@ -395,9 +428,9 @@ def _newton_t3(s: TranslationSurface, us, vs,
         if not live:
             return roots
         # frame rows as arrays indexed [component, derivative order, lane]
-        nu1, nu2 = (np.array([c.d for c in row])
-                    for row in s.curve_u.batch_jets(u[live], 2).frame)
-        mu = np.array([c.d for c in s.curve_v.batch_jets(v[live], 2).mu])
+        ju, jv = _pair_jets(s, (u[live], v[live]), 2)
+        nu1, nu2 = (np.array([c.d for c in row]) for row in ju.frame)
+        mu = np.array([c.d for c in jv.mu])
         t31 = frame_dot(mu[:, 0], nu1[:, 0])
         t32 = frame_dot(mu[:, 0], nu2[:, 0])
         t31_u = frame_dot(mu[:, 0], nu1[:, 1])

@@ -6,7 +6,9 @@ their former scalar algorithms (a quadrature per node, a derivative stack
 per lane); the slide's reads of its base in a classify; the batched Newton
 refinement of the scan against a scalar reference loop; the residual
 landscape against ``partial_value``; the field-dependence scan against a
-per-point reference loop; and errors raised by a single failing lane.
+per-point reference loop; a self pair's shared frame evaluation against
+the separate evaluation of its two curves; and errors raised by a single
+failing lane.
 """
 import math
 
@@ -20,12 +22,13 @@ from transurf.curves import (CurveJets, FramedCurve, build_curve, catalog,
                              catalog_names, frenet_lift, parse_curve,
                              vec_values)
 from transurf.errors import (DegenerateDivision, DomainError,
-                             NotNonDegenerate, OriginAtan2)
+                             NotNonDegenerate, OriginAtan2, TransurfError)
 from transurf.classify import classify
 from transurf.framefield import (FrameField, entry_bijet, entry_value,
                                  frame_dot, reconstruct_framed_curves)
 from transurf.jets import Jet
-from transurf.surface import TranslationSurface, _newton_t3
+from transurf.surface import (PointJets, TranslationSurface, _newton_t3,
+                              residual_landscape)
 from transurf.verify import all_pairs, surface_for
 
 
@@ -352,11 +355,20 @@ PAIRS = {
     "sin_minus": lambda: TranslationSurface.self_translation(
         catalog("sin_curve"), -1),
 }
+# the self pairs x+ and x- of the catalog's closed curves, as a scan builds
+# them: the two curves share one frame evaluator, and x+ is one curve
+SELF_PAIRS = {
+    f"{name}_{kind}": (lambda name=name, sign=sign:
+                       TranslationSurface.self_translation(catalog(name),
+                                                           sign))
+    for name in ("sin_curve", "self_s1p")
+    for kind, sign in (("plus", 1), ("minus", -1))
+}
 
 
-@pytest.mark.parametrize("pair", sorted(PAIRS))
+@pytest.mark.parametrize("pair", sorted(PAIRS) + sorted(SELF_PAIRS))
 def test_batched_newton_matches_scalar_reference(pair):
-    s = PAIRS[pair]()
+    s = {**PAIRS, **SELF_PAIRS}[pair]()
     rng = np.random.default_rng(11)
     starts = [(0.05, -0.04), (0.3, 0.3), (-0.7, 0.2), (1.9, -1.9)]
     starts += [tuple(p) for p in rng.uniform(-1.5, 1.5, size=(6, 2))]
@@ -547,3 +559,127 @@ def test_scan_reads_kept_points_from_one_batch_per_curve(monkeypatch):
     assert len(pts) > 2
     assert not any(in_make for _, in_make in built)
     assert sum(not batch for batch, _ in built) == 2 * len(pts)
+
+
+def _curve_jets_reference(curve, t, order):
+    """The former per-curve path: the jets of one curve at a float t, or at
+    every entry of a 1-D array t, from one batch at its distinct values
+    (told apart bitwise) with one lane per entry."""
+    if not isinstance(t, np.ndarray):
+        return CurveJets(curve, t, order)
+    _, first, inv = np.unique(np.ascontiguousarray(t).view(np.int64),
+                              return_index=True, return_inverse=True)
+    return curve.batch_jets(t[first], order).take(inv)
+
+
+def _assert_same_curve_jets(got, want):
+    assert _bits(got.t) == _bits(want.t)
+    _assert_same_jets(got.gamma, want.gamma)
+    for i in (1, 2, 3):
+        _assert_same_jets(got.row(i), want.row(i))
+    _assert_same_jets((got.alpha,), (want.alpha,))
+    _assert_same_jets(_curvature_jets(got.curvature),
+                      _curvature_jets(want.curvature))
+
+
+# points of both sides: diagonal and off it, repeated parameters, a u value
+# that is also a v value, and 0.0 against -0.0
+SELF_US = np.array([0.5, 0.5, -1.25, 0.0, 2.0, -0.0, 0.3])
+SELF_VS = np.array([0.5, -1.25, 0.3, -0.0, 2.0, 0.0, 1.7])
+
+
+@pytest.mark.parametrize("pair", sorted(SELF_PAIRS))
+def test_self_pair_jets_equal_separate_evaluation(pair):
+    s = SELF_PAIRS[pair]()
+    assert s.curve_u._frame is s.curve_v._frame
+    cu, cv = s.curve_u, s.curve_v
+    # a batch of points
+    pj = PointJets(s, (SELF_US, SELF_VS))
+    _assert_same_curve_jets(pj.ju, _curve_jets_reference(cu, SELF_US, 6))
+    _assert_same_curve_jets(pj.jv, _curve_jets_reference(cv, SELF_VS, 6))
+    # a scalar point on the diagonal is one evaluation of the frame
+    for u in (0.5, 0.0):
+        pj = s.at((u, u))
+        if cv is cu:
+            assert pj.jv is pj.ju
+        assert pj.jv.frame is pj.ju.frame
+        _assert_same_curve_jets(pj.ju, _curve_jets_reference(cu, u, 6))
+        _assert_same_curve_jets(pj.jv, _curve_jets_reference(cv, u, 6))
+    # 0.0 and -0.0 are two points
+    pj = s.at((0.0, -0.0))
+    _assert_same_curve_jets(pj.jv, _curve_jets_reference(cv, -0.0, 6))
+    # the residual landscape, on grids that share some of their values
+    us, vs = np.linspace(-3.0, 3.0, 7), np.linspace(-1.0, 3.0, 5)
+    on_u, on_v = cu.batch_jets(us, 2), cv.batch_jets(vs, 2)
+    mu_v = [c.value[None, :] for c in on_v.mu]
+    want = (on_u.alpha.value, on_v.alpha.value,
+            *(frame_dot(mu_v, [c.value[:, None] for c in row])
+              for row in on_u.frame))
+    got = residual_landscape(s, us, vs)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and _bits(g) == _bits(w)
+
+
+def _frame_spy(curve, calls):
+    """``curve``'s frame evaluator, counting its calls in ``calls``."""
+    frame = curve._frame
+
+    def spy(t, order):
+        calls.append(t)
+        return frame(t, order)
+    return spy
+
+
+@pytest.mark.parametrize("pair,want", [
+    *((name, 1) for name in sorted(SELF_PAIRS)), ("s0", 2), ("s1m", 2)])
+def test_point_batch_evaluates_a_shared_frame_once(pair, want, monkeypatch):
+    s = {**PAIRS, **SELF_PAIRS}[pair]()
+    calls = []
+    if s.curve_u._frame is s.curve_v._frame:
+        spy = _frame_spy(s.curve_u, calls)
+        spies = {s.curve_u: spy, s.curve_v: spy}
+    else:
+        spies = {c: _frame_spy(c, calls) for c in (s.curve_u, s.curve_v)}
+    for curve, spy in spies.items():
+        monkeypatch.setattr(curve, "_frame", spy)
+    pj = PointJets(s, (SELF_US, SELF_VS))
+    pj.t(3, 1), pj.t(1, 2), pj.alpha_values()
+    pj.ju.curvature, pj.jv.curvature
+    assert len(calls) == want
+    calls.clear()
+    residual_landscape(s, SELF_US, SELF_VS)
+    assert len(calls) == want
+
+
+def _inflected_curve():
+    """A Frenet-lifted planar curve, (u, sin u, 0), whose frame fails at
+    u = 0 and u = pi: the 33 samples over its domain miss both."""
+    def gamma(t, order):
+        u = Jet.variable(t, order)
+        return (u, jets.sin(u), Jet.constant(0.0, t, order))
+    return frenet_lift(gamma, (-3.5, 3.3), name="inflected")
+
+
+def _raised(read) -> tuple[type, str]:
+    with pytest.raises(TransurfError) as info:
+        read()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_failing_shared_batch_raises_the_separate_error(sign):
+    # u fails at pi and v at 0.0; the shared batch, at the distinct values
+    # of both, fails first at 0.0, so the u side's error shows that the
+    # curves were evaluated apart
+    s = TranslationSurface.self_translation(_inflected_curve(), sign)
+    us, vs = np.array([math.pi, 0.5]), np.array([0.25, 0.0])
+    shared, _ = surface._distinct(np.concatenate((us, vs)))
+    assert "t=0.0" in _raised(lambda: s.curve_u.batch_jets(shared, 6).frame)[1]
+    for side, curve, t in (("ju", s.curve_u, us), ("jv", s.curve_v, vs)):
+        want = _raised(lambda: _curve_jets_reference(curve, t, 6).frame)
+        assert want == _raised(
+            lambda: getattr(PointJets(s, (us, vs)), side).frame)
+    # a diagonal point
+    for u in (0.0, math.pi):
+        want = _raised(lambda: CurveJets(s.curve_v, u, 6).frame)
+        assert want == _raised(lambda: s.at((u, u)).jv.frame)

@@ -297,3 +297,22 @@ def test_jet_immutable():
     j = Jet.variable(0.0, 3)
     with pytest.raises(ValueError):
         j.d[0] = 5.0
+
+
+@pytest.mark.parametrize("t0", [0.3, np.array([0.3, -1.2, 2.0])])
+def test_jet_operations_build_read_only_jets(t0):
+    # the operations own the arrays they build, so they skip the copy; the
+    # jets stay read-only, and the public constructor still copies
+    x = Jet.variable(t0, 4)
+    y = jets.sqrt(x * x + 1.0)
+    results = [x + y, x - y, 1.0 - x, -x, 2.0 * x, x / 2.0, x * y, x / y,
+               jets.sin(x), jets.atan(x)]
+    for r in results:
+        assert r.d.dtype == float and r.d.shape == x.d.shape
+        assert r.d is not x.d and r.d is not y.d
+        with pytest.raises(ValueError):
+            r.d[0] = 5.0
+    d = np.array(x.d)
+    j = Jet(t0, d)
+    d[0] = 5.0
+    assert np.all(j.d[0] == x.d[0])
