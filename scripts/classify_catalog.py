@@ -10,7 +10,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from transurf import instances  # noqa: E402
-from transurf.classify import classify  # noqa: E402
+from transurf.classify import classify, classify_all  # noqa: E402
 from transurf.surface import find_singular_points  # noqa: E402
 from transurf.verify import all_pairs, surface_for  # noqa: E402
 
@@ -30,8 +30,7 @@ def main():
         s = surface_for(key)
         pts = find_singular_points(s, WINDOWS[key], grid_n=40)
         tags = {}
-        for q in pts:
-            rep = classify(s, q.p)
+        for rep in classify_all(s, [q.p for q in pts]):
             tags[rep.tag] = tags.get(rep.tag, 0) + 1
         row = ", ".join(f"{t}x{c}" for t, c in sorted(tags.items()))
         print(f"{key:16s} {len(pts):3d} singular samples: {row or '(none)'}")

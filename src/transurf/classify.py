@@ -16,16 +16,17 @@ Three routes, in order:
 Every strict inequality is realized as |value| > crit_tol and every equality
 hypothesis as |value| < hyp_tol, with raw values reported beside thresholds.
 Routes that disagree yield an Unclassified verdict carrying both.
+``classify_all`` runs the routes at many points in lockstep.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .curves import FramedCurve
-from .errors import ClosedFormMismatch
+from .errors import ClosedFormMismatch, TransurfError
 from .framedsurf import (ThetaPoint, align_pi, closed_form_density_partials,
                          construct_theta, directional_derivative,
                          discriminant, front_test, wrap_pi)
@@ -38,6 +39,9 @@ TRACE_STEP = 0.02   # predictor step of the singular-curve continuation
 TRACE_STEPS = 2     # continuation steps each way from the point
 SPEED_CONST_TOL = 1e-9   # |alpha'| bound for a constant-speed curve
 PHI_DEGREE = 3      # BiJet degree of phi and of the jets it is formed from
+# most generic-route steps whose points share one batch (a step asks for at
+# most 10 points): a bound on the memory of a round at many points
+ROUND_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +338,6 @@ def classify_S1(d: PointData) -> Verdict:
 # route 2: framed-surface criteria
 # ---------------------------------------------------------------------------
 
-def _alpha_identically_zero_derivative(curve: FramedCurve) -> bool:
-    """|alpha'| <= SPEED_CONST_TOL at 64 domain samples, one batch."""
-    alpha = curve.batch_jets(np.linspace(*curve.domain, 64), 2).alpha
-    return not np.any(np.abs(alpha.d[1]) > SPEED_CONST_TOL)
-
-
 def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     """Framed-surface route: regimes split by vanishing of the two speeds."""
     cs, tols = d.s, d.s.tols
@@ -400,8 +398,8 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
                                     "nor cuspidal beaks in this regime"])
         if abs(front_val) > tols.crit_tol and abs(edge_val) > tols.crit_tol:
             return Verdict("CuspidalEdge", "framed_surface", conds, hyps, notes)
-        const_speeds = (_alpha_identically_zero_derivative(cs.curve_u)
-                        and _alpha_identically_zero_derivative(cs.curve_v))
+        const_speeds = not (cs.curve_u.speed_slope > SPEED_CONST_TOL
+                            or cs.curve_v.speed_slope > SPEED_CONST_TOL)
         if abs(edge_val) <= tols.hyp_tol and abs(front_val) > tols.crit_tol:
             if not const_speeds:
                 notes.append("hypothesis_not_met: speeds not constant; "
@@ -481,13 +479,40 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
 # route 3: generic frontal criteria
 # ---------------------------------------------------------------------------
 
-def _at_points(cs: TranslationSurface, points) -> PointJets:
-    """Both curves at a list of points (u_k, v_k): one ``PointJets`` of
-    batch jets, lane k for point k, from one ``batch_jets(·, 2)`` per curve
-    at the distinct values of its parameter. Element k of each of its values
-    equals the value at point k bitwise."""
-    pts = np.array(points, dtype=float).reshape(-1, 2)
-    return cs.at((pts[:, 0], pts[:, 1]), order=2)
+def _lockstep(cs: TranslationSurface, steps) -> list:
+    """Run the generators ``steps`` in lockstep and return their results.
+
+    A step yields each list of points (u, v) at which it needs the jets of
+    both curves of ``cs`` and is sent their order-2 ``PointJets``, lane k
+    for point k, until it returns. Each round evaluates the lists of all the
+    steps still running, ``ROUND_STEPS`` steps to a batch, which each step
+    reads through ``PointJets.take``; element k of each value equals the
+    value at point k bitwise, whichever points share its batch.
+    """
+    out, asks = [None] * len(steps), {}
+
+    def advance(k, st):
+        try:
+            asks[k] = steps[k].send(st)
+        except StopIteration as stop:
+            out[k] = stop.value
+
+    for k in range(len(steps)):
+        advance(k, None)
+    while asks:
+        pending, asks = asks, {}
+        keys = list(pending)
+        for i in range(0, len(keys), ROUND_STEPS):
+            part = keys[i:i + ROUND_STEPS]
+            pts = np.array([q for k in part for q in pending[k]],
+                           dtype=float).reshape(-1, 2)
+            batch, start = cs.at((pts[:, 0], pts[:, 1]), order=2), 0
+            for k in part:
+                n = len(pending[k])
+                advance(k, batch.take(np.arange(start, start + n)))
+                start += n
+            del batch   # held by no step: free it before the next batch
+    return out
 
 
 def _eta(st: PointJets) -> list[np.ndarray]:
@@ -522,15 +547,15 @@ def _cross(p, h) -> list[tuple[float, float]]:
 class _GenericDensity:
     """Signed area density for finite differencing: the hypot of (t31, t32)
     signed by mod-pi alignment of the local canonical angle with theta0.
-    Each finite-difference stencil is evaluated as one batch."""
+    Its methods are steps of :func:`_lockstep`, each stencil one list of
+    points."""
 
-    def __init__(self, cs: TranslationSurface, theta0: float):
-        self.cs = cs
+    def __init__(self, theta0: float):
         self.theta0 = theta0
 
-    def values(self, points) -> list[float]:
+    def values(self, points):
         """The density at every point of ``points``."""
-        st = _at_points(self.cs, points)
+        st = yield points
         out = []
         for au, av, t31, t32 in zip(*(x.tolist() for x in (
                 *st.alpha_values(), st.t(3, 1), st.t(3, 2)))):
@@ -543,20 +568,16 @@ class _GenericDensity:
             out.append(au * av * sgn * h)
         return out
 
-    def values_and_grads(self, ps, h=1e-5) -> list[tuple[float, np.ndarray]]:
+    def values_and_grads(self, ps, h=1e-5):
         """The density at each point p of ``ps`` and its gradient: the
-        stencils of all the points as one batch."""
-        f = self.values([q for p in ps for q in [p] + _cross(p, h)])
+        stencils of all the points as one list."""
+        f = yield from self.values([q for p in ps for q in [p] + _cross(p, h)])
         return [(f[k], np.array([(f[k + 1] - f[k + 2]) / (2 * h),
                                  (f[k + 3] - f[k + 4]) / (2 * h)]))
                 for k in range(0, len(f), 5)]
 
-    def value_and_grad(self, p, h=1e-5):
-        """The density at p and its gradient, as one stencil."""
-        return self.values_and_grads([p], h)[0]
-
     def hessian(self, p, h=1e-3):
-        f = self.values([p] + _cross(p, h) + [
+        f = yield from self.values([p] + _cross(p, h) + [
             (p[0] + h, p[1] + h), (p[0] + h, p[1] - h),
             (p[0] - h, p[1] + h), (p[0] - h, p[1] - h)])
         fuu = (f[1] - 2 * f[0] + f[2]) / h**2
@@ -565,18 +586,17 @@ class _GenericDensity:
         return np.array([[fuu, fuv], [fuv, fvv]])
 
 
-def _eta_lambda_fd(pj: PointJets, lam: _GenericDensity, s=1e-4):
-    """eta Lambda and eta eta Lambda at the point of ``pj`` by central
-    differences along the null field eta: eta at the two outer points is
-    one stencil, and Lambda at the six points it differences another."""
-    p = pj.p
-    au, av = pj.alpha_values()
-    e = np.array([-av * pj.t(3, 3), au])
+def _eta_lambda_fd(p, e, lam: _GenericDensity, s=1e-4):
+    """eta Lambda and eta eta Lambda at p, where the null field is e, by
+    central differences along eta, as a step of :func:`_lockstep`: eta at
+    the two outer points is one list, and Lambda at the six points it
+    differences another."""
     s2 = 1e-3
     qs = [p, (p[0] + s2 * e[0], p[1] + s2 * e[1]),
           (p[0] - s2 * e[0], p[1] - s2 * e[1])]
-    f = lam.values([
-        pm for q, eq in zip(qs, [e] + _eta(_at_points(pj.s, qs[1:])))
+    outer = _eta((yield qs[1:]))
+    f = yield from lam.values([
+        pm for q, eq in zip(qs, [e] + outer)
         for pm in ((q[0] + s * eq[0], q[1] + s * eq[1]),
                    (q[0] - s * eq[0], q[1] - s * eq[1]))])
     g, gp, gm = ((f[k] - f[k + 1]) / (2 * s) for k in (0, 2, 4))
@@ -612,9 +632,10 @@ def _trace_direction(q, t_dir):
 
 def _trace_singular_curve(lam, p0, g0):
     """Few predictor-corrector steps along lam = 0 through p0 (both ways),
-    where lam has the gradient g0. The two directions run in lockstep: each
-    round evaluates the gradient stencils of the directions still running
-    as one batch. None when either direction fails."""
+    where lam has the gradient g0, as a step of :func:`_lockstep`. The two
+    directions run in lockstep: each round asks for the gradient stencils
+    of the directions still running as one list. None when either
+    direction fails."""
     nrm = float(np.linalg.norm(g0))
     if nrm < 1e-12:
         return None
@@ -624,7 +645,7 @@ def _trace_singular_curve(lam, p0, g0):
     asks = {sgn: next(run) for sgn, run in runs.items()}
     done = {}
     while asks:
-        answers = lam.values_and_grads(list(asks.values()))
+        answers = yield from lam.values_and_grads(list(asks.values()))
         for sgn, fg in zip(list(asks), answers):
             try:
                 asks[sgn] = runs[sgn].send(fg)
@@ -639,21 +660,34 @@ def _trace_singular_curve(lam, p0, g0):
     return pts
 
 
-def classify_generic_frontal(pj: PointJets, pt: ThetaPoint) -> Verdict:
-    """Cross-validation route built on the frontal criteria alone:
+def classify_generic_frontal(pj: PointJets,
+                             pts: list[ThetaPoint]) -> list[Verdict]:
+    """Cross-validation route built on the frontal criteria alone, at every
+    point k of the batch ``pj`` with the normal angle pts[k] there:
     continuation of the singular curve, finite differences of the signed
-    density, and the cusp-detecting function along the curve."""
+    density, and the cusp-detecting function along the curve. The points
+    run in lockstep (:func:`_lockstep`): each round evaluates the stencils
+    of all of them as one batch."""
+    return _lockstep(pj.s, [_generic_frontal(functools.partial(pj.take, k),
+                                             pt) for k, pt in enumerate(pts)])
+
+
+def _generic_frontal(point, pt: ThetaPoint):
+    """The generic route at one point, whose jets ``point()`` reads, as a
+    step of :func:`_lockstep`."""
     if not pt.available:
         return Verdict("Unclassified", "generic_frontal", [],
                        ["normal angle available"],
                        [f"theta_unavailable: {pt.reason}"])
-    cs, p0 = pj.s, pj.p
+    pj = point()
+    p0, rank, (au, av) = pj.p, pj.dx_rank(), pj.alpha_values()
+    e = np.array([-av * pj.t(3, 3), au])
+    del pj   # read again where needed, not held meanwhile
     theta0 = pt.value
-    lam = _GenericDensity(cs, theta0)
-    rank = pj.dx_rank()
-    _, grad = lam.value_and_grad(p0)
+    lam = _GenericDensity(theta0)
+    (_, grad), = yield from lam.values_and_grads([p0])
     gnorm = float(np.linalg.norm(grad))
-    eta_lam, eta_eta_lam = _eta_lambda_fd(pj, lam)
+    eta_lam, eta_eta_lam = yield from _eta_lambda_fd(p0, e, lam)
     conds = [
         CriterionValue("grad_density_fd", gnorm, GEN_TOL, gnorm > GEN_TOL),
         CriterionValue("eta_density_fd", eta_lam, GEN_TOL,
@@ -663,7 +697,7 @@ def classify_generic_frontal(pj: PointJets, pt: ThetaPoint) -> Verdict:
     notes = []
 
     if gnorm > GEN_TOL:
-        trace = _trace_singular_curve(lam, p0, grad)
+        trace = yield from _trace_singular_curve(lam, p0, grad)
         if trace is None:
             return Verdict("Unclassified", "generic_frontal", conds, hyps,
                            notes + ["continuation failed"])
@@ -671,22 +705,24 @@ def classify_generic_frontal(pj: PointJets, pt: ThetaPoint) -> Verdict:
         def phi_x(ks):
             # the cusp function det(dx/dt, bn, eta bn) at trace[k] for each k
             # of ks: the trace points are one stencil, and their neighbours
-            # along eta another
+            # along eta another, read once the first is released
             s = 1e-4
             qs = [trace[k] for k in ks]
-            at_q = _at_points(cs, qs)
+            at_q = yield qs
             ths = [pt.value if k == 0 else th for k, th in
                    zip(ks, _theta_near(at_q, [theta0] * len(ks)))]
-            nbrs = _at_points(cs, [
-                pm for q, e in zip(qs, _eta(at_q))
-                for pm in ((q[0] + s * e[0], q[1] + s * e[1]),
-                           (q[0] - s * e[0], q[1] - s * e[1]))])
-            bn_n = _bn(nbrs, _theta_near(nbrs, [th for th in ths
-                                                for _ in (0, 1)]))
+            bns, etas = _bn(at_q, ths), _eta(at_q)
             xu, xv = (np.stack([c.d[1] for c in on.gamma], axis=1)
                       for on in (at_q.ju, at_q.jv))
+            del at_q
+            nbrs = yield [
+                pm for q, e in zip(qs, etas)
+                for pm in ((q[0] + s * e[0], q[1] + s * e[1]),
+                           (q[0] - s * e[0], q[1] - s * e[1]))]
+            bn_n = _bn(nbrs, _theta_near(nbrs, [th for th in ths
+                                                for _ in (0, 1)]))
             out = []
-            for a, (k, bn) in enumerate(zip(ks, _bn(at_q, ths))):
+            for a, (k, bn) in enumerate(zip(ks, bns)):
                 dq = (trace[k + 1] - trace[k - 1]) / 2.0
                 dx_dt = xu[a] * dq[0] + xv[a] * dq[1]
                 dbn = (bn_n[2 * a] - bn_n[2 * a + 1]) / (2 * s)
@@ -695,13 +731,13 @@ def classify_generic_frontal(pj: PointJets, pt: ThetaPoint) -> Verdict:
             return out
 
         if abs(eta_lam) > GEN_TOL:
-            phi0, = phi_x([0])
+            phi0, = yield from phi_x([0])
             conds.append(CriterionValue("cusp_function", phi0, GEN_TOL,
                                         abs(phi0) > GEN_TOL))
             if abs(phi0) > GEN_TOL:
                 return Verdict("CuspidalEdge", "generic_frontal", conds, hyps,
                                notes)
-            phi_p, phi_m = phi_x([1, -1])
+            phi_p, phi_m = yield from phi_x([1, -1])
             dphi = (phi_p - phi_m) / float(
                 np.linalg.norm(trace[1] - trace[-1]))
             conds.append(CriterionValue("cusp_function_derivative", dphi,
@@ -714,7 +750,7 @@ def classify_generic_frontal(pj: PointJets, pt: ThetaPoint) -> Verdict:
                                     "cuspidal cross cap"])
         # eta lambda = 0: swallowtail needs the front property plus the
         # second directional derivative
-        front = front_test(pj, pt)[0] == "front"
+        front = front_test(point(), pt)[0] == "front"
         conds.append(CriterionValue("eta_eta_density_fd", eta_eta_lam, GEN_TOL,
                                     abs(eta_eta_lam) > GEN_TOL))
         hyps.append("front via framed-surface curvature")
@@ -723,12 +759,12 @@ def classify_generic_frontal(pj: PointJets, pt: ThetaPoint) -> Verdict:
         return Verdict("Unclassified", "generic_frontal", conds, hyps, notes)
 
     # degenerate point: Hessian tests
-    H = lam.hessian(p0)
+    H = yield from lam.hessian(p0)
     detH = float(H[0, 0] * H[1, 1] - H[0, 1] ** 2)
     conds.append(CriterionValue("det_hess_density_fd", detH, GEN_TOL,
                                 abs(detH) > GEN_TOL))
     if rank == 1:
-        front = front_test(pj, pt)[0] == "front"
+        front = front_test(point(), pt)[0] == "front"
         if detH > GEN_TOL and front:
             return Verdict("CuspidalLips", "generic_frontal", conds, hyps,
                            notes + ["positive Hessian determinant: cuspidal "
@@ -754,21 +790,84 @@ _DEFINITE = {"CuspidalEdge", "Swallowtail", "CuspidalCrossCap",
 
 def classify(s: TranslationSurface, p0: tuple[float, float]) -> ClassificationReport:
     """Full pipeline at one point; see the module docstring for the routes."""
+    return classify_all(s, [p0])[0]
+
+
+def classify_all(s: TranslationSurface,
+                 points) -> list[ClassificationReport]:
+    """Full pipeline at every point (u, v) of ``points``, in lockstep: both
+    curves are evaluated at all of them as one batch, the normal angle of
+    all that need it is one ``construct_theta`` batch, and their generic
+    routes share each round (:func:`classify_generic_frontal`). Each stage
+    reads a point's lanes afresh, so that none holds the jets of every point.
+
+    Equals ``[classify(s, p) for p in points]``, and so does the error when
+    a point raises a TransurfError: the points are then classified again one
+    at a time.
+    """
+    if not points:
+        return []
+    try:
+        on = s.criteria_surface().at(
+            tuple(np.array(x, dtype=float) for x in zip(*points)))
+        reports = [_direct_routes(s, on.take(k), p0)
+                   for k, p0 in enumerate(points)]
+        rest = [k for k, r in enumerate(reports)
+                if r.final.tag == "Unclassified"]
+        generic = []
+        for k, pt in zip(rest, construct_theta(on.take(np.array(rest)))
+                         if rest else []):
+            reports[k].framed = classify_dependent_framed(
+                PointData(on.take(k)), pt)
+            if pt.available:
+                generic.append((k, pt))
+        for (k, _), verdict in zip(generic, classify_generic_frontal(
+                on.take(np.array([k for k, _ in generic])),
+                [pt for _, pt in generic]) if generic else []):
+            reports[k].generic = verdict
+    except TransurfError:
+        if len(points) < 2:
+            raise
+        return [classify_all(s, [p])[0] for p in points]
+    for k in rest:
+        framed, generic = reports[k].framed, reports[k].generic
+        final = framed
+        if generic is not None:
+            ft, gt = framed.tag, generic.tag
+            if gt in _DEFINITE and ft in _DEFINITE and gt != ft:
+                final = Verdict("Unclassified",
+                                "framed_surface+generic_frontal",
+                                framed.conditions + generic.conditions,
+                                notes=[f"routes disagree: framed={ft}, "
+                                       f"generic={gt}"])
+            elif ft == "Unclassified" and gt in _DEFINITE:
+                # a definite verdict needs both routes; the candidate is a note
+                raw = ", ".join(f"{c.name}={c.value:.6g}"
+                                for c in generic.conditions)
+                final.notes.append(f"generic route alone says {gt} ({raw}); "
+                                   "the framed route does not confirm it")
+            elif gt == ft and ft in _DEFINITE:
+                final.notes.append("generic route agrees")
+        reports[k].final = final
+    return reports
+
+
+def _direct_routes(s: TranslationSurface, pj: PointJets,
+                   p0) -> ClassificationReport:
+    """The report at one point after the rank and dependence tests and
+    route 1; its verdict stays Unclassified where routes 2 and 3 must run."""
     tols = s.tols
-    cs = s.criteria_surface()
     notes = []
     if s.kind != "general":
         notes.append("criteria evaluated on the unscaled generator pair; the "
                      "surface is its image under scaling by 1/2")
-
-    pj = cs.at(p0)
     rank = corank(pj)
     dep = dependence_test(pj)
     au, av = pj.alpha_values()
 
     report = ClassificationReport(
         point=p0,
-        conditions=singular_conditions(cs, (au, av), dep.t_pair_norm),
+        conditions=singular_conditions(pj.s, (au, av), dep.t_pair_norm),
         dependence="dependent" if dep.dependent else "independent",
         corank=0 if rank == "regular" else rank,
         final=Verdict("Unclassified", "gfs"), notes=notes)
@@ -778,49 +877,19 @@ def classify(s: TranslationSurface, p0: tuple[float, float]) -> ClassificationRe
                                [_crit("singular_residual",
                                       pj.singular_residual(),
                                       tols.sing_tol)])
-        return report
-
-    if not dep.dependent:
+    elif not dep.dependent:
         report.final = Verdict(
             "IndependentConditionDeferred", "gfs",
             [CriterionValue("mu_cross_norm", dep.mu_cross_norm,
                             tols.dep_tol, True)],
             notes=["independent condition: see prior work"])
-        return report
-
-    data = PointData(pj)
-    if abs(au * av) > tols.hyp_tol:
+    elif abs(au * av) > tols.hyp_tol:
+        data = PointData(pj)
         report.gfs = classify_S0(data)
         if report.gfs.tag == "CrossCap":
             report.final = report.gfs
-            return report
-        if abs(data.cross_cap_value()) < tols.hyp_tol:
+        elif abs(data.cross_cap_value()) < tols.hyp_tol:
             report.s1 = classify_S1(data)
             if report.s1.tag in ("S1Plus", "S1Minus"):
                 report.final = report.s1
-                return report
-
-    pt = construct_theta(pj)
-    report.framed = classify_dependent_framed(data, pt)
-    if pt.available:
-        report.generic = classify_generic_frontal(pj, pt)
-
-    final = report.framed
-    if report.generic is not None:
-        ft, gt = report.framed.tag, report.generic.tag
-        if gt in _DEFINITE and ft in _DEFINITE and gt != ft:
-            final = Verdict("Unclassified", "framed_surface+generic_frontal",
-                            report.framed.conditions
-                            + report.generic.conditions,
-                            notes=[f"routes disagree: framed={ft}, "
-                                   f"generic={gt}"])
-        elif ft == "Unclassified" and gt in _DEFINITE:
-            # a definite verdict needs both routes; the candidate is a note
-            raw = ", ".join(f"{c.name}={c.value:.6g}"
-                            for c in report.generic.conditions)
-            final.notes.append(f"generic route alone says {gt} ({raw}); "
-                               "the framed route does not confirm it")
-        elif gt == ft and ft in _DEFINITE:
-            final.notes.append("generic route agrees")
-    report.final = final
     return report

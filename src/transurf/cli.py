@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .classify import classify
+# ``classify`` is not called here, but perfbench's tracer rebinds this name
+from .classify import classify, classify_all  # noqa: F401
 from .curves import (CurveSpec, FramedCurve, build_curve, parse_curve,
                      vec_values)
 from .errors import TransurfError
@@ -111,12 +112,13 @@ def _curve_from_arg(src: str, frame: str, span: tuple[float, float],
 def cmd_scan(cfg: RunConfig) -> int:
     s = cfg.build_surface()
     points = find_singular_points(s, cfg.window, grid_n=cfg.grid_n)
-    docs = []
+    ordered = sorted(points, key=lambda r: (r.u, r.v))
+    reports = classify_all(s, [q.p for q in ordered])
+    # each report is released once its document is built, so that the two
+    # lists do not coexist in full
+    docs = [classification_doc({"u": q.u, "v": q.v, "isolated": q.isolated},
+                               reports.pop(0)) for q in ordered]
     notes = []
-    for q in sorted(points, key=lambda r: (r.u, r.v)):
-        rep = classify(s, q.p)
-        docs.append(classification_doc(
-            {"u": q.u, "v": q.v, "isolated": q.isolated}, rep))
     period = s.curve_u.period
     canonical = None
     image_count = None

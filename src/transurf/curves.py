@@ -28,8 +28,9 @@ FrameFn = Callable[[float, int], tuple[VecJets, VecJets]]
 
 
 def shift3(v: VecJets, k: int = 1) -> VecJets:
-    """Componentwise k-th derivative jets (k orders lower)."""
-    return v if k == 0 else tuple(Jet(c.t0, c.d[k:]) for c in v)
+    """Componentwise k-th derivative jets (k orders lower), each on a view
+    of its read-only array."""
+    return v if k == 0 else tuple(Jet._fresh(c.t0, c.d[k:]) for c in v)
 
 
 def vec_values(v: VecJets) -> np.ndarray:
@@ -38,10 +39,14 @@ def vec_values(v: VecJets) -> np.ndarray:
 
 
 def _pick(x, t, idx):
-    """Lanes ``idx`` of nested tuples of batch jets, with base point ``t``:
-    scalar jets for an int, a batch for an int array."""
+    """Lanes ``idx`` of nested tuples of batch jets, or of a framed
+    curvature, with base point ``t``: scalar jets for an int (a view of the
+    read-only batch array), a batch for an int array (a new array); None
+    gives scalar jets a lane axis (a view)."""
     if isinstance(x, Jet):
-        return Jet(t, x.d[:, idx])
+        return Jet._fresh(t, x.d[:, idx])
+    if isinstance(x, FramedCurvature):
+        return FramedCurvature(*_pick((x.l, x.m, x.n, x.alpha), t, idx))
     return tuple(_pick(y, t, idx) for y in x)
 
 
@@ -117,6 +122,7 @@ class FramedCurve:
         self.period = period
         self.frenet = frenet
         self._speed_deviation: float | None = None
+        self.negates: FramedCurve | None = None   # set by :meth:`negated`
         if validate:
             self._validate_frames()
 
@@ -185,6 +191,12 @@ class FramedCurve:
                 abs(abs(a) - 1.0) for a in alpha.value.tolist())
         return bool(self._speed_deviation < arc_tol)
 
+    @functools.cached_property
+    def speed_slope(self) -> float:
+        """The largest |alpha'| at 64 domain samples, one batch."""
+        alpha = self.batch_jets(np.linspace(*self.domain, 64), 2).alpha
+        return float(np.max(np.abs(alpha.d[1])))
+
     # -- derived curves ------------------------------------------------------
 
     def scaled(self, s: float) -> "FramedCurve":
@@ -205,9 +217,11 @@ class FramedCurve:
         """Curve -gamma with the same frame; curvature (l, m, n, -alpha)."""
         def gamma(t, order):
             return tuple(-c for c in self._gamma(t, order))
-        return FramedCurve(gamma, self._frame, self.domain,
-                           name=f"-{self.name}", period=self.period,
-                           frenet=self.frenet, validate=False)
+        out = FramedCurve(gamma, self._frame, self.domain,
+                          name=f"-{self.name}", period=self.period,
+                          frenet=self.frenet, validate=False)
+        out.negates = self
+        return out
 
 
 class CurveJets:
@@ -231,17 +245,29 @@ class CurveJets:
         self.t = t
         self.order = order
         self._lanes = None      # (batch, index) of jets made by :meth:`take`
+        self._negates = None    # the jets whose gamma this one negates
 
     def _read(self, name: str, evaluate: Callable[[], object]):
         """Attribute ``name``: read off the lanes of the batch these jets
-        were taken from, else ``evaluate()``."""
-        if self._lanes is None:
-            return evaluate()
-        batch, idx = self._lanes
-        return _pick(getattr(batch, name), self.t, idx)
+        were taken from; for a batch of one lane, that of the jets at its
+        float with a lane axis (equal bitwise, and float arithmetic is
+        faster than arrays of one lane); else ``evaluate()``."""
+        if self._lanes is not None:
+            batch, idx = self._lanes
+            return _pick(getattr(batch, name), self.t, idx)
+        if isinstance(self.t, np.ndarray) and len(self.t) == 1:
+            return _pick(getattr(self._one, name), self.t, None)
+        return evaluate()
+
+    @functools.cached_property
+    def _one(self) -> "CurveJets":
+        """The jets at the float of a batch of one lane."""
+        return CurveJets(self.curve, float(self.t[0]), self.order)
 
     @functools.cached_property
     def gamma(self) -> VecJets:
+        if self._negates is not None:
+            return tuple(-c for c in self._negates.gamma)
         return self._read("gamma",
                           lambda: self.curve._gamma(self.t, self.order))
 
@@ -266,19 +292,29 @@ class CurveJets:
         """The jets of a batch at ``t[idx]``, read off its lanes with no
         evaluator call: for an int k the scalar jets at the float t[k], for
         an int array a batch with one lane per entry. ``gamma``, ``frame``,
-        ``mu`` and ``alpha`` are read on first use, each evaluated once on
-        this batch for all the jets taken from it. Each lane equals a fresh
-        evaluation at its parameter bitwise."""
+        ``mu``, ``alpha`` and ``curvature`` are read on first use, each
+        evaluated once on this batch for all the jets taken from it; jets
+        taken from a batch that was itself taken read the first batch's
+        lanes. Each lane equals a fresh evaluation at its parameter
+        bitwise."""
         t = float(self.t[idx]) if isinstance(idx, int) else self.t[idx]
         out = CurveJets(self.curve, t, self.order)
-        out._lanes = (self, idx)
+        batch, lanes = self._lanes or (self, None)
+        out._lanes = (batch, idx if lanes is None else lanes[idx])
         return out
 
     def for_curve(self, curve: FramedCurve) -> "CurveJets":
         """The jets at ``t`` of ``curve``, which has this curve's frame
-        evaluator: this frame and mu, and gamma from its own evaluator."""
+        evaluator: this frame and mu, and gamma from its own evaluator, or
+        read on first use as the negation of this gamma when ``curve`` is
+        this curve negated (:meth:`FramedCurve.negated`), which equals its
+        evaluator bitwise."""
         out = CurveJets(curve, self.t, self.order)
         out.frame, out.mu = self.frame, self.mu
+        if curve.negates is self.curve:
+            out._negates = self
+        if isinstance(self.t, np.ndarray) and len(self.t) == 1:
+            out._one = self._one.for_curve(curve)
         return out
 
     @functools.cached_property
@@ -293,13 +329,13 @@ class CurveJets:
 
     @functools.cached_property
     def curvature(self) -> FramedCurvature:
-        n1, n2 = self.frame
-        return FramedCurvature(
-            l=dot3(shift3(n1), n2),
-            m=dot3(shift3(n1), self.mu),
-            n=dot3(shift3(n2), self.mu),
-            alpha=self.alpha,
-        )
+        def evaluate():
+            n1, n2 = self.frame
+            return FramedCurvature(l=dot3(shift3(n1), n2),
+                                   m=dot3(shift3(n1), self.mu),
+                                   n=dot3(shift3(n2), self.mu),
+                                   alpha=self.alpha)
+        return self._read("curvature", evaluate)
 
 
 # ---------------------------------------------------------------------------

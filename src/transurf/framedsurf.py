@@ -29,6 +29,11 @@ from .surface import PointJets, TranslationSurface
 
 _EXT_RADIUS = 1e-6     # hypot(t31, t32) below this uses the limit extension
 _RAY_ZERO_TOL = 1e-9   # relative size below which a ray-jet coefficient is 0
+_FD_STEPS = (1e-3, -1e-3, 5e-4, -5e-4)   # the extension's difference steps
+# most ray lanes in one batched product: the rays of many points (24 each)
+# and the fans of their neighbours (16 each) are split into batches of at
+# most this many, which bounds the memory a batch holds
+_RAY_LANES = 96
 
 # the ray directions whose limits decide the angle at a zero of (t31, t32)
 _FAN = tuple((math.cos(k * math.pi / 8), math.sin(k * math.pi / 8))
@@ -40,38 +45,37 @@ _AXES = {"u": (1.0, 0.0), "v": (0.0, 1.0), "diag": (_H, _H), "anti": (_H, -_H)}
 _AXIS_RAYS = tuple(r for d in _AXES.values() for r in (d, (-d[0], -d[1])))
 
 
-def _deflate(d: np.ndarray) -> np.ndarray:
-    """Taylor division by s for a jet vanishing at 0 (derivative storage)."""
-    return d[1:] / np.arange(1.0, len(d))
-
-
 def _angle_jets(pairs) -> list[Jet | None]:
     """Jets of the angles of pairs with derivative rows (da, db) along rays,
-    each after factoring out the common zeros of its pair; None for a pair
-    that vanishes to high order. The lanes are grouped by the length left
-    after factoring, and each group is one batched ``jets.atan2``, whose
-    lane k equals the angle jet of pair k on its own bitwise."""
+    each after factoring out the common zeros of its pair (Taylor division
+    by s while both leading coefficients vanish); None for a pair that
+    vanishes to high order. Each step runs on all the lanes at once, and
+    the lanes of each length left after factoring are one batched
+    ``jets.atan2``: lane k equals the angle jet of pair k on its own
+    bitwise."""
     out = [None] * len(pairs)
-    groups = {}
-    for k, (da, db) in enumerate(pairs):
-        scale = max(np.max(np.abs(da)), np.max(np.abs(db)))
-        if scale < 1e-12:
-            # the pair vanishes along this ray up to roundoff
-            continue
-        while (abs(da[0]) < _RAY_ZERO_TOL * scale
-               and abs(db[0]) < _RAY_ZERO_TOL * scale and len(da) > 3):
-            da, db = _deflate(da), _deflate(db)
-        r = math.hypot(da[0], db[0])
-        if r < _RAY_ZERO_TOL * scale:
-            continue
-        # a common positive rescale leaves the angle (and its jet) unchanged
-        groups.setdefault(len(da), []).append((k, da / r, db / r))
-    for lanes in groups.values():
-        idx, da, db = zip(*lanes)
-        th = jets.atan2(Jet(0.0, np.stack(db, axis=1)),
-                        Jet(0.0, np.stack(da, axis=1)))
-        for j, k in enumerate(idx):
-            out[k] = Jet(0.0, th.d[:, j])
+    if not pairs:
+        return out
+    da, db = (np.stack(rows, axis=1) for rows in zip(*pairs))
+    scale = np.maximum(np.abs(da).max(axis=0), np.abs(db).max(axis=0))
+    # the other pairs vanish along their ray up to roundoff
+    idx = np.flatnonzero(~(scale < 1e-12))
+    da, db, tol = da[:, idx], db[:, idx], _RAY_ZERO_TOL * scale[idx]
+    while len(idx):
+        zero = (np.abs(da[0]) < tol) & (np.abs(db[0]) < tol) & (len(da) > 3)
+        a, b, k = da[:, ~zero], db[:, ~zero], idx[~zero]
+        r = np.array([math.hypot(x, y) for x, y in zip(a[0].tolist(),
+                                                        b[0].tolist())])
+        ok = ~(r < tol[~zero])
+        if ok.any():
+            # a common positive rescale leaves the angle (and its jet) as is
+            th = jets.atan2(Jet._fresh(0.0, b[:, ok] / r[ok]),
+                            Jet._fresh(0.0, a[:, ok] / r[ok]))
+            for j, lane in enumerate(k[ok].tolist()):
+                out[lane] = Jet._fresh(0.0, th.d[:, j])
+        steps = np.arange(1.0, len(da))[:, None]
+        da, db = da[1:, zero] / steps, db[1:, zero] / steps
+        idx, tol = idx[zero], tol[zero]
     return out
 
 
@@ -96,8 +100,9 @@ class ThetaPoint:
 
 
 class ThetaField:
-    """Normal-angle field of a surface, evaluated point by point on the
-    canonical branch (the limit extension at a zero of (t31, t32))."""
+    """Normal-angle field of a surface, evaluated at a point or at every point
+    of a batch, on the canonical branch (the limit extension at a zero of
+    (t31, t32))."""
 
     def __init__(self, s: TranslationSurface):
         self.s = s
@@ -116,13 +121,11 @@ class ThetaField:
         # jets in s of t -> f(t0 + s d) at s = 0, one column per ray
         wu = np.array([np.power(d[0], k) for d in dirs]).T
         wv = np.array([np.power(d[1], k) for d in dirs]).T
-        shape = (n, max(np.size(pj.p[0]), np.size(pj.p[1])), len(dirs))
 
         def along(row, w):
-            # a curve shared by every point of a batch is one scalar jet
-            return [Jet(0.0, np.broadcast_to(
-                c.d.reshape(n, -1, 1) * w[:, None, :], shape).reshape(n, -1))
-                for c in row]
+            return [Jet._fresh(0.0, (c.d.reshape(n, -1, 1)
+                                     * w[:, None, :]).reshape(n, -1))
+                    for c in row]
 
         mu_b = along(pj.jv.row(3), wv)
         t31 = frame_dot(mu_b, along(pj.ju.row(1), wu))
@@ -157,114 +160,165 @@ class ThetaField:
                 f"{spread:.3e}; the surface is not a framed base surface here")
         return mean2, spread, ""
 
-    def _extension(self, pj: PointJets) -> ThetaPoint:
-        p = pj.p
+    def _extension(self, pj: PointJets) -> list[ThetaPoint]:
+        """The limit extension at every point of ``pj`` (one point, or a
+        batch), each stage one batch over the points: the rays, the angle
+        jets of the fans, those of the axis rays (formed only where the fan
+        has a limit) and the finite-difference neighbours
+        (:meth:`_fd_derivatives`)."""
+        us, vs = (np.atleast_1d(x).tolist() for x in pj.p)
+        m, r = len(_FAN), len(_FAN) + len(_AXIS_RAYS)
         pairs = self._ray_pairs(pj, _FAN + _AXIS_RAYS)
-        mean2, spread, reason = self._ray_limit(_angle_jets(pairs[:len(_FAN)]))
-        if reason:
-            return ThetaPoint(provenance="unavailable", residual=spread,
-                              reason=reason)
+        fans = _angle_jets([pairs[k * r + j] for k in range(len(us))
+                            for j in range(m)])
+        limits = [self._ray_limit(fans[k * m:(k + 1) * m])
+                  for k in range(len(us))]
+        live = [k for k, (_, _, reason) in enumerate(limits) if not reason]
+        rays = iter(_angle_jets([pairs[k * r + j] for k in live
+                                 for j in range(m, r)]))
         tol = self.s.tols.theta_dir_tol
-        theta0 = mean2 / 2.0
+        # derivatives from one-sided jets along the axes and diagonals, else
+        # from finite differences of the extended values
+        axes = {k: {name: _one_sided(next(rays), next(rays), tol)
+                    for name in _AXES} for k in live}
+        fd = [(k, name) for k in live for name, val in axes[k].items()
+              if val is None]
+        for (k, name), val in zip(fd, self._fd_derivatives(
+                [((us[k], vs[k]), _AXES[name], limits[k][0] / 2.0)
+                 for k, name in fd])):
+            axes[k][name] = val
+        out = []
+        for k, (mean2, spread, reason) in enumerate(limits):
+            theta0 = mean2 / 2.0
+            if reason:
+                out.append(ThetaPoint(provenance="unavailable",
+                                      residual=spread, reason=reason))
+            elif any(val is None for val in axes[k].values()):
+                out.append(ThetaPoint(
+                    value=theta0, provenance="unavailable",
+                    reason="one-sided angle derivatives disagree across the "
+                           "point"))
+            else:
+                (tu, tuu), (tv, tvv), (_, tdg), (_, tag) = axes[k].values()
+                tuv = tdg - 0.5 * (tuu + tvv)
+                tuv_check = 0.5 * (tuu + tvv) - tag
+                c = np.zeros((3, 3))
+                c[0, 0] = theta0
+                c[1, 0], c[0, 1] = tu, tv
+                c[2, 0], c[1, 1], c[0, 2] = tuu, 0.5 * (tuv + tuv_check), tvv
+                out.append(ThetaPoint(
+                    value=theta0, bijet=BiJet(us[k], vs[k], c),
+                    provenance="limit_extension",
+                    residual=max(spread, abs(tuv - tuv_check))))
+        return out
 
-        # derivatives from one-sided jets along the axes and diagonals
-        def dpair(plus, minus):
-            if plus is None or minus is None:
-                return None
-            d1p, d1m = plus.deriv(1), -minus.deriv(1)
-            d2p, d2m = plus.deriv(2), minus.deriv(2)
-            if (abs(d1p - d1m) > max(1.0, abs(d1p)) * 1e2 * tol
-                    or abs(d2p - d2m) > max(1.0, abs(d2p)) * 1e3 * tol):
-                return None
-            return (0.5 * (d1p + d1m), 0.5 * (d2p + d2m))
+    def _fd_derivatives(self, items) -> list[tuple[float, float] | None]:
+        """The first and second derivatives of the extended angle along d at
+        p, for each (p, d, theta0) of ``items``: Richardson-extrapolated
+        central differences of its values at p + s d, s in ``_FD_STEPS``,
+        aligned with theta0. Along a direction inside the singular set the
+        rays carry no signal. None where a value is missing. The neighbours
+        of all the items are one batch; should it raise a TransurfError,
+        those of each item are a batch of their own, and an item whose
+        batch raises has no derivatives."""
+        def values(group):
+            qs = [(p[0] + s * d[0], p[1] + s * d[1]) for p, d, _ in group
+                  for s in _FD_STEPS]
+            return self._smooth_values(
+                self.s.at(tuple(np.array(x) for x in zip(*qs))),
+                [th for *_, th in group for _ in _FD_STEPS])
 
-        def fd_pair(d):
-            # along a direction inside the singular set the rays carry no
-            # signal; difference the extended values of neighbours instead
-            try:
-                vals = self._smooth_values(
-                    self._neighbours(pj, d, (1e-3, -1e-3, 5e-4, -5e-4)),
-                    theta0)
-            except TransurfError:
-                return None
-            if any(val is None for val in vals):
-                return None
-            p1, m1, p2, m2 = vals
+        if not items:
+            return []
+        try:
+            vals = values(items)
+        except TransurfError:
+            vals = []
+            for item in items:
+                try:
+                    vals += values([item])
+                except TransurfError:
+                    vals += [None] * len(_FD_STEPS)
+        out = []
+        for j, (_, _, theta0) in enumerate(items):
+            got = vals[j * len(_FD_STEPS):(j + 1) * len(_FD_STEPS)]
+            if any(val is None for val in got):
+                out.append(None)
+                continue
+            p1, m1, p2, m2 = got
             d1a = (p1 - m1) / 2e-3
             d1b = (p2 - m2) / 1e-3
             d2a = (p1 - 2 * theta0 + m1) / 1e-6
             d2b = (p2 - 2 * theta0 + m2) / 2.5e-7
-            return ((4 * d1b - d1a) / 3.0, (4 * d2b - d2a) / 3.0)
+            out.append(((4 * d1b - d1a) / 3.0, (4 * d2b - d2a) / 3.0))
+        return out
 
-        # the axis lanes' angle jets, formed only once the fan has a limit
-        rays = _angle_jets(pairs[len(_FAN):])
-        axes = {name: dpair(*rays[2 * k: 2 * k + 2]) or fd_pair(d)
-                for k, (name, d) in enumerate(_AXES.items())}
-        if any(val is None for val in axes.values()):
-            return ThetaPoint(
-                value=theta0, provenance="unavailable",
-                reason="one-sided angle derivatives disagree across the point")
-        tu, tuu = axes["u"]
-        tv, tvv = axes["v"]
-        _, tdg = axes["diag"]
-        _, tag = axes["anti"]
-        tuv = tdg - 0.5 * (tuu + tvv)
-        tuv_check = 0.5 * (tuu + tvv) - tag
-        resid = abs(tuv - tuv_check)
-        c = np.zeros((3, 3))
-        c[0, 0] = theta0
-        c[1, 0], c[0, 1] = tu, tv
-        c[2, 0], c[1, 1], c[0, 2] = tuu, 0.5 * (tuv + tuv_check), tvv
-        return ThetaPoint(value=theta0, bijet=BiJet(p[0], p[1], c),
-                          provenance="limit_extension",
-                          residual=max(spread, resid))
-
-    def _neighbours(self, pj: PointJets, d, steps) -> PointJets:
-        """The batch of the points p + s d of ``pj``'s point p, one lane per
-        step s of ``steps``. A curve whose parameter no step changes bitwise
-        (an axis direction) is not evaluated again: the batch shares its
-        jets at p."""
-        p = pj.p
-        qs = [(p[0] + s * d[0], p[1] + s * d[1]) for s in steps]
-        q = tuple(np.array(x) for x in zip(*qs))
-        ju, jv = (j if all(a.hex() == float(b).hex() for a in x.tolist())
-                  else None for j, x, b in zip((pj.ju, pj.jv), q, p))
-        return PointJets(self.s, q, ju=ju, jv=jv)
-
-    def _smooth_values(self, qj: PointJets, ref) -> list[float | None]:
-        """Branch-aligned angle value at each point of the batch ``qj``
-        (extension where needed; None where the rays have no limit). The
-        fans of all the points that need one are one batch."""
-        n = len(qj.p[0])
-        t31, t32 = (np.broadcast_to(qj.t(3, i), n).tolist() for i in (1, 2))
+    def _smooth_values(self, qj: PointJets, refs) -> list[float | None]:
+        """Angle value at each point k of the batch ``qj``, aligned with
+        refs[k] (extension where needed; None where the rays have no limit).
+        The fans of the points that need one are batches of at most
+        ``_RAY_LANES`` rays."""
+        t31, t32 = (qj.t(3, i).tolist() for i in (1, 2))
         out = [align_pi(math.atan2(-b, a), ref)
                if math.hypot(a, b) >= _EXT_RADIUS else None
-               for a, b in zip(t31, t32)]
+               for a, b, ref in zip(t31, t32, refs)]
         near = [k for k, val in enumerate(out) if val is None]
-        if near:
-            pairs = self._ray_pairs(qj, _FAN)
-            m = len(_FAN)
-            fans = _angle_jets([pairs[k * m + r] for k in near
-                                for r in range(m)])
-            for j, k in enumerate(near):
+        m = len(_FAN)
+        for i in range(0, len(near), _RAY_LANES // m):
+            part = near[i:i + _RAY_LANES // m]
+            fans = _angle_jets(self._ray_pairs(qj.take(np.array(part)), _FAN))
+            for j, k in enumerate(part):
                 mean2, _, reason = self._ray_limit(fans[j * m:(j + 1) * m])
-                out[k] = None if reason else align_pi(mean2 / 2.0, ref)
+                out[k] = None if reason else align_pi(mean2 / 2.0, refs[k])
         return out
 
     # -- public evaluation ----------------------------------------------------
 
-    def at(self, pj: PointJets, degree: int = 3) -> ThetaPoint:
+    def at(self, pj: PointJets,
+           degree: int = 3) -> ThetaPoint | list[ThetaPoint]:
         """Normal angle with derivatives to ``degree`` at the point of
-        ``pj``, a point of this field's surface."""
-        t31, t32 = pj.t(3, 1), pj.t(3, 2)
-        if math.hypot(t31, t32) < _EXT_RADIUS:
-            return self._extension(pj)
-        b31 = pj.t_bijet(3, 1, degree)
-        b32 = pj.t_bijet(3, 2, degree)
-        th = jets.atan2(-b32, b31)
-        return ThetaPoint(value=th.value, bijet=th, provenance="atan2_branch",
-                          residual=abs(t32 * math.cos(th.value)
-                                       + t31 * math.sin(th.value)))
+        ``pj``, a point of this field's surface; for a batch ``pj``, the
+        list of the angles at its points. The extensions of the points at a
+        zero of (t31, t32) share each stage, in batches of at most
+        ``_RAY_LANES`` rays."""
+        batch = np.ndim(pj.p[0]) > 0
+        out = [_canonical(q, degree) for q in
+               ([pj.take(k) for k in range(len(pj.p[0]))] if batch else [pj])]
+        near = [k for k, pt in enumerate(out) if pt is None]
+        size = _RAY_LANES // (len(_FAN) + len(_AXIS_RAYS))
+        for i in range(0, len(near), size):
+            part = near[i:i + size]
+            ext = self._extension(pj.take(np.array(part)) if batch else pj)
+            for k, pt in zip(part, ext):
+                out[k] = pt
+        return out if batch else out[0]
+
+
+def _canonical(pj: PointJets, degree: int) -> ThetaPoint | None:
+    """The angle on the canonical branch at one point; None at a zero of
+    (t31, t32), where the limit extension gives it."""
+    t31, t32 = pj.t(3, 1), pj.t(3, 2)
+    if math.hypot(t31, t32) < _EXT_RADIUS:
+        return None
+    th = jets.atan2(-pj.t_bijet(3, 2, degree), pj.t_bijet(3, 1, degree))
+    return ThetaPoint(value=th.value, bijet=th, provenance="atan2_branch",
+                      residual=abs(t32 * math.cos(th.value)
+                                   + t31 * math.sin(th.value)))
+
+
+def _one_sided(plus: Jet | None, minus: Jet | None,
+               tol: float) -> tuple[float, float] | None:
+    """The first and second derivatives of the angle along a direction from
+    its jets along the ray and the opposite ray; None when either is
+    missing or they disagree."""
+    if plus is None or minus is None:
+        return None
+    d1p, d1m = plus.deriv(1), -minus.deriv(1)
+    d2p, d2m = plus.deriv(2), minus.deriv(2)
+    if (abs(d1p - d1m) > max(1.0, abs(d1p)) * 1e2 * tol
+            or abs(d2p - d2m) > max(1.0, abs(d2p)) * 1e3 * tol):
+        return None
+    return (0.5 * (d1p + d1m), 0.5 * (d2p + d2m))
 
 
 def wrap_pi(x: float) -> float:
@@ -278,9 +332,10 @@ def align_pi(theta: float, ref: float) -> float:
     return theta + k * math.pi
 
 
-def construct_theta(pj: PointJets) -> ThetaPoint:
+def construct_theta(pj: PointJets) -> ThetaPoint | list[ThetaPoint]:
     """The normal angle at a point with its jets, evaluated once for every
-    criterion that reads it there."""
+    criterion that reads it there; for a batch ``pj``, the list of the
+    angles at its points (:meth:`ThetaField.at`)."""
     return ThetaField(pj.s).at(pj)
 
 

@@ -105,7 +105,8 @@ class Jet:
     @staticmethod
     def _fresh(t0, d) -> "Jet":
         """A jet on rows or an array that its operation has just built and
-        nothing else holds: made read-only in place, with no copy."""
+        nothing else holds, or on a view of a read-only array: made
+        read-only in place, with no copy."""
         d = np.asarray(d, dtype=float)
         d.setflags(write=False)
         jet = object.__new__(Jet)

@@ -21,7 +21,6 @@ def fmt_float(x: float) -> str:
 
 def dumps(obj, indent: int = 0) -> str:
     """Minimal JSON emitter with deterministic float formatting."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True:
@@ -34,19 +33,28 @@ def dumps(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, float):
         return fmt_float(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + dumps(x, indent + 2) for x in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = []
-        for k, v in obj.items():
-            rows.append(pad + "  " + dumps(str(k)) + ": " + dumps(v, indent + 2))
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, dict)):
+        return "".join(_pieces(obj, indent)) if obj else (
+            "{}" if isinstance(obj, dict) else "[]")
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _pieces(obj, indent: int):
+    """The text of a nonempty list or dict, ``dumps(obj, indent)``, in
+    pieces: a file takes them one at a time, so that a report is never one
+    string in memory."""
+    pad = " " * indent
+    keyed = isinstance(obj, dict)
+    yield "{\n" if keyed else "[\n"
+    for n, item in enumerate(obj.items() if keyed else obj):
+        value = item[1] if keyed else item
+        yield ((",\n" if n else "") + pad + "  "
+               + (dumps(str(item[0])) + ": " if keyed else ""))
+        if isinstance(value, (list, tuple, dict)) and value:
+            yield from _pieces(value, indent + 2)
+        else:
+            yield dumps(value, indent + 2)
+    yield "\n" + pad + ("}" if keyed else "]")
 
 
 def verdict_doc(v: Verdict | None):
@@ -83,4 +91,5 @@ def classification_doc(point_info: dict, rep: ClassificationReport):
 
 def write_report(doc: dict, path: str):
     with open(path, "w") as fh:
-        fh.write(dumps(doc) + "\n")
+        fh.writelines(_pieces(doc, 0))
+        fh.write("\n")

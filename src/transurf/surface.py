@@ -99,8 +99,8 @@ class PointJets:
     arrays. As t_ij(u, v) = (frame of the v-curve at v)_i . (frame of the
     u-curve at u)_j, each curve is then one batch at its parameter, and a
     self pair's shared frame is evaluated once for both
-    (:func:`_pair_jets`); scalar jets passed as ``ju`` or ``jv`` serve
-    every lane of a batch whose parameter of that curve does not vary.
+    (:func:`_pair_jets`). Jets passed as ``ju`` and ``jv`` are not
+    evaluated again (:meth:`take`).
     """
 
     def __init__(self, s: TranslationSurface, p: tuple[float, float],
@@ -108,7 +108,18 @@ class PointJets:
                  jv: CurveJets | None = None):
         self.s = s
         self.p = p
-        self.ju, self.jv = _pair_jets(s, p, order, ju, jv)
+        self.ju, self.jv = (ju, jv) if ju is not None else _pair_jets(
+            s, p, order)
+
+    def take(self, idx) -> "PointJets":
+        """The points ``idx`` of a batch, read off its lanes with no
+        evaluator call (:meth:`CurveJets.take`): one point for an int, a
+        batch for an int array."""
+        u, v = self.p
+        p = ((float(u[idx]), float(v[idx])) if isinstance(idx, int)
+             else (u[idx], v[idx]))
+        return PointJets(self.s, p, ju=self.ju.take(idx),
+                         jv=self.jv.take(idx))
 
     def t(self, i: int, j: int) -> float:
         """The frame-matrix entry t_ij at p."""
@@ -176,25 +187,25 @@ class PointJets:
         return min(abs(au), abs(av), math.hypot(self.t(3, 1), self.t(3, 2)))
 
 
-def _pair_jets(s: TranslationSurface, p, order: int,
-               ju: CurveJets | None = None,
-               jv: CurveJets | None = None) -> tuple[CurveJets, CurveJets]:
+def _pair_jets(s: TranslationSurface, p,
+               order: int) -> tuple[CurveJets, CurveJets]:
     """The jets of both curves of ``s`` at p = (u, v), a pair of floats or of
-    1-D arrays, for each side not given as ``ju`` or ``jv``.
+    1-D arrays.
 
     Each curve is evaluated at its own parameter, unless the two curves have
     one frame evaluator (a self pair). Then the frame and mu are evaluated
     once, at the distinct values of u and v together, told apart bitwise
-    (once for a point with u == v bitwise), and so is gamma if the curves
-    are one curve (x+); each entry reads its lane. Should that shared
-    evaluation raise, the curves are evaluated apart, so the error is
+    (a single point only when u == v bitwise), and so is gamma: x+ is one
+    curve, and x- reads the v-curve's gamma as the negation of the u-curve's
+    (:meth:`CurveJets.for_curve`); each entry reads its lane. Should that
+    shared evaluation raise, the curves are evaluated apart, so the error is
     theirs. Every lane equals the separate evaluation bitwise.
     """
     u, v = p
     cu, cv = s.curve_u, s.curve_v
     batch = isinstance(u, np.ndarray)
-    if (ju is None and jv is None and cu._frame is cv._frame
-            and (batch or float(u).hex() == float(v).hex())):
+    if (cu._frame is cv._frame and (np.size(u) > 1 or float(
+            np.ravel(u)[0]).hex() == float(np.ravel(v)[0]).hex())):
         ts, inv = _distinct(np.concatenate((u, v))) if batch else (u, None)
         both = CurveJets(cu, ts, order)
         try:
@@ -206,8 +217,7 @@ def _pair_jets(s: TranslationSurface, p, order: int,
             if not batch:
                 return both, on_v
             return both.take(inv[:len(u)]), on_v.take(inv[len(u):])
-    return (CurveJets(cu, u, order) if ju is None else ju,
-            CurveJets(cv, v, order) if jv is None else jv)
+    return CurveJets(cu, u, order), CurveJets(cv, v, order)
 
 
 def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -518,9 +528,8 @@ def find_singular_points(s: TranslationSurface,
     # the kept points' data, lane k of one batch per curve for point k
     on = s.at((np.array([q[0] for q in kept]), np.array([q[1] for q in kept])),
               order=2)
-    return [_make_point(PointJets(s, (pu, pv), ju=on.ju.take(k),
-                                  jv=on.jv.take(k)), isolated)
-            for k, (pu, pv, isolated) in enumerate(kept)]
+    return [_make_point(on.take(k), isolated)
+            for k, (_, _, isolated) in enumerate(kept)]
 
 
 def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ the separate evaluation of its two curves; and errors raised by a single
 failing lane.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -305,13 +306,15 @@ def test_ode_curve_batch_equals_scalar_lanes():
 def test_slide_classify_reads_its_base_in_batches(kind, monkeypatch):
     # the slide's evaluators read the base curve as batches: the only
     # scalar base jets of a classify are the surface's own, at the point
+    # (the float twin of a batch of one lane is that batch's evaluation)
     pair, base, *_ = SLIDES[kind]
     s, p0 = pair()
     built = []
     original = CurveJets.__init__
 
     def spy(self, curve, t, order):
-        if curve is base() and not isinstance(t, np.ndarray):
+        if (curve is base() and not isinstance(t, np.ndarray)
+                and sys._getframe(1).f_code.co_name != "_one"):
             built.append(t)
         original(self, curve, t, order)
 
@@ -649,6 +652,32 @@ def test_point_batch_evaluates_a_shared_frame_once(pair, want, monkeypatch):
     calls.clear()
     residual_landscape(s, SELF_US, SELF_VS)
     assert len(calls) == want
+
+
+@pytest.mark.parametrize("pair", sorted(SELF_PAIRS))
+def test_one_point_batch_runs_the_float_path(pair, monkeypatch):
+    # a batch of one lane is evaluated at its float and given a lane axis,
+    # and a self pair shares its frame at one point only on the diagonal,
+    # as at a scalar point
+    s = SELF_PAIRS[pair]()
+    calls = []
+    spy = _frame_spy(s.curve_u, calls)
+    for curve in (s.curve_u, s.curve_v):
+        monkeypatch.setattr(curve, "_frame", spy)
+    for u, v, frames in ((0.5, 0.5, 1), (0.5, -1.25, 2)):
+        calls.clear()
+        pj = s.at((np.array([u]), np.array([v])))
+        got = [(j.gamma, j.frame, j.mu, (j.alpha,),
+                _curvature_jets(j.curvature)) for j in (pj.ju, pj.jv)]
+        assert len(calls) == frames
+        assert all(isinstance(t, float) for t in calls)
+        for g, curve, t in zip(got, (s.curve_u, s.curve_v), (u, v)):
+            want = CurveJets(curve, t, 6)
+            for a, b in zip(_leaves(g), _leaves(
+                    (want.gamma, want.frame, want.mu, (want.alpha,),
+                     _curvature_jets(want.curvature)))):
+                assert a.d.shape == (b.d.shape[0], 1)
+                assert _bits(a.d[:, 0]) == _bits(b.d)
 
 
 def _inflected_curve():

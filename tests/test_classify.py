@@ -1,18 +1,24 @@
 import functools
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
 from transurf import classify as classify_mod
-from transurf import instances, verify
-from transurf.classify import (PHI_DEGREE, PointData, classify, classify_S0,
-                               classify_S1, classify_dependent_framed,
+from transurf import surface as surface_mod
+from transurf import framedsurf, instances, verify
+from transurf.classify import (PHI_DEGREE, PointData, classify, classify_all,
+                               classify_S0, classify_S1,
+                               classify_dependent_framed,
                                classify_generic_frontal, corank)
-from transurf.curves import CurveJets, catalog
+from transurf.curves import CurveJets, FramedCurve, catalog
+from transurf.errors import NotNonDegenerate, TransurfError
 from transurf.framedsurf import align_pi, construct_theta, wrap_pi
 from transurf.framefield import entry_value
 from transurf.jets import BiJet
+from transurf.report import classification_doc, dumps
 from transurf.surface import TranslationSurface, find_singular_points
 
 PI = math.pi
@@ -194,7 +200,8 @@ def test_framed_route_cuspidal_edge():
     theta = construct_theta(pj)
     v = classify_dependent_framed(PointData(pj), theta)
     assert v.tag == "CuspidalEdge"
-    g = classify_generic_frontal(pj, theta)
+    g, = classify_generic_frontal(
+        s.at((np.array([p0[0]]), np.array([p0[1]]))), [theta])
     assert g.tag == "CuspidalEdge"
 
 
@@ -284,22 +291,32 @@ POINT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(POINT_CASES))
 def test_classify_evaluates_each_curve_once_at_the_point(case, monkeypatch):
-    # every criterion reads the point's one PointJets; a slide reads its
-    # base only as batches
+    # every criterion reads the point's one PointJets, a batch of one point
+    # whose lanes the criteria take, and no jets are evaluated at the point
+    # on their own (a batch of one lane evaluates through its float twin);
+    # a slide reads its base only as batches
     s, p0 = POINT_CASES[case]()
-    built = []
-    original = CurveJets.__init__
+    scalar, pair = [], []
+    original, original_pair = CurveJets.__init__, surface_mod._pair_jets
 
     def spy(self, curve, t, order):
-        if not isinstance(t, np.ndarray):
-            built.append((curve, t))
+        if (not isinstance(t, np.ndarray)
+                and sys._getframe(1).f_code.co_name != "_one"):
+            scalar.append(self)
         original(self, curve, t, order)
 
+    def spy_pair(s_, p, order):
+        if order == 6:
+            pair.append(tuple(np.ravel(x).tolist() for x in p))
+        return original_pair(s_, p, order)
+
     monkeypatch.setattr(CurveJets, "__init__", spy)
+    monkeypatch.setattr(surface_mod, "_pair_jets", spy_pair)
     classify(s, p0)
-    at_u = [t for c, t in built if c is s.curve_u and t == p0[0]]
-    at_v = [t for c, t in built if c is s.curve_v and t == p0[1]]
-    assert (len(at_u), len(at_v)) == (1, 1)
+    assert [j for j in scalar if j._lanes is None and (
+        (j.curve is s.curve_u and j.t == p0[0])
+        or (j.curve is s.curve_v and j.t == p0[1]))] == []
+    assert pair.count(([p0[0]], [p0[1]])) == 1
 
 
 def test_generic_route_traces_both_directions_in_lockstep(monkeypatch):
@@ -429,24 +446,31 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _run(cs, step):
+    """The result of one step of the generic route, run on its own."""
+    return classify_mod._lockstep(cs, [step])[0]
+
+
 @pytest.mark.parametrize("case", STENCIL_CASES)
 def test_density_stencils_equal_pointwise_reference(case):
     cs, p0 = STENCIL_POINTS[case]()
     pj = cs.at(p0)
     theta0 = construct_theta(pj).value
-    lam = classify_mod._GenericDensity(cs, theta0)
+    lam = classify_mod._GenericDensity(theta0)
 
     def f(p):
         return _density_reference(cs, theta0, p)
 
-    assert _bits(lam.hessian(p0)) == _bits(_hessian_reference(f, p0))
+    assert _bits(_run(cs, lam.hessian(p0))) == _bits(_hessian_reference(f, p0))
     # the gradient stencil, with the value: at the point and at an iterate
     # of the corrector
     for q in (p0, np.asarray(p0) + np.array([0.02, -0.01])):
-        val, grad = lam.value_and_grad(q)
+        (val, grad), = _run(cs, lam.values_and_grads([q]))
         assert _bits(val) == _bits(f(q))
         assert _bits(grad) == _bits(_grad_reference(f, q))
-    got = classify_mod._eta_lambda_fd(pj, lam)
+    au, av = pj.alpha_values()
+    e = np.array([-av * pj.t(3, 3), au])
+    got = _run(cs, classify_mod._eta_lambda_fd(p0, e, lam))
     assert _bits(got) == _bits(_eta_lambda_reference(cs, f, p0))
 
 
@@ -455,9 +479,9 @@ def test_corrector_early_exit_keeps_the_trace(case):
     # an iterate that repeats exactly ends the corrector: the trace equals
     # the one of six full iterations per step
     cs, p0, theta0, want = _reference_trace(case)
-    lam = classify_mod._GenericDensity(cs, theta0)
-    got = classify_mod._trace_singular_curve(lam, p0,
-                                             lam.value_and_grad(p0)[1])
+    lam = classify_mod._GenericDensity(theta0)
+    (_, g0), = _run(cs, lam.values_and_grads([p0]))
+    got = _run(cs, classify_mod._trace_singular_curve(lam, p0, g0))
     assert want is not None and sorted(got) == sorted(want)
     for k in want:
         assert _bits(got[k]) == _bits(want[k]), k
@@ -476,18 +500,20 @@ class _LevelV:
 
     def values_and_grads(self, ps):
         return [self.value_and_grad(p) for p in ps]
+        yield   # a step that needs no evaluation
 
 
 def test_trace_fails_when_either_direction_fails():
     # the tangent is (-1, 0): the +1 direction heads to u < 0
     g0 = np.array([0.0, 1.0])
-    got = classify_mod._trace_singular_curve(_LevelV(), (0.0, 0.0), g0)
+    got = _run(None, classify_mod._trace_singular_curve(_LevelV(), (0.0, 0.0),
+                                                        g0))
     assert {k: tuple(q) for k, q in got.items()} == {
         0: (0.0, 0.0), 1: (-0.02, 0.0), 2: (-0.04, 0.0),
         -1: (0.02, 0.0), -2: (0.04, 0.0)}
     for cut in (-0.03, 0.03, -0.01, 0.01):
-        assert classify_mod._trace_singular_curve(
-            _LevelV(cut), (0.0, 0.0), g0) is None, cut
+        assert _run(None, classify_mod._trace_singular_curve(
+            _LevelV(cut), (0.0, 0.0), g0)) is None, cut
 
 
 def _cusp_function_reference(cs, theta0, theta_p0, trace, k, s=1e-4):
@@ -536,3 +562,129 @@ def test_cusp_function_equals_pointwise_reference(case, name, slide_reports,
     want = (phi(0) if name == "cusp_function" else
             (phi(1) - phi(-1)) / float(np.linalg.norm(trace[1] - trace[-1])))
     assert _bits(rep.generic.value(name)) == _bits(want)
+
+
+# -- every point of a scan in lockstep ----------------------------------------
+
+W = 3.14159
+SCANS = {
+    "sin_plus_g16": (lambda: verify.surface_for("sin_plus"), (-PI, PI) * 2,
+                     16),
+    "sin_minus_g24": (lambda: verify.surface_for("sin_minus"), (-PI, PI) * 2,
+                      24),
+    "self_s1p_plus_g24": (lambda: verify.surface_for("self_s1p_plus"),
+                          (-W, W) * 2, 24),
+    "self_s1p_minus_g24": (lambda: verify.surface_for("self_s1p_minus"),
+                           (-W, W) * 2, 24),
+    "s0": (lambda: verify.surface_for("s0"), (-2, 2, -2, 2), 24),
+    "s1p": (lambda: verify.surface_for("s1p"), (-2, 2, -2, 2), 24),
+    "s1m": (lambda: verify.surface_for("s1m"), (-1.5, 1.5, -1.5, 1.5), 24),
+}
+
+
+def _scan_points(case, surface=None):
+    make, window, grid = SCANS[case]
+    s = surface or make()
+    pts = find_singular_points(s, window, grid_n=grid)
+    return s, [q.p for q in sorted(pts, key=lambda r: (r.u, r.v))]
+
+
+def _doc(rep) -> str:
+    return dumps(classification_doc({}, rep))
+
+
+@pytest.mark.parametrize("case", sorted(SCANS))
+def test_classify_all_equals_one_point_at_a_time(case):
+    s, pts = _scan_points(case)
+    random.Random(7).shuffle(pts)
+    want = [_doc(classify(s, p)) for p in pts]
+    assert [_doc(r) for r in classify_all(s, pts)] == want
+    assert ([_doc(r) for r in classify_all(s, pts[::-1])] == want[::-1])
+
+
+def _poisoned(bad_values):
+    """The sin curve whose frame raises NotNonDegenerate, naming the first
+    such lane, at the parameters ``bad_values`` (bitwise)."""
+    base = catalog("sin_curve")
+    bad = np.array(sorted(bad_values), dtype=float)
+
+    def frame(t, order):
+        hit = np.isin(np.atleast_1d(t), bad)
+        if hit.any():
+            raise NotNonDegenerate("poisoned", float(np.atleast_1d(t)[hit][0]))
+        return base._frame(t, order)
+
+    curve = FramedCurve(base._gamma, frame, base.domain, name="poisoned",
+                        period=base.period, validate=False)
+    return TranslationSurface.self_translation(curve, -1)
+
+
+def test_caught_error_in_a_batch_changes_only_its_point(monkeypatch):
+    # the diagonal neighbours of point 5 of the sin-minus scan, where its
+    # normal-angle extension differences its values, raise: the batch of
+    # neighbours it shares with another point is then evaluated point by
+    # point, and only point 5 loses its angle
+    s, pts = _scan_points("sin_minus_g24")
+    (u, _), h = pts[5], math.sqrt(0.5)
+    bad = _poisoned({u + step * h for step in framedsurf._FD_STEPS})
+    shared = []
+    original = framedsurf.ThetaField._fd_derivatives
+
+    def spy(self, items):
+        if len(items) > 1 and u in [p[0] for p, _, _ in items]:
+            shared.append(items)
+        return original(self, items)
+
+    monkeypatch.setattr(framedsurf.ThetaField, "_fd_derivatives", spy)
+    want = [_doc(r) for r in classify_all(s, pts)]
+    got = classify_all(bad, pts)
+    assert shared
+    assert [_doc(r) for r in got] == [_doc(classify(bad, p)) for p in pts]
+    assert [k for k, r in enumerate(got) if _doc(r) != want[k]] == [5]
+    assert "one-sided angle derivatives disagree" in got[5].framed.notes[0]
+
+
+def _error_of(fn):
+    with pytest.raises(TransurfError) as info:
+        fn()
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "t", None)
+
+
+def test_propagated_error_is_the_first_failing_point_of_the_loop():
+    # point 5 fails in its generic route (its gradient stencil), point 26
+    # when it is first evaluated: the lockstep meets point 26's error
+    # first, but the one-point-at-a-time loop raises the error of whichever
+    # of the two comes first in the list
+    s, pts = _scan_points("sin_minus_g24")
+    bad = _poisoned({pts[5][0] + 1e-5, pts[26][0]})
+    for order in (pts, pts[::-1]):
+        loop = _error_of(lambda: [classify(bad, p) for p in order])
+        assert _error_of(lambda: classify_all(bad, order)) == loop
+    assert _error_of(lambda: classify_all(bad, pts))[2] == pts[5][0] + 1e-5
+    assert _error_of(lambda: classify_all(bad, pts[::-1]))[2] == pts[26][0]
+
+
+@pytest.mark.parametrize("case", ["sin_plus_g16", "sin_minus_g24"])
+def test_scan_classification_makes_few_frame_evaluations(case):
+    # one evaluation per round of all the points (the per-point loop made
+    # 168 and 177), and x- reads -gamma off gamma's lanes
+    base = catalog("sin_curve")
+    calls = {"frame": 0, "gamma": 0}
+
+    def counted(name, fn):
+        def wrapped(t, order):
+            calls[name] += 1
+            return fn(t, order)
+        return wrapped
+
+    curve = FramedCurve(counted("gamma", base._gamma),
+                        counted("frame", base._frame), base.domain,
+                        period=base.period, validate=False)
+    sign = +1 if "plus" in case else -1
+    s, pts = _scan_points(case, TranslationSurface.self_translation(curve,
+                                                                    sign))
+    calls.update(frame=0, gamma=0)
+    classify_all(s, pts)
+    assert calls["frame"] <= 60
+    assert calls["gamma"] <= calls["frame"]

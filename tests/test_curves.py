@@ -209,3 +209,20 @@ def test_gamma_dot_equals_alpha_mu_everywhere():
             alpha = fc.curvature(t, 2).alpha
             err = max(abs((gd[i] - alpha * mu[i]).value) for i in range(3))
             assert err < 1e-9
+
+
+def test_shifted_and_picked_jets_keep_read_only_arrays_uncopied():
+    # shift3 slices and a lane picked by an int are views of the read-only
+    # batch arrays, a gather by an int array a new array; none is copied
+    # again, all stay read-only and their values are the batch's
+    batch = catalog("sin_curve").batch_jets(np.array([0.1, 0.7, -1.3]), 6)
+    for c, sc in zip(batch.gamma, curves.shift3(batch.gamma, 2)):
+        assert not sc.d.flags.writeable and np.shares_memory(sc.d, c.d)
+        assert sc.d.tobytes() == c.d[2:].tobytes()
+    for idx in (1, np.array([2, 0])):
+        picked = curves._pick(batch.frame, batch.t[idx], idx)
+        for row, prow in zip(batch.frame, picked):
+            for c, pc in zip(row, prow):
+                assert not pc.d.flags.writeable
+                assert np.shares_memory(pc.d, c.d) == isinstance(idx, int)
+                assert pc.d.tobytes() == c.d[:, idx].tobytes()
