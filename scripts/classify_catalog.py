@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Scan and classify every catalog pair plus the constructed instances,
-printing a compact verdict table. A quick end-to-end exercise of the
-pipeline; the real assertions live in the test suite."""
+printing a compact verdict table. Each pair's row also counts the samples
+whose verdict notes a candidate of the generic route alone ("generic route
+alone says"), which the framed route does not confirm. A quick end-to-end
+exercise of the pipeline; the real assertions live in the test suite."""
 import math
 import pathlib
 import sys
@@ -29,11 +31,14 @@ def main():
     for key in all_pairs():
         s = surface_for(key)
         pts = find_singular_points(s, WINDOWS[key], grid_n=40)
-        tags = {}
+        tags, alone = {}, 0
         for rep in classify_all(s, [q.p for q in pts]):
             tags[rep.tag] = tags.get(rep.tag, 0) + 1
+            alone += any(n.startswith("generic route alone says")
+                         for n in rep.final.notes)
         row = ", ".join(f"{t}x{c}" for t, c in sorted(tags.items()))
-        print(f"{key:16s} {len(pts):3d} singular samples: {row or '(none)'}")
+        print(f"{key:16s} {len(pts):3d} singular samples: {row or '(none)'}"
+              f"; generic route alone: {alone}")
 
     print("\nconstructed instances:")
     for name, (s, p0) in [

@@ -10,38 +10,34 @@ Three routes, in order:
    regimes split by (alpha(u0) = 0?, alpha~(v0) = 0?) cover cuspidal edge,
    swallowtail, cuspidal cross cap, the beaks exclusions and the rank-zero
    exclusion;
-3. a generic frontal route (singular-curve continuation plus finite
-   differences of the signed area density) used to cross-validate route 2.
+3. a generic frontal route used to cross-validate route 2: the criteria
+   of Kokubu-Rossman-Saji-Umehara-Yamada (cuspidal edge, swallowtail) and
+   Fujimori-Saji-Umehara-Yamada (cuspidal cross cap) on the signed area
+   density, its derivatives along the null field and the cusp function
+   along the singular curve, all from the jets at the point.
 
 Every strict inequality is realized as |value| > crit_tol and every equality
 hypothesis as |value| < hyp_tol, with raw values reported beside thresholds.
 Routes that disagree yield an Unclassified verdict carrying both.
-``classify_all`` runs the routes at many points in lockstep.
+``classify_all`` evaluates the jets of many points as one batch.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import ClosedFormMismatch, TransurfError
-from .framedsurf import (ThetaPoint, align_pi, closed_form_density_partials,
+from .framedsurf import (ThetaPoint, closed_form_density_partials,
                          construct_theta, directional_derivative,
-                         discriminant, front_test, wrap_pi)
-from .jets import BiJet, det3
+                         discriminant, front_test, fs_invariants)
+from .jets import BiJet, Jet, det3
 from .surface import (PointJets, TranslationSurface, dependence_test,
                       singular_conditions)
 
-GEN_TOL = 1e-4   # threshold for finite-difference quantities (generic route)
-TRACE_STEP = 0.02   # predictor step of the singular-curve continuation
-TRACE_STEPS = 2     # continuation steps each way from the point
 SPEED_CONST_TOL = 1e-9   # |alpha'| bound for a constant-speed curve
 PHI_DEGREE = 3      # BiJet degree of phi and of the jets it is formed from
-# most generic-route steps whose points share one batch (a step asks for at
-# most 10 points): a bound on the memory of a round at many points
-ROUND_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -479,305 +475,96 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
 # route 3: generic frontal criteria
 # ---------------------------------------------------------------------------
 
-def _lockstep(cs: TranslationSurface, steps) -> list:
-    """Run the generators ``steps`` in lockstep and return their results.
-
-    A step yields each list of points (u, v) at which it needs the jets of
-    both curves of ``cs`` and is sent their order-2 ``PointJets``, lane k
-    for point k, until it returns. Each round evaluates the lists of all the
-    steps still running, ``ROUND_STEPS`` steps to a batch, which each step
-    reads through ``PointJets.take``; element k of each value equals the
-    value at point k bitwise, whichever points share its batch.
-    """
-    out, asks = [None] * len(steps), {}
-
-    def advance(k, st):
-        try:
-            asks[k] = steps[k].send(st)
-        except StopIteration as stop:
-            out[k] = stop.value
-
-    for k in range(len(steps)):
-        advance(k, None)
-    while asks:
-        pending, asks = asks, {}
-        keys = list(pending)
-        for i in range(0, len(keys), ROUND_STEPS):
-            part = keys[i:i + ROUND_STEPS]
-            pts = np.array([q for k in part for q in pending[k]],
-                           dtype=float).reshape(-1, 2)
-            batch, start = cs.at((pts[:, 0], pts[:, 1]), order=2), 0
-            for k in part:
-                n = len(pending[k])
-                advance(k, batch.take(np.arange(start, start + n)))
-                start += n
-            del batch   # held by no step: free it before the next batch
-    return out
-
-
-def _eta(st: PointJets) -> list[np.ndarray]:
-    """The null field (-alpha~ t33, alpha) at every point of a batch."""
-    au, av = (a.tolist() for a in st.alpha_values())
-    return [np.array([-b * t33, a])
-            for a, b, t33 in zip(au, av, st.t(3, 3).tolist())]
-
-
-def _theta_near(st: PointJets, refs) -> list[float]:
-    """The canonical angle atan2(-t32, t31) at point k of a batch, shifted
-    by pi to refs[k]."""
-    return [align_pi(math.atan2(-t32, t31), ref) for t31, t32, ref in
-            zip(st.t(3, 1).tolist(), st.t(3, 2).tolist(), refs)]
-
-
-def _bn(st: PointJets, thetas) -> list[np.ndarray]:
-    """The normal sin(theta) nu1 + cos(theta) nu2 of the u-curve's frame at
-    point k of a batch, with theta = thetas[k]."""
-    n1, n2 = (np.stack([c.value for c in st.ju.row(i)], axis=1)
-              for i in (1, 2))
-    return [math.sin(th) * a + math.cos(th) * b
-            for th, a, b in zip(thetas, n1, n2)]
-
-
-def _cross(p, h) -> list[tuple[float, float]]:
-    """p shifted by +-h along u, then by +-h along v."""
-    return [(p[0] + h, p[1]), (p[0] - h, p[1]),
-            (p[0], p[1] + h), (p[0], p[1] - h)]
-
-
-class _GenericDensity:
-    """Signed area density for finite differencing: the hypot of (t31, t32)
-    signed by mod-pi alignment of the local canonical angle with theta0.
-    Its methods are steps of :func:`_lockstep`, each stencil one list of
-    points."""
-
-    def __init__(self, theta0: float):
-        self.theta0 = theta0
-
-    def values(self, points):
-        """The density at every point of ``points``."""
-        st = yield points
-        out = []
-        for au, av, t31, t32 in zip(*(x.tolist() for x in (
-                *st.alpha_values(), st.t(3, 1), st.t(3, 2)))):
-            h = math.hypot(t31, t32)
-            if h == 0.0:
-                out.append(0.0)
-                continue
-            gap = abs(wrap_pi(math.atan2(-t32, t31) - self.theta0))
-            sgn = 1.0 if gap < math.pi / 2 else -1.0
-            out.append(au * av * sgn * h)
-        return out
-
-    def values_and_grads(self, ps, h=1e-5):
-        """The density at each point p of ``ps`` and its gradient: the
-        stencils of all the points as one list."""
-        f = yield from self.values([q for p in ps for q in [p] + _cross(p, h)])
-        return [(f[k], np.array([(f[k + 1] - f[k + 2]) / (2 * h),
-                                 (f[k + 3] - f[k + 4]) / (2 * h)]))
-                for k in range(0, len(f), 5)]
-
-    def hessian(self, p, h=1e-3):
-        f = yield from self.values([p] + _cross(p, h) + [
-            (p[0] + h, p[1] + h), (p[0] + h, p[1] - h),
-            (p[0] - h, p[1] + h), (p[0] - h, p[1] - h)])
-        fuu = (f[1] - 2 * f[0] + f[2]) / h**2
-        fvv = (f[3] - 2 * f[0] + f[4]) / h**2
-        fuv = (f[5] - f[6] - f[7] + f[8]) / (4 * h**2)
-        return np.array([[fuu, fuv], [fuv, fvv]])
-
-
-def _eta_lambda_fd(p, e, lam: _GenericDensity, s=1e-4):
-    """eta Lambda and eta eta Lambda at p, where the null field is e, by
-    central differences along eta, as a step of :func:`_lockstep`: eta at
-    the two outer points is one list, and Lambda at the six points it
-    differences another."""
-    s2 = 1e-3
-    qs = [p, (p[0] + s2 * e[0], p[1] + s2 * e[1]),
-          (p[0] - s2 * e[0], p[1] - s2 * e[1])]
-    outer = _eta((yield qs[1:]))
-    f = yield from lam.values([
-        pm for q, eq in zip(qs, [e] + outer)
-        for pm in ((q[0] + s * eq[0], q[1] + s * eq[1]),
-                   (q[0] - s * eq[0], q[1] - s * eq[1]))])
-    g, gp, gm = ((f[k] - f[k + 1]) / (2 * s) for k in (0, 2, 4))
-    return g, (gp - gm) / (2 * s2)
-
-
-def _trace_direction(q, t_dir):
-    """Predictor-corrector steps along lam = 0 from q, heading t_dir, as a
-    generator: it yields each point where it needs the value and gradient
-    of lam and is sent them back. It returns the corrected points in order,
-    or None when a gradient vanishes."""
-    out = []
-    for _ in range(TRACE_STEPS):
-        q_corr = q + TRACE_STEP * t_dir
-        for _ in range(6):
-            f, g = yield q_corr
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-14:
-                return None
-            q_next = q_corr - g * (f / gn**2)
-            # an iterate that repeats exactly repeats from then on
-            if q_next.tobytes() == q_corr.tobytes():
-                break
-            q_corr = q_next
-        out.append(q_corr)
-        t_new = q_corr - q
-        nn = float(np.linalg.norm(t_new))
-        if nn > 0:
-            t_dir = t_new / nn
-        q = q_corr
-    return out
-
-
-def _trace_singular_curve(lam, p0, g0):
-    """Few predictor-corrector steps along lam = 0 through p0 (both ways),
-    where lam has the gradient g0, as a step of :func:`_lockstep`. The two
-    directions run in lockstep: each round asks for the gradient stencils
-    of the directions still running as one list. None when either
-    direction fails."""
-    nrm = float(np.linalg.norm(g0))
-    if nrm < 1e-12:
-        return None
-    tangent = np.array([-g0[1], g0[0]]) / nrm
-    q0 = np.asarray(p0, float)
-    runs = {sgn: _trace_direction(q0, tangent * sgn) for sgn in (+1, -1)}
-    asks = {sgn: next(run) for sgn, run in runs.items()}
-    done = {}
-    while asks:
-        answers = yield from lam.values_and_grads(list(asks.values()))
-        for sgn, fg in zip(list(asks), answers):
-            try:
-                asks[sgn] = runs[sgn].send(fg)
-            except StopIteration as stop:
-                if stop.value is None:
-                    return None
-                del asks[sgn]
-                done[sgn] = stop.value
-    pts = {0: q0}
-    for sgn in (+1, -1):
-        pts.update({sgn * k: q for k, q in enumerate(done[sgn], 1)})
-    return pts
-
-
 def classify_generic_frontal(pj: PointJets,
                              pts: list[ThetaPoint]) -> list[Verdict]:
     """Cross-validation route built on the frontal criteria alone, at every
-    point k of the batch ``pj`` with the normal angle pts[k] there:
-    continuation of the singular curve, finite differences of the signed
-    density, and the cusp-detecting function along the curve. The points
-    run in lockstep (:func:`_lockstep`): each round evaluates the stencils
-    of all of them as one batch."""
-    return _lockstep(pj.s, [_generic_frontal(functools.partial(pj.take, k),
-                                             pt) for k, pt in enumerate(pts)])
+    point k of the batch ``pj`` with the normal angle pts[k] there: the
+    signed density lam = alpha alpha~ Lambda, its derivatives along the
+    null field eta, and the cusp function along the singular curve lam = 0,
+    each read off the jets at the point."""
+    return [_generic_point(pj.take(k), pt) for k, pt in enumerate(pts)]
 
 
-def _generic_frontal(point, pt: ThetaPoint):
-    """The generic route at one point, whose jets ``point()`` reads, as a
-    step of :func:`_lockstep`."""
+def _generic_point(pj: PointJets, pt: ThetaPoint) -> Verdict:
+    """The generic route at the one point of ``pj``. Degree 2 in (u, v),
+    that of a limit-extension theta, covers every criterion."""
     if not pt.available:
         return Verdict("Unclassified", "generic_frontal", [],
                        ["normal angle available"],
                        [f"theta_unavailable: {pt.reason}"])
-    pj = point()
-    p0, rank, (au, av) = pj.p, pj.dx_rank(), pj.alpha_values()
-    e = np.array([-av * pj.t(3, 3), au])
-    del pj   # read again where needed, not held meanwhile
-    theta0 = pt.value
-    lam = _GenericDensity(theta0)
-    (_, grad), = yield from lam.values_and_grads([p0])
-    gnorm = float(np.linalg.norm(grad))
-    eta_lam, eta_eta_lam = yield from _eta_lambda_fd(p0, e, lam)
-    conds = [
-        CriterionValue("grad_density_fd", gnorm, GEN_TOL, gnorm > GEN_TOL),
-        CriterionValue("eta_density_fd", eta_lam, GEN_TOL,
-                       abs(eta_lam) > GEN_TOL),
-    ]
+    tols, rank = pj.s.tols, pj.dx_rank()
+    disc = discriminant(pj, pt, degree=2)
+    lam, eta = disc.lam, disc.eta
+    g = np.array([lam.part(1, 0), lam.part(0, 1)])
+    gnorm = math.hypot(*g)
+    d_eta = directional_derivative(lam, eta)
+    eta_lam, eta_eta_lam = (d_eta.value,
+                            directional_derivative(d_eta, eta).value)
+    conds = [_crit("grad_density", gnorm, tols.crit_tol),
+             _crit("eta_density", eta_lam, tols.crit_tol)]
     hyps = [f"rank dx = {rank}"]
-    notes = []
 
-    if gnorm > GEN_TOL:
-        trace = yield from _trace_singular_curve(lam, p0, grad)
-        if trace is None:
-            return Verdict("Unclassified", "generic_frontal", conds, hyps,
-                           notes + ["continuation failed"])
+    if gnorm > tols.crit_tol:
+        if abs(eta_lam) > tols.crit_tol:
+            # the singular curve c(t) through the point at unit speed:
+            # c' = grad lam rotated by a quarter turn over |grad lam|, and
+            # c'' from differentiating grad lam(c) . c' = 0; c_t is the
+            # 1-jet in t of c'
+            c1 = np.array([-g[1], g[0]]) / gnorm
+            c2 = -(c1 @ lam.hessian @ c1) * g / gnorm**2
+            c_t = [Jet._fresh(0.0, [a, b]) for a, b in zip(c1, c2)]
 
-        def phi_x(ks):
-            # the cusp function det(dx/dt, bn, eta bn) at trace[k] for each k
-            # of ks: the trace points are one stencil, and their neighbours
-            # along eta another, read once the first is released
-            s = 1e-4
-            qs = [trace[k] for k in ks]
-            at_q = yield qs
-            ths = [pt.value if k == 0 else th for k, th in
-                   zip(ks, _theta_near(at_q, [theta0] * len(ks)))]
-            bns, etas = _bn(at_q, ths), _eta(at_q)
-            xu, xv = (np.stack([c.d[1] for c in on.gamma], axis=1)
-                      for on in (at_q.ju, at_q.jv))
-            del at_q
-            nbrs = yield [
-                pm for q, e in zip(qs, etas)
-                for pm in ((q[0] + s * e[0], q[1] + s * e[1]),
-                           (q[0] - s * e[0], q[1] - s * e[1]))]
-            bn_n = _bn(nbrs, _theta_near(nbrs, [th for th in ths
-                                                for _ in (0, 1)]))
-            out = []
-            for a, (k, bn) in enumerate(zip(ks, bns)):
-                dq = (trace[k + 1] - trace[k - 1]) / 2.0
-                dx_dt = xu[a] * dq[0] + xv[a] * dq[1]
-                dbn = (bn_n[2 * a] - bn_n[2 * a + 1]) / (2 * s)
-                out.append(float(np.linalg.det(
-                    np.column_stack([dx_dt, bn, dbn]))))
-            return out
+            def along(f):
+                """The 1-jet in t of f(c(t))."""
+                return Jet._fresh(0.0, [f.value, f.part(1, 0) * c1[0]
+                                        + f.part(0, 1) * c1[1]])
 
-        if abs(eta_lam) > GEN_TOL:
-            phi0, = yield from phi_x([0])
-            conds.append(CriterionValue("cusp_function", phi0, GEN_TOL,
-                                        abs(phi0) > GEN_TOL))
-            if abs(phi0) > GEN_TOL:
-                return Verdict("CuspidalEdge", "generic_frontal", conds, hyps,
-                               notes)
-            phi_p, phi_m = yield from phi_x([1, -1])
-            dphi = (phi_p - phi_m) / float(
-                np.linalg.norm(trace[1] - trace[-1]))
-            conds.append(CriterionValue("cusp_function_derivative", dphi,
-                                        GEN_TOL, abs(dphi) > GEN_TOL))
-            if abs(dphi) > GEN_TOL:
+            # the cusp function det(d/dt x(c), nu, eta nu) along c
+            nu = fs_invariants(pj, pt, degree=2).bn
+            phi = det3([along(a) * c_t[0] + along(b) * c_t[1]
+                        for a, b in zip(pj.x_partial_jets(1, 0, 2),
+                                        pj.x_partial_jets(0, 1, 2))],
+                       [along(c) for c in nu],
+                       [along(directional_derivative(c, eta)) for c in nu])
+            conds.append(_crit("cusp_function", phi.value, tols.crit_tol))
+            if abs(phi.value) > tols.crit_tol:
+                return Verdict("CuspidalEdge", "generic_frontal", conds, hyps)
+            conds.append(_crit("cusp_function_derivative", phi.deriv(1),
+                               tols.crit_tol))
+            if abs(phi.deriv(1)) > tols.crit_tol:
                 return Verdict("CuspidalCrossCap", "generic_frontal", conds,
-                               hyps, notes)
+                               hyps)
             return Verdict("Unclassified", "generic_frontal", conds, hyps,
-                           notes + ["frontal fold: neither edge nor "
-                                    "cuspidal cross cap"])
+                           ["frontal fold: neither edge nor cuspidal cross "
+                            "cap"])
         # eta lambda = 0: swallowtail needs the front property plus the
         # second directional derivative
-        front = front_test(point(), pt)[0] == "front"
-        conds.append(CriterionValue("eta_eta_density_fd", eta_eta_lam, GEN_TOL,
-                                    abs(eta_eta_lam) > GEN_TOL))
+        front = front_test(pj, pt)[0] == "front"
+        conds.append(_crit("eta_eta_density", eta_eta_lam, tols.crit_tol))
         hyps.append("front via framed-surface curvature")
-        if front and abs(eta_eta_lam) > GEN_TOL:
-            return Verdict("Swallowtail", "generic_frontal", conds, hyps, notes)
-        return Verdict("Unclassified", "generic_frontal", conds, hyps, notes)
+        if front and abs(eta_eta_lam) > tols.crit_tol:
+            return Verdict("Swallowtail", "generic_frontal", conds, hyps)
+        return Verdict("Unclassified", "generic_frontal", conds, hyps)
 
     # degenerate point: Hessian tests
-    H = yield from lam.hessian(p0)
+    H = lam.hessian
     detH = float(H[0, 0] * H[1, 1] - H[0, 1] ** 2)
-    conds.append(CriterionValue("det_hess_density_fd", detH, GEN_TOL,
-                                abs(detH) > GEN_TOL))
     if rank == 1:
-        front = front_test(point(), pt)[0] == "front"
-        if detH > GEN_TOL and front:
+        conds.append(_crit("det_hess_density", detH, tols.crit_tol))
+        front = front_test(pj, pt)[0] == "front"
+        if detH > tols.crit_tol and front:
             return Verdict("CuspidalLips", "generic_frontal", conds, hyps,
-                           notes + ["positive Hessian determinant: cuspidal "
-                                    "lips (unexpected in this regime)"])
-        if detH < -GEN_TOL and abs(eta_eta_lam) > GEN_TOL and front:
-            return Verdict("CuspidalBeaks", "generic_frontal", conds, hyps,
-                           notes)
-        return Verdict("NeverCuspidalLips", "generic_frontal", conds, hyps,
-                       notes)
-    if abs(detH) <= GEN_TOL:
+                           ["positive Hessian determinant: cuspidal lips "
+                            "(unexpected in this regime)"])
+        if (detH < -tols.crit_tol and abs(eta_eta_lam) > tols.crit_tol
+                and front):
+            return Verdict("CuspidalBeaks", "generic_frontal", conds, hyps)
+        return Verdict("NeverCuspidalLips", "generic_frontal", conds, hyps)
+    conds.append(_crit("det_hess_density", detH, tols.hyp_tol, nonzero=False))
+    if abs(detH) < tols.hyp_tol:
         return Verdict("NeverD4", "generic_frontal", conds, hyps,
-                       notes + ["vanishing Hessian: rank-zero exclusion"])
-    return Verdict("Unclassified", "generic_frontal", conds, hyps, notes)
+                       ["vanishing Hessian: rank-zero exclusion"])
+    return Verdict("Unclassified", "generic_frontal", conds, hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -795,11 +582,10 @@ def classify(s: TranslationSurface, p0: tuple[float, float]) -> ClassificationRe
 
 def classify_all(s: TranslationSurface,
                  points) -> list[ClassificationReport]:
-    """Full pipeline at every point (u, v) of ``points``, in lockstep: both
-    curves are evaluated at all of them as one batch, the normal angle of
-    all that need it is one ``construct_theta`` batch, and their generic
-    routes share each round (:func:`classify_generic_frontal`). Each stage
-    reads a point's lanes afresh, so that none holds the jets of every point.
+    """Full pipeline at every point (u, v) of ``points``: both curves are
+    evaluated at all of them as one batch, the normal angle of all that need
+    it is one ``construct_theta`` batch, and every route reads a point's
+    lanes of these jets (:func:`classify_generic_frontal`).
 
     Equals ``[classify(s, p) for p in points]``, and so does the error when
     a point raises a TransurfError: the points are then classified again one

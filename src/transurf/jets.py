@@ -159,7 +159,7 @@ class Jet:
         return self.d, c
 
     def truncate(self, order: int) -> "Jet":
-        return Jet(self.t0, self.d[: order + 1])
+        return Jet._fresh(self.t0, self.d[: order + 1])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -231,7 +231,7 @@ class Jet:
 
     def differentiate(self) -> "Jet":
         """Jet of the derivative function; order drops by one."""
-        return Jet(self.t0, self.d[1:])
+        return Jet._fresh(self.t0, self.d[1:])
 
     def antiderivative(self, value: float) -> "Jet":
         """Jet of an antiderivative with prescribed value; order rises by one."""

@@ -27,9 +27,10 @@ built once, with the defaults). Which decision reads each field:
 - ``rank_tol``: the numerical rank of dx (singular values of dx above
   rank_tol * max(1, sigma_max)).
 - ``hess_tol``: closed form vs jets of the Hessian of phi (S1 test).
-- ``crit_tol``: every "!= 0" of a criterion.
-- ``hyp_tol``: every "= 0" of a criterion or hypothesis, and the pointwise
-  unit-speed gate of a Frenet curve.
+- ``crit_tol``: every "!= 0" of a criterion, in each of the three
+  classification routes (direct, framed and generic).
+- ``hyp_tol``: every "= 0" of a criterion or hypothesis, in each of the
+  three routes, and the pointwise unit-speed gate of a Frenet curve.
 """
 from __future__ import annotations
 

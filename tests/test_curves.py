@@ -212,13 +212,18 @@ def test_gamma_dot_equals_alpha_mu_everywhere():
 
 
 def test_shifted_and_picked_jets_keep_read_only_arrays_uncopied():
-    # shift3 slices and a lane picked by an int are views of the read-only
-    # batch arrays, a gather by an int array a new array; none is copied
-    # again, all stay read-only and their values are the batch's
+    # shift3 slices, derivatives, truncations and a lane picked by an int
+    # are views of the read-only batch arrays, a gather by an int array a
+    # new array; none is copied again, all stay read-only and their values
+    # are the batch's
     batch = catalog("sin_curve").batch_jets(np.array([0.1, 0.7, -1.3]), 6)
-    for c, sc in zip(batch.gamma, curves.shift3(batch.gamma, 2)):
-        assert not sc.d.flags.writeable and np.shares_memory(sc.d, c.d)
-        assert sc.d.tobytes() == c.d[2:].tobytes()
+    for c, sc, dc, tc in zip(batch.gamma, curves.shift3(batch.gamma, 2),
+                             (c.differentiate() for c in batch.gamma),
+                             (c.truncate(3) for c in batch.gamma)):
+        for view, want in ((sc, c.d[2:]), (dc, c.d[1:]), (tc, c.d[:4])):
+            assert not view.d.flags.writeable
+            assert np.shares_memory(view.d, c.d)
+            assert view.d.tobytes() == want.tobytes()
     for idx in (1, np.array([2, 0])):
         picked = curves._pick(batch.frame, batch.t[idx], idx)
         for row, prow in zip(batch.frame, picked):
