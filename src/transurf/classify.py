@@ -16,6 +16,8 @@ Three routes, in order:
    density, its derivatives along the null field and the cusp function
    along the singular curve, all from the jets at the point.
 
+Every route reads the point's one :class:`PointData`: its frame-matrix
+entries, curvatures, rank of dx and dependence test, each evaluated once.
 Every strict inequality is realized as |value| > crit_tol and every equality
 hypothesis as |value| < hyp_tol, with raw values reported beside thresholds.
 Routes that disagree yield an Unclassified verdict carrying both.
@@ -24,13 +26,12 @@ Routes that disagree yield an Unclassified verdict carrying both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .errors import ClosedFormMismatch, TransurfError
-from .framedsurf import (ThetaPoint, closed_form_density_partials,
-                         construct_theta, directional_derivative,
+from .framedsurf import (ThetaPoint, construct_theta, directional_derivative,
                          discriminant, front_test, fs_invariants)
 from .jets import BiJet, Jet, det3
 from .surface import (PointJets, TranslationSurface, dependence_test,
@@ -95,8 +96,8 @@ def _crit(name, value, tol, nonzero=True) -> CriterionValue:
 # ---------------------------------------------------------------------------
 
 class PointData:
-    """Curvatures, frame-matrix entries and phi jets at one point, read from
-    the point's ``PointJets``."""
+    """Curvatures, frame-matrix entries, the rank of dx, the dependence test
+    and phi jets at one point, read from the point's ``PointJets`` once."""
 
     def __init__(self, pj: PointJets):
         self.pj = pj
@@ -107,6 +108,8 @@ class PointData:
         self.t = {(i, j): pj.t(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
         self.au = self.ca.alpha.value
         self.av = self.cb.alpha.value
+        self.rank = pj.dx_rank()
+        self.dep = dependence_test(pj)
         self._phi = None
 
     # -- phi machinery -------------------------------------------------------
@@ -188,6 +191,26 @@ class PointData:
                    - 6 * (t12 * mt + t22 * nt) * at_v))
         return np.array([[puu, puv], [puv, pvv]])
 
+    def density_partials(self, theta: float) -> dict[str, float]:
+        """First/second partials of the normalized density at a dependent
+        singular point with normal angle theta, in closed form (the jet
+        route is the cross-check)."""
+        sth, cth = math.sin(theta), math.cos(theta)
+        t, ca, cb = self.t, self.ca, self.cb
+        m, n = ca.m.value, ca.n.value
+        m_u, n_u = ca.m.deriv(1), ca.n.deriv(1)
+        lt, mt, nt = cb.l.value, cb.m.value, cb.n.value
+        mt_v, nt_v = cb.m.deriv(1), cb.n.deriv(1)
+        return {
+            "Lambda_u": t[3, 3] * (-n * sth + m * cth),
+            "Lambda_v": ((mt * t[1, 2] + nt * t[2, 2]) * sth
+                         - (mt * t[1, 1] + nt * t[2, 1]) * cth),
+            "Lambda_uu": t[3, 3] * (-n_u * sth + m_u * cth),
+            "Lambda_uv": 0.0,
+            "Lambda_vv": (((mt_v - lt * nt) * t[1, 2] + (nt_v + lt * mt) * t[2, 2]) * sth
+                          - ((mt_v - lt * nt) * t[1, 1] + (nt_v + lt * mt) * t[2, 1]) * cth),
+        }
+
     def independence_vector(self) -> tuple[float, float]:
         """Normal-plane components of eta eta x at the point (the linear
         independence witness for the S1+ test), normalized by -alpha alpha~
@@ -212,32 +235,15 @@ class PointData:
         return (self.pj.ju.unit_speed_gate(tols.hyp_tol)
                 and self.pj.jv.unit_speed_gate(tols.hyp_tol))
 
-    def frenet_values(self) -> dict[str, float]:
+    def frenet_discriminant(self) -> float:
+        """tau tau~ (kappa^2 + kappa~^2) t11 - kappa kappa~ (tau^2 + tau~^2)
+        from the Frenet curvature and torsion of both curves."""
         u, v = self.p0
         a, b = self.s.curve_u, self.s.curve_v
-        ka = a.frenet.kappa(u, 2).value
-        ta = a.frenet.tau(u, 2).value
-        kb = b.frenet.kappa(v, 2).value
-        tb = b.frenet.tau(v, 2).value
-        t11 = self.t[1, 1]
-        return {
-            "kappa": ka, "tau": ta, "kappa_b": kb, "tau_b": tb,
-            "t11": t11, "t21": self.t[2, 1],
-            "s1_discriminant": (ta * tb * (ka * ka + kb * kb) * t11
-                                - ka * kb * (ta * ta + tb * tb)),
-        }
-
-
-# ---------------------------------------------------------------------------
-# rank / corank
-# ---------------------------------------------------------------------------
-
-def corank(pj: PointJets) -> int | str:
-    """1, 2, or "regular" from the numerical rank of dx at a point."""
-    rank = pj.dx_rank()
-    if rank == 2:
-        return "regular"
-    return 2 - rank
+        ka, ta = a.frenet.kappa(u, 2).value, a.frenet.tau(u, 2).value
+        kb, tb = b.frenet.kappa(v, 2).value, b.frenet.tau(v, 2).value
+        return (ta * tb * (ka * ka + kb * kb) * self.t[1, 1]
+                - ka * kb * (ta * ta + tb * tb))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,6 @@ def corank(pj: PointJets) -> int | str:
 def classify_S0(d: PointData) -> Verdict:
     """Cross-cap test at a dependent singular point."""
     tols = d.s.tols
-    dep = dependence_test(d.pj)
     alpha_prod = d.au * d.av
     s0val = d.cross_cap_value()
     phi = d.phi_bijet()
@@ -267,13 +272,12 @@ def classify_S0(d: PointData) -> Verdict:
     notes = []
     if abs(xi_phi - predicted) > 1e-6 * max(1.0, abs(xi_phi)):
         notes.append(f"xi_phi jets {xi_phi:.6g} vs closed form {predicted:.6g}")
-    verdict_ok = (dep.dependent and conds[0].satisfied and conds[1].satisfied
+    verdict_ok = (d.dep.dependent and conds[0].satisfied and conds[1].satisfied
                   and conds[2].satisfied)
     v = Verdict("CrossCap" if verdict_ok else "NotCrossCap", "gfs",
                 conds, hyps, notes)
     if d.frenet_gate():
-        fr = d.frenet_values()
-        v.conditions.append(_crit("frenet_t21", fr["t21"], tols.crit_tol))
+        v.conditions.append(_crit("frenet_t21", d.t[2, 1], tols.crit_tol))
         v.hypotheses_checked.append("unit-speed shortcut available")
     return v
 
@@ -281,7 +285,6 @@ def classify_S0(d: PointData) -> Verdict:
 def classify_S1(d: PointData) -> Verdict:
     """S1± test: sign of det Hess phi plus the independence witness."""
     tols = d.s.tols
-    dep = dependence_test(d.pj)
     s0val = d.cross_cap_value()
     Hc = d.hessian_closed()
     Hj = d.phi_bijet().hessian
@@ -309,7 +312,7 @@ def classify_S1(d: PointData) -> Verdict:
             "critical point of phi", "Hessian closed form == jets"]
     notes = []
     tag = "NotS1"
-    base_ok = (dep.dependent and conds[0].satisfied and conds[1].satisfied
+    base_ok = (d.dep.dependent and conds[0].satisfied and conds[1].satisfied
                and conds[2].satisfied)
     if base_ok and det < -tols.crit_tol and wnorm > tols.crit_tol:
         tag = "S1Plus"
@@ -317,15 +320,15 @@ def classify_S1(d: PointData) -> Verdict:
         tag = "S1Minus"
     v = Verdict(tag, "gfs", conds, hyps, notes)
     if d.frenet_gate():
-        fr = d.frenet_values()
+        fd = d.frenet_discriminant()
         v.conditions.append(CriterionValue(
-            "frenet_s1_discriminant", fr["s1_discriminant"], tols.crit_tol,
-            abs(fr["s1_discriminant"]) > tols.crit_tol))
-        v.conditions.append(_crit("frenet_t21", fr["t21"], tols.hyp_tol,
+            "frenet_s1_discriminant", fd, tols.crit_tol,
+            abs(fd) > tols.crit_tol))
+        v.conditions.append(_crit("frenet_t21", d.t[2, 1], tols.hyp_tol,
                                   nonzero=False))
         v.hypotheses_checked.append("unit-speed shortcut available")
-        if (abs(fr["s1_discriminant"]) > tols.crit_tol and abs(det) > tols.crit_tol
-                and math.copysign(1, fr["s1_discriminant"]) != math.copysign(1, det)):
+        if (abs(fd) > tols.crit_tol and abs(det) > tols.crit_tol
+                and math.copysign(1, fd) != math.copysign(1, det)):
             notes.append("unit-speed shortcut disagrees in sign with det Hess phi")
     return v
 
@@ -344,7 +347,6 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     th = pt.require()
     sth, cth = math.sin(pt.value), math.cos(pt.value)
     l, m, n = d.ca.l.value, d.ca.m.value, d.ca.n.value
-    mt, nt = d.cb.m.value, d.cb.n.value
     l_u = d.ca.l.deriv(1)
     t = d.t
     tu, tv = th.part(1, 0), th.part(0, 1)
@@ -353,14 +355,12 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     al_u = d.ca.alpha.deriv(1)
     at_v = d.cb.alpha.deriv(1)
 
-    disc = discriminant(d.pj, pt, degree=min(3, th.degree))
-    cf = closed_form_density_partials(d.pj, pt)
-    etaLam = directional_derivative(disc.Lambda, disc.eta)
+    disc = discriminant(d.pj, pt)
+    cf = d.density_partials(pt.value)
     eta_eta_lam = directional_derivative(
         directional_derivative(disc.lam, disc.eta), disc.eta).value
 
-    P = (mt * t[1, 2] + nt * t[2, 2]) * sth - (mt * t[1, 1] + nt * t[2, 1]) * cth
-    Q = -n * sth + m * cth
+    P, Q = cf["Lambda_v"], -n * sth + m * cth   # Lambda_u = t33 Q
     front_val = al * tv - at * t[3, 3] * (tu - l)
     edge_val = at * Q - al * P
 
@@ -475,24 +475,21 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
 # route 3: generic frontal criteria
 # ---------------------------------------------------------------------------
 
-def classify_generic_frontal(pj: PointJets,
+def classify_generic_frontal(data: list[PointData],
                              pts: list[ThetaPoint]) -> list[Verdict]:
     """Cross-validation route built on the frontal criteria alone, at every
-    point k of the batch ``pj`` with the normal angle pts[k] there: the
-    signed density lam = alpha alpha~ Lambda, its derivatives along the
-    null field eta, and the cusp function along the singular curve lam = 0,
-    each read off the jets at the point."""
-    return [_generic_point(pj.take(k), pt) for k, pt in enumerate(pts)]
+    point data[k] with the normal angle pts[k] there: the signed density
+    lam = alpha alpha~ Lambda, its derivatives along the null field eta, and
+    the cusp function along the singular curve lam = 0, each read off the
+    jets at the point."""
+    return [_generic_point(d, pt) for d, pt in zip(data, pts)]
 
 
-def _generic_point(pj: PointJets, pt: ThetaPoint) -> Verdict:
-    """The generic route at the one point of ``pj``. Degree 2 in (u, v),
-    that of a limit-extension theta, covers every criterion."""
-    if not pt.available:
-        return Verdict("Unclassified", "generic_frontal", [],
-                       ["normal angle available"],
-                       [f"theta_unavailable: {pt.reason}"])
-    tols, rank = pj.s.tols, pj.dx_rank()
+def _generic_point(d: PointData, pt: ThetaPoint) -> Verdict:
+    """The generic route at the point ``d``, where the normal angle is
+    available. Degree 2 in (u, v), that of a limit-extension theta, covers
+    every criterion."""
+    pj, rank, tols = d.pj, d.rank, d.s.tols
     disc = discriminant(pj, pt, degree=2)
     lam, eta = disc.lam, disc.eta
     g = np.array([lam.part(1, 0), lam.part(0, 1)])
@@ -584,8 +581,8 @@ def classify_all(s: TranslationSurface,
                  points) -> list[ClassificationReport]:
     """Full pipeline at every point (u, v) of ``points``: both curves are
     evaluated at all of them as one batch, the normal angle of all that need
-    it is one ``construct_theta`` batch, and every route reads a point's
-    lanes of these jets (:func:`classify_generic_frontal`).
+    it is one ``construct_theta`` batch, and each point's lanes of these
+    jets make one :class:`PointData` that every route reads.
 
     Equals ``[classify(s, p) for p in points]``, and so does the error when
     a point raises a TransurfError: the points are then classified again one
@@ -596,19 +593,16 @@ def classify_all(s: TranslationSurface,
     try:
         on = s.criteria_surface().at(
             tuple(np.array(x, dtype=float) for x in zip(*points)))
-        reports = [_direct_routes(s, on.take(k), p0)
-                   for k, p0 in enumerate(points)]
+        data = [PointData(on.take(k)) for k in range(len(points))]
+        reports = [_direct_routes(s, d, p0) for d, p0 in zip(data, points)]
         rest = [k for k, r in enumerate(reports)
                 if r.final.tag == "Unclassified"]
-        generic = []
-        for k, pt in zip(rest, construct_theta(on.take(np.array(rest)))
-                         if rest else []):
-            reports[k].framed = classify_dependent_framed(
-                PointData(on.take(k)), pt)
-            if pt.available:
-                generic.append((k, pt))
+        pts = construct_theta(on.take(np.array(rest))) if rest else []
+        for k, pt in zip(rest, pts):
+            reports[k].framed = classify_dependent_framed(data[k], pt)
+        generic = [(k, pt) for k, pt in zip(rest, pts) if pt.available]
         for (k, _), verdict in zip(generic, classify_generic_frontal(
-                on.take(np.array([k for k, _ in generic])),
+                [data[k] for k, _ in generic],
                 [pt for _, pt in generic]) if generic else []):
             reports[k].generic = verdict
     except TransurfError:
@@ -630,38 +624,37 @@ def classify_all(s: TranslationSurface,
                 # a definite verdict needs both routes; the candidate is a note
                 raw = ", ".join(f"{c.name}={c.value:.6g}"
                                 for c in generic.conditions)
-                final.notes.append(f"generic route alone says {gt} ({raw}); "
-                                   "the framed route does not confirm it")
+                final = replace(framed, notes=framed.notes + [
+                    f"generic route alone says {gt} ({raw}); "
+                    "the framed route does not confirm it"])
             elif gt == ft and ft in _DEFINITE:
-                final.notes.append("generic route agrees")
+                final = replace(framed, notes=framed.notes
+                                + ["generic route agrees"])
         reports[k].final = final
     return reports
 
 
-def _direct_routes(s: TranslationSurface, pj: PointJets,
+def _direct_routes(s: TranslationSurface, d: PointData,
                    p0) -> ClassificationReport:
     """The report at one point after the rank and dependence tests and
     route 1; its verdict stays Unclassified where routes 2 and 3 must run."""
-    tols = s.tols
+    tols, dep, au, av = s.tols, d.dep, d.au, d.av
     notes = []
     if s.kind != "general":
         notes.append("criteria evaluated on the unscaled generator pair; the "
                      "surface is its image under scaling by 1/2")
-    rank = corank(pj)
-    dep = dependence_test(pj)
-    au, av = pj.alpha_values()
 
     report = ClassificationReport(
         point=p0,
-        conditions=singular_conditions(pj.s, (au, av), dep.t_pair_norm),
+        conditions=singular_conditions(d.s, (au, av), dep.t_pair_norm),
         dependence="dependent" if dep.dependent else "independent",
-        corank=0 if rank == "regular" else rank,
+        corank=2 - d.rank,
         final=Verdict("Unclassified", "gfs"), notes=notes)
 
-    if rank == "regular":
+    if d.rank == 2:
         report.final = Verdict("RegularPoint", "gfs",
                                [_crit("singular_residual",
-                                      pj.singular_residual(),
+                                      d.pj.singular_residual(),
                                       tols.sing_tol)])
     elif not dep.dependent:
         report.final = Verdict(
@@ -670,12 +663,11 @@ def _direct_routes(s: TranslationSurface, pj: PointJets,
                             tols.dep_tol, True)],
             notes=["independent condition: see prior work"])
     elif abs(au * av) > tols.hyp_tol:
-        data = PointData(pj)
-        report.gfs = classify_S0(data)
+        report.gfs = classify_S0(d)
         if report.gfs.tag == "CrossCap":
             report.final = report.gfs
-        elif abs(data.cross_cap_value()) < tols.hyp_tol:
-            report.s1 = classify_S1(data)
+        elif abs(d.cross_cap_value()) < tols.hyp_tol:
+            report.s1 = classify_S1(d)
             if report.s1.tag in ("S1Plus", "S1Minus"):
                 report.final = report.s1
     return report

@@ -423,29 +423,6 @@ def directional_derivative(f: BiJet, direction: tuple[BiJet, BiJet]) -> BiJet:
             + direction[1].truncate(d) * f.dv())
 
 
-def closed_form_density_partials(pj: PointJets,
-                                 pt: ThetaPoint) -> dict[str, float]:
-    """First/second partials of the normalized density at a dependent
-    singular point, in closed form (the jet route is the cross-check)."""
-    th = pt.value
-    sthv, cthv = math.sin(th), math.cos(th)
-    ca, cb = pj.ju.curvature, pj.jv.curvature
-    l, m, n = ca.l.value, ca.m.value, ca.n.value
-    m_u, n_u = ca.m.deriv(1), ca.n.deriv(1)
-    lt, mt, nt = cb.l.value, cb.m.value, cb.n.value
-    mt_v, nt_v = cb.m.deriv(1), cb.n.deriv(1)
-    t = {(i, j): pj.t(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
-    return {
-        "Lambda_u": t[3, 3] * (-n * sthv + m * cthv),
-        "Lambda_v": ((mt * t[1, 2] + nt * t[2, 2]) * sthv
-                     - (mt * t[1, 1] + nt * t[2, 1]) * cthv),
-        "Lambda_uu": t[3, 3] * (-n_u * sthv + m_u * cthv),
-        "Lambda_uv": 0.0,
-        "Lambda_vv": (((mt_v - lt * nt) * t[1, 2] + (nt_v + lt * mt) * t[2, 2]) * sthv
-                      - ((mt_v - lt * nt) * t[1, 1] + (nt_v + lt * mt) * t[2, 1]) * cthv),
-    }
-
-
 # ---------------------------------------------------------------------------
 # front test
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from transurf.classify import (PHI_DEGREE, CriterionValue, PointData,
                                Verdict, classify, classify_all,
                                classify_S0, classify_S1,
                                classify_dependent_framed,
-                               classify_generic_frontal, corank)
+                               classify_generic_frontal)
 from transurf.curves import CurveJets, FramedCurve, catalog
 from transurf.errors import NotNonDegenerate, TransurfError
 from transurf.framedsurf import align_pi, construct_theta, wrap_pi
@@ -56,10 +56,10 @@ def s1m():
 
 
 def test_corank(s0):
-    assert corank(s0.at((0.0, 0.0))) == 1
-    assert corank(s0.at((0.5, 0.7))) == "regular"
+    assert PointData(s0.at((0.0, 0.0))).rank == 1
+    assert PointData(s0.at((0.5, 0.7))).rank == 2
     rz, p0 = instances.rank_zero_pair(False)
-    assert corank(rz.at(p0)) == 2
+    assert PointData(rz.at(p0)).rank == 0
 
 
 def test_phi_closed_form_matches_jets_at_random_points(s0, s1m):
@@ -171,7 +171,7 @@ def test_generic_candidate_alone_stays_a_note(monkeypatch):
     # is a note on the Unclassified verdict
     s, p0 = instances.planar_pair()
 
-    def generic(pj, pts):
+    def generic(data, pts):
         return [Verdict("CuspidalCrossCap", "generic_frontal", [
             CriterionValue("cusp_function_derivative", 1.0, 1e-7, True)])
             for _ in pts]
@@ -215,8 +215,7 @@ def test_framed_route_cuspidal_edge():
     theta = construct_theta(pj)
     v = classify_dependent_framed(PointData(pj), theta)
     assert v.tag == "CuspidalEdge"
-    g, = classify_generic_frontal(
-        s.at((np.array([p0[0]]), np.array([p0[1]]))), [theta])
+    g, = classify_generic_frontal([PointData(pj)], [theta])
     assert g.tag == "CuspidalEdge"
 
 
@@ -227,6 +226,25 @@ def test_framed_route_unit_speed_shortcut_consistency():
     r = classify(s, p0)
     assert r.tag == "CuspidalEdge"
     assert "generic route agrees" in r.final.notes
+
+
+@pytest.mark.parametrize("build,args", [
+    ("cylinder_pair", []),
+    ("slide_pair", ["edge"]),
+    ("slide_pair", ["swallowtail"]),
+    ("slide_pair", ["nonfront"]),
+    ("singular_speed_pair", [False]),
+    ("singular_speed_pair", [True]),
+    ("rank_zero_pair", []),
+])
+def test_agreement_note_stays_off_the_framed_verdict(build, args):
+    # the merged verdict is a copy of the framed one: the note of the merge
+    # is on the final verdict only, not in the framed route's report
+    rep = classify(*getattr(instances, build)(*args))
+    assert "generic route agrees" in rep.final.notes
+    assert "generic route agrees" not in rep.framed.notes
+    doc = classification_doc({}, rep)["routes"]["framed_surface"]
+    assert "generic route agrees" not in doc["notes"]
 
 
 @pytest.mark.parametrize("kind,tag", [
@@ -629,6 +647,27 @@ def test_propagated_error_is_the_first_failing_point_of_the_loop():
         assert _error_of(lambda: classify_all(bad, order)) == loop
     assert _error_of(lambda: classify_all(bad, pts))[2] == pts[5][0]
     assert _error_of(lambda: classify_all(bad, pts[::-1]))[2] == pts[26][0]
+
+
+def test_scan_classification_builds_one_point_data_per_point(monkeypatch):
+    # every route reads the point's one PointData, whose rank and
+    # dependence test are evaluated when it is built
+    s, pts = _scan_points("sin_minus_g24")
+    built, tested = [], []
+    init, dependence_test = PointData.__init__, classify_mod.dependence_test
+
+    def spy_init(self, pj):
+        built.append(pj.p)
+        init(self, pj)
+
+    def spy_dependence(pj):
+        tested.append(pj.p)
+        return dependence_test(pj)
+
+    monkeypatch.setattr(PointData, "__init__", spy_init)
+    monkeypatch.setattr(classify_mod, "dependence_test", spy_dependence)
+    classify_all(s, pts)
+    assert built == tested == [tuple(p) for p in pts]
 
 
 @pytest.mark.parametrize("case", ["sin_plus_g16", "sin_minus_g24"])

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from transurf import framedsurf, instances, jets, verify
-from transurf.classify import classify
+from transurf.classify import PointData, classify
 from transurf.curves import CurveJets, catalog, vec_values
 from transurf.framedsurf import (ThetaField, align_pi,
-                                 closed_form_density_partials,
                                  construct_theta, discriminant, front_decision,
                                  front_test, fs_invariants, lemma_oracle,
                                  unit_speed_oracle)
@@ -145,7 +144,7 @@ def test_density_closed_partials_match_jets(edge_case):
     pj = s.at(p0)
     pt = theta.at(pj)
     d = discriminant(pj, pt)
-    cf = closed_form_density_partials(pj, pt)
+    cf = PointData(pj).density_partials(pt.value)
     assert d.Lambda.part(1, 0) == pytest.approx(cf["Lambda_u"], abs=1e-8)
     assert d.Lambda.part(0, 1) == pytest.approx(cf["Lambda_v"], abs=1e-8)
     assert d.Lambda.part(2, 0) == pytest.approx(cf["Lambda_uu"], abs=1e-7)
