@@ -16,12 +16,12 @@ Three routes, in order:
    density, its derivatives along the null field and the cusp function
    along the singular curve, all from the jets at the point.
 
-Every route reads the point's one :class:`PointData`: its frame-matrix
-entries, curvatures, rank of dx and dependence test, each evaluated once.
+Every route reads the point's :class:`PointData`, its lane of the batch's,
+and ``classify_all`` forms the jets of all its points once per batch: phi,
+and the density jets and framed-surface invariants (:class:`AngleJets`).
 Every strict inequality is realized as |value| > crit_tol and every equality
 hypothesis as |value| < hyp_tol, with raw values reported beside thresholds.
 Routes that disagree yield an Unclassified verdict carrying both.
-``classify_all`` evaluates the jets of many points as one batch.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatch, TransurfError
 from .framedsurf import (ThetaPoint, construct_theta, directional_derivative,
-                         discriminant, front_test, fs_invariants)
+                         discriminant, front_decision, fs_invariants)
 from .jets import BiJet, Jet, det3
 from .surface import (PointJets, TranslationSurface, dependence_test,
                       singular_conditions)
@@ -96,21 +96,26 @@ def _crit(name, value, tol, nonzero=True) -> CriterionValue:
 # ---------------------------------------------------------------------------
 
 class PointData:
-    """Curvatures, frame-matrix entries, the rank of dx, the dependence test
-    and phi jets at one point, read from the point's ``PointJets`` once."""
+    """Curvatures, frame-matrix entries and phi jets at one point or at each
+    point of a batch (lane k), read from its ``PointJets`` once; one point
+    also holds the rank of dx and the dependence test. A point taken from a
+    batch (:meth:`take`) reads its lane of the batch's phi, formed once for
+    all lanes, and ``angle`` names its lane of an :class:`AngleJets`."""
 
-    def __init__(self, pj: PointJets):
-        self.pj = pj
-        self.s = pj.s
-        self.p0 = pj.p
-        self.ca = pj.ju.curvature
-        self.cb = pj.jv.curvature
-        self.t = {(i, j): pj.t(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
-        self.au = self.ca.alpha.value
-        self.av = self.cb.alpha.value
-        self.rank = pj.dx_rank()
-        self.dep = dependence_test(pj)
-        self._phi = None
+    def __init__(self, pj: PointJets, t: dict | None = None, batch=None):
+        t = t or {(i, j): pj.t(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+        self.pj, self.s, self.p0, self.t = pj, pj.s, pj.p, t
+        self.ca, self.cb = pj.ju.curvature, pj.jv.curvature
+        self.au, self.av = self.ca.alpha.value, self.cb.alpha.value
+        self._batch, self._phi, self.angle = batch, None, None
+        if np.ndim(self.au) == 0:
+            self.rank = pj.dx_rank()
+            self.dep = dependence_test(pj, (t[3, 1], t[3, 2], t[3, 3]))
+
+    def take(self, k: int) -> "PointData":
+        """Point k of a batch, read off its lanes with no evaluation."""
+        return PointData(self.pj.take(k), {key: float(val[k]) for key, val
+                                           in self.t.items()}, (self, k))
 
     # -- phi machinery -------------------------------------------------------
 
@@ -118,6 +123,9 @@ class PointData:
         """phi = det(xi x, eta x, eta eta x) with xi = d_u and the null field
         eta = -alpha~ d_u + alpha t33 d_v, differentiated as a field."""
         if self._phi is not None:
+            return self._phi
+        if self._batch is not None:
+            self._phi = self._batch[0].phi_bijet().take(self._batch[1])
             return self._phi
         pj, (u, v), degree = self.pj, self.p0, PHI_DEGREE
         xu = pj.x_partial_jets(1, 0, degree)
@@ -131,11 +139,13 @@ class PointData:
         alu = BiJet.from_u_jet(self.ca.alpha.differentiate(), v, degree)
         at = BiJet.from_v_jet(self.cb.alpha, u, degree)
         atv = BiJet.from_v_jet(self.cb.alpha.differentiate(), u, degree)
+        # the coefficients of eta and of its u- and v-partials, each formed
+        # once for the three components
         eta_u, eta_v = -at, al * t33
+        eta_v_u, eta_v_v, eta_u_v = alu * t33 + al * t33u, al * t33v, -atv
         etax = [eta_u * xu[c] + eta_v * xv[c] for c in range(3)]
-        detax_u = [-at * xuu[c] + (alu * t33 + al * t33u) * xv[c]
-                   for c in range(3)]
-        detax_v = [-atv * xu[c] + (al * t33v) * xv[c] + (al * t33) * xvv[c]
+        detax_u = [eta_u * xuu[c] + eta_v_u * xv[c] for c in range(3)]
+        detax_v = [eta_u_v * xu[c] + eta_v_v * xv[c] + eta_v * xvv[c]
                    for c in range(3)]
         eex = [eta_u * detax_u[c] + eta_v * detax_v[c] for c in range(3)]
         self._phi = det3(xu, etax, eex)
@@ -355,10 +365,10 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     al_u = d.ca.alpha.deriv(1)
     at_v = d.cb.alpha.deriv(1)
 
-    disc = discriminant(d.pj, pt)
+    jets, (j,) = _angle_jets([d], [pt])
+    lam, Lam = jets.disc.lam.take(j), jets.disc.Lambda.take(j)
     cf = d.density_partials(pt.value)
-    eta_eta_lam = directional_derivative(
-        directional_derivative(disc.lam, disc.eta), disc.eta).value
+    eta_eta_lam = float(jets.eta_eta_lam[j])
 
     P, Q = cf["Lambda_v"], -n * sth + m * cth   # Lambda_u = t33 Q
     front_val = al * tv - at * t[3, 3] * (tu - l)
@@ -372,7 +382,7 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     hyps = [f"theta provenance: {pt.provenance}"]
     notes = []
 
-    jet_grad = (disc.Lambda.part(1, 0), disc.Lambda.part(0, 1))
+    jet_grad = (Lam.part(1, 0), Lam.part(0, 1))
     if (abs(jet_grad[0] - cf["Lambda_u"]) > tols.lemma_tol * max(1, abs(jet_grad[0]))
             or abs(jet_grad[1] - cf["Lambda_v"]) > tols.lemma_tol * max(1, abs(jet_grad[1]))):
         notes.append("density gradient: closed form vs jets disagree")
@@ -447,7 +457,7 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
                 _crit("density_v_factor", P, tols.crit_tol),
             ]
         conds.extend(beaks)
-        H = disc.lam.hessian
+        H = lam.hessian
         detH = float(H[0, 0] * H[1, 1] - H[0, 1] ** 2)
         conds.append(CriterionValue("det_hess_density", detH, tols.crit_tol,
                                     detH < tols.crit_tol))
@@ -462,7 +472,7 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
 
     # both speeds vanish: rank dx = 0
     hyps.append("regime: both speeds vanish (rank 0)")
-    H = disc.lam.hessian
+    H = lam.hessian
     worst = float(np.max(np.abs(H)))
     conds.append(_crit("hess_density_max", worst, tols.hyp_tol, nonzero=False))
     if worst > tols.hyp_tol:
@@ -475,60 +485,100 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
 # route 3: generic frontal criteria
 # ---------------------------------------------------------------------------
 
+class AngleJets:
+    """The jets that routes 2 and 3 read at the points of the batch ``pj``,
+    lane j at the normal angle pts[j]: lam, Lambda and eta (``disc``) and
+    HF, KF and bn (``inv``). Degree 2 covers every criterion, and each
+    partial to second order equals its value at degree 3 bitwise."""
+
+    def __init__(self, pj: PointJets, pts: list[ThetaPoint]):
+        self.pj = pj
+        self.disc = discriminant(pj, pts, degree=2)
+        d_eta = directional_derivative(self.disc.lam, self.disc.eta)
+        self.eta_lam = d_eta.value
+        self.eta_eta_lam = directional_derivative(d_eta, self.disc.eta).value
+        self.inv = fs_invariants(pj, pts, degree=2)
+
+    def cusp_function(self, lanes: list[int], c1, c2) -> Jet:
+        """The cusp function det(x_t, nu, eta nu) along the singular curve c
+        through lanes[n], with c' = c1[:, n] and c'' = c2[:, n] there."""
+        eta, nu, sub = self.disc.eta, self.inv.bn, np.array(lanes)
+        c_t = [Jet._fresh(0.0, [a, b]) for a, b in zip(c1, c2)]
+
+        def along(f):
+            """The 1-jet in t of f(c(t))."""
+            f = f.take(sub)
+            return Jet._fresh(0.0, [f.value, f.part(1, 0) * c1[0]
+                                    + f.part(0, 1) * c1[1]])
+
+        return det3([along(a) * c_t[0] + along(b) * c_t[1]
+                     for a, b in zip(self.pj.x_partial_jets(1, 0, 2),
+                                     self.pj.x_partial_jets(0, 1, 2))],
+                    [along(c) for c in nu],
+                    [along(directional_derivative(c, eta)) for c in nu])
+
+
+def _angle_jets(data: list[PointData],
+                pts: list[ThetaPoint]) -> tuple[AngleJets, list[int]]:
+    """The AngleJets of ``data`` at the angles ``pts`` and each point's lane:
+    those of their batch, else formed here for these points."""
+    if all(d.angle for d in data):
+        return data[0].angle[0], [d.angle[1] for d in data]
+    at = tuple(np.array(x) for x in zip(*(d.p0 for d in data)))
+    return AngleJets(data[0].s.at(at), pts), list(range(len(data)))
+
+
 def classify_generic_frontal(data: list[PointData],
                              pts: list[ThetaPoint]) -> list[Verdict]:
     """Cross-validation route built on the frontal criteria alone, at every
     point data[k] with the normal angle pts[k] there: the signed density
     lam = alpha alpha~ Lambda, its derivatives along the null field eta, and
     the cusp function along the singular curve lam = 0, each read off the
-    jets at the point."""
-    return [_generic_point(d, pt) for d, pt in zip(data, pts)]
+    jets at the point; the cusp function is one batch for all the points."""
+    jets, lanes = _angle_jets(data, pts)
+    out = [_generic_point(d, jets, j) for d, j in zip(data, lanes)]
+    cusp = [k for k, v in enumerate(out) if isinstance(v, tuple)]
+    if cusp:
+        phi = jets.cusp_function([lanes[k] for k in cusp], *np.array(
+            [out[k] for k in cusp]).transpose(1, 2, 0))
+        for n, k in enumerate(cusp):
+            out[k] = _generic_point(data[k], jets, lanes[k], (
+                float(phi.value[n]), float(phi.deriv(1)[n])))
+    return out
 
 
-def _generic_point(d: PointData, pt: ThetaPoint) -> Verdict:
-    """The generic route at the point ``d``, where the normal angle is
-    available. Degree 2 in (u, v), that of a limit-extension theta, covers
-    every criterion."""
-    pj, rank, tols = d.pj, d.rank, d.s.tols
-    disc = discriminant(pj, pt, degree=2)
-    lam, eta = disc.lam, disc.eta
+def _generic_point(d: PointData, jets: AngleJets, j: int, cusp=None):
+    """The generic route at the point ``d``, lane j of ``jets``. Where the
+    cusp function decides and ``cusp`` does not hold its value and
+    derivative, c' and c'' of the singular curve replace the verdict."""
+    rank, tols = d.rank, d.s.tols
+    lam = jets.disc.lam.take(j)
     g = np.array([lam.part(1, 0), lam.part(0, 1)])
     gnorm = math.hypot(*g)
-    d_eta = directional_derivative(lam, eta)
-    eta_lam, eta_eta_lam = (d_eta.value,
-                            directional_derivative(d_eta, eta).value)
+    eta_lam, eta_eta_lam = float(jets.eta_lam[j]), float(jets.eta_eta_lam[j])
     conds = [_crit("grad_density", gnorm, tols.crit_tol),
              _crit("eta_density", eta_lam, tols.crit_tol)]
     hyps = [f"rank dx = {rank}"]
+    front = rank < 2 and front_decision(
+        rank, float(jets.inv.HF.value[j]), float(jets.inv.KF.value[j]),
+        tols.front_tol)[0] == "front"
 
     if gnorm > tols.crit_tol:
         if abs(eta_lam) > tols.crit_tol:
             # the singular curve c(t) through the point at unit speed:
             # c' = grad lam rotated by a quarter turn over |grad lam|, and
-            # c'' from differentiating grad lam(c) . c' = 0; c_t is the
-            # 1-jet in t of c'
+            # c'' from differentiating grad lam(c) . c' = 0
             c1 = np.array([-g[1], g[0]]) / gnorm
-            c2 = -(c1 @ lam.hessian @ c1) * g / gnorm**2
-            c_t = [Jet._fresh(0.0, [a, b]) for a, b in zip(c1, c2)]
-
-            def along(f):
-                """The 1-jet in t of f(c(t))."""
-                return Jet._fresh(0.0, [f.value, f.part(1, 0) * c1[0]
-                                        + f.part(0, 1) * c1[1]])
-
+            if cusp is None:
+                return c1, -(c1 @ lam.hessian @ c1) * g / gnorm**2
             # the cusp function det(d/dt x(c), nu, eta nu) along c
-            nu = fs_invariants(pj, pt, degree=2).bn
-            phi = det3([along(a) * c_t[0] + along(b) * c_t[1]
-                        for a, b in zip(pj.x_partial_jets(1, 0, 2),
-                                        pj.x_partial_jets(0, 1, 2))],
-                       [along(c) for c in nu],
-                       [along(directional_derivative(c, eta)) for c in nu])
-            conds.append(_crit("cusp_function", phi.value, tols.crit_tol))
-            if abs(phi.value) > tols.crit_tol:
+            phi, dphi = cusp
+            conds.append(_crit("cusp_function", phi, tols.crit_tol))
+            if abs(phi) > tols.crit_tol:
                 return Verdict("CuspidalEdge", "generic_frontal", conds, hyps)
-            conds.append(_crit("cusp_function_derivative", phi.deriv(1),
+            conds.append(_crit("cusp_function_derivative", dphi,
                                tols.crit_tol))
-            if abs(phi.deriv(1)) > tols.crit_tol:
+            if abs(dphi) > tols.crit_tol:
                 return Verdict("CuspidalCrossCap", "generic_frontal", conds,
                                hyps)
             return Verdict("Unclassified", "generic_frontal", conds, hyps,
@@ -536,7 +586,6 @@ def _generic_point(d: PointData, pt: ThetaPoint) -> Verdict:
                             "cap"])
         # eta lambda = 0: swallowtail needs the front property plus the
         # second directional derivative
-        front = front_test(pj, pt)[0] == "front"
         conds.append(_crit("eta_eta_density", eta_eta_lam, tols.crit_tol))
         hyps.append("front via framed-surface curvature")
         if front and abs(eta_eta_lam) > tols.crit_tol:
@@ -548,7 +597,6 @@ def _generic_point(d: PointData, pt: ThetaPoint) -> Verdict:
     detH = float(H[0, 0] * H[1, 1] - H[0, 1] ** 2)
     if rank == 1:
         conds.append(_crit("det_hess_density", detH, tols.crit_tol))
-        front = front_test(pj, pt)[0] == "front"
         if detH > tols.crit_tol and front:
             return Verdict("CuspidalLips", "generic_frontal", conds, hyps,
                            ["positive Hessian determinant: cuspidal lips "
@@ -580,9 +628,10 @@ def classify(s: TranslationSurface, p0: tuple[float, float]) -> ClassificationRe
 def classify_all(s: TranslationSurface,
                  points) -> list[ClassificationReport]:
     """Full pipeline at every point (u, v) of ``points``: both curves are
-    evaluated at all of them as one batch, the normal angle of all that need
-    it is one ``construct_theta`` batch, and each point's lanes of these
-    jets make one :class:`PointData` that every route reads.
+    evaluated at all of them as one batch, which makes one
+    :class:`PointData`, and the normal angle of all that need it is one
+    ``construct_theta`` batch, whose points make one :class:`AngleJets`.
+    Each route reads the point's lane of these.
 
     Equals ``[classify(s, p) for p in points]``, and so does the error when
     a point raises a TransurfError: the points are then classified again one
@@ -593,14 +642,20 @@ def classify_all(s: TranslationSurface,
     try:
         on = s.criteria_surface().at(
             tuple(np.array(x, dtype=float) for x in zip(*points)))
-        data = [PointData(on.take(k)) for k in range(len(points))]
+        batch = PointData(on)
+        data = [batch.take(k) for k in range(len(points))]
         reports = [_direct_routes(s, d, p0) for d, p0 in zip(data, points)]
         rest = [k for k, r in enumerate(reports)
                 if r.final.tag == "Unclassified"]
         pts = construct_theta(on.take(np.array(rest))) if rest else []
+        generic = [(k, pt) for k, pt in zip(rest, pts) if pt.available]
+        if generic:
+            jets = AngleJets(on.take(np.array([k for k, _ in generic])),
+                             [pt for _, pt in generic])
+            for j, (k, _) in enumerate(generic):
+                data[k].angle = (jets, j)
         for k, pt in zip(rest, pts):
             reports[k].framed = classify_dependent_framed(data[k], pt)
-        generic = [(k, pt) for k, pt in zip(rest, pts) if pt.available]
         for (k, _), verdict in zip(generic, classify_generic_frontal(
                 [data[k] for k, _ in generic],
                 [pt for _, pt in generic]) if generic else []):

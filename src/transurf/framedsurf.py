@@ -282,8 +282,7 @@ class ThetaField:
         zero of (t31, t32) share each stage, in batches of at most
         ``_RAY_LANES`` rays."""
         batch = np.ndim(pj.p[0]) > 0
-        out = [_canonical(q, degree) for q in
-               ([pj.take(k) for k in range(len(pj.p[0]))] if batch else [pj])]
+        out = _canonical(pj, degree)
         near = [k for k, pt in enumerate(out) if pt is None]
         size = _RAY_LANES // (len(_FAN) + len(_AXIS_RAYS))
         for i in range(0, len(near), size):
@@ -294,16 +293,25 @@ class ThetaField:
         return out if batch else out[0]
 
 
-def _canonical(pj: PointJets, degree: int) -> ThetaPoint | None:
-    """The angle on the canonical branch at one point; None at a zero of
-    (t31, t32), where the limit extension gives it."""
-    t31, t32 = pj.t(3, 1), pj.t(3, 2)
-    if math.hypot(t31, t32) < _EXT_RADIUS:
-        return None
-    th = jets.atan2(-pj.t_bijet(3, 2, degree), pj.t_bijet(3, 1, degree))
-    return ThetaPoint(value=th.value, bijet=th, provenance="atan2_branch",
-                      residual=abs(t32 * math.cos(th.value)
-                                   + t31 * math.sin(th.value)))
+def _canonical(pj: PointJets, degree: int) -> list[ThetaPoint | None]:
+    """The angle on the canonical branch at every point of ``pj`` (one
+    point, or a batch), its jets one ``jets.atan2`` over the points; None at
+    a zero of (t31, t32), where the limit extension gives it."""
+    t31, t32 = (np.atleast_1d(pj.t(3, j)).tolist() for j in (1, 2))
+    far = [k for k, (a, b) in enumerate(zip(t31, t32))
+           if math.hypot(a, b) >= _EXT_RADIUS]
+    out = [None] * len(t31)
+    if not far:
+        return out
+    batch = np.ndim(pj.p[0]) > 0
+    q = pj.take(np.array(far)) if batch else pj
+    th = jets.atan2(-q.t_bijet(3, 2, degree), q.t_bijet(3, 1, degree))
+    for j, k in enumerate(far):
+        bj = th.take(j) if batch else th
+        out[k] = ThetaPoint(value=bj.value, bijet=bj, provenance="atan2_branch",
+                            residual=abs(t32[k] * math.cos(bj.value)
+                                         + t31[k] * math.sin(bj.value)))
+    return out
 
 
 def _one_sided(plus: Jet | None, minus: Jet | None,
@@ -352,12 +360,24 @@ class FSInvariants:
     bn: tuple[BiJet, BiJet, BiJet]
 
 
-def fs_invariants(pj: PointJets, pt: ThetaPoint,
+def _angle_bijet(pt, degree: int) -> BiJet:
+    """The BiJet of theta to ``degree`` or its own lower one; for a list of
+    ThetaPoints, one lane per point."""
+    ths = [q.require() for q in ([pt] if isinstance(pt, ThetaPoint) else pt)]
+    n = min([degree] + [th.degree for th in ths]) + 1
+    if isinstance(pt, ThetaPoint):
+        return ths[0].truncate(n - 1)
+    return BiJet(np.array([th.u0 for th in ths]),
+                 np.array([th.v0 for th in ths]),
+                 np.stack([th.c[:n, :n] for th in ths], axis=-1))
+
+
+def fs_invariants(pj: PointJets, pt: ThetaPoint | list[ThetaPoint],
                   degree: int = 3) -> FSInvariants:
-    """Invariants of (x, bn, mu) where bn = sin(theta) nu1 + cos(theta) nu2."""
-    th = pt.require()
-    degree = min(degree, th.degree)
-    th = th.truncate(degree)
+    """Invariants of (x, bn, mu) where bn = sin(theta) nu1 + cos(theta) nu2
+    (for a batch ``pj``, ``pt`` lists the angles at its points)."""
+    th = _angle_bijet(pt, degree)
+    degree = th.degree
     u, v = pj.p
     l, m, n, al, lt, mt, nt, at = pj.curvature_bijets(degree)
     t31 = pj.t_bijet(3, 1, degree)
@@ -400,11 +420,10 @@ class Discriminant:
     eta: tuple[BiJet, BiJet]   # null field coefficients (-alpha~ t33, alpha)
 
 
-def discriminant(pj: PointJets, pt: ThetaPoint,
+def discriminant(pj: PointJets, pt: ThetaPoint | list[ThetaPoint],
                  degree: int = 3) -> Discriminant:
-    th = pt.require()
-    degree = min(degree, th.degree)
-    th = th.truncate(degree)
+    th = _angle_bijet(pt, degree)
+    degree = th.degree
     _, _, _, al, _, _, _, at = pj.curvature_bijets(degree)
     t31 = pj.t_bijet(3, 1, degree)
     t32 = pj.t_bijet(3, 2, degree)
@@ -434,16 +453,6 @@ def front_decision(rank: int, HF: float, KF: float, tol: float) -> tuple[str, fl
     if rank == 0:
         return ("front" if abs(KF) > tol else "frontal_only", KF)
     raise ValueError("front test applies to singular points only")
-
-
-def front_test(pj: PointJets, pt: ThetaPoint) -> tuple[str, float, int]:
-    """Classify a point as front or frontal-only; returns (verdict, witness,
-    rank)."""
-    rank = pj.dx_rank()
-    inv = fs_invariants(pj, pt, degree=2)
-    verdict, witness = front_decision(rank, inv.HF.value, inv.KF.value,
-                                      pj.s.tols.front_tol)
-    return verdict, witness, rank
 
 
 # ---------------------------------------------------------------------------

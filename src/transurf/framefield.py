@@ -42,13 +42,15 @@ def entry_bijet(row_b: VecJets, row_a: VecJets, u: float, v: float,
     degree + max(du, dv).
 
     Differentiated entries are assembled from shifted univariate frame jets,
-    so they have full degree (no truncation loss).
+    so they have full degree (no truncation loss); batch rows give one lane
+    per point.
     """
     row_b, row_a = shift3(row_b, dv), shift3(row_a, du)
     # the partials of f(u) g(v) are f^(p)(u) g^(q)(v): an outer product
-    c = np.zeros((degree + 1, degree + 1))
+    c = 0.0
     for k in range(3):
-        c = c + np.outer(row_a[k].d[: degree + 1], row_b[k].d[: degree + 1])
+        c = c + (row_a[k].d[: degree + 1, None]
+                 * row_b[k].d[None, : degree + 1])
     return BiJet(u, v, c)
 
 

@@ -15,9 +15,10 @@ order over "rows" (Python floats for a scalar jet, length-B arrays for a
 batch) with the same floating-point operations in the same order, so lane b
 of a batch result equals the scalar result at ``t0[b]`` bitwise. Checks on
 values (near-zero divisors, the sqrt/pow domain) raise when any lane fails.
-:class:`BiJet` has no batch axis; its products, quotients and compositions
-share one product kernel, which pairs each Leibniz term with its mate so
-that ``a*b`` and ``b*a`` agree bitwise.
+:class:`BiJet` has the same trailing lane axis; its products, quotients
+and compositions share one product kernel, which pairs each Leibniz term
+with its mate so that ``a*b`` and ``b*a`` agree bitwise, and sums each lane
+as it sums one point.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -284,7 +285,9 @@ class BiJet:
     ``c[i, j]`` holds the partial of order i in u and j in v; entries with
     ``i + j > degree`` are kept at zero. Products go through
     :func:`_product`; :meth:`compose_outer` is Horner's rule over it, and a
-    quotient is solved over it shell by shell of total degree.
+    quotient is solved over it shell by shell of total degree. With ``u0``
+    and ``v0`` 1-D arrays of L base points, ``c`` has shape (n, n, L), lane
+    k for the point (u0[k], v0[k]), and ``value``/``part`` return arrays.
     """
 
     u0: float
@@ -293,7 +296,7 @@ class BiJet:
 
     def __post_init__(self):
         arr = np.asarray(self.c, dtype=float).copy()
-        arr[_beyond_degree(arr.shape[0])] = 0.0
+        np.copyto(arr, 0.0, where=_beyond_degree(arr.shape[0], arr.ndim))
         arr.setflags(write=False)
         object.__setattr__(self, "c", arr)
 
@@ -302,7 +305,7 @@ class BiJet:
     @staticmethod
     def constant(value: float, u0: float = 0.0, v0: float = 0.0,
                  degree: int = 3) -> "BiJet":
-        c = np.zeros((degree + 1, degree + 1))
+        c = np.zeros((degree + 1, degree + 1) + np.shape(u0))
         c[0, 0] = value
         return BiJet(u0, v0, c)
 
@@ -311,7 +314,7 @@ class BiJet:
         """Embed a function of u alone; exact up to ``degree``."""
         if jet.order < degree:
             raise ValueError("univariate jet order too low for requested degree")
-        c = np.zeros((degree + 1, degree + 1))
+        c = np.zeros((degree + 1, degree + 1) + jet.d.shape[1:])
         c[: degree + 1, 0] = jet.d[: degree + 1]
         return BiJet(jet.t0, v0, c)
 
@@ -319,9 +322,13 @@ class BiJet:
     def from_v_jet(jet: Jet, u0: float, degree: int = 3) -> "BiJet":
         if jet.order < degree:
             raise ValueError("univariate jet order too low for requested degree")
-        c = np.zeros((degree + 1, degree + 1))
+        c = np.zeros((degree + 1, degree + 1) + jet.d.shape[1:])
         c[0, : degree + 1] = jet.d[: degree + 1]
         return BiJet(u0, jet.t0, c)
+
+    def take(self, idx) -> "BiJet":
+        """The point of lane ``idx`` for an int, else a batch of lanes."""
+        return BiJet(self.u0[idx], self.v0[idx], self.c[..., idx])
 
     # -- accessors -----------------------------------------------------------
 
@@ -331,10 +338,10 @@ class BiJet:
 
     @property
     def value(self) -> float:
-        return float(self.c[0, 0])
+        return self.part(0, 0)
 
     def part(self, i: int, j: int) -> float:
-        return float(self.c[i, j])
+        return float(self.c[i, j]) if self.c.ndim == 2 else self.c[i, j]
 
     @property
     def hessian(self) -> np.ndarray:
@@ -345,13 +352,13 @@ class BiJet:
 
     def _align(self, other) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(other, BiJet):
-            if other.u0 != self.u0 or other.v0 != self.v0:
+            if ((other.u0 is not self.u0 and _any(other.u0 != self.u0))
+                    or (other.v0 is not self.v0 and _any(other.v0 != self.v0))):
                 raise ValueError("bijet base points differ")
             n = min(self.degree, other.degree)
             return self.c[: n + 1, : n + 1], other.c[: n + 1, : n + 1]
-        other = float(other)
         c = np.zeros_like(self.c)
-        c[0, 0] = other
+        c[0, 0] = float(other)
         return self.c, c
 
     def truncate(self, degree: int) -> "BiJet":
@@ -373,20 +380,21 @@ class BiJet:
         return BiJet(self.u0, self.v0, -self.c)
 
     def __mul__(self, other):
-        a, b = self._align(other)
         if not isinstance(other, BiJet):
-            return BiJet(self.u0, self.v0, a * b[0, 0])
-        return BiJet(self.u0, self.v0, _product(a, b))
+            return BiJet(self.u0, self.v0, self.c * float(other))
+        return BiJet(self.u0, self.v0, _product(*self._align(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._align(other)
         if not isinstance(other, BiJet):
-            if abs(b[0, 0]) <= DIV_EPS:
+            other = float(other)
+            if abs(other) <= DIV_EPS:
                 raise DegenerateDivision("division by near-zero constant")
-            return BiJet(self.u0, self.v0, a / b[0, 0])
-        if abs(b[0, 0]) <= DIV_EPS:
+            return BiJet(self.u0, self.v0, self.c / other)
+        a, b = self._align(other)
+        b00 = b[0, 0]
+        if _any(abs(b00) <= DIV_EPS):
             raise DegenerateDivision("division by bijet with near-zero value")
         # graded solve of r b = a: on the shell i + j = s, r b is b00 times
         # r's own shell plus terms of the shells of r below s
@@ -395,7 +403,7 @@ class BiJet:
         r = np.zeros_like(a)
         for s in range(n):
             on = shells == s
-            r[on] = (a[on] - _product(r, b)[on]) / b[0, 0]
+            r[on] = (a[on] - _product(r, b)[on]) / b00
         return BiJet(self.u0, self.v0, r)
 
     # -- calculus ------------------------------------------------------------
@@ -407,7 +415,7 @@ class BiJet:
     def dv(self) -> "BiJet":
         return BiJet(self.u0, self.v0, self.c[:-1, 1:])
 
-    def compose_outer(self, outer_derivs: np.ndarray) -> "BiJet":
+    def compose_outer(self, outer_derivs) -> "BiJet":
         """BiJet of F(self) given derivatives of F at ``self.value``."""
         n = self.degree
         f = np.asarray(outer_derivs, dtype=float)[: n + 1]
@@ -425,23 +433,26 @@ class BiJet:
 
 
 @functools.lru_cache(maxsize=None)
-def _beyond_degree(n: int) -> np.ndarray:
-    """Mask of the entries (i, j) with i + j >= n of an n x n partials array."""
+def _beyond_degree(n: int, ndim: int) -> np.ndarray:
+    """Mask of the entries (i, j) with i + j >= n of an n x n partials array
+    of ``ndim`` axes, the lane axis included."""
     r = np.arange(n)
-    mask = np.add.outer(r, r) >= n
+    mask = (np.add.outer(r, r) >= n).reshape((n, n) + (1,) * (ndim - 2))
     mask.setflags(write=False)
     return mask
 
 
-@functools.lru_cache(maxsize=None)
-def _product_terms(n: int) -> tuple:
-    """Read-only index table of :func:`_product` for n x n partials arrays.
+@functools.lru_cache(maxsize=64)
+def _product_terms(n: int, lanes: int) -> tuple:
+    """Read-only index table of :func:`_product` for n x n partials arrays
+    of ``lanes`` lanes, raveled in C order.
 
     Entry (i, j) of a product sums C(i, p) C(j, q) a[p, q] b[i - p, j - q]
     over p <= i, q <= j. A term and its mate (i - p, j - q) share the weight,
     so each pair is listed once, by ascending flat index ``lo`` of its first
     member within each (i, j). The kernel counts a term that is its own mate
-    twice, so it carries half its weight (exact short of overflow).
+    twice, so it carries half its weight (exact short of overflow). Every
+    index i is listed once per lane, as ``i * lanes + lane``.
     """
     rows = [(p * n + q, (i - p) * n + j - q, math.comb(i, p) * math.comb(j, q),
              i * n + j)
@@ -449,21 +460,25 @@ def _product_terms(n: int) -> tuple:
             for p in range(i + 1) for q in range(j + 1)
             if (p, q) <= (i - p, j - q)]
     lo, hi, weight, out = (np.array(col) for col in zip(*rows))
-    table = (lo, hi, np.where(lo == hi, 0.5, 1.0) * weight, out)
+    lane = np.arange(lanes)
+    table = tuple((x[:, None] * lanes + lane).ravel() for x in (lo, hi, out))
+    table += (np.repeat(np.where(lo == hi, 0.5, 1.0) * weight, lanes),)
     for arr in table:
         arr.setflags(write=False)
     return table
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partials array of the product of two BiJets of one degree: a mated
-    pair is a[lo] b[hi] + a[hi] b[lo], symmetric in a and b, and one
-    ``np.bincount`` sums the weighted pairs in table order."""
-    n = a.shape[0]
-    lo, hi, weight, out = _product_terms(n)
+    """Partials array of the product of two BiJets of one degree and one
+    lane count: a mated pair is a[lo] b[hi] + a[hi] b[lo], symmetric in a
+    and b, and one ``np.bincount`` sums the weighted pairs of every lane.
+    Each (bin, lane) sums its terms from +0.0 in table order, so every lane
+    equals the product of its own partials bitwise."""
+    n, shape = a.shape[0], a.shape
+    lo, hi, out, weight = _product_terms(n, a.size // (n * n))
     a, b = a.ravel(), b.ravel()
     terms = weight * (a[lo] * b[hi] + a[hi] * b[lo])
-    return np.bincount(out, weights=terms, minlength=n * n).reshape(n, n)
+    return np.bincount(out, weights=terms, minlength=a.size).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +560,19 @@ def atan2(y, x):
         num = xj * yj.differentiate() - yj * xj.differentiate()
         den = (xj * xj + yj * yj).truncate(n - 1)
         return (num / den).antiderivative(base)
-    # Bivariate: compose atan on whichever ratio is well conditioned; the
-    # branch constant only shifts the value, so pin it to atan2 exactly.
-    th = atan(y / x) if abs(x0) >= abs(y0) else -atan(x / y)
-    c = th.c.copy()
+    # Bivariate: compose atan on whichever ratio is well conditioned in each
+    # lane; the branch constant only shifts the value: pin it to atan2.
+    ratio = np.abs(x0) >= np.abs(y0)
+    if y.c.ndim == 2:
+        c = (atan(y / x) if ratio else -atan(x / y)).c.copy()
+    else:
+        c = np.empty(y.c.shape)
+        for on, fn in ((ratio, lambda q, r: atan(q / r)),
+                       (~ratio, lambda q, r: -atan(r / q))):
+            if on.any():
+                c[..., on] = fn(y.take(on), x.take(on)).c
     c[0, 0] = base
-    return BiJet(th.u0, th.v0, c)
+    return BiJet(y.u0, y.v0, c)
 
 
 # ---------------------------------------------------------------------------

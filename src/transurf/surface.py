@@ -107,9 +107,9 @@ class PointJets:
                  order: int = 6, ju: CurveJets | None = None,
                  jv: CurveJets | None = None):
         self.s = s
-        self.p = p
         self.ju, self.jv = (ju, jv) if ju is not None else _pair_jets(
             s, p, order)
+        self.p = (self.ju.t, self.jv.t)   # p bitwise, shared by its BiJets
 
     def take(self, idx) -> "PointJets":
         """The points ``idx`` of a batch, read off its lanes with no
@@ -293,14 +293,15 @@ class DependenceResult:
     t33: float
 
 
-def dependence_test(pj: PointJets) -> DependenceResult:
-    """Pointwise linear dependence of the two tangent directions at a point."""
+def dependence_test(pj: PointJets, t3=None) -> DependenceResult:
+    """Pointwise linear dependence of the two tangent directions at a point,
+    from (t31, t32, t33) there, ``t3`` where the caller has them."""
     cross = float(np.linalg.norm(np.cross(vec_values(pj.ju.mu),
                                           vec_values(pj.jv.mu))))
+    t31, t32, t33 = t3 or (pj.t(3, j) for j in (1, 2, 3))
     return DependenceResult(dependent=bool(cross < pj.s.tols.dep_tol),
                             mu_cross_norm=cross,
-                            t_pair_norm=math.hypot(pj.t(3, 1), pj.t(3, 2)),
-                            t33=pj.t(3, 3))
+                            t_pair_norm=math.hypot(t31, t32), t33=t33)
 
 
 @dataclass(frozen=True)
@@ -413,6 +414,20 @@ def _newton_alpha(curve: FramedCurve, ts, tol: float) -> list[float | None]:
     return roots
 
 
+def _alpha_roots(s: TranslationSurface, starts_u, starts_v, tol: float):
+    """The roots of alpha = 0 from ``starts_u`` and of alpha~ = 0 from
+    ``starts_v``. A self pair's v-curve is its u-curve or that negated, with
+    alpha~ = -alpha bitwise, and a Newton step is sign-symmetric: one run
+    on the distinct starts of both serves both."""
+    cu, cv = s.curve_u, s.curve_v
+    if cv is cu or cv.negates is cu:
+        ts, inv = _distinct(np.concatenate((starts_u, starts_v)))
+        found = _newton_alpha(cu, ts, tol)
+        roots = [found[i] for i in inv.tolist()]
+        return roots[:len(starts_u)], roots[len(starts_u):]
+    return _newton_alpha(cu, starts_u, tol), _newton_alpha(cv, starts_v, tol)
+
+
 def _newton_t3(s: TranslationSurface, us, vs,
                tol: float) -> list[tuple[float, float] | None]:
     """Newton iteration on (t31, t32) = 0 from every start (us[k], vs[k]).
@@ -505,12 +520,13 @@ def find_singular_points(s: TranslationSurface,
     # Newton discards false positives
     thresh = 2.0 * spacing
     roots: list[tuple[float, float] | None] = []
-    cand = np.abs(alpha_u) < thresh * np.maximum(1.0, _slope(alpha_u, du))
-    for root in _newton_alpha(s.curve_u, us[cand], tol):
+    cand_u = np.abs(alpha_u) < thresh * np.maximum(1.0, _slope(alpha_u, du))
+    cand_v = np.abs(alpha_v) < thresh * np.maximum(1.0, _slope(alpha_v, dv))
+    roots_u, roots_v = _alpha_roots(s, us[cand_u], vs[cand_v], tol)
+    for root in roots_u:
         if root is not None:
             roots += [(root, float(vs[j])) for j in range(0, grid_n, 2)]
-    cand = np.abs(alpha_v) < thresh * np.maximum(1.0, _slope(alpha_v, dv))
-    for root in _newton_alpha(s.curve_v, vs[cand], tol):
+    for root in roots_v:
         if root is not None:
             roots += [(float(us[i]), root) for i in range(0, grid_n, 2)]
     ii, jj = np.nonzero(

@@ -535,6 +535,50 @@ def test_batched_alpha_newton_matches_scalar_reference(name):
             assert type(g) is float and _bits(g) == _bits(w)
 
 
+@pytest.mark.parametrize("pair", ["sin_plus", "sin_minus", "self_s1p_plus",
+                                  "self_s1p_minus", "s0", "s1m"])
+def test_self_pair_runs_one_alpha_newton(pair, monkeypatch):
+    # the v-curve of a self pair is its u-curve or that curve negated, so
+    # one Newton run, one curve evaluation per iteration, serves both
+    # curves; a general pair runs one per curve
+    s = surface_for(pair)
+    runs, evaluations = [], []
+    newton, batch_jets = surface._newton_alpha, FramedCurve.batch_jets
+
+    def spy_newton(curve, ts, tol):
+        runs.append(curve)
+        return newton(curve, ts, tol)
+
+    def spy_jets(self, ts, order=6):
+        if sys._getframe(1).f_code.co_name == "_newton_alpha":
+            evaluations.append(self)
+        return batch_jets(self, ts, order)
+
+    monkeypatch.setattr(surface, "_newton_alpha", spy_newton)
+    monkeypatch.setattr(FramedCurve, "batch_jets", spy_jets)
+    surface.find_singular_points(s, (-math.pi, math.pi) * 2, grid_n=16)
+    if s.kind == "general":
+        assert runs == [s.curve_u, s.curve_v]
+    else:
+        assert runs == [s.curve_u]
+        assert 0 < len(evaluations) <= surface.ALPHA_NEWTON_ITER
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_shared_alpha_newton_equals_runs_apart(sign):
+    # alpha of the negated curve is -alpha bitwise, and Newton's steps are
+    # sign-symmetric: the shared run finds each curve's roots bitwise
+    s = TranslationSurface.self_translation(instances.cusp_curve(), sign)
+    starts = np.linspace(-1.0, 1.0, 9)
+    got = surface._alpha_roots(s, starts, starts[::-2] + 0.01, 1e-12)
+    want = (surface._newton_alpha(s.curve_u, starts, 1e-12),
+            surface._newton_alpha(s.curve_v, starts[::-2] + 0.01, 1e-12))
+    assert any(r is not None for r in want[0] + want[1])
+    assert ([[None if r is None else _bits(r) for r in side] for side in got]
+            == [[None if r is None else _bits(r) for r in side]
+                for side in want])
+
+
 def test_scan_reads_kept_points_from_one_batch_per_curve(monkeypatch):
     # the data of every kept point are lanes of one batch per curve: the
     # only scalar CurveJets of a scan are those lanes, and a kept point's

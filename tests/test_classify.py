@@ -579,10 +579,13 @@ def _doc(rep) -> str:
 
 @pytest.mark.parametrize("case", sorted(SCANS))
 def test_classify_all_equals_one_point_at_a_time(case):
+    # documents, and every field of every report
     s, pts = _scan_points(case)
     random.Random(7).shuffle(pts)
-    want = [_doc(classify(s, p)) for p in pts]
-    assert [_doc(r) for r in classify_all(s, pts)] == want
+    one = [classify(s, p) for p in pts]
+    want = [_doc(r) for r in one]
+    got = classify_all(s, pts)
+    assert [_doc(r) for r in got] == want and got == one
     assert ([_doc(r) for r in classify_all(s, pts[::-1])] == want[::-1])
 
 
@@ -649,25 +652,61 @@ def test_propagated_error_is_the_first_failing_point_of_the_loop():
     assert _error_of(lambda: classify_all(bad, pts[::-1]))[2] == pts[26][0]
 
 
-def test_scan_classification_builds_one_point_data_per_point(monkeypatch):
-    # every route reads the point's one PointData, whose rank and
-    # dependence test are evaluated when it is built
+def test_scan_classification_builds_one_point_data_per_batch(monkeypatch):
+    # classify_all builds one PointData over all the points, and each point
+    # takes its lane of it, with no evaluation; the dependence test of each
+    # point reads the entries the batch formed
     s, pts = _scan_points("sin_minus_g24")
     built, tested = [], []
     init, dependence_test = PointData.__init__, classify_mod.dependence_test
 
-    def spy_init(self, pj):
-        built.append(pj.p)
-        init(self, pj)
+    def spy_init(self, pj, *lane):
+        if not lane:
+            built.append(tuple(np.ravel(x).tolist() for x in pj.p))
+        init(self, pj, *lane)
 
-    def spy_dependence(pj):
-        tested.append(pj.p)
-        return dependence_test(pj)
+    def spy_dependence(pj, t3=None):
+        tested.append((pj.p, t3 is not None))
+        return dependence_test(pj, t3)
 
     monkeypatch.setattr(PointData, "__init__", spy_init)
     monkeypatch.setattr(classify_mod, "dependence_test", spy_dependence)
     classify_all(s, pts)
-    assert built == tested == [tuple(p) for p in pts]
+    assert built == [tuple(list(x) for x in zip(*pts))]
+    assert tested == [(tuple(p), True) for p in pts]
+
+
+def test_scan_classification_reads_entries_and_rank_once(monkeypatch):
+    # the frame-matrix entries are read for the batch, never at one point,
+    # and the rank of dx once per point: the generic route's front test
+    # reads the point's rank
+    s, pts = _scan_points("sin_minus_g24")
+    entries, ranked = [], []
+    t, dx_rank = surface_mod.PointJets.t, surface_mod.PointJets.dx_rank
+
+    def spy_t(self, i, j):
+        entries.append(np.ndim(self.p[0]))
+        return t(self, i, j)
+
+    def spy_rank(self):
+        ranked.append(self.p)
+        return dx_rank(self)
+
+    monkeypatch.setattr(surface_mod.PointJets, "t", spy_t)
+    monkeypatch.setattr(surface_mod.PointJets, "dx_rank", spy_rank)
+    reports = classify_all(s, pts)
+    assert entries and set(entries) == {1}
+    assert ranked == [tuple(p) for p in pts]
+    assert sum(r.generic is not None for r in reports) > 0
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_POINTS))
+def test_instance_batch_reports_equal_one_point_reports(case):
+    # every field: the instance point in a batch with a point beside it and
+    # with itself
+    s, p0 = INSTANCE_POINTS[case]()
+    pts = [p0, (p0[0] + 0.05, p0[1] - 0.05), p0]
+    assert classify_all(s, pts) == [classify(s, p) for p in pts]
 
 
 @pytest.mark.parametrize("case", ["sin_plus_g16", "sin_minus_g24"])

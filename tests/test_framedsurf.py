@@ -7,12 +7,22 @@ import pytest
 from transurf import framedsurf, instances, jets, verify
 from transurf.classify import PointData, classify
 from transurf.curves import CurveJets, catalog, vec_values
-from transurf.framedsurf import (ThetaField, align_pi,
+from transurf.framedsurf import (ThetaField, ThetaPoint, align_pi,
                                  construct_theta, discriminant, front_decision,
-                                 front_test, fs_invariants, lemma_oracle,
+                                 fs_invariants, lemma_oracle,
                                  unit_speed_oracle)
 from transurf.jets import Jet
 from transurf.surface import PointJets, TranslationSurface
+
+
+def front_test(pj: PointJets, pt: ThetaPoint) -> tuple[str, float, int]:
+    """Front or frontal-only at one point, with the witness and the rank of
+    dx; the generic route decides it from its batch's HF and KF."""
+    rank = pj.dx_rank()
+    inv = fs_invariants(pj, pt, degree=2)
+    verdict, witness = front_decision(rank, inv.HF.value, inv.KF.value,
+                                      pj.s.tols.front_tol)
+    return verdict, witness, rank
 
 
 def bn_value(s: TranslationSurface, theta_value: float,

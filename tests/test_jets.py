@@ -264,6 +264,75 @@ def test_bijet_arithmetic_matches_reference(pair):
         assert np.max(np.abs(got.c - want)) <= 1e-12 * scale
 
 
+@st.composite
+def _lane_bijets(draw):
+    """Two BiJets of one degree in 2..4 with 2..5 lanes, entries in
+    [-2, 2], signed zeros included; the divisor's lanes have
+    |b00| >= 0.5, lane 0 of the pair (a, b) has |b00| > |a00| and lane 1
+    |a00| > |b00|, so that atan2(a, b) takes both branches."""
+    n, lanes = draw(st.integers(2, 4)) + 1, draw(st.integers(2, 5))
+    entry = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    a, b = (np.reshape(draw(st.lists(entry, min_size=n * n * lanes,
+                                     max_size=n * n * lanes)), (n, n, lanes))
+            for _ in range(2))
+    b[0, 0] = [draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0))
+               for _ in range(lanes)]
+    a[0, 0, 0], a[0, 0, 1] = 0.5 * b[0, 0, 0], 2.0 * b[0, 0, 1]
+    u0, v0 = (np.array(draw(st.lists(entry, min_size=lanes, max_size=lanes)))
+              for _ in range(2))
+    return BiJet(u0, v0, a), BiJet(u0, v0, b)
+
+
+_LANE_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "sin": lambda a, b: jets.sin(a),
+    "cos": lambda a, b: jets.cos(a),
+    "sqrt": lambda a, b: jets.sqrt(b * b),
+    "atan": lambda a, b: jets.atan(a),
+    "atan2": lambda a, b: jets.atan2(a, b),
+    "du": lambda a, b: a.du(),
+    "dv": lambda a, b: a.dv(),
+    "truncate": lambda a, b: a.truncate(1),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lane_bijets())
+def test_bijet_lanes_equal_one_point_bitwise(pair):
+    # every lane of a lane BiJet equals the BiJet of its own point, signs
+    # of zero included: one product kernel serves both
+    a, b = pair
+
+    def point(x, k):
+        return BiJet(float(x.u0[k]), float(x.v0[k]), x.c[..., k])
+
+    for name, op in _LANE_OPS.items():
+        got = op(a, b)
+        assert got.c.shape[-1] == len(a.u0), name
+        for k in range(len(a.u0)):
+            want = op(point(a, k), point(b, k))
+            assert got.c[..., k].tobytes() == want.c.tobytes(), (name, k)
+            assert (got.u0[k], got.v0[k]) == (want.u0, want.v0), name
+
+
+def test_bijet_lane_checks_raise_when_any_lane_fails():
+    u0, v0 = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+    c = np.zeros((3, 3, 2))
+    c[0, 0] = (1.0, 0.0)
+    x = BiJet(u0, v0, c)
+    with pytest.raises(DegenerateDivision):
+        x / x
+    with pytest.raises(DomainError):
+        jets.sqrt(x)
+    with pytest.raises(OriginAtan2):
+        jets.atan2(x, x)
+    with pytest.raises(ValueError):
+        x + BiJet(u0[::-1], v0, c)
+
+
 @settings(max_examples=60, deadline=None)
 @given(finite, finite, finite)
 def test_associativity_within_ulps(x, y, z):
