@@ -174,19 +174,13 @@ def write_obj(s: TranslationSurface, window, n: int, path: str):
     u0, u1, v0, v1 = window
     gu = vec_values(s.curve_u.batch_jets(np.linspace(u0, u1, n), 2).gamma)
     gv = vec_values(s.curve_v.batch_jets(np.linspace(v0, v1, n), 2).gamma)
-    lines = []
-    for i in range(n):
-        for j in range(n):
-            x, y, z = gu[:, i] + gv[:, j]
-            lines.append("v {:.9g} {:.9g} {:.9g}".format(x, y, z))
+    # vertex (i, j) at row i * n + j, all formed by one broadcast add
+    xyz = (gu[:, :, None] + gv[:, None, :]).reshape(3, -1)
+    lines = ["v {:.9g} {:.9g} {:.9g}".format(*x) for x in zip(*xyz.tolist())]
     for i in range(n - 1):
         for j in range(n - 1):
-            a = i * n + j + 1
-            b = (i + 1) * n + j + 1
-            c = (i + 1) * n + j + 2
-            d = i * n + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+            a, b = i * n + j + 1, (i + 1) * n + j + 1
+            lines += [f"f {a} {b} {b + 1}", f"f {a} {b + 1} {a + 1}"]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .curves import CurveJets, FramedCurve, shift3, vec_values
 from .errors import TransurfError
@@ -168,15 +169,18 @@ class PointJets:
                         for j in (cb.l, cb.m, cb.n, cb.alpha)))
 
     def dx_matrix(self) -> np.ndarray:
-        """3x2 Jacobian [x_u | x_v] at p."""
-        return np.column_stack([[c.deriv(1) for c in self.ju.gamma],
-                                [c.deriv(1) for c in self.jv.gamma]])
+        """3x2 Jacobian [x_u | x_v] at p; a batch stacks them, (L, 3, 2)."""
+        cols = np.array([[c.deriv(1) for c in self.ju.gamma],
+                         [c.deriv(1) for c in self.jv.gamma]])
+        return np.moveaxis(cols, (0, 1), (-1, -2))
 
-    def dx_rank(self) -> int:
+    def dx_rank(self) -> int | list[int]:
         """Numerical rank of dx at p: the number of singular values above
-        rank_tol * max(1, sigma_max)."""
+        rank_tol * max(1, sigma_max). A batch takes one stacked SVD, each
+        matrix's bitwise, and returns the rank of each point."""
         sv = np.linalg.svd(self.dx_matrix(), compute_uv=False)
-        return int(np.sum(sv > self.s.tols.rank_tol * max(1.0, float(sv[0]))))
+        cut = self.s.tols.rank_tol * np.maximum(1.0, sv[..., :1])
+        return np.sum(sv > cut, axis=-1).tolist()
 
     def alpha_values(self) -> tuple[float, float]:
         return self.ju.alpha.value, self.jv.alpha.value
@@ -385,32 +389,27 @@ class SingularPoint:
 def _newton_alpha(curve: FramedCurve, ts, tol: float) -> list[float | None]:
     """Newton iteration on alpha = 0 from every start ``ts[k]``.
 
-    Each start is a lane that runs the scalar algorithm: it stops at a root
-    once |alpha| < tol, gives up where alpha' = 0, and takes the Newton step
-    halved until it is at most 0.5 long. Each iteration evaluates the curve
-    once at all live iterates. Returns the root of each start, or None.
+    Each iteration evaluates the curve once at all live iterates and steps
+    them as arrays: a start stops at a root once |alpha| < tol, gives up
+    where alpha' = 0, and takes the Newton step halved until it is at most
+    0.5 long. Returns the root of each start, or None.
     """
     t = np.array(ts, dtype=float)
     roots: list[float | None] = [None] * len(t)
-    live = list(range(len(t)))
+    live = np.arange(len(t))
     for _ in range(ALPHA_NEWTON_ITER):
-        if not live:
+        if not len(live):
             break
         alpha = curve.batch_jets(t[live], 2).alpha
-        still = []
-        for lane, f, df in zip(live, alpha.value.tolist(),
-                               alpha.d[1].tolist()):
-            if abs(f) < tol:
-                roots[lane] = float(t[lane])
-                continue
-            if df == 0.0:
-                continue
-            step = -f / df
-            while abs(step) > 0.5:
-                step *= 0.5
-            t[lane] = t[lane] + step
-            still.append(lane)
-        live = still
+        f, df = alpha.value, alpha.d[1]
+        done = np.abs(f) < tol
+        for lane in live[done].tolist():
+            roots[lane] = float(t[lane])
+        go = ~done & (df != 0.0)
+        live, step = live[go], -f[go] / df[go]
+        while (long := np.abs(step) > 0.5).any():
+            step[long] *= 0.5
+        t[live] += step
     return roots
 
 
@@ -428,63 +427,68 @@ def _alpha_roots(s: TranslationSurface, starts_u, starts_v, tol: float):
     return _newton_alpha(cu, starts_u, tol), _newton_alpha(cv, starts_v, tol)
 
 
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_steps(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(J[k], -r[k], rcond=1e-10)[0]`` bitwise for every
+    system k of a stack, from one call of the LAPACK gufunc that it calls
+    per matrix; a Jacobian that is not finite raises ``LinAlgError``."""
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(J, -r[..., None], 1e-10,
+                                   signature="ddd->ddid")[0][..., 0]
+
+
 def _newton_t3(s: TranslationSurface, us, vs,
                tol: float) -> list[tuple[float, float] | None]:
     """Newton iteration on (t31, t32) = 0 from every start (us[k], vs[k]).
 
-    Each start is a lane that runs the scalar algorithm: a least-squares
-    step, clamped to length 0.5, from the residual and Jacobian of
+    Each iteration evaluates both curves once at all live iterates, a self
+    pair's shared frame once (:func:`_pair_jets`), and takes every live
+    start's least-squares step, clamped to length 0.5, with one solve
+    (:func:`_lstsq_steps`) from the residuals and Jacobians of
     ``t_bijet(3, j, u, v, degree=2)``, j = 1, 2 (formed by ``frame_dot`` from
     the same frame rows, so bitwise equal to those BiJet entries). Zeros can
     be degenerate (the Jacobian drops rank exactly at the points of
-    interest), which turns the convergence linear; a lane iterates until the
-    step itself collapses rather than stopping at the residual tolerance.
-    Each iteration evaluates both curves once at all live iterates, a self
-    pair's shared frame once (:func:`_pair_jets`); a lane retires when its
-    step collapses, its iterate leaves the finite range or it runs out of
+    interest), which turns the convergence linear: a start iterates until
+    its step collapses, not until the residual tolerance, and retires then,
+    when its iterate leaves the finite range or when it runs out of
     iterations. Returns the root of each start, or None.
     """
-    u = np.array(us, dtype=float)
-    v = np.array(vs, dtype=float)
-    roots: list[tuple[float, float] | None] = [None] * len(u)
-    converged = np.zeros(len(u), dtype=bool)
-    live = list(range(len(u)))
+    x = np.array([us, vs], dtype=float)     # iterate k is x[:, k]
+    roots: list[tuple[float, float] | None] = [None] * x.shape[1]
+    converged = np.zeros(x.shape[1], dtype=bool)
+    live = np.arange(x.shape[1])
     for _ in range(T3_NEWTON_ITER):
-        if not live:
+        if not len(live):
             return roots
+        p = x[:, live]
+        ju, jv = _pair_jets(s, (p[0], p[1]), 2)
         # frame rows as arrays indexed [component, derivative order, lane]
-        ju, jv = _pair_jets(s, (u[live], v[live]), 2)
         nu1, nu2 = (np.array([c.d for c in row]) for row in ju.frame)
         mu = np.array([c.d for c in jv.mu])
-        t31 = frame_dot(mu[:, 0], nu1[:, 0])
-        t32 = frame_dot(mu[:, 0], nu2[:, 0])
-        t31_u = frame_dot(mu[:, 0], nu1[:, 1])
-        t32_u = frame_dot(mu[:, 0], nu2[:, 1])
-        t31_v = frame_dot(mu[:, 1], nu1[:, 0])
-        t32_v = frame_dot(mu[:, 1], nu2[:, 0])
-        still = []
-        for k, lane in enumerate(live):
-            r = np.array([t31[k], t32[k]])
-            if math.hypot(*r) < tol:
-                converged[lane] = True
-            J = np.array([[t31_u[k], t31_v[k]], [t32_u[k], t32_v[k]]])
-            # least-squares step handles the rank-1 Jacobians along singular curves
-            step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
-            nrm = float(np.linalg.norm(step))
-            if converged[lane] and nrm < 1e-12:
-                roots[lane] = (float(u[lane]), float(v[lane]))
-                continue
-            if nrm > 0.5:
-                step *= 0.5 / nrm
-            new = (u[lane] + step[0], v[lane] + step[1])
-            if not np.isfinite(new).all():
-                continue
-            u[lane], v[lane] = new
-            still.append(lane)
-        live = still
-    for lane in live:
-        if converged[lane]:
-            roots[lane] = (float(u[lane]), float(v[lane]))
+        # (t31, t32) and its u and v partials, each indexed [lane, j]
+        r, r_u, r_v = (np.stack([frame_dot(mu[:, a], nu[:, b])
+                                 for nu in (nu1, nu2)], -1)
+                       for a, b in ((0, 0), (0, 1), (1, 0)))
+        converged[live[np.fromiter(map(math.hypot, r[:, 0].tolist(),
+                                       r[:, 1].tolist()), float) < tol]] = True
+        # least-squares steps handle the rank-1 Jacobians along singular curves
+        step = _lstsq_steps(np.stack([r_u, r_v], -1), r)
+        nrm = np.sqrt(np.vecdot(step, step))   # np.linalg.norm bitwise
+        done = converged[live] & (nrm < 1e-12)
+        for lane in live[done].tolist():
+            roots[lane] = tuple(x[:, lane].tolist())
+        long = nrm > 0.5
+        step[long] *= (0.5 / nrm[long])[:, None]
+        new = p + step.T
+        go = ~done & np.isfinite(new).all(axis=0)
+        live = live[go]
+        x[:, live] = new[:, go]
+    for lane in live[converged[live]].tolist():
+        roots[lane] = tuple(x[:, lane].tolist())
     return roots
 
 
@@ -544,8 +548,9 @@ def find_singular_points(s: TranslationSurface,
     # the kept points' data, lane k of one batch per curve for point k
     on = s.at((np.array([q[0] for q in kept]), np.array([q[1] for q in kept])),
               order=2)
-    return [_make_point(on.take(k), isolated)
-            for k, (_, _, isolated) in enumerate(kept)]
+    t3 = zip(*(on.t(3, j).tolist() for j in (1, 2, 3)))
+    return [_make_point(on.take(k), q[2], t, rank) for k, (q, t, rank)
+            in enumerate(zip(kept, t3, on.dx_rank()))]
 
 
 def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -577,16 +582,17 @@ def singular_conditions(s: TranslationSurface, alphas: tuple[float, float],
                  if r < s.tols.sing_tol * 10)
 
 
-def _make_point(pj: PointJets, isolated: bool) -> SingularPoint:
-    dep = dependence_test(pj)
+def _make_point(pj: PointJets, isolated: bool, t3: tuple[float, ...],
+                rank: int) -> SingularPoint:
+    dep = dependence_test(pj, t3)
+    alphas = pj.alpha_values()
     return SingularPoint(
         u=pj.p[0], v=pj.p[1],
-        conditions=singular_conditions(pj.s, pj.alpha_values(),
-                                       dep.t_pair_norm),
+        conditions=singular_conditions(pj.s, alphas, dep.t_pair_norm),
         dependence="dependent" if dep.dependent else "independent",
-        corank=max(2 - pj.dx_rank(), 1),
+        corank=max(2 - rank, 1),
         isolated=isolated,
-        residual=pj.singular_residual())
+        residual=min(abs(alphas[0]), abs(alphas[1]), dep.t_pair_norm))
 
 
 def _merge_points(points: list[tuple[float, float]],

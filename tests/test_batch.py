@@ -6,9 +6,10 @@ their former scalar algorithms (a quadrature per node, a derivative stack
 per lane); the slide's reads of its base in a classify; the batched Newton
 refinement of the scan against a scalar reference loop; the residual
 landscape against ``partial_value``; the field-dependence scan against a
-per-point reference loop; a self pair's shared frame evaluation against
-the separate evaluation of its two curves; and errors raised by a single
-failing lane.
+per-point reference loop; the refinement's stacked least-squares solve
+against numpy's one-matrix call; a scan's point data against one-point
+evaluation; a self pair's shared frame evaluation against the separate
+evaluation of its two curves; and errors raised by a single failing lane.
 """
 import math
 import sys
@@ -386,6 +387,72 @@ def test_batched_newton_matches_scalar_reference(pair):
             assert _bits(g) == _bits(w)
 
 
+
+def _lstsq_systems(rng, n):
+    """n seeded 2x2 systems (J, r) of each kind: random, rank 1, all zero
+    and near-singular (rank 1 plus a perturbation at the rcond scale)."""
+    full = rng.normal(size=(n, 2, 2)) * rng.choice([1e-6, 1.0, 1e6], (n, 1, 1))
+    rank1 = rng.normal(size=(n, 2, 1)) * rng.normal(size=(n, 1, 2))
+    near = rank1 + rng.normal(size=(n, 2, 2)) * 1e-10 * np.abs(rank1).max()
+    J = np.concatenate([full, rank1, np.zeros((n, 2, 2)), near])
+    r = rng.normal(size=(4 * n, 2))
+    r[n:2 * n:2] = 0.0     # zero residuals on half of the rank-1 systems
+    return J, r
+
+
+def test_stacked_lstsq_equals_lstsq_per_system():
+    # the refinement's stacked solve and step norm against numpy's public
+    # one-matrix calls, which the per-lane loop made: a numpy whose gufunc
+    # or vecdot drifts from them fails here
+    J, r = _lstsq_systems(np.random.default_rng(19), 250)
+    steps = surface._lstsq_steps(J, r)
+    norms = np.sqrt(np.vecdot(steps, steps))
+    assert steps.shape == r.shape
+    for k in range(len(J)):
+        want, *_ = np.linalg.lstsq(J[k], -r[k], rcond=1e-10)
+        assert _bits(steps[k]) == _bits(want)
+        assert _bits(norms[k]) == _bits(np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stacked_lstsq_raises_on_non_finite_jacobian(bad):
+    J, r = np.stack([np.eye(2)] * 3), np.ones((3, 2))
+    J[1, 0, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(J[1], -r[1], rcond=1e-10)
+    with pytest.raises(np.linalg.LinAlgError):
+        surface._lstsq_steps(J, r)
+
+
+@pytest.mark.parametrize("pair", ["s1p", "sin_minus"])
+def test_scan_solves_all_lanes_with_one_lstsq_per_iteration(pair,
+                                                            monkeypatch):
+    # one least-squares call per Newton iteration, over every live lane,
+    # and none of numpy's one-matrix calls
+    s = PAIRS[pair]()
+    lanes, solved = [], []
+    pair_jets, steps = surface._pair_jets, surface._lstsq_steps
+
+    def spy_jets(s, p, order):
+        if sys._getframe(1).f_code.co_name == "_newton_t3":
+            lanes.append(len(p[0]))
+        return pair_jets(s, p, order)
+
+    def spy_steps(J, r):
+        solved.append(len(J))
+        return steps(J, r)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(surface, "_pair_jets", spy_jets)
+    monkeypatch.setattr(surface, "_lstsq_steps", spy_steps)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    pts = surface.find_singular_points(s, (-2.0, 2.0, -2.0, 2.0), grid_n=24)
+    assert pts and lanes
+    assert solved == lanes
+    assert max(solved) > 1
+
 def test_landscape_nodes_equal_partial_value():
     s = PAIRS["s1m"]()
     us, vs = np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 1.5, 4)
@@ -593,10 +660,10 @@ def test_scan_reads_kept_points_from_one_batch_per_curve(monkeypatch):
 
     make = surface._make_point
 
-    def spy_make(pj, isolated):
+    def spy_make(pj, *args):
         making.append(pj)
         try:
-            return make(pj, isolated)
+            return make(pj, *args)
         finally:
             making.pop()
 
@@ -607,6 +674,49 @@ def test_scan_reads_kept_points_from_one_batch_per_curve(monkeypatch):
     assert not any(in_make for _, in_make in built)
     assert sum(not batch for batch, _ in built) == 2 * len(pts)
 
+
+
+@pytest.mark.parametrize("pair", ["s1m", "sin_minus"])
+def test_scan_reads_point_data_off_the_batch(pair, monkeypatch):
+    # the kept points' entries and ranks are read for their batch, never at
+    # one point, and each point's dependence test is fed its lane of the
+    # entries; every field equals the one-point evaluation at the root
+    s = PAIRS[pair]()
+    entries, ranked, tested = [], [], []
+    t, dx_rank = PointJets.t, PointJets.dx_rank
+    dependence_test = surface.dependence_test
+
+    def spy_t(self, i, j):
+        entries.append(np.ndim(self.p[0]))
+        return t(self, i, j)
+
+    def spy_rank(self):
+        ranked.append(np.ndim(self.p[0]))
+        return dx_rank(self)
+
+    def spy_dependence(pj, t3=None):
+        tested.append((pj.p, t3))
+        return dependence_test(pj, t3)
+
+    monkeypatch.setattr(PointJets, "t", spy_t)
+    monkeypatch.setattr(PointJets, "dx_rank", spy_rank)
+    monkeypatch.setattr(surface, "dependence_test", spy_dependence)
+    pts = surface.find_singular_points(s, (-math.pi, math.pi) * 2, grid_n=24)
+    monkeypatch.undo()
+    assert pts
+    assert entries and set(entries) == {1}
+    assert ranked == [1]
+    assert [p for p, _ in tested] == [q.p for q in pts]
+    for q, (_, t3) in zip(pts, tested):
+        pj = s.at(q.p, order=2)
+        dep = dependence_test(pj)
+        assert _bits(t3) == _bits([pj.t(3, j) for j in (1, 2, 3)])
+        assert q.conditions == surface.singular_conditions(
+            s, pj.alpha_values(), dep.t_pair_norm)
+        assert q.dependence == ("dependent" if dep.dependent
+                                else "independent")
+        assert q.corank == max(2 - pj.dx_rank(), 1)
+        assert _bits(q.residual) == _bits(pj.singular_residual())
 
 def _curve_jets_reference(curve, t, order):
     """The former per-curve path: the jets of one curve at a float t, or at

@@ -3,11 +3,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from transurf.classify import classify
-from transurf.cli import RunConfig, main
+from transurf.cli import RunConfig, main, write_obj
+from transurf.curves import catalog
 from transurf.report import dumps
+from transurf.surface import TranslationSurface
 
 
 def run_cli(args):
@@ -89,6 +92,20 @@ def test_mesh_grid_combinatorics(tmp_path):
     assert len(fs) == 2048
     # contains the image of the origin: gamma(0) + gamma~(0) = 0
     assert "v 0 0 0" in lines
+
+
+@pytest.mark.parametrize("sign", [0, -1])
+def test_mesh_vertices_equal_per_vertex_sums(tmp_path, sign):
+    # vertex i * n + j is x(u_i, v_j), the sum of the two curves' points
+    s = (TranslationSurface.general(catalog("s1p_a"), catalog("s1p_b"))
+         if sign == 0 else
+         TranslationSurface.self_translation(catalog("sin_curve"), sign))
+    us, vs = np.linspace(-1.0, 0.9, 7), np.linspace(-0.8, 1.1, 7)
+    write_obj(s, (-1.0, 0.9, -0.8, 1.1), 7, str(tmp_path / "m.obj"))
+    lines = (tmp_path / "m.obj").read_text().split("\n")
+    assert [l for l in lines if l.startswith("v ")] == [
+        "v {:.9g} {:.9g} {:.9g}".format(*s.x_value((u, v)))
+        for u in us for v in vs]
 
 
 def test_mesh_sin_self_minus_diagonal_at_origin(tmp_path):
