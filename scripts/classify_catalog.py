@@ -52,7 +52,8 @@ def main():
         rep = classify(s, p0)
         gen = rep.generic.tag if rep.generic else "-"
         print(f"{name:18s} {rep.tag:18s} (generic: {gen})")
-    print(f"\n{time.time() - t0:.1f}s")
+    # the time goes to stderr, so that stdout compares across commits
+    print(f"\n{time.time() - t0:.1f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

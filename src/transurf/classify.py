@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatch, TransurfError
 from .framedsurf import (ThetaPoint, construct_theta, directional_derivative,
-                         discriminant, front_decision, fs_invariants)
+                         front_decision, fs_invariants)
 from .jets import BiJet, Jet, det3
 from .surface import (PointJets, TranslationSurface, dependence_test,
                       singular_conditions)
@@ -366,7 +366,7 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     at_v = d.cb.alpha.deriv(1)
 
     jets, (j,) = _angle_jets([d], [pt])
-    lam, Lam = jets.disc.lam.take(j), jets.disc.Lambda.take(j)
+    lam, Lam = jets.inv.lam.take(j), jets.inv.Lambda.take(j)
     cf = d.density_partials(pt.value)
     eta_eta_lam = float(jets.eta_eta_lam[j])
 
@@ -487,22 +487,22 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
 
 class AngleJets:
     """The jets that routes 2 and 3 read at the points of the batch ``pj``,
-    lane j at the normal angle pts[j]: lam, Lambda and eta (``disc``) and
-    HF, KF and bn (``inv``). Degree 2 covers every criterion, and each
+    lane j at the normal angle pts[j]: the framed-surface invariants
+    (``inv``: lam, Lambda, eta, HF, KF and bn), formed once, and the
+    derivatives of lam along eta. Degree 2 covers every criterion, and each
     partial to second order equals its value at degree 3 bitwise."""
 
     def __init__(self, pj: PointJets, pts: list[ThetaPoint]):
         self.pj = pj
-        self.disc = discriminant(pj, pts, degree=2)
-        d_eta = directional_derivative(self.disc.lam, self.disc.eta)
-        self.eta_lam = d_eta.value
-        self.eta_eta_lam = directional_derivative(d_eta, self.disc.eta).value
         self.inv = fs_invariants(pj, pts, degree=2)
+        d_eta = directional_derivative(self.inv.lam, self.inv.eta)
+        self.eta_lam = d_eta.value
+        self.eta_eta_lam = directional_derivative(d_eta, self.inv.eta).value
 
     def cusp_function(self, lanes: list[int], c1, c2) -> Jet:
         """The cusp function det(x_t, nu, eta nu) along the singular curve c
         through lanes[n], with c' = c1[:, n] and c'' = c2[:, n] there."""
-        eta, nu, sub = self.disc.eta, self.inv.bn, np.array(lanes)
+        eta, nu, sub = self.inv.eta, self.inv.bn, np.array(lanes)
         c_t = [Jet._fresh(0.0, [a, b]) for a, b in zip(c1, c2)]
 
         def along(f):
@@ -552,7 +552,7 @@ def _generic_point(d: PointData, jets: AngleJets, j: int, cusp=None):
     cusp function decides and ``cusp`` does not hold its value and
     derivative, c' and c'' of the singular curve replace the verdict."""
     rank, tols = d.rank, d.s.tols
-    lam = jets.disc.lam.take(j)
+    lam = jets.inv.lam.take(j)
     g = np.array([lam.part(1, 0), lam.part(0, 1)])
     gnorm = math.hypot(*g)
     eta_lam, eta_eta_lam = float(jets.eta_lam[j]), float(jets.eta_eta_lam[j])
@@ -709,7 +709,7 @@ def _direct_routes(s: TranslationSurface, d: PointData,
     if d.rank == 2:
         report.final = Verdict("RegularPoint", "gfs",
                                [_crit("singular_residual",
-                                      d.pj.singular_residual(),
+                                      min(abs(au), abs(av), dep.t_pair_norm),
                                       tols.sing_tol)])
     elif not dep.dependent:
         report.final = Verdict(

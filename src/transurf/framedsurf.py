@@ -12,7 +12,8 @@ the orientation of the normal. At a zero the canonical branch jumps by pi;
 the smooth continuation through the zero (the branch every criterion needs)
 is recovered from one-sided jets of (t31, t32) along rays: if the
 directional limits of the angle disagree there is no continuous normal and
-the surface is not a framed base surface at that point.
+the surface is not a framed base surface at that point. Each stage of
+this limit extension is one array batch over all the points that need it.
 """
 from __future__ import annotations
 
@@ -30,10 +31,6 @@ from .surface import PointJets, TranslationSurface
 _EXT_RADIUS = 1e-6     # hypot(t31, t32) below this uses the limit extension
 _RAY_ZERO_TOL = 1e-9   # relative size below which a ray-jet coefficient is 0
 _FD_STEPS = (1e-3, -1e-3, 5e-4, -5e-4)   # the extension's difference steps
-# most ray lanes in one batched product: the rays of many points (24 each)
-# and the fans of their neighbours (16 each) are split into batches of at
-# most this many, which bounds the memory a batch holds
-_RAY_LANES = 96
 
 # the ray directions whose limits decide the angle at a zero of (t31, t32)
 _FAN = tuple((math.cos(k * math.pi / 8), math.sin(k * math.pi / 8))
@@ -45,18 +42,16 @@ _AXES = {"u": (1.0, 0.0), "v": (0.0, 1.0), "diag": (_H, _H), "anti": (_H, -_H)}
 _AXIS_RAYS = tuple(r for d in _AXES.values() for r in (d, (-d[0], -d[1])))
 
 
-def _angle_jets(pairs) -> list[Jet | None]:
-    """Jets of the angles of pairs with derivative rows (da, db) along rays,
+def _angle_jets(da: np.ndarray, db: np.ndarray) -> list[Jet | None]:
+    """Jets of the angles of the pairs whose derivative rows along their
+    rays are the columns of ``da`` and ``db`` (shape (order + 1, lanes)),
     each after factoring out the common zeros of its pair (Taylor division
     by s while both leading coefficients vanish); None for a pair that
     vanishes to high order. Each step runs on all the lanes at once, and
     the lanes of each length left after factoring are one batched
     ``jets.atan2``: lane k equals the angle jet of pair k on its own
     bitwise."""
-    out = [None] * len(pairs)
-    if not pairs:
-        return out
-    da, db = (np.stack(rows, axis=1) for rows in zip(*pairs))
+    out = [None] * da.shape[1]
     scale = np.maximum(np.abs(da).max(axis=0), np.abs(db).max(axis=0))
     # the other pairs vanish along their ray up to roundoff
     idx = np.flatnonzero(~(scale < 1e-12))
@@ -110,12 +105,12 @@ class ThetaField:
     # -- raw ingredients ------------------------------------------------------
 
     @staticmethod
-    def _ray_pairs(pj: PointJets, dirs) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Derivative rows (da, db) of the pair (t31, -t32) along q + s d at
+    def _ray_pairs(pj: PointJets, dirs) -> tuple[np.ndarray, np.ndarray]:
+        """The derivatives (da, db) of the pair (t31, -t32) along q + s d at
         s = 0, for each point q of ``pj`` (one point, or a batch) and each
-        direction d of ``dirs``: one batched product of the pair's jets,
-        one lane per point and ray, point-major. ``_angle_jets`` turns the
-        pairs into one-sided jets of their angles."""
+        direction d of ``dirs``, from one batched product: arrays of shape
+        (order + 1, points * rays), point-major, whose columns
+        ``_angle_jets`` turns into one-sided jets of the angles."""
         n = pj.ju.order + 1
         k = np.arange(n)
         # jets in s of t -> f(t0 + s d) at s = 0, one column per ray
@@ -130,7 +125,7 @@ class ThetaField:
         mu_b = along(pj.jv.row(3), wv)
         t31 = frame_dot(mu_b, along(pj.ju.row(1), wu))
         t32 = frame_dot(mu_b, along(pj.ju.row(2), wu))
-        return list(zip(t31.d.T, (-t32).d.T))
+        return t31.d, (-t32).d
 
     # -- limit extension ------------------------------------------------------
 
@@ -162,20 +157,19 @@ class ThetaField:
 
     def _extension(self, pj: PointJets) -> list[ThetaPoint]:
         """The limit extension at every point of ``pj`` (one point, or a
-        batch), each stage one batch over the points: the rays, the angle
-        jets of the fans, those of the axis rays (formed only where the fan
-        has a limit) and the finite-difference neighbours
-        (:meth:`_fd_derivatives`)."""
+        batch), each stage one batch over the points, on slices of their
+        rays: the angle jets of the fans, those of the axis rays (formed
+        only where the fan has a limit) and the finite-difference
+        neighbours (:meth:`_fd_derivatives`)."""
         us, vs = (np.atleast_1d(x).tolist() for x in pj.p)
-        m, r = len(_FAN), len(_FAN) + len(_AXIS_RAYS)
-        pairs = self._ray_pairs(pj, _FAN + _AXIS_RAYS)
-        fans = _angle_jets([pairs[k * r + j] for k in range(len(us))
-                            for j in range(m)])
-        limits = [self._ray_limit(fans[k * m:(k + 1) * m])
-                  for k in range(len(us))]
+        m, n = len(_FAN), len(us)
+        rows = [d.reshape(len(d), n, -1)
+                for d in self._ray_pairs(pj, _FAN + _AXIS_RAYS)]
+        fans = _angle_jets(*(d[:, :, :m].reshape(len(d), -1) for d in rows))
+        limits = [self._ray_limit(fans[k * m:(k + 1) * m]) for k in range(n)]
         live = [k for k, (_, _, reason) in enumerate(limits) if not reason]
-        rays = iter(_angle_jets([pairs[k * r + j] for k in live
-                                 for j in range(m, r)]))
+        rays = iter(_angle_jets(*(d[:, live, m:].reshape(len(d), -1)
+                                  for d in rows)))
         tol = self.s.tols.theta_dir_tol
         # derivatives from one-sided jets along the axes and diagonals, else
         # from finite differences of the extended values
@@ -256,18 +250,16 @@ class ThetaField:
     def _smooth_values(self, qj: PointJets, refs) -> list[float | None]:
         """Angle value at each point k of the batch ``qj``, aligned with
         refs[k] (extension where needed; None where the rays have no limit).
-        The fans of the points that need one are batches of at most
-        ``_RAY_LANES`` rays."""
+        The fans of all the points that need one are one batch."""
         t31, t32 = (qj.t(3, i).tolist() for i in (1, 2))
         out = [align_pi(math.atan2(-b, a), ref)
                if math.hypot(a, b) >= _EXT_RADIUS else None
                for a, b, ref in zip(t31, t32, refs)]
         near = [k for k, val in enumerate(out) if val is None]
-        m = len(_FAN)
-        for i in range(0, len(near), _RAY_LANES // m):
-            part = near[i:i + _RAY_LANES // m]
-            fans = _angle_jets(self._ray_pairs(qj.take(np.array(part)), _FAN))
-            for j, k in enumerate(part):
+        if near:
+            m = len(_FAN)
+            fans = _angle_jets(*self._ray_pairs(qj.take(np.array(near)), _FAN))
+            for j, k in enumerate(near):
                 mean2, _, reason = self._ray_limit(fans[j * m:(j + 1) * m])
                 out[k] = None if reason else align_pi(mean2 / 2.0, refs[k])
         return out
@@ -278,17 +270,14 @@ class ThetaField:
            degree: int = 3) -> ThetaPoint | list[ThetaPoint]:
         """Normal angle with derivatives to ``degree`` at the point of
         ``pj``, a point of this field's surface; for a batch ``pj``, the
-        list of the angles at its points. The extensions of the points at a
-        zero of (t31, t32) share each stage, in batches of at most
-        ``_RAY_LANES`` rays."""
+        list of the angles at its points. The points at a zero of (t31, t32)
+        make one limit extension, each of its stages one batch over them."""
         batch = np.ndim(pj.p[0]) > 0
         out = _canonical(pj, degree)
         near = [k for k, pt in enumerate(out) if pt is None]
-        size = _RAY_LANES // (len(_FAN) + len(_AXIS_RAYS))
-        for i in range(0, len(near), size):
-            part = near[i:i + size]
-            ext = self._extension(pj.take(np.array(part)) if batch else pj)
-            for k, pt in zip(part, ext):
+        if near:
+            ext = self._extension(pj.take(np.array(near)) if batch else pj)
+            for k, pt in zip(near, ext):
                 out[k] = pt
         return out if batch else out[0]
 
@@ -358,6 +347,9 @@ class FSInvariants:
     e2: BiJet; f2: BiJet; g2: BiJet
     JF: BiJet; KF: BiJet; HF: BiJet
     bn: tuple[BiJet, BiJet, BiJet]
+    lam: BiJet                 # alpha alpha~ Lambda = det(x_u, x_v, bn)
+    Lambda: BiJet              # normalized density -t32 sin(theta) + t31 cos(theta)
+    eta: tuple[BiJet, BiJet]   # null field coefficients (-alpha~ t33, alpha)
 
 
 def _angle_bijet(pt, degree: int) -> BiJet:
@@ -374,8 +366,10 @@ def _angle_bijet(pt, degree: int) -> BiJet:
 
 def fs_invariants(pj: PointJets, pt: ThetaPoint | list[ThetaPoint],
                   degree: int = 3) -> FSInvariants:
-    """Invariants of (x, bn, mu) where bn = sin(theta) nu1 + cos(theta) nu2
-    (for a batch ``pj``, ``pt`` lists the angles at its points)."""
+    """Invariants of (x, bn, mu) where bn = sin(theta) nu1 + cos(theta) nu2,
+    with the signed area density lam, its normalized form Lambda and the
+    null field eta (for a batch ``pj``, ``pt`` lists the angles at its
+    points)."""
     th = _angle_bijet(pt, degree)
     degree = th.degree
     u, v = pj.p
@@ -406,33 +400,8 @@ def fs_invariants(pj: PointJets, pt: ThetaPoint | list[ThetaPoint],
     bn = tuple(sth * nu1[c] + cth * nu2[c] for c in range(3))
     return FSInvariants(a1=a1, b1=b1, a2=a2, b2=b2,
                         e1=e1, f1=f1, g1=g1, e2=e2, f2=f2, g2=g2,
-                        JF=JF, KF=KF, HF=HF, bn=bn)
-
-
-# ---------------------------------------------------------------------------
-# discriminant
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Discriminant:
-    lam: BiJet                 # alpha alpha~ Lambda = det(x_u, x_v, bn)
-    Lambda: BiJet              # normalized density -t32 sin(theta) + t31 cos(theta)
-    eta: tuple[BiJet, BiJet]   # null field coefficients (-alpha~ t33, alpha)
-
-
-def discriminant(pj: PointJets, pt: ThetaPoint | list[ThetaPoint],
-                 degree: int = 3) -> Discriminant:
-    th = _angle_bijet(pt, degree)
-    degree = th.degree
-    _, _, _, al, _, _, _, at = pj.curvature_bijets(degree)
-    t31 = pj.t_bijet(3, 1, degree)
-    t32 = pj.t_bijet(3, 2, degree)
-    t33 = pj.t_bijet(3, 3, degree)
-    sth, cth = jets.sin(th), jets.cos(th)
-    Lam = -t32 * sth + t31 * cth
-    lam = al * at * Lam
-    eta = (-(at * t33), al)
-    return Discriminant(lam=lam, Lambda=Lam, eta=eta)
+                        JF=JF, KF=KF, HF=HF, bn=bn, lam=al * at * Lam,
+                        Lambda=Lam, eta=(-a2, a1))
 
 
 def directional_derivative(f: BiJet, direction: tuple[BiJet, BiJet]) -> BiJet:

@@ -185,11 +185,6 @@ class PointJets:
     def alpha_values(self) -> tuple[float, float]:
         return self.ju.alpha.value, self.jv.alpha.value
 
-    def singular_residual(self) -> float:
-        """min(|alpha(u)|, |alpha~(v)|, hypot(t31, t32)) at p."""
-        au, av = self.alpha_values()
-        return min(abs(au), abs(av), math.hypot(self.t(3, 1), self.t(3, 2)))
-
 
 def _pair_jets(s: TranslationSurface, p,
                order: int) -> tuple[CurveJets, CurveJets]:

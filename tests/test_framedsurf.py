@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from transurf import framedsurf, instances, jets, verify
-from transurf.classify import PointData, classify
+from transurf.classify import PointData, classify, classify_all
 from transurf.curves import CurveJets, catalog, vec_values
 from transurf.framedsurf import (ThetaField, ThetaPoint, align_pi,
-                                 construct_theta, discriminant, front_decision,
+                                 construct_theta, front_decision,
                                  fs_invariants, lemma_oracle,
                                  unit_speed_oracle)
 from transurf.jets import Jet
-from transurf.surface import PointJets, TranslationSurface
+from transurf.surface import (PointJets, TranslationSurface,
+                              find_singular_points)
 
 
 def front_test(pj: PointJets, pt: ThetaPoint) -> tuple[str, float, int]:
@@ -139,7 +140,7 @@ def test_discriminant_factorization(edge_case):
     for p in [p0, (p0[0] + 0.1, p0[1] - 0.05)]:
         pj = s.at(p)
         pt = theta.at(pj)
-        d = discriminant(pj, pt)
+        d = fs_invariants(pj, pt)
         ca = s.curve_u.curvature(p[0], 2)
         cb = s.curve_v.curvature(p[1], 2)
         assert d.lam.value == pytest.approx(
@@ -153,7 +154,7 @@ def test_density_closed_partials_match_jets(edge_case):
     s, p0, theta = edge_case
     pj = s.at(p0)
     pt = theta.at(pj)
-    d = discriminant(pj, pt)
+    d = fs_invariants(pj, pt)
     cf = PointData(pj).density_partials(pt.value)
     assert d.Lambda.part(1, 0) == pytest.approx(cf["Lambda_u"], abs=1e-8)
     assert d.Lambda.part(0, 1) == pytest.approx(cf["Lambda_v"], abs=1e-8)
@@ -170,7 +171,7 @@ def test_lambda_matches_determinant_at_random_points(edge_case):
              float(rng.uniform(-0.2, 0.2)))
         pj = s.at(p, order=4)
         pt = theta.at(pj, degree=2)
-        d = discriminant(pj, pt, degree=2)
+        d = fs_invariants(pj, pt, degree=2)
         assert d.lam.value == pytest.approx(
             lambda_direct_value(pj, pt.value), rel=1e-9, abs=1e-12)
 
@@ -312,7 +313,7 @@ RAY_POINTS = {
 def test_ray_fan_lanes_equal_scalar_reference(case):
     s, p = RAY_POINTS[case]()
     dirs = framedsurf._FAN + framedsurf._AXIS_RAYS
-    got = framedsurf._angle_jets(ThetaField._ray_pairs(s.at(p), dirs))
+    got = framedsurf._angle_jets(*ThetaField._ray_pairs(s.at(p), dirs))
     assert len(got) == 24
     orders = set()
     for d, g in zip(dirs, got):
@@ -333,8 +334,8 @@ def _smooth_value_reference(s, q, ref):
     t31, t32 = pj.t(3, 1), pj.t(3, 2)
     if math.hypot(t31, t32) >= framedsurf._EXT_RADIUS:
         return align_pi(math.atan2(-t32, t31), ref)
-    fan = [_angle_jet_reference(*pair)
-           for pair in ThetaField._ray_pairs(pj, framedsurf._FAN)]
+    da, db = ThetaField._ray_pairs(pj, framedsurf._FAN)
+    fan = [_angle_jet_reference(a, b) for a, b in zip(da.T, db.T)]
     mean2, _, reason = ThetaField(s)._ray_limit(fan)
     return None if reason else align_pi(mean2 / 2.0, ref)
 
@@ -381,20 +382,43 @@ def test_rays_of_a_point_read_the_frame_once(monkeypatch):
     assert 3 <= len(calls) <= 6
 
 
+def _count_angle_jet_lanes(monkeypatch):
+    """The number of lanes of each ``_angle_jets`` batch, as it runs."""
+    lanes = []
+    original = framedsurf._angle_jets
+
+    def spy(da, db):
+        lanes.append(da.shape[1])
+        return original(da, db)
+
+    monkeypatch.setattr(framedsurf, "_angle_jets", spy)
+    return lanes
+
+
 def test_axis_angle_jets_wait_for_a_fan_limit(monkeypatch):
     # the angle jets of the 8 axis lanes are formed only once the 16 fan
     # rays have a limit; at this diagonal point of the sin-minus pair they
     # have none, so only the fan's 16 are formed
     s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
-    lanes = []
-    original = framedsurf._angle_jets
-
-    def spy(pairs):
-        lanes.append(len(pairs))
-        return original(pairs)
-
-    monkeypatch.setattr(framedsurf, "_angle_jets", spy)
+    lanes = _count_angle_jet_lanes(monkeypatch)
     pt = construct_theta(s.criteria_surface().at((0.1, 0.1)))
     assert not pt.available
     assert "no continuous normal angle" in pt.reason
     assert sum(lanes) == 16
+
+
+def test_extension_stages_are_one_batch_per_scan(monkeypatch):
+    # the limit extension of every sample of a scan that needs one is one
+    # call, and so are its finite-difference neighbours and their fans;
+    # the angle jets are three batches: the fans, the axis rays and the
+    # neighbours' fans
+    s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
+    pts = find_singular_points(s, (-math.pi, math.pi) * 2, grid_n=24)
+    calls = {name: _count_calls(monkeypatch, name) for name in
+             ("_extension", "_fd_derivatives", "_smooth_values")}
+    batches = _count_angle_jet_lanes(monkeypatch)
+    classify_all(s, [q.p for q in pts])
+    assert len(pts) == 32
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_extension": 1, "_fd_derivatives": 1, "_smooth_values": 1}
+    assert len(batches) == 3
