@@ -10,10 +10,15 @@ theta is the canonical branch atan2(-t32, t31), which makes
 Lambda = -t32 sin(theta) + t31 cos(theta) = hypot(t31, t32) > 0 and fixes
 the orientation of the normal. At a zero the canonical branch jumps by pi;
 the smooth continuation through the zero (the branch every criterion needs)
-is recovered from one-sided jets of (t31, t32) along rays: if the
-directional limits of the angle disagree there is no continuous normal and
-the surface is not a framed base surface at that point. Each stage of
-this limit extension is one array batch over all the points that need it.
+is recovered from one-sided jets of (t31, t32) along a fan of 16 rays: if
+the directional limits of the angle disagree there is no continuous normal
+and the surface is not a framed base surface at that point. Along a ray
+p + s d, after the common zero at s = 0 is divided out, the angle jet is
+theta restricted to the ray, so its k-th derivative is the k-th derivative
+of theta along d. Theta's partials of degree 1 and 2 are the least-squares
+fit of those of the fan, one solve per degree, and a fit residual above
+theta_dir_tol means there is no smooth normal angle. Each stage of this
+limit extension is one array batch over all the points that need it.
 """
 from __future__ import annotations
 
@@ -23,35 +28,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import ThetaUnavailable, TransurfError
+from .errors import ThetaUnavailable
 from .framefield import frame_dot
 from .jets import BiJet, Jet
-from .surface import PointJets, TranslationSurface
+from .surface import PointJets, TranslationSurface, _lstsq_steps
 
 _EXT_RADIUS = 1e-6     # hypot(t31, t32) below this uses the limit extension
 _RAY_ZERO_TOL = 1e-9   # relative size below which a ray-jet coefficient is 0
-_FD_STEPS = (1e-3, -1e-3, 5e-4, -5e-4)   # the extension's difference steps
 
 # the ray directions whose limits decide the angle at a zero of (t31, t32)
 _FAN = tuple((math.cos(k * math.pi / 8), math.sin(k * math.pi / 8))
              for k in range(16))
-# the extension's one-sided derivative directions, exact (the even lanes of
-# the fan differ in the last bit), each followed by its negative
-_H = math.sqrt(0.5)
-_AXES = {"u": (1.0, 0.0), "v": (0.0, 1.0), "diag": (_H, _H), "anti": (_H, -_H)}
-_AXIS_RAYS = tuple(r for d in _AXES.values() for r in (d, (-d[0], -d[1])))
+# the first and second derivatives along each fan ray in theta's partials
+# (theta_u, theta_v) and (theta_uu, theta_uv, theta_vv)
+_D0, _D1 = np.array(_FAN).T
+_FAN_ROWS = (np.stack([_D0, _D1], axis=-1),
+             np.stack([_D0 * _D0, 2.0 * _D0 * _D1, _D1 * _D1], axis=-1))
 
 
-def _angle_jets(da: np.ndarray, db: np.ndarray) -> list[Jet | None]:
+def _angle_jets(da: np.ndarray,
+                db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jets of the angles of the pairs whose derivative rows along their
     rays are the columns of ``da`` and ``db`` (shape (order + 1, lanes)),
     each after factoring out the common zeros of its pair (Taylor division
-    by s while both leading coefficients vanish); None for a pair that
-    vanishes to high order. Each step runs on all the lanes at once, and
-    the lanes of each length left after factoring are one batched
-    ``jets.atan2``: lane k equals the angle jet of pair k on its own
-    bitwise."""
-    out = [None] * da.shape[1]
+    by s while both leading coefficients vanish). Returns the derivatives of
+    the angle jets as the columns of one array shaped as ``da`` (NaN past
+    the end of a jet that factoring shortened) and the mask of the lanes
+    with a jet: a pair that vanishes to high order has none, and its column
+    is NaN. Each step runs on all the lanes at once, and the lanes of each
+    length left after factoring are one batched ``jets.atan2``: column k
+    equals the angle jet of pair k on its own bitwise."""
+    out = np.full(da.shape, np.nan)
     scale = np.maximum(np.abs(da).max(axis=0), np.abs(db).max(axis=0))
     # the other pairs vanish along their ray up to roundoff
     idx = np.flatnonzero(~(scale < 1e-12))
@@ -66,12 +73,11 @@ def _angle_jets(da: np.ndarray, db: np.ndarray) -> list[Jet | None]:
             # a common positive rescale leaves the angle (and its jet) as is
             th = jets.atan2(Jet._fresh(0.0, b[:, ok] / r[ok]),
                             Jet._fresh(0.0, a[:, ok] / r[ok]))
-            for j, lane in enumerate(k[ok].tolist()):
-                out[lane] = Jet._fresh(0.0, th.d[:, j])
+            out[:len(a), k[ok]] = th.d
         steps = np.arange(1.0, len(da))[:, None]
         da, db = da[1:, zero] / steps, db[1:, zero] / steps
         idx, tol = idx[zero], tol[zero]
-    return out
+    return out, ~np.isnan(out[0])
 
 
 @dataclass
@@ -129,139 +135,78 @@ class ThetaField:
 
     # -- limit extension ------------------------------------------------------
 
-    def _ray_limit(self, fan) -> tuple[float, float, str]:
-        """Limit of the angle at a point from its directional limits along
-        the 16 rays of ``_FAN``, whose angle jets are ``fan``.
+    def _ray_limit(self, value: np.ndarray, ok: np.ndarray):
+        """Limit of the angle at each point from its directional limits
+        ``value`` (shape (points, 16)) along the rays of ``_FAN`` that have
+        an angle jet (``ok``), as reductions over the rays.
 
-        Returns (twice the limit, spread, reason): the doubled-angle mean of
-        the directional limits (mod-pi agreement), the largest deviation of
-        a limit from it, and why there is no limit ("" when there is one:
-        the spread is within theta_dir_tol).
+        Returns (twice the limits, spreads, reasons): the doubled-angle mean
+        of each point's directional limits (mod-pi agreement), the largest
+        deviation of a limit from it, and why there is no limit ("" when
+        there is one: the spread is within theta_dir_tol).
         """
-        doubled = [2.0 * aj.value for aj in fan if aj is not None]
-        if len(doubled) < 8:
-            return 0.0, 0.0, ("tangent pair vanishes to high order along "
-                              "most directions")
-        zx = np.mean(np.cos(doubled))
-        zy = np.mean(np.sin(doubled))
-        if math.hypot(zx, zy) < 1e-12:
-            return 0.0, 0.0, ("directional limits of the normal angle are "
-                              "isotropic")
-        mean2 = math.atan2(zy, zx)
-        spread = max(abs(wrap_pi(t - mean2)) for t in doubled) / 2.0
-        if spread > self.s.tols.theta_dir_tol:
-            return mean2, spread, (
-                "no continuous normal angle: directional limits spread "
-                f"{spread:.3e}; the surface is not a framed base surface here")
-        return mean2, spread, ""
+        doubled = 2.0 * np.where(ok, value, 0.0)
+        count = ok.sum(axis=1)
+        zx, zy = (np.where(ok, f(doubled), 0.0).sum(axis=1)
+                  / np.maximum(count, 1) for f in (np.cos, np.sin))
+        z, mean2 = np.hypot(zx, zy), np.arctan2(zy, zx)
+        spread = np.where(ok, np.abs(wrap_pi(doubled - mean2[:, None])),
+                          0.0).max(axis=1) / 2.0
+        spread[(count < 8) | (z < 1e-12)] = 0.0
+        reasons = []
+        for n, r, sp in zip(count.tolist(), z.tolist(), spread.tolist()):
+            if n < 8:
+                reasons.append("tangent pair vanishes to high order along "
+                               "most directions")
+            elif r < 1e-12:
+                reasons.append("directional limits of the normal angle are "
+                               "isotropic")
+            elif sp > self.s.tols.theta_dir_tol:
+                reasons.append(
+                    "no continuous normal angle: directional limits spread "
+                    f"{sp:.3e}; the surface is not a framed base surface here")
+            else:
+                reasons.append("")
+        return mean2.tolist(), spread.tolist(), reasons
 
     def _extension(self, pj: PointJets) -> list[ThetaPoint]:
         """The limit extension at every point of ``pj`` (one point, or a
-        batch), each stage one batch over the points, on slices of their
-        rays: the angle jets of the fans, those of the axis rays (formed
-        only where the fan has a limit) and the finite-difference
-        neighbours (:meth:`_fd_derivatives`)."""
+        batch), each stage one batch over the points: the angle jets of
+        their fans, the fans' limits, and at the points with a limit the
+        partials of theta of degree 1 and 2, each degree one stacked
+        least-squares fit to the derivatives of the angle jets along the
+        rays (the rows of rays without a jet are zero)."""
         us, vs = (np.atleast_1d(x).tolist() for x in pj.p)
-        m, n = len(_FAN), len(us)
-        rows = [d.reshape(len(d), n, -1)
-                for d in self._ray_pairs(pj, _FAN + _AXIS_RAYS)]
-        fans = _angle_jets(*(d[:, :, :m].reshape(len(d), -1) for d in rows))
-        limits = [self._ray_limit(fans[k * m:(k + 1) * m]) for k in range(n)]
-        live = [k for k, (_, _, reason) in enumerate(limits) if not reason]
-        rays = iter(_angle_jets(*(d[:, live, m:].reshape(len(d), -1)
-                                  for d in rows)))
-        tol = self.s.tols.theta_dir_tol
-        # derivatives from one-sided jets along the axes and diagonals, else
-        # from finite differences of the extended values
-        axes = {k: {name: _one_sided(next(rays), next(rays), tol)
-                    for name in _AXES} for k in live}
-        fd = [(k, name) for k in live for name, val in axes[k].items()
-              if val is None]
-        for (k, name), val in zip(fd, self._fd_derivatives(
-                [((us[k], vs[k]), _AXES[name], limits[k][0] / 2.0)
-                 for k, name in fd])):
-            axes[k][name] = val
-        out = []
-        for k, (mean2, spread, reason) in enumerate(limits):
-            theta0 = mean2 / 2.0
-            if reason:
-                out.append(ThetaPoint(provenance="unavailable",
-                                      residual=spread, reason=reason))
-            elif any(val is None for val in axes[k].values()):
-                out.append(ThetaPoint(
-                    value=theta0, provenance="unavailable",
-                    reason="one-sided angle derivatives disagree across the "
-                           "point"))
-            else:
-                (tu, tuu), (tv, tvv), (_, tdg), (_, tag) = axes[k].values()
-                tuv = tdg - 0.5 * (tuu + tvv)
-                tuv_check = 0.5 * (tuu + tvv) - tag
-                c = np.zeros((3, 3))
-                c[0, 0] = theta0
-                c[1, 0], c[0, 1] = tu, tv
-                c[2, 0], c[1, 1], c[0, 2] = tuu, 0.5 * (tuv + tuv_check), tvv
-                out.append(ThetaPoint(
-                    value=theta0, bijet=BiJet(us[k], vs[k], c),
-                    provenance="limit_extension",
-                    residual=max(spread, abs(tuv - tuv_check))))
-        return out
-
-    def _fd_derivatives(self, items) -> list[tuple[float, float] | None]:
-        """The first and second derivatives of the extended angle along d at
-        p, for each (p, d, theta0) of ``items``: Richardson-extrapolated
-        central differences of its values at p + s d, s in ``_FD_STEPS``,
-        aligned with theta0. Along a direction inside the singular set the
-        rays carry no signal. None where a value is missing. The neighbours
-        of all the items are one batch; should it raise a TransurfError,
-        those of each item are a batch of their own, and an item whose
-        batch raises has no derivatives."""
-        def values(group):
-            qs = [(p[0] + s * d[0], p[1] + s * d[1]) for p, d, _ in group
-                  for s in _FD_STEPS]
-            return self._smooth_values(
-                self.s.at(tuple(np.array(x) for x in zip(*qs))),
-                [th for *_, th in group for _ in _FD_STEPS])
-
-        if not items:
-            return []
-        try:
-            vals = values(items)
-        except TransurfError:
-            vals = []
-            for item in items:
-                try:
-                    vals += values([item])
-                except TransurfError:
-                    vals += [None] * len(_FD_STEPS)
-        out = []
-        for j, (_, _, theta0) in enumerate(items):
-            got = vals[j * len(_FD_STEPS):(j + 1) * len(_FD_STEPS)]
-            if any(val is None for val in got):
-                out.append(None)
+        th, ok = _angle_jets(*self._ray_pairs(pj, _FAN))
+        th, ok = th.reshape(len(th), len(us), -1), ok.reshape(len(us), -1)
+        mean2, spread, reasons = self._ray_limit(th[0], ok)
+        live = np.flatnonzero([not reason for reason in reasons])
+        g = np.where(ok[live], th[1:3, live], 0.0)
+        fits, fit_res = [], np.zeros(len(live))
+        for rows, gk in zip(_FAN_ROWS, g):
+            a = np.where(ok[live, :, None], rows, 0.0)
+            x = _lstsq_steps(a, -gk)
+            fit_res = np.maximum(fit_res, np.abs(
+                (a @ x[..., None])[..., 0] - gk).max(axis=1))
+            fits.append(x)
+        bound = self.s.tols.theta_dir_tol * np.maximum(
+            1.0, np.abs(g).max(axis=(0, 2)))
+        out = [ThetaPoint(provenance="unavailable", residual=sp, reason=reason)
+               for sp, reason in zip(spread, reasons)]
+        for j, k in enumerate(live.tolist()):
+            theta0, res = mean2[k] / 2.0, max(spread[k], float(fit_res[j]))
+            if fit_res[j] > bound[j]:
+                out[k] = ThetaPoint(
+                    value=theta0, provenance="unavailable", residual=res,
+                    reason="no smooth normal angle: the angle jets of the "
+                           f"rays fit no 2-jet, residual {fit_res[j]:.3e}")
                 continue
-            p1, m1, p2, m2 = got
-            d1a = (p1 - m1) / 2e-3
-            d1b = (p2 - m2) / 1e-3
-            d2a = (p1 - 2 * theta0 + m1) / 1e-6
-            d2b = (p2 - 2 * theta0 + m2) / 2.5e-7
-            out.append(((4 * d1b - d1a) / 3.0, (4 * d2b - d2a) / 3.0))
-        return out
-
-    def _smooth_values(self, qj: PointJets, refs) -> list[float | None]:
-        """Angle value at each point k of the batch ``qj``, aligned with
-        refs[k] (extension where needed; None where the rays have no limit).
-        The fans of all the points that need one are one batch."""
-        t31, t32 = (qj.t(3, i).tolist() for i in (1, 2))
-        out = [align_pi(math.atan2(-b, a), ref)
-               if math.hypot(a, b) >= _EXT_RADIUS else None
-               for a, b, ref in zip(t31, t32, refs)]
-        near = [k for k, val in enumerate(out) if val is None]
-        if near:
-            m = len(_FAN)
-            fans = _angle_jets(*self._ray_pairs(qj.take(np.array(near)), _FAN))
-            for j, k in enumerate(near):
-                mean2, _, reason = self._ray_limit(fans[j * m:(j + 1) * m])
-                out[k] = None if reason else align_pi(mean2 / 2.0, refs[k])
+            c = np.zeros((3, 3))
+            c[0, 0] = theta0
+            c[1, 0], c[0, 1] = fits[0][j]
+            c[2, 0], c[1, 1], c[0, 2] = fits[1][j]
+            out[k] = ThetaPoint(value=theta0, bijet=BiJet(us[k], vs[k], c),
+                                provenance="limit_extension", residual=res)
         return out
 
     # -- public evaluation ----------------------------------------------------
@@ -301,21 +246,6 @@ def _canonical(pj: PointJets, degree: int) -> list[ThetaPoint | None]:
                             residual=abs(t32[k] * math.cos(bj.value)
                                          + t31[k] * math.sin(bj.value)))
     return out
-
-
-def _one_sided(plus: Jet | None, minus: Jet | None,
-               tol: float) -> tuple[float, float] | None:
-    """The first and second derivatives of the angle along a direction from
-    its jets along the ray and the opposite ray; None when either is
-    missing or they disagree."""
-    if plus is None or minus is None:
-        return None
-    d1p, d1m = plus.deriv(1), -minus.deriv(1)
-    d2p, d2m = plus.deriv(2), minus.deriv(2)
-    if (abs(d1p - d1m) > max(1.0, abs(d1p)) * 1e2 * tol
-            or abs(d2p - d2m) > max(1.0, abs(d2p)) * 1e3 * tol):
-        return None
-    return (0.5 * (d1p + d1m), 0.5 * (d2p + d2m))
 
 
 def wrap_pi(x: float) -> float:

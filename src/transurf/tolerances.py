@@ -20,8 +20,12 @@ built once, with the defaults). Which decision reads each field:
 - ``dep_tol``: the dependent condition |mu x mu~| < dep_tol, and |t33| = 1 in
   the S0/S1 tests.
 - ``ratio_tol``: sigma_min / sigma_max of the field-dependence scan.
-- ``theta_dir_tol``: agreement of the directional limits of theta at a zero
-  of (t31, t32), which decides whether theta extends through the point.
+- ``theta_dir_tol``: at a zero of (t31, t32), both the spread of the
+  directional limits of theta along the ray fan, which decides whether
+  theta extends continuously through the point, and the residual of the
+  least-squares fit of theta's partials to the rays' angle jets (against
+  theta_dir_tol * max(1, largest ray derivative)), which decides whether
+  that extension is smooth.
 - ``front_tol``: |H^F| (rank 1) or |K^F| (rank 0) of the front test.
 - ``lemma_tol``: closed form vs jets of the density partials (framed route).
 - ``rank_tol``: the numerical rank of dx (singular values of dx above

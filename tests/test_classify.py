@@ -8,7 +8,7 @@ import pytest
 
 from transurf import classify as classify_mod
 from transurf import surface as surface_mod
-from transurf import framedsurf, instances, verify
+from transurf import instances, verify
 from transurf.classify import (PHI_DEGREE, CriterionValue, PointData,
                                Verdict, classify, classify_all,
                                classify_S0, classify_S1,
@@ -604,31 +604,6 @@ def _poisoned(bad_values):
     curve = FramedCurve(base._gamma, frame, base.domain, name="poisoned",
                         period=base.period, validate=False)
     return TranslationSurface.self_translation(curve, -1)
-
-
-def test_caught_error_in_a_batch_changes_only_its_point(monkeypatch):
-    # the diagonal neighbours of point 5 of the sin-minus scan, where its
-    # normal-angle extension differences its values, raise: the batch of
-    # neighbours it shares with another point is then evaluated point by
-    # point, and only point 5 loses its angle
-    s, pts = _scan_points("sin_minus_g24")
-    (u, _), h = pts[5], math.sqrt(0.5)
-    bad = _poisoned({u + step * h for step in framedsurf._FD_STEPS})
-    shared = []
-    original = framedsurf.ThetaField._fd_derivatives
-
-    def spy(self, items):
-        if len(items) > 1 and u in [p[0] for p, _, _ in items]:
-            shared.append(items)
-        return original(self, items)
-
-    monkeypatch.setattr(framedsurf.ThetaField, "_fd_derivatives", spy)
-    want = [_doc(r) for r in classify_all(s, pts)]
-    got = classify_all(bad, pts)
-    assert shared
-    assert [_doc(r) for r in got] == [_doc(classify(bad, p)) for p in pts]
-    assert [k for k, r in enumerate(got) if _doc(r) != want[k]] == [5]
-    assert "one-sided angle derivatives disagree" in got[5].framed.notes[0]
 
 
 def _error_of(fn):

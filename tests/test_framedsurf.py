@@ -69,14 +69,17 @@ def test_theta_defining_equation_planar(planar):
         assert math.sin(pt.value) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_theta_extension_derivatives_match_theory(edge_case):
-    # theta_u = tau/2 and theta_v = -h' tau / 2 on a tangent-sliding pair
-    s, p0, theta = edge_case
-    pt = theta.at(s.at(p0))
-    assert pt.provenance == "limit_extension"
-    tau = s.curve_u.frenet.tau(p0[0], 2).value
-    assert pt.bijet.part(1, 0) == pytest.approx(tau / 2, abs=1e-9)
-    assert pt.bijet.part(0, 1) == pytest.approx(-1.7 * tau / 2, abs=1e-9)
+def test_theta_extension_derivatives_match_theory():
+    # theta_u = tau/2 and theta_v = -h' tau / 2 on a tangent-sliding pair,
+    # for each of the three slides
+    for kind, h1 in (("edge", 1.7), ("swallowtail", -1.0), ("nonfront", 1.0)):
+        s, p0 = instances.slide_pair(kind)
+        pt = construct_theta(s.at(p0))
+        assert pt.provenance == "limit_extension", kind
+        tau = s.curve_u.frenet.tau(p0[0], 2).value
+        assert pt.bijet.part(1, 0) == pytest.approx(tau / 2, abs=1e-14), kind
+        assert pt.bijet.part(0, 1) == pytest.approx(-h1 * tau / 2,
+                                                    abs=1e-14), kind
 
 
 def test_fs_invariants_structure(edge_case):
@@ -218,18 +221,6 @@ def test_lemma_oracle_on_cylinder():
     assert max(abs(v) for v in res.values()) < 1e-6
 
 
-def test_unexpected_error_in_fd_pair_propagates(monkeypatch):
-    # only package errors mean "no finite-difference derivative here"; a
-    # diagonal sample of the sin-minus pair reaches that fallback
-    def boom(self, q, ref):
-        raise RuntimeError("unexpected")
-
-    monkeypatch.setattr(framedsurf.ThetaField, "_smooth_values", boom)
-    s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
-    with pytest.raises(RuntimeError, match="unexpected"):
-        classify(s, (0.5, 0.5))
-
-
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(framedsurf.ThetaField, name)
@@ -312,61 +303,26 @@ RAY_POINTS = {
 @pytest.mark.parametrize("case", sorted(RAY_POINTS))
 def test_ray_fan_lanes_equal_scalar_reference(case):
     s, p = RAY_POINTS[case]()
-    dirs = framedsurf._FAN + framedsurf._AXIS_RAYS
-    got = framedsurf._angle_jets(*ThetaField._ray_pairs(s.at(p), dirs))
-    assert len(got) == 24
+    got, has_jet = framedsurf._angle_jets(
+        *ThetaField._ray_pairs(s.at(p), framedsurf._FAN))
+    assert got.shape == (7, 16)
     orders = set()
-    for d, g in zip(dirs, got):
+    for d, g, ok in zip(framedsurf._FAN, got.T, has_jet):
         want = _ray_angle_jet_reference(s, p, d)
-        assert (g is None) == (want is None), d
+        assert ok == (want is not None), d
         if want is not None:
-            assert g.d.tobytes() == want.d.tobytes(), d
-            assert not g.d.flags.writeable
+            assert g[:want.order + 1].tobytes() == want.d.tobytes(), d
+            assert np.isnan(g[want.order + 1:]).all(), d
             orders.add(want.order)
+        else:
+            assert np.isnan(g).all(), d
     if case == "sin_minus_near_origin":
         assert orders == {5, 6}
 
 
-def _smooth_value_reference(s, q, ref):
-    """The branch-aligned angle at one neighbour q of an extension point,
-    from its own evaluation of each curve and one ray at a time."""
-    pj = s.at(q)
-    t31, t32 = pj.t(3, 1), pj.t(3, 2)
-    if math.hypot(t31, t32) >= framedsurf._EXT_RADIUS:
-        return align_pi(math.atan2(-t32, t31), ref)
-    da, db = ThetaField._ray_pairs(pj, framedsurf._FAN)
-    fan = [_angle_jet_reference(a, b) for a, b in zip(da.T, db.T)]
-    mean2, _, reason = ThetaField(s)._ray_limit(fan)
-    return None if reason else align_pi(mean2 / 2.0, ref)
-
-
-@pytest.mark.parametrize("case", ["cylinder", "sin_minus_diagonal"])
-def test_extension_samples_equal_pointwise_reference(case):
-    # the finite-difference neighbours of an extension point along all four
-    # axes are one batch, and the fans of those near a zero of (t31, t32)
-    # one more; each value equals the neighbour evaluated on its own
-    # bitwise
-    s, p0 = {"cylinder": instances.cylinder_pair,
-             "sin_minus_diagonal": _sin_minus((0.5, 0.5))}[case]()
-    theta0 = construct_theta(s.at(p0)).value
-    qs = [(p0[0] + step * d[0], p0[1] + step * d[1])
-          for d in framedsurf._AXES.values() for step in framedsurf._FD_STEPS]
-    got = ThetaField(s)._smooth_values(
-        s.at(tuple(np.array(x) for x in zip(*qs))), [theta0] * len(qs))
-    near = 0
-    for q, g in zip(qs, got):
-        want = _smooth_value_reference(s, q, theta0)
-        assert (g is None) == (want is None), q
-        if want is not None:
-            assert np.float64(g).tobytes() == np.float64(want).tobytes()
-        qj = s.at(q)
-        near += math.hypot(qj.t(3, 1), qj.t(3, 2)) < framedsurf._EXT_RADIUS
-    assert near >= 4
-
-
 def test_rays_of_a_point_read_the_frame_once(monkeypatch):
-    # the 16 fan rays and the 8 axis rays of the extension come from one
-    # batch, so the ray code reads each of its three frame rows once
+    # the 16 fan rays of the extension come from one batch, so the ray code
+    # reads each of its three frame rows once
     s, p0 = instances.slide_pair("edge")
     calls = []
     original = CurveJets.row
@@ -395,30 +351,97 @@ def _count_angle_jet_lanes(monkeypatch):
     return lanes
 
 
-def test_axis_angle_jets_wait_for_a_fan_limit(monkeypatch):
-    # the angle jets of the 8 axis lanes are formed only once the 16 fan
-    # rays have a limit; at this diagonal point of the sin-minus pair they
-    # have none, so only the fan's 16 are formed
-    s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
-    lanes = _count_angle_jet_lanes(monkeypatch)
-    pt = construct_theta(s.criteria_surface().at((0.1, 0.1)))
-    assert not pt.available
-    assert "no continuous normal angle" in pt.reason
-    assert sum(lanes) == 16
-
-
 def test_extension_stages_are_one_batch_per_scan(monkeypatch):
     # the limit extension of every sample of a scan that needs one is one
-    # call, and so are its finite-difference neighbours and their fans;
-    # the angle jets are three batches: the fans, the axis rays and the
-    # neighbours' fans
+    # call, with one batch of fan angle jets: 16 lanes per sample
     s = TranslationSurface.self_translation(catalog("sin_curve"), -1)
     pts = find_singular_points(s, (-math.pi, math.pi) * 2, grid_n=24)
-    calls = {name: _count_calls(monkeypatch, name) for name in
-             ("_extension", "_fd_derivatives", "_smooth_values")}
+    calls = _count_calls(monkeypatch, "_extension")
     batches = _count_angle_jet_lanes(monkeypatch)
     classify_all(s, [q.p for q in pts])
     assert len(pts) == 32
-    assert {name: len(c) for name, c in calls.items()} == {
-        "_extension": 1, "_fd_derivatives": 1, "_smooth_values": 1}
-    assert len(batches) == 3
+    assert len(calls) == 1
+    assert batches == [16 * np.size(calls[0][0].p[0])]
+
+
+_H = math.sqrt(0.5)
+# exact axis and diagonal directions, none of them a lane of the fan
+_AXES = ((1.0, 0.0), (0.0, 1.0), (_H, _H), (_H, -_H))
+INSTANCE_POINTS = {
+    "cylinder": instances.cylinder_pair,
+    "slide_edge": lambda: instances.slide_pair("edge"),
+    "slide_swallowtail": lambda: instances.slide_pair("swallowtail"),
+    "slide_nonfront": lambda: instances.slide_pair("nonfront"),
+    "beaks": instances.singular_speed_pair,
+    "beaks_mirror": lambda: instances.singular_speed_pair(True),
+    "rank_zero": instances.rank_zero_pair,
+    "planar": instances.planar_pair,
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_POINTS))
+def test_fan_fit_matches_axis_ray_jets(case):
+    # the partials fitted to the fan give the first and second derivatives
+    # of the angle along the exact axes and diagonals, each from its own
+    # scalar ray jets (both signs of each direction); along an axis inside
+    # the zero set of (t31, t32) (the cylinder's v axis) the rays carry
+    # no jet
+    s, p0 = INSTANCE_POINTS[case]()
+    pt = construct_theta(s.at(p0))
+    assert pt.provenance == "limit_extension"
+    c = pt.bijet.c
+    checked = 0
+    for d0, d1 in _AXES:
+        plus = _ray_angle_jet_reference(s, p0, (d0, d1))
+        minus = _ray_angle_jet_reference(s, p0, (-d0, -d1))
+        if plus is None or minus is None:
+            continue
+        first = c[1, 0] * d0 + c[0, 1] * d1
+        second = c[2, 0] * d0 * d0 + 2 * c[1, 1] * d0 * d1 + c[0, 2] * d1 * d1
+        for jet, sign in ((plus, 1.0), (minus, -1.0)):
+            assert jet.deriv(1) == pytest.approx(sign * first, abs=1e-12)
+            assert jet.deriv(2) == pytest.approx(second, abs=1e-12)
+        checked += 1
+    assert checked >= (3 if case == "cylinder" else 4)
+
+
+def test_cylinder_v_partials_vanish():
+    s, p0 = instances.cylinder_pair()
+    c = construct_theta(s.at(p0)).bijet.c
+    assert abs(c[0, 1]) <= 1e-15 and abs(c[0, 2]) <= 1e-15
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_theta_agrees_across_the_period_corners(sign):
+    # (+-pi, +-pi) are one point of the self_s1p surface up to the period,
+    # and the fan fits the same 2-jet of theta in each of the four charts
+    s = verify.surface_for(f"self_s1p_{sign}").criteria_surface()
+    corners = [(a * math.pi, b * math.pi) for a in (1, -1) for b in (1, -1)]
+    pts = [construct_theta(s.at(p)) for p in corners]
+    assert all(pt.provenance == "limit_extension" for pt in pts)
+    for pt in pts[1:]:
+        assert pt.bijet.c == pytest.approx(pts[0].bijet.c, abs=1e-12)
+
+
+def test_large_fit_residual_means_no_smooth_angle():
+    # the directional limits agree at this diagonal sample of the self_s1p
+    # plus scan, but no 2-jet of theta fits the rays' jets: the residual of
+    # the fit, formed again here one degree at a time, is the point's
+    s = verify.surface_for("self_s1p_plus")
+    pts = find_singular_points(s, (-math.pi, math.pi) * 2, grid_n=24)
+    p = min((q.p for q in pts),
+            key=lambda q: math.hypot(q[0] - 1.2293, q[1] - 1.2293))
+    assert math.hypot(p[0] - 1.2293, p[1] - 1.2293) < 1e-3
+    pj = s.criteria_surface().at(p)
+    pt = construct_theta(pj)
+    assert not pt.available
+    assert "no smooth normal angle" in pt.reason
+    th, ok = framedsurf._angle_jets(
+        *ThetaField._ray_pairs(pj, framedsurf._FAN))
+    d = np.array(framedsurf._FAN)[ok]
+    rows = (d, np.stack([d[:, 0] ** 2, 2 * d[:, 0] * d[:, 1],
+                         d[:, 1] ** 2], axis=1))
+    res = max(np.abs(a @ np.linalg.lstsq(a, th[k, ok], rcond=None)[0]
+                     - th[k, ok]).max() for k, a in zip((1, 2), rows))
+    assert res > 1.0
+    assert pt.residual == pytest.approx(res, rel=1e-9)
