@@ -443,15 +443,24 @@ def _newton_t3(s: TranslationSurface, us, vs,
     Each iteration evaluates both curves once at all live iterates, a self
     pair's shared frame once (:func:`_pair_jets`), and takes every live
     start's least-squares step, clamped to length 0.5, with one solve
-    (:func:`_lstsq_steps`) from the residuals and Jacobians of
+    (:func:`_lstsq_steps`) from the residuals and Jacobians J of
     ``t_bijet(3, j, u, v, degree=2)``, j = 1, 2 (formed by ``frame_dot`` from
-    the same frame rows, so bitwise equal to those BiJet entries). Zeros can
-    be degenerate (the Jacobian drops rank exactly at the points of
-    interest), which turns the convergence linear: a start iterates until
-    its step collapses, not until the residual tolerance, and retires then,
-    when its iterate leaves the finite range or when it runs out of
+    the same frame rows, so bitwise equal to those BiJet entries). At a
+    degenerate zero (J of rank 1, as at an S1 point) that step converges
+    only linearly. So a start whose residual is already below ``tol``, whose
+    step is not yet below 1e-12 and whose J has sigma_min / sigma_max below
+    ``root_tol`` takes the Gauss-Newton step of the augmented system
+    (t31, t32, det J) instead, wherever its 3x2 Jacobian [J; grad det J],
+    formed from the same rows' second derivatives
+    (:func:`_augmented_systems`), has a ratio of at least ``root_tol``: the
+    zero is regular for that system, and the step converges quadratically.
+    One more solve serves all those starts. Along a curve of zeros
+    grad det J vanishes with det J, and the plain step stays. A start
+    retires once its residual is below ``tol`` and its plain step below
+    1e-12, when its iterate leaves the finite range or when it runs out of
     iterations. Returns the root of each start, or None.
     """
+    root_tol = s.tols.root_tol
     x = np.array([us, vs], dtype=float)     # iterate k is x[:, k]
     roots: list[tuple[float, float] | None] = [None] * x.shape[1]
     converged = np.zeros(x.shape[1], dtype=bool)
@@ -464,18 +473,29 @@ def _newton_t3(s: TranslationSurface, us, vs,
         # frame rows as arrays indexed [component, derivative order, lane]
         nu1, nu2 = (np.array([c.d for c in row]) for row in ju.frame)
         mu = np.array([c.d for c in jv.mu])
-        # (t31, t32) and its u and v partials, each indexed [lane, j]
-        r, r_u, r_v = (np.stack([frame_dot(mu[:, a], nu[:, b])
-                                 for nu in (nu1, nu2)], -1)
-                       for a, b in ((0, 0), (0, 1), (1, 0)))
+        # (t31, t32) and its partials to order 2, each indexed [lane, j]
+        r, r_u, r_v, r_uu, r_uv, r_vv = (
+            np.stack([frame_dot(mu[:, a], nu[:, b]) for nu in (nu1, nu2)], -1)
+            for a, b in ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)))
         converged[live[np.fromiter(map(math.hypot, r[:, 0].tolist(),
                                        r[:, 1].tolist()), float) < tol]] = True
         # least-squares steps handle the rank-1 Jacobians along singular curves
-        step = _lstsq_steps(np.stack([r_u, r_v], -1), r)
+        J = np.stack([r_u, r_v], -1)
+        step = _lstsq_steps(J, r)
         nrm = np.sqrt(np.vecdot(step, step))   # np.linalg.norm bitwise
         done = converged[live] & (nrm < 1e-12)
         for lane in live[done].tolist():
             roots[lane] = tuple(x[:, lane].tolist())
+        tail = np.flatnonzero(converged[live] & ~done)
+        if len(tail):
+            tail = tail[_sigma_ratio(J[tail]) < root_tol]
+            A, F = _augmented_systems(J[tail], r[tail], r_uu[tail],
+                                      r_uv[tail], r_vv[tail])
+            ok = _sigma_ratio(A) >= root_tol
+            if ok.any():
+                tail = tail[ok]
+                step[tail] = _lstsq_steps(A[ok], F[ok])
+                nrm[tail] = np.sqrt(np.vecdot(step[tail], step[tail]))
         long = nrm > 0.5
         step[long] *= (0.5 / nrm[long])[:, None]
         new = p + step.T
@@ -487,6 +507,30 @@ def _newton_t3(s: TranslationSurface, us, vs,
     return roots
 
 
+def _sigma_ratio(M: np.ndarray) -> np.ndarray:
+    """sigma_min / sigma_max of every matrix of a stack of n x 2 matrices,
+    from the eigenvalues of its 2x2 Gram matrix [[a, b], [b, c]]. (An SVD
+    or an axis sum here raised the peak RSS of a scan by 0.2-0.3 MB.)"""
+    col0, col1 = M[:, :, 0], M[:, :, 1]
+    a, b, c = (np.vecdot(col0, col0), np.vecdot(col0, col1),
+               np.vecdot(col1, col1))
+    det, half = a * c - b * b, (a + c) / 2
+    return (np.sqrt(np.maximum(det, 0.0))
+            / (half + np.sqrt(np.maximum(half * half - det, 0.0))))
+
+
+def _augmented_systems(J, r, r_uu, r_uv, r_vv):
+    """The augmented system (t31, t32, det J) of a stack of Newton iterates
+    and its 3x2 Jacobian [J; grad det J], from (t31, t32) ``r``, its
+    Jacobians ``J`` ([lane, j, (u, v)]) and its second partials ([lane, j])."""
+    (a, b), (c, d) = J[:, 0].T, J[:, 1].T    # t31_u, t31_v; t32_u, t32_v
+    det_u = r_uu[:, 0] * d + a * r_uv[:, 1] - r_uv[:, 0] * c - b * r_uu[:, 1]
+    det_v = r_uv[:, 0] * d + a * r_vv[:, 1] - r_vv[:, 0] * c - b * r_uv[:, 1]
+    A = np.concatenate([J, np.stack([det_u, det_v], -1)[:, None]], 1)
+    F = np.concatenate([r, (a * d - b * c)[:, None]], 1)
+    return A, F
+
+
 def find_singular_points(s: TranslationSurface,
                          window: tuple[float, float, float, float],
                          grid_n: int = 48) -> list[SingularPoint]:
@@ -495,9 +539,12 @@ def find_singular_points(s: TranslationSurface,
     The residual landscape (alpha(u), alpha~(v) and (t31, t32) on the grid)
     comes from one batch evaluation of each curve. Candidate cells for
     condition (i) or (ii) are refined by a 1-D Newton on alpha, and all
-    condition-(iii) candidates by one batched Newton run. Roots are merged
-    before any per-point data is computed, so only kept points are
-    evaluated. Curve-shaped components come back as strings of samples
+    condition-(iii) candidates by one batched Newton run, which converges
+    quadratically at a degenerate zero too (an S1 point, where the Jacobian
+    of (t31, t32) has rank 1) through the augmented step of
+    :func:`_newton_t3`, so such a point is located to about 1e-12. Roots
+    are merged before any per-point data is computed, so only kept points
+    are evaluated. Curve-shaped components come back as strings of samples
     flagged ``isolated=False``; isolated zeros as single points. Results are
     merged within three grid spacings and sorted by (u, v).
     """

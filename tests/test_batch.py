@@ -326,7 +326,17 @@ def test_slide_classify_reads_its_base_in_batches(kind, monkeypatch):
 
 def _newton_reference(s, u, v, tol, max_iter=80):
     """The scalar Newton loop on (t31, t32) = 0, one start at a time, each
-    iterate from one scalar evaluation of each curve."""
+    iterate from one scalar evaluation of each curve. A converged start
+    whose step is not yet below 1e-12, whose Jacobian J has
+    sigma_min / sigma_max below root_tol and whose augmented Jacobian
+    [J; grad det J] has a ratio of at least root_tol takes the least-squares
+    step of (t31, t32, det J) instead; the ratios come from numpy's SVD."""
+    root_tol = s.tols.root_tol
+
+    def ratio(M):
+        sv = np.linalg.svd(M, compute_uv=False)
+        return sv[-1] / sv[0]
+
     converged = False
     for _ in range(max_iter):
         mu_b = CurveJets(s.curve_v, v, 2).row(3)
@@ -343,6 +353,17 @@ def _newton_reference(s, u, v, tol, max_iter=80):
         nrm = float(np.linalg.norm(step))
         if converged and nrm < 1e-12:
             return u, v
+        if converged and ratio(J) < root_tol:
+            (a, b), (c, d) = J
+            det_u = (b31.part(2, 0) * d + a * b32.part(1, 1)
+                     - b31.part(1, 1) * c - b * b32.part(2, 0))
+            det_v = (b31.part(1, 1) * d + a * b32.part(0, 2)
+                     - b31.part(0, 2) * c - b * b32.part(1, 1))
+            A = np.array([[a, b], [c, d], [det_u, det_v]])
+            if ratio(A) >= root_tol:
+                F = np.array([r[0], r[1], a * d - b * c])
+                step, *_ = np.linalg.lstsq(A, -F, rcond=1e-10)
+                nrm = float(np.linalg.norm(step))
         if nrm > 0.5:
             step *= 0.5 / nrm
         new = (u + step[0], v + step[1])
@@ -403,15 +424,21 @@ def _lstsq_systems(rng, n):
 def test_stacked_lstsq_equals_lstsq_per_system():
     # the refinement's stacked solve and step norm against numpy's public
     # one-matrix calls, which the per-lane loop made: a numpy whose gufunc
-    # or vecdot drifts from them fails here
-    J, r = _lstsq_systems(np.random.default_rng(19), 250)
-    steps = surface._lstsq_steps(J, r)
-    norms = np.sqrt(np.vecdot(steps, steps))
-    assert steps.shape == r.shape
-    for k in range(len(J)):
-        want, *_ = np.linalg.lstsq(J[k], -r[k], rcond=1e-10)
-        assert _bits(steps[k]) == _bits(want)
-        assert _bits(norms[k]) == _bits(np.linalg.norm(want))
+    # or vecdot drifts from them fails here; the 2x2 systems of the plain
+    # step and the 3x2 ones of the augmented step (each 2x2 system with a
+    # random third row)
+    rng = np.random.default_rng(19)
+    J2, r2 = _lstsq_systems(rng, 250)
+    J3 = np.concatenate([J2, rng.normal(size=(len(J2), 1, 2))], 1)
+    r3 = np.concatenate([r2, rng.normal(size=(len(r2), 1))], 1)
+    for J, r in ((J2, r2), (J3, r3)):
+        steps = surface._lstsq_steps(J, r)
+        norms = np.sqrt(np.vecdot(steps, steps))
+        assert steps.shape == (len(J), 2)
+        for k in range(len(J)):
+            want, *_ = np.linalg.lstsq(J[k], -r[k], rcond=1e-10)
+            assert _bits(steps[k]) == _bits(want)
+            assert _bits(norms[k]) == _bits(np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -427,19 +454,20 @@ def test_stacked_lstsq_raises_on_non_finite_jacobian(bad):
 @pytest.mark.parametrize("pair", ["s1p", "sin_minus"])
 def test_scan_solves_all_lanes_with_one_lstsq_per_iteration(pair,
                                                             monkeypatch):
-    # one least-squares call per Newton iteration, over every live lane,
-    # and none of numpy's one-matrix calls
+    # per Newton iteration, one least-squares call over every live lane
+    # (2x2 systems) and at most one more over the tail lanes that take the
+    # augmented step (3x2 systems), and none of numpy's one-matrix calls
     s = PAIRS[pair]()
-    lanes, solved = [], []
+    calls = []
     pair_jets, steps = surface._pair_jets, surface._lstsq_steps
 
     def spy_jets(s, p, order):
         if sys._getframe(1).f_code.co_name == "_newton_t3":
-            lanes.append(len(p[0]))
+            calls.append([len(p[0])])
         return pair_jets(s, p, order)
 
     def spy_steps(J, r):
-        solved.append(len(J))
+        calls[-1].append(J.shape)
         return steps(J, r)
 
     def no_lstsq(*args, **kwargs):
@@ -449,9 +477,15 @@ def test_scan_solves_all_lanes_with_one_lstsq_per_iteration(pair,
     monkeypatch.setattr(surface, "_lstsq_steps", spy_steps)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     pts = surface.find_singular_points(s, (-2.0, 2.0, -2.0, 2.0), grid_n=24)
-    assert pts and lanes
-    assert solved == lanes
-    assert max(solved) > 1
+    assert pts and calls
+    for lanes, plain, *augmented in calls:
+        assert plain == (lanes, 2, 2)
+        assert len(augmented) <= 1
+        assert all(shape[0] <= lanes and shape[1:] == (3, 2)
+                   for shape in augmented)
+    assert max(lanes for lanes, *_ in calls) > 1
+    assert any(augmented for _, _, *augmented in calls) == (pair == "s1p")
+
 
 def test_landscape_nodes_equal_partial_value():
     s = PAIRS["s1m"]()
