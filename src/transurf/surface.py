@@ -28,6 +28,10 @@ from .tolerances import DEFAULT, Tolerances
 CONDITION_NAMES = ("i", "ii", "iii")
 ALPHA_NEWTON_ITER = 30   # iteration cap of a Newton run on alpha = 0
 T3_NEWTON_ITER = 80      # iteration cap of a Newton run on (t31, t32) = 0
+# sigma_min / sigma_max below which a converged Newton iterate's Jacobian of
+# (t31, t32) counts as rank 1, and at or above which the augmented Jacobian
+# [J; grad det J] counts as regular: the gate of the augmented step
+ROOT_SIGMA_RATIO = 1e-3
 PERIOD_MERGE_RADIUS = 1e-6   # folded points closer than this are one point
 
 
@@ -447,20 +451,21 @@ def _newton_t3(s: TranslationSurface, us, vs,
     ``t_bijet(3, j, u, v, degree=2)``, j = 1, 2 (formed by ``frame_dot`` from
     the same frame rows, so bitwise equal to those BiJet entries). At a
     degenerate zero (J of rank 1, as at an S1 point) that step converges
-    only linearly. So a start whose residual is already below ``tol``, whose
-    step is not yet below 1e-12 and whose J has sigma_min / sigma_max below
-    ``root_tol`` takes the Gauss-Newton step of the augmented system
-    (t31, t32, det J) instead, wherever its 3x2 Jacobian [J; grad det J],
-    formed from the same rows' second derivatives
-    (:func:`_augmented_systems`), has a ratio of at least ``root_tol``: the
-    zero is regular for that system, and the step converges quadratically.
-    One more solve serves all those starts. Along a curve of zeros
-    grad det J vanishes with det J, and the plain step stays. A start
-    retires once its residual is below ``tol`` and its plain step below
-    1e-12, when its iterate leaves the finite range or when it runs out of
-    iterations. Returns the root of each start, or None.
+    only linearly. So a start whose residual is already below ``tol`` and
+    whose J has sigma_min / sigma_max below ``ROOT_SIGMA_RATIO`` takes the
+    Gauss-Newton step of the augmented system (t31, t32, det J) instead,
+    wherever its 3x2 Jacobian [J; grad det J], formed from the same rows'
+    second derivatives (:func:`_augmented_systems`), has a ratio of at least
+    ``ROOT_SIGMA_RATIO``: the zero is regular for that system, and the step
+    converges quadratically. One more solve serves all those starts. Along
+    a curve of zeros its tangent is in the kernel of J and of grad det J
+    alike, the augmented Jacobian has rank 1 too, and the plain step stays.
+    A start retires once its residual is below ``tol`` and the step
+    it would take, plain or augmented, is below 1e-12 (its root is the
+    iterate, or where a last augmented step lands), when its iterate
+    leaves the finite range or when it runs out of iterations. Returns the
+    root of each start, or None.
     """
-    root_tol = s.tols.root_tol
     x = np.array([us, vs], dtype=float)     # iterate k is x[:, k]
     roots: list[tuple[float, float] | None] = [None] * x.shape[1]
     converged = np.zeros(x.shape[1], dtype=bool)
@@ -483,22 +488,27 @@ def _newton_t3(s: TranslationSurface, us, vs,
         J = np.stack([r_u, r_v], -1)
         step = _lstsq_steps(J, r)
         nrm = np.sqrt(np.vecdot(step, step))   # np.linalg.norm bitwise
+        aug = np.flatnonzero(converged[live])
+        if len(aug):
+            aug = aug[_sigma_ratio(J[aug]) < ROOT_SIGMA_RATIO]
+            A, F = _augmented_systems(J[aug], r[aug], r_uu[aug], r_uv[aug],
+                                      r_vv[aug])
+            ok = _sigma_ratio(A) >= ROOT_SIGMA_RATIO
+            aug = aug[ok]
+            if len(aug):
+                step[aug] = _lstsq_steps(A[ok], F[ok])
+                nrm[aug] = np.sqrt(np.vecdot(step[aug], step[aug]))
+        # retirement reads the step that is taken, plain or augmented
         done = converged[live] & (nrm < 1e-12)
-        for lane in live[done].tolist():
-            roots[lane] = tuple(x[:, lane].tolist())
-        tail = np.flatnonzero(converged[live] & ~done)
-        if len(tail):
-            tail = tail[_sigma_ratio(J[tail]) < root_tol]
-            A, F = _augmented_systems(J[tail], r[tail], r_uu[tail],
-                                      r_uv[tail], r_vv[tail])
-            ok = _sigma_ratio(A) >= root_tol
-            if ok.any():
-                tail = tail[ok]
-                step[tail] = _lstsq_steps(A[ok], F[ok])
-                nrm[tail] = np.sqrt(np.vecdot(step[tail], step[tail]))
         long = nrm > 0.5
         step[long] *= (0.5 / nrm[long])[:, None]
         new = p + step.T
+        # a last augmented step is taken: it converges quadratically, so
+        # it lands on the root to rounding; a last plain step is not
+        end = p.copy()
+        end[:, aug] = new[:, aug]
+        for k in np.flatnonzero(done).tolist():
+            roots[live[k]] = tuple(end[:, k].tolist())
         go = ~done & np.isfinite(new).all(axis=0)
         live = live[go]
         x[:, live] = new[:, go]
@@ -509,8 +519,11 @@ def _newton_t3(s: TranslationSurface, us, vs,
 
 def _sigma_ratio(M: np.ndarray) -> np.ndarray:
     """sigma_min / sigma_max of every matrix of a stack of n x 2 matrices,
-    from the eigenvalues of its 2x2 Gram matrix [[a, b], [b, c]]. (An SVD
-    or an axis sum here raised the peak RSS of a scan by 0.2-0.3 MB.)"""
+    from the eigenvalues of its 2x2 Gram matrix [[a, b], [b, c]]. The Gram
+    matrix squares the condition number, so a ratio is resolved only down
+    to about 1e-7 (below that it may come out 0), far under the 1e-3 gate
+    it serves. (An SVD or an axis sum here raised the peak RSS of a scan by
+    0.2-0.3 MB.)"""
     col0, col1 = M[:, :, 0], M[:, :, 1]
     a, b, c = (np.vecdot(col0, col0), np.vecdot(col0, col1),
                np.vecdot(col1, col1))

@@ -17,13 +17,6 @@ built once, with the defaults). Which decision reads each field:
   unit-speed shortcut of the S0/S1 tests.
 - ``sing_tol``: Newton convergence of the singular-point scan, and the
   conditions (i), (ii), (iii) reported at a point (each within 10 sing_tol).
-- ``root_tol``: which Newton iterates of the scan that are already below
-  sing_tol take the augmented step on (t31, t32, det J): those whose
-  Jacobian J of (t31, t32) has sigma_min / sigma_max below it (a degenerate
-  zero, such as an S1 point) and whose augmented Jacobian [J; grad det J]
-  has a ratio of at least it. Set below J's ratio at a degenerate zero
-  (1.0e-8 at the s1m point), it keeps every iterate there on the plain
-  step, and the root keeps that step's linear-convergence error.
 - ``dep_tol``: the dependent condition |mu x mu~| < dep_tol, and |t33| = 1 in
   the S0/S1 tests.
 - ``ratio_tol``: sigma_min / sigma_max of the field-dependence scan.
@@ -63,7 +56,6 @@ class Tolerances:
     hess_tol: float = 1e-6        # closed-form vs jet Hessian agreement
     crit_tol: float = 1e-7        # |value| > crit_tol realizes "!= 0"
     hyp_tol: float = 1e-7         # |value| < hyp_tol realizes "= 0"
-    root_tol: float = 1e-3        # sigma ratio gate of the augmented Newton step
 
     def replace(self, **overrides: float) -> "Tolerances":
         return dataclasses.replace(self, **overrides)

@@ -327,11 +327,12 @@ def test_slide_classify_reads_its_base_in_batches(kind, monkeypatch):
 def _newton_reference(s, u, v, tol, max_iter=80):
     """The scalar Newton loop on (t31, t32) = 0, one start at a time, each
     iterate from one scalar evaluation of each curve. A converged start
-    whose step is not yet below 1e-12, whose Jacobian J has
-    sigma_min / sigma_max below root_tol and whose augmented Jacobian
-    [J; grad det J] has a ratio of at least root_tol takes the least-squares
-    step of (t31, t32, det J) instead; the ratios come from numpy's SVD."""
-    root_tol = s.tols.root_tol
+    whose Jacobian J has sigma_min / sigma_max below ROOT_SIGMA_RATIO and
+    whose augmented Jacobian [J; grad det J] has a ratio of at least it
+    takes the least-squares step of (t31, t32, det J) instead; the ratios
+    come from numpy's SVD. A converged start retires once the step it would
+    take is below 1e-12, after taking it if it is augmented."""
+    gate = surface.ROOT_SIGMA_RATIO
 
     def ratio(M):
         sv = np.linalg.svd(M, compute_uv=False)
@@ -351,19 +352,21 @@ def _newton_reference(s, u, v, tol, max_iter=80):
                       [b32.part(1, 0), b32.part(0, 1)]])
         step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
         nrm = float(np.linalg.norm(step))
-        if converged and nrm < 1e-12:
-            return u, v
-        if converged and ratio(J) < root_tol:
+        augmented = False
+        if converged and ratio(J) < gate:
             (a, b), (c, d) = J
             det_u = (b31.part(2, 0) * d + a * b32.part(1, 1)
                      - b31.part(1, 1) * c - b * b32.part(2, 0))
             det_v = (b31.part(1, 1) * d + a * b32.part(0, 2)
                      - b31.part(0, 2) * c - b * b32.part(1, 1))
             A = np.array([[a, b], [c, d], [det_u, det_v]])
-            if ratio(A) >= root_tol:
+            if ratio(A) >= gate:
                 F = np.array([r[0], r[1], a * d - b * c])
                 step, *_ = np.linalg.lstsq(A, -F, rcond=1e-10)
                 nrm = float(np.linalg.norm(step))
+                augmented = True
+        if converged and nrm < 1e-12:
+            return (u + step[0], v + step[1]) if augmented else (u, v)
         if nrm > 0.5:
             step *= 0.5 / nrm
         new = (u + step[0], v + step[1])

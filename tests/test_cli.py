@@ -145,25 +145,6 @@ def test_tolerance_override(tmp_path):
     assert doc["input"]["tolerances"]["sing_tol"] == 1e-10
 
 
-def test_root_tol_override_reaches_the_scan(tmp_path):
-    # a root_tol below the Jacobian's sigma ratio at the s1m point (1e-8)
-    # turns the augmented Newton step off there: the point falls back to
-    # the plain step's root; the report echoes only overrides
-    points = {}
-    for extra in ([], ["--tol", "root_tol=1e-300"]):
-        rep = tmp_path / "r.json"
-        assert run_cli(["scan", "--curve-a", "@s1m_a", "--curve-b", "@s1m_b",
-                        "--window=-1.5,1.5,-1.5,1.5", "--grid", "40",
-                        "--report", str(rep)] + extra) == 0
-        doc = json.loads(rep.read_text())
-        (q,) = doc["singular_points"]
-        assert q["verdict"]["tag"] == "S1Minus"
-        points[tuple(doc["input"]["tolerances"].items())] = (q["u"], q["v"])
-    assert math.hypot(*points[()]) < 1e-11
-    assert points[(("root_tol", 1e-300),)] == pytest.approx(
-        (-2.23e-8, -1.12e-8), rel=1e-2)
-
-
 def test_tolerance_overrides_reach_catalog_curves():
     # the s1m helices are arc-length; with arc_tol and hyp_tol at 1e-300
     # neither the arc-length flag nor the pointwise gate may open the

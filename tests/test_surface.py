@@ -12,7 +12,6 @@ from transurf.surface import (TranslationSurface, ab_dependence_scan,
                               canonical_periodic_points, dependence_test,
                               find_singular_points, gfs_invariants,
                               residual_landscape)
-from transurf.tolerances import DEFAULT
 
 PI = math.pi
 
@@ -153,25 +152,25 @@ S1_SCANS = [("s1p", (-2, 2, -2, 2), 48, "S1Plus"),
             ("s1m", (-1.5, 1.5, -1.5, 1.5), 40, "S1Minus")]
 
 
-def _s1_scan(name, window, grid, tols=DEFAULT):
-    s = TranslationSurface.general(catalog(f"{name}_a"), catalog(f"{name}_b"),
-                                   tols)
+def _s1_scan(name, window, grid):
+    s = TranslationSurface.general(catalog(f"{name}_a"), catalog(f"{name}_b"))
     return s, find_singular_points(s, window, grid_n=grid)
 
 
 @pytest.mark.parametrize("name, window, grid, tag", S1_SCANS)
 def test_scan_locates_s1_points_to_full_precision(name, window, grid, tag):
     # the Jacobian of (t31, t32) has rank 1 at an S1 point; the augmented
-    # step on (t31, t32, det J) converges quadratically, so the root and the
-    # criterion that must vanish there are within 1e-11 of zero (the plain
-    # step's linear tail left s1m 2.5e-8 off, cross_cap_value -2.2e-8)
+    # step on (t31, t32, det J) converges quadratically, so the root lies
+    # within 1e-11 of (0, 0) and the criterion that must vanish there within
+    # 1e-12 of zero (the plain step's linear tail left s1m 2.5e-8 off,
+    # cross_cap_value -2.2e-8)
     s, pts = _s1_scan(name, window, grid)
     assert [q.conditions for q in pts] == [("iii",)]
     q = pts[0]
     assert math.hypot(q.u, q.v) < 1e-11
     r = classify(s, q.p)
     assert r.tag == tag
-    assert abs(r.gfs.value("cross_cap_value")) < 1e-11
+    assert abs(r.gfs.value("cross_cap_value")) < 1e-12
 
 
 def test_degenerate_root_converges_in_few_iterations(monkeypatch):
@@ -186,15 +185,6 @@ def test_degenerate_root_converges_in_few_iterations(monkeypatch):
     monkeypatch.setattr(surface, "_pair_jets", spy_jets)
     _s1_scan(*S1_SCANS[2][:3])
     assert 0 < len(iterations) <= 16
-
-
-def test_root_tol_decides_the_augmented_step():
-    # at root_tol = 0 no iterate takes the augmented step, and the s1m root
-    # keeps the error of the plain step's linear convergence
-    name, window, grid, _ = S1_SCANS[2]
-    _, (q,) = _s1_scan(name, window, grid,
-                       tols=DEFAULT.replace(root_tol=0.0))
-    assert q.p == pytest.approx((-2.23e-8, -1.12e-8), rel=1e-2)
 
 
 def test_scan_skew_lines_empty():
