@@ -240,10 +240,11 @@ class PointData:
         if a.frenet is None or b.frenet is None:
             return False
         tols = self.s.tols
-        if a.is_arc_length(tols.arc_tol) and b.is_arc_length(tols.arc_tol):
-            return True
-        return (self.pj.ju.unit_speed_gate(tols.hyp_tol)
-                and self.pj.jv.unit_speed_gate(tols.hyp_tol))
+        # the pointwise test first: the 33-sample scan only where it fails
+        return ((self.pj.ju.unit_speed_gate(tols.hyp_tol)
+                 and self.pj.jv.unit_speed_gate(tols.hyp_tol))
+                or (a.is_arc_length(tols.arc_tol)
+                    and b.is_arc_length(tols.arc_tol)))
 
     def frenet_discriminant(self) -> float:
         """tau tau~ (kappa^2 + kappa~^2) t11 - kappa kappa~ (tau^2 + tau~^2)

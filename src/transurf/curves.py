@@ -342,6 +342,52 @@ class CurveJets:
 # Frenet adapter
 # ---------------------------------------------------------------------------
 
+def frenet_tail(g1: VecJets, t, nondeg_tol: float):
+    """(|g1 x g1'|, |g1|, (normal, binormal)) from the velocity jets g1 at t."""
+    c = cross3(g1, shift3(g1))
+    csq = dot3(c, c)
+    flat = csq.value < nondeg_tol**2
+    if np.any(flat):
+        where = t if not isinstance(t, np.ndarray) else float(t[flat][0])
+        raise NotNonDegenerate("gamma' x gamma'' vanishes", where)
+    cn = jets.sqrt(csq)
+    speed = norm3(g1)
+    tv = tuple(x / speed for x in g1)
+    bv = tuple(x / cn for x in c)
+    return cn, speed, (cross3(bv, tv), bv)
+
+
+class FrenetFrame:
+    """The frame evaluator of :func:`frenet_lift`, from its velocity jets."""
+
+    def __init__(self, velocity: VecFn, nondeg_tol: float):
+        self.velocity = velocity
+        self.nondeg_tol = nondeg_tol
+
+    def parts(self, t, order: int):
+        return frenet_tail(self.velocity(t, order + 1), t, self.nondeg_tol)
+
+    def __call__(self, t, order: int) -> tuple[VecJets, VecJets]:
+        return self.parts(t, order)[2]
+
+
+def frenet_pair(cu: FramedCurve, u: np.ndarray, cv: FramedCurve,
+                v: np.ndarray, order: int) -> tuple[CurveJets, CurveJets]:
+    """The jets of ``cu`` at u and of ``cv`` at v (1-D arrays), two curves
+    with :class:`FrenetFrame` evaluators of one ``nondeg_tol``: each curve
+    evaluates its velocity jets, and :func:`frenet_tail` and mu run once on
+    the joined jets. Every lane equals its curve's own evaluation bitwise."""
+    t = np.concatenate((u, v))
+    g1 = tuple(Jet._fresh(t, np.hstack((a.d, b.d))) for a, b in zip(
+        cu._frame.velocity(u, order + 1), cv._frame.velocity(v, order + 1)))
+    frame = frenet_tail(g1, t, cu._frame.nondeg_tol)[2]
+    both = (frame, cross3(*frame))
+    out = CurveJets(cu, u, order), CurveJets(cv, v, order)
+    for jets, idx in zip(out, (slice(len(u)), slice(len(u), None))):
+        jets.frame, jets.mu = _pick(both, jets.t, idx)
+    return out
+
+
 def frenet_lift(gamma: VecFn, domain: tuple[float, float],
                 name: str = "frenet-curve", period: float | None = None,
                 tols: Tolerances = DEFAULT,
@@ -359,27 +405,10 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
     if velocity is None:
         def velocity(t, order):
             return shift3(gamma(t, order + 1))
-
-    def parts(t, order: int):
-        """|gamma' x gamma''|, |gamma'| and the frame (normal, binormal)."""
-        g1 = velocity(t, order + 1)
-        c = cross3(g1, shift3(g1))
-        csq = dot3(c, c)
-        flat = csq.value < tols.nondeg_tol**2
-        if np.any(flat):
-            where = t if not isinstance(t, np.ndarray) else float(t[flat][0])
-            raise NotNonDegenerate("gamma' x gamma'' vanishes", where)
-        cn = jets.sqrt(csq)
-        speed = norm3(g1)
-        tv = tuple(x / speed for x in g1)
-        bv = tuple(x / cn for x in c)
-        return cn, speed, (cross3(bv, tv), bv)
-
-    def frame(t, order):
-        return parts(t, order)[2]
+    frame = FrenetFrame(velocity, tols.nondeg_tol)
 
     def kappa(t, order):
-        cn, speed, _ = parts(t, order)
+        cn, speed, _ = frame.parts(t, order)
         return cn / (speed * speed * speed)
 
     def tau(t, order):
@@ -390,7 +419,7 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
         return det3(g1, g2, g3) / dot3(c, c)
 
     # non-degeneracy at 33 domain samples, checked as one batch
-    parts(np.linspace(domain[0], domain[1], 33), 2)
+    frame.parts(np.linspace(domain[0], domain[1], 33), 2)
 
     return FramedCurve(gamma, frame, domain, name=name, period=period,
                        frenet=FrenetData(kappa, tau))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .curves import CurveJets, FramedCurve, shift3, vec_values
+from .curves import (CurveJets, FramedCurve, FrenetFrame, frenet_pair,
+                     shift3, vec_values)
 from .errors import TransurfError
 from .framefield import FrameField, entry_bijet, entry_value, frame_dot
 from .jets import BiJet
@@ -200,15 +201,18 @@ def _pair_jets(s: TranslationSurface, p,
     once, at the distinct values of u and v together, told apart bitwise
     (a single point only when u == v bitwise), and so is gamma: x+ is one
     curve, and x- reads the v-curve's gamma as the negation of the u-curve's
-    (:meth:`CurveJets.for_curve`); each entry reads its lane. Should that
-    shared evaluation raise, the curves are evaluated apart, so the error is
+    (:meth:`CurveJets.for_curve`); each entry reads its lane. Two Frenet
+    frames with one ``nondeg_tol`` share their frame and mu at a batch of
+    two or more points per side (:func:`frenet_pair`). Should a shared
+    evaluation raise, the curves are evaluated apart, so the error is
     theirs. Every lane equals the separate evaluation bitwise.
     """
     u, v = p
     cu, cv = s.curve_u, s.curve_v
+    fu, fv = cu._frame, cv._frame
     batch = isinstance(u, np.ndarray)
-    if (cu._frame is cv._frame and (np.size(u) > 1 or float(
-            np.ravel(u)[0]).hex() == float(np.ravel(v)[0]).hex())):
+    if fu is fv and (np.size(u) > 1 or float(
+            np.ravel(u)[0]).hex() == float(np.ravel(v)[0]).hex()):
         ts, inv = _distinct(np.concatenate((u, v))) if batch else (u, None)
         both = CurveJets(cu, ts, order)
         try:
@@ -220,6 +224,12 @@ def _pair_jets(s: TranslationSurface, p,
             if not batch:
                 return both, on_v
             return both.take(inv[:len(u)]), on_v.take(inv[len(u):])
+    elif (batch and min(len(u), len(v)) > 1 and type(fu) is type(fv)
+            is FrenetFrame and fu.nondeg_tol == fv.nondeg_tol):
+        try:
+            return frenet_pair(cu, u, cv, v, order)
+        except TransurfError:
+            pass        # evaluated apart below, so that the error is theirs
     return CurveJets(cu, u, order), CurveJets(cv, v, order)
 
 
@@ -444,12 +454,12 @@ def _newton_t3(s: TranslationSurface, us, vs,
                tol: float) -> list[tuple[float, float] | None]:
     """Newton iteration on (t31, t32) = 0 from every start (us[k], vs[k]).
 
-    Each iteration evaluates both curves once at all live iterates, a self
-    pair's shared frame once (:func:`_pair_jets`), and takes every live
-    start's least-squares step, clamped to length 0.5, with one solve
+    Each iteration evaluates both curves once at all live iterates, a shared
+    frame once (:func:`_pair_jets`), and takes every live start's
+    least-squares step, clamped to length 0.5, with one solve
     (:func:`_lstsq_steps`) from the residuals and Jacobians J of
-    ``t_bijet(3, j, u, v, degree=2)``, j = 1, 2 (formed by ``frame_dot`` from
-    the same frame rows, so bitwise equal to those BiJet entries). At a
+    ``t_bijet(3, j, u, v, degree=2)``, j = 1, 2 (one broadcast ``frame_dot``
+    of the same frame rows, so bitwise equal to those BiJet entries). At a
     degenerate zero (J of rank 1, as at an S1 point) that step converges
     only linearly. So a start whose residual is already below ``tol`` and
     whose J has sigma_min / sigma_max below ``ROOT_SIGMA_RATIO`` takes the
@@ -475,13 +485,13 @@ def _newton_t3(s: TranslationSurface, us, vs,
             return roots
         p = x[:, live]
         ju, jv = _pair_jets(s, (p[0], p[1]), 2)
-        # frame rows as arrays indexed [component, derivative order, lane]
-        nu1, nu2 = (np.array([c.d for c in row]) for row in ju.frame)
+        # frame rows as arrays indexed [(j,) component, derivative order, lane]
+        nu = np.array([[c.d for c in row] for row in ju.frame])
         mu = np.array([c.d for c in jv.mu])
-        # (t31, t32) and its partials to order 2, each indexed [lane, j]
-        r, r_u, r_v, r_uu, r_uv, r_vv = (
-            np.stack([frame_dot(mu[:, a], nu[:, b]) for nu in (nu1, nu2)], -1)
-            for a, b in ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)))
+        # (t31, t32) and its partials 1, _u, _v, _uu, _uv, _vv, each [lane, j]
+        r, r_u, r_v, r_uu, r_uv, r_vv = frame_dot(
+            mu[:, [0, 0, 1, 0, 1, 2], :, None],
+            np.moveaxis(nu[:, :, [0, 1, 0, 2, 1, 0]], 0, -1))
         converged[live[np.fromiter(map(math.hypot, r[:, 0].tolist(),
                                        r[:, 1].tolist()), float) < tol]] = True
         # least-squares steps handle the rank-1 Jacobians along singular curves

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transurf import instances, jets, surface
-from transurf.curves import (CurveJets, FramedCurve, build_curve, catalog,
-                             catalog_names, frenet_lift, parse_curve,
+from transurf import curves, instances, jets, surface
+from transurf.curves import (CurveJets, FramedCurve, FrenetFrame, build_curve,
+                             catalog, catalog_names, frenet_lift, parse_curve,
                              vec_values)
 from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2, TransurfError)
@@ -826,18 +826,30 @@ def _frame_spy(curve, calls):
     return spy
 
 
+def _tail_spy(monkeypatch, calls):
+    """Count the runs of the Frenet frame tail in ``calls``."""
+    tail = curves.frenet_tail
+
+    def spy(g1, t, nondeg_tol):
+        calls.append(t)
+        return tail(g1, t, nondeg_tol)
+    monkeypatch.setattr(curves, "frenet_tail", spy)
+
+
 @pytest.mark.parametrize("pair,want", [
-    *((name, 1) for name in sorted(SELF_PAIRS)), ("s0", 2), ("s1m", 2)])
+    *((name, 1) for name in sorted(SELF_PAIRS)), ("s0", 2), ("s1m", 1)])
 def test_point_batch_evaluates_a_shared_frame_once(pair, want, monkeypatch):
+    # frame evaluations: runs of the Frenet frame tail, and calls of any
+    # other frame evaluator; a self pair shares its frame, and so do two
+    # Frenet frames
     s = {**PAIRS, **SELF_PAIRS}[pair]()
     calls = []
-    if s.curve_u._frame is s.curve_v._frame:
-        spy = _frame_spy(s.curve_u, calls)
-        spies = {s.curve_u: spy, s.curve_v: spy}
-    else:
-        spies = {c: _frame_spy(c, calls) for c in (s.curve_u, s.curve_v)}
-    for curve, spy in spies.items():
-        monkeypatch.setattr(curve, "_frame", spy)
+    _tail_spy(monkeypatch, calls)
+    spies = {}
+    for curve in dict.fromkeys((s.curve_u, s.curve_v)):
+        if not isinstance(curve._frame, FrenetFrame):
+            spy = spies.setdefault(curve._frame, _frame_spy(curve, calls))
+            monkeypatch.setattr(curve, "_frame", spy)
     pj = PointJets(s, (SELF_US, SELF_VS))
     pj.t(3, 1), pj.t(1, 2), pj.alpha_values()
     pj.ju.curvature, pj.jv.curvature
@@ -873,13 +885,74 @@ def test_one_point_batch_runs_the_float_path(pair, monkeypatch):
                 assert _bits(a.d[:, 0]) == _bits(b.d)
 
 
-def _inflected_curve():
-    """A Frenet-lifted planar curve, (u, sin u, 0), whose frame fails at
-    u = 0 and u = pi: the 33 samples over its domain miss both."""
+# pairs of two Frenet-lifted curves: catalog curves, expressions, and a
+# helix with a slide over it, whose frame reads a velocity hook
+FRENET_PAIRS = {
+    "s1m": PAIRS["s1m"],
+    "expr": DEPENDENCE_PAIRS["expr"],
+    "slide_edge": lambda: instances.slide_pair("edge")[0],
+}
+
+
+@pytest.mark.parametrize("pair", sorted(FRENET_PAIRS))
+def test_frenet_pair_jets_equal_separate_evaluation(pair, monkeypatch):
+    s = FRENET_PAIRS[pair]()
+    cu, cv = s.curve_u, s.curve_v
+    assert isinstance(cu._frame, FrenetFrame) and cu._frame is not cv._frame
+    tails = []
+    _tail_spy(monkeypatch, tails)
+    pj = PointJets(s, (SELF_US, SELF_VS))
+    pj.ju.mu, pj.jv.mu
+    us, vs = np.linspace(-0.3, 0.3, 7), np.linspace(-0.35, 0.25, 5)
+    got = residual_landscape(s, us, vs)
+    monkeypatch.undo()
+    # one tail for both curves per batch of points, none for either alone
+    # (the slide's velocity runs its base's frame at other parameters)
+    ran = [_bits(t) for t in tails]
+    for u, v in ((SELF_US, SELF_VS), (us, vs)):
+        assert ran.count(_bits(np.concatenate((u, v)))) == 1
+        assert _bits(u) not in ran and _bits(v) not in ran
+    _assert_same_curve_jets(pj.ju, _curve_jets_reference(cu, SELF_US, 6))
+    _assert_same_curve_jets(pj.jv, _curve_jets_reference(cv, SELF_VS, 6))
+    on_u, on_v = cu.batch_jets(us, 2), cv.batch_jets(vs, 2)
+    mu_v = [c.value[None, :] for c in on_v.mu]
+    want = (on_u.alpha.value, on_v.alpha.value,
+            *(frame_dot(mu_v, [c.value[:, None] for c in row])
+              for row in on_u.frame))
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and _bits(g) == _bits(w)
+
+
+def test_newton_runs_one_frame_tail_per_iteration(monkeypatch):
+    # each Newton step of a Frenet pair runs the frame tail once for both
+    # curves; a step of one live start takes the float path, one per curve
+    s = PAIRS["s1m"]()
+    tails, steps = [], []
+    _tail_spy(monkeypatch, tails)
+    pair_jets = surface._pair_jets
+
+    def spy(s, p, order):
+        before = len(tails)
+        out = pair_jets(s, p, order)
+        out[0].frame, out[1].mu    # the rows a Newton step reads
+        if sys._getframe(1).f_code.co_name == "_newton_t3":
+            steps.append((len(p[0]), len(tails) - before))
+        return out
+
+    monkeypatch.setattr(surface, "_pair_jets", spy)
+    surface.find_singular_points(s, (-1.5, 1.5, -1.5, 1.5), grid_n=40)
+    assert steps and max(lanes for lanes, _ in steps) > 1
+    assert all(runs == (1 if lanes > 1 else 2) for lanes, runs in steps)
+
+
+def _inflected(shift: float = 0.0):
+    """A Frenet-lifted planar curve, (u, sin(u - shift), 0), whose frame
+    fails at u = shift and u = shift + pi: the 33 samples over its domain
+    miss both."""
     def gamma(t, order):
         u = Jet.variable(t, order)
-        return (u, jets.sin(u), Jet.constant(0.0, t, order))
-    return frenet_lift(gamma, (-3.5, 3.3), name="inflected")
+        return (u, jets.sin(u - shift), Jet.constant(0.0, t, order))
+    return frenet_lift(gamma, (-3.5, 3.3), name=f"inflected{shift:+g}")
 
 
 def _raised(read) -> tuple[type, str]:
@@ -888,12 +961,34 @@ def _raised(read) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
+def test_failing_frenet_pair_raises_the_separate_error():
+    # the u-curve fails at pi and the v-curve at 0.5; the joined batch fails
+    # first at pi, so the v side's error shows that the curves were
+    # evaluated apart
+    s = TranslationSurface.general(_inflected(), _inflected(0.5))
+    us, vs = np.array([0.25, math.pi]), np.array([0.3, 0.5])
+    joined = _raised(lambda: curves.frenet_pair(s.curve_u, us, s.curve_v,
+                                                vs, 6))
+    assert f"t={math.pi!r}" in joined[1]
+    pj = PointJets(s, (us, vs))
+    for side, curve, t in (("ju", s.curve_u, us), ("jv", s.curve_v, vs)):
+        want = _raised(lambda: _curve_jets_reference(curve, t, 6).frame)
+        assert want == _raised(lambda: getattr(pj, side).frame)
+    assert "t=0.5" in _raised(lambda: pj.jv.frame)[1]
+    # where only the v side fails, the u side evaluates
+    us = np.array([0.25, 1.0])
+    pj = PointJets(s, (us, vs))
+    _assert_same_curve_jets(pj.ju, _curve_jets_reference(s.curve_u, us, 6))
+    assert _raised(lambda: pj.jv.frame) == _raised(
+        lambda: _curve_jets_reference(s.curve_v, vs, 6).frame)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_failing_shared_batch_raises_the_separate_error(sign):
     # u fails at pi and v at 0.0; the shared batch, at the distinct values
     # of both, fails first at 0.0, so the u side's error shows that the
     # curves were evaluated apart
-    s = TranslationSurface.self_translation(_inflected_curve(), sign)
+    s = TranslationSurface.self_translation(_inflected(), sign)
     us, vs = np.array([math.pi, 0.5]), np.array([0.25, 0.0])
     shared, _ = surface._distinct(np.concatenate((us, vs)))
     assert "t=0.0" in _raised(lambda: s.curve_u.batch_jets(shared, 6).frame)[1]

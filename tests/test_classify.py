@@ -228,6 +228,25 @@ def test_framed_route_unit_speed_shortcut_consistency():
     assert "generic route agrees" in r.final.notes
 
 
+@pytest.mark.parametrize("build,args", [("slide_pair", ["edge"]),
+                                        ("planar_pair", [])])
+def test_unit_speed_gate_reads_the_point_first(build, args, monkeypatch):
+    # both curves pass the pointwise unit-speed test at these points, so the
+    # 33-sample arc-length scan of the whole curve is never run
+    s, p0 = getattr(instances, build)(*args)
+    scans = []
+    is_arc_length = FramedCurve.is_arc_length
+
+    def spy(self, arc_tol):
+        scans.append(self)
+        return is_arc_length(self, arc_tol)
+
+    monkeypatch.setattr(FramedCurve, "is_arc_length", spy)
+    r = classify(s, p0)
+    assert not scans
+    assert r.gfs.value("frenet_t21") is not None
+
+
 @pytest.mark.parametrize("build,args", [
     ("cylinder_pair", []),
     ("slide_pair", ["edge"]),
