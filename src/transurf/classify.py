@@ -250,9 +250,8 @@ class PointData:
         """tau tau~ (kappa^2 + kappa~^2) t11 - kappa kappa~ (tau^2 + tau~^2)
         from the Frenet curvature and torsion of both curves."""
         u, v = self.p0
-        a, b = self.s.curve_u, self.s.curve_v
-        ka, ta = a.frenet.kappa(u, 2).value, a.frenet.tau(u, 2).value
-        kb, tb = b.frenet.kappa(v, 2).value, b.frenet.tau(v, 2).value
+        ka, ta = (j.value for j in self.s.curve_u.frenet.kappa_tau(u, 2))
+        kb, tb = (j.value for j in self.s.curve_v.frenet.kappa_tau(v, 2))
         return (ta * tb * (ka * ka + kb * kb) * self.t[1, 1]
                 - ka * kb * (ta * ta + tb * tb))
 

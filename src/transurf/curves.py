@@ -73,12 +73,18 @@ class FramedCurvature:
 
 
 class FrenetData:
-    """Curvature/torsion evaluators attached to Frenet-lifted curves."""
+    """Curvature/torsion evaluators attached to Frenet-lifted curves:
+    ``kappa_tau(t, order)`` gives the jets of both, of at least that order,
+    from one evaluation of the curve."""
 
-    def __init__(self, kappa: Callable[[float, int], Jet],
-                 tau: Callable[[float, int], Jet]):
-        self.kappa = kappa
-        self.tau = tau
+    def __init__(self, kappa_tau: Callable[[float, int], tuple[Jet, Jet]]):
+        self.kappa_tau = kappa_tau
+
+    def kappa(self, t: float, order: int) -> Jet:
+        return self.kappa_tau(t, order)[0]
+
+    def tau(self, t: float, order: int) -> Jet:
+        return self.kappa_tau(t, order)[1]
 
 
 class FramedCurve:
@@ -206,9 +212,8 @@ class FramedCurve:
         fr = None
         if self.frenet is not None and s > 0:
             base = self.frenet
-            fr = FrenetData(
-                kappa=lambda t, order: base.kappa(t, order) / s,
-                tau=lambda t, order: base.tau(t, order) / s)
+            fr = FrenetData(lambda t, order: tuple(
+                x / s for x in base.kappa_tau(t, order)))
         return FramedCurve(gamma, self._frame, self.domain,
                            name=f"{self.name}*{s:g}", period=self.period,
                            frenet=fr, validate=False)
@@ -407,22 +412,19 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
             return shift3(gamma(t, order + 1))
     frame = FrenetFrame(velocity, tols.nondeg_tol)
 
-    def kappa(t, order):
-        cn, speed, _ = frame.parts(t, order)
-        return cn / (speed * speed * speed)
-
-    def tau(t, order):
+    def kappa_tau(t, order):
         g1 = velocity(t, order + 3)
+        cn, speed, _ = frenet_tail(g1, t, frame.nondeg_tol)
         g2 = shift3(g1)
-        g3 = shift3(g2)
         c = cross3(g1, g2)
-        return det3(g1, g2, g3) / dot3(c, c)
+        return (cn / (speed * speed * speed),
+                det3(g1, g2, shift3(g2)) / dot3(c, c))
 
     # non-degeneracy at 33 domain samples, checked as one batch
     frame.parts(np.linspace(domain[0], domain[1], 33), 2)
 
     return FramedCurve(gamma, frame, domain, name=name, period=period,
-                       frenet=FrenetData(kappa, tau))
+                       frenet=FrenetData(kappa_tau))
 
 
 # ---------------------------------------------------------------------------

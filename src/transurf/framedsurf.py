@@ -422,10 +422,8 @@ def unit_speed_oracle(pj: PointJets, pt: ThetaPoint) -> dict[int, float]:
         raise ValueError("both curves need curvature/torsion data")
     tu, tv = th.part(1, 0), th.part(0, 1)
     tuu, tuv, tvv = th.part(2, 0), th.part(1, 1), th.part(0, 2)
-    ka = s.curve_u.frenet.kappa(u, 2)
-    ta = s.curve_u.frenet.tau(u, 2)
-    kb = s.curve_v.frenet.kappa(v, 2)
-    tb = s.curve_v.frenet.tau(v, 2)
+    ka, ta = s.curve_u.frenet.kappa_tau(u, 2)
+    kb, tb = s.curve_v.frenet.kappa_tau(v, 2)
     kappa, kappa_u = ka.value, ka.deriv(1)
     tau, tau_u = ta.value, ta.deriv(1)
     kappat, kappat_v = kb.value, kb.deriv(1)

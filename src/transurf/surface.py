@@ -399,23 +399,31 @@ def _newton_alpha(curve: FramedCurve, ts, tol: float) -> list[float | None]:
     """Newton iteration on alpha = 0 from every start ``ts[k]``.
 
     Each iteration evaluates the curve once at all live iterates and steps
-    them as arrays: a start stops at a root once |alpha| < tol, gives up
-    where alpha' = 0, and takes the Newton step halved until it is at most
-    0.5 long. Returns the root of each start, or None.
+    them as arrays: a start stops at a root once |alpha| < tol, and takes
+    the Newton step halved until it is at most 0.5 long. It gives up where
+    the step is not finite (alpha' = 0 among them) and where |alpha| is not
+    below its value at the previous iterate: -alpha/alpha' is a descent
+    direction of |alpha|, so a start converging on a root lowers |alpha| at
+    every step, while one that bounces between minima of |alpha| (a curve
+    whose speed never vanishes) does not. Returns the root of each start,
+    or None.
     """
     t = np.array(ts, dtype=float)
     roots: list[float | None] = [None] * len(t)
-    live = np.arange(len(t))
+    live, last = np.arange(len(t)), np.full(len(t), np.inf)
     for _ in range(ALPHA_NEWTON_ITER):
         if not len(live):
             break
         alpha = curve.batch_jets(t[live], 2).alpha
         f, df = alpha.value, alpha.d[1]
-        done = np.abs(f) < tol
+        size = np.abs(f)
+        done = size < tol
         for lane in live[done].tolist():
             roots[lane] = float(t[lane])
-        go = ~done & (df != 0.0)
-        live, step = live[go], -f[go] / df[go]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = -f / df
+        go = ~done & (size < last) & np.isfinite(step)
+        live, last, step = live[go], size[go], step[go]
         while (long := np.abs(step) > 0.5).any():
             step[long] *= 0.5
         t[live] += step
@@ -561,7 +569,8 @@ def find_singular_points(s: TranslationSurface,
 
     The residual landscape (alpha(u), alpha~(v) and (t31, t32) on the grid)
     comes from one batch evaluation of each curve. Candidate cells for
-    condition (i) or (ii) are refined by a 1-D Newton on alpha, and all
+    condition (i) or (ii) are refined by a 1-D Newton on alpha, whose starts
+    give up once |alpha| stops falling (:func:`_newton_alpha`), and all
     condition-(iii) candidates by one batched Newton run, which converges
     quadratically at a degenerate zero too (an S1 point, where the Jacobian
     of (t31, t32) has rank 1) through the augmented step of

@@ -4,7 +4,9 @@ Covers the curve batch method against the per-point methods; the
 tangent-sliding and reconstructed curves against stacked scalar lanes and
 their former scalar algorithms (a quadrature per node, a derivative stack
 per lane); the slide's reads of its base in a classify; the batched Newton
-refinement of the scan against a scalar reference loop; the residual
+refinement of the scan against a scalar reference loop, and the roots of
+its alpha Newton, which gives up once |alpha| stops falling, against the
+loop that runs to its iteration cap; the residual
 landscape against ``partial_value``; the field-dependence scan against a
 per-point reference loop; the refinement's stacked least-squares solve
 against numpy's one-matrix call; a scan's point data against one-point
@@ -13,6 +15,7 @@ evaluation of its two curves; and errors raised by a single failing lane.
 """
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -601,19 +604,46 @@ def test_failing_lane_of_frenet_curve_raises():
 
 
 def _newton_alpha_reference(curve, t, tol, max_iter=30):
-    """The scalar Newton loop on alpha = 0 from one start."""
+    """The scalar Newton loop on alpha = 0 from one start, which gives up
+    where |alpha| is not below its value at the previous iterate."""
+    last = math.inf
     for _ in range(max_iter):
         c = curve.curvature(t, 1)
         f, df = c.alpha.value, c.alpha.deriv(1)
         if abs(f) < tol:
             return t
-        if df == 0.0:
+        if df == 0.0 or not abs(f) < last:
             return None
-        step = -f / df
+        last, step = abs(f), -f / df
+        if not math.isfinite(step):
+            return None
         while abs(step) > 0.5:
             step *= 0.5
         t = t + step
     return None
+
+
+def _newton_alpha_capped(curve, ts, tol):
+    """The batched Newton loop on alpha = 0 that gives up only where
+    alpha' = 0 or at the iteration cap: the oracle of the roots that the
+    give-up rule on |alpha| must keep."""
+    t = np.array(ts, dtype=float)
+    roots = [None] * len(t)
+    live = np.arange(len(t))
+    for _ in range(surface.ALPHA_NEWTON_ITER):
+        if not len(live):
+            break
+        alpha = curve.batch_jets(t[live], 2).alpha
+        f, df = alpha.value, alpha.d[1]
+        done = np.abs(f) < tol
+        for lane in live[done].tolist():
+            roots[lane] = float(t[lane])
+        go = ~done & (df != 0.0)
+        live, step = live[go], -f[go] / df[go]
+        while (long := np.abs(step) > 0.5).any():
+            step[long] *= 0.5
+        t[live] += step
+    return roots
 
 
 ALPHA_CURVES = {
@@ -639,13 +669,50 @@ def test_batched_alpha_newton_matches_scalar_reference(name):
             assert type(g) is float and _bits(g) == _bits(w)
 
 
-@pytest.mark.parametrize("pair", ["sin_plus", "sin_minus", "self_s1p_plus",
-                                  "self_s1p_minus", "s0", "s1m"])
-def test_self_pair_runs_one_alpha_newton(pair, monkeypatch):
-    # the v-curve of a self pair is its u-curve or that curve negated, so
-    # one Newton run, one curve evaluation per iteration, serves both
-    # curves; a general pair runs one per curve
-    s = surface_for(pair)
+# ALPHA_CURVES and the curves of the beaks and unstructured rank-zero pairs
+SWEEP_CURVES = ALPHA_CURVES | {
+    "beaks_slide": lambda: instances.singular_speed_pair()[0].curve_v,
+    "cusp_z": lambda: instances.rank_zero_pair(False)[0].curve_v,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
+def test_alpha_newton_gives_up_on_no_root_of_the_capped_loop(name, tol):
+    # a start gives up once |alpha| stops falling; across 257 starts it
+    # loses no root that the loop capped at ALPHA_NEWTON_ITER finds
+    fc = SWEEP_CURVES[name]()
+    starts = np.linspace(*fc.domain, 257)
+    got = surface._newton_alpha(fc, starts, tol)
+    want = _newton_alpha_capped(fc, starts, tol)
+    # sin_curve and the unit-speed beaks slide have no root of alpha
+    assert any(w is not None for w in want) == (name not in ("sin_curve",
+                                                             "beaks_slide"))
+    assert ([None if r is None else _bits(r) for r in got]
+            == [None if r is None else _bits(r) for r in want])
+
+
+class _ConstantAlpha:
+    """A stand-in curve with alpha = value and alpha' = slope everywhere."""
+
+    def __init__(self, value, slope):
+        self.value, self.slope = value, slope
+
+    def batch_jets(self, ts, order):
+        d = np.array([[self.value], [self.slope]]).repeat(len(ts), axis=1)
+        return SimpleNamespace(alpha=SimpleNamespace(value=d[0], d=d))
+
+
+@pytest.mark.parametrize("value, slope", [(0.5, 1e-320), (math.nan, 1.0)])
+def test_alpha_newton_gives_up_on_a_non_finite_step(value, slope):
+    # -0.5 / 1e-320 overflows to -inf, which no halving brings to 0.5
+    assert surface._newton_alpha(_ConstantAlpha(value, slope), [0.0],
+                                 1e-12) == [None]
+
+
+def _spy_alpha_newton(monkeypatch):
+    """Lists of the curves of each ``_newton_alpha`` run and of each curve
+    evaluation that a run makes."""
     runs, evaluations = [], []
     newton, batch_jets = surface._newton_alpha, FramedCurve.batch_jets
 
@@ -660,12 +727,34 @@ def test_self_pair_runs_one_alpha_newton(pair, monkeypatch):
 
     monkeypatch.setattr(surface, "_newton_alpha", spy_newton)
     monkeypatch.setattr(FramedCurve, "batch_jets", spy_jets)
+    return runs, evaluations
+
+
+@pytest.mark.parametrize("pair", ["sin_plus", "sin_minus", "self_s1p_plus",
+                                  "self_s1p_minus", "s0", "s1m"])
+def test_self_pair_runs_one_alpha_newton(pair, monkeypatch):
+    # the v-curve of a self pair is its u-curve or that curve negated, so
+    # one Newton run, one curve evaluation per iteration, serves both
+    # curves; a general pair runs one per curve
+    s = surface_for(pair)
+    runs, evaluations = _spy_alpha_newton(monkeypatch)
     surface.find_singular_points(s, (-math.pi, math.pi) * 2, grid_n=16)
     if s.kind == "general":
         assert runs == [s.curve_u, s.curve_v]
     else:
         assert runs == [s.curve_u]
         assert 0 < len(evaluations) <= surface.ALPHA_NEWTON_ITER
+
+
+@pytest.mark.parametrize("pair, grid_n", [("sin_plus", 16), ("sin_minus", 24)])
+def test_rootless_alpha_newton_stops_early(pair, grid_n, monkeypatch):
+    # |alpha| >= 0.5 on the half sin curves: the starts bounce between the
+    # minima of |alpha|, which no longer fall after a few steps
+    runs, evaluations = _spy_alpha_newton(monkeypatch)
+    pts = surface.find_singular_points(surface_for(pair),
+                                       (-math.pi, math.pi) * 2, grid_n)
+    assert len(runs) == 1 and 0 < len(evaluations) <= 5
+    assert not {"i", "ii"} & {c for p in pts for c in p.conditions}
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
