@@ -173,6 +173,10 @@ def check_compatibility(ff: FrameField, us: np.ndarray, vs: np.ndarray) -> Compa
 # reconstruction from curvature data
 # ---------------------------------------------------------------------------
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
+
 def polar_rotation(M: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix (polar factor, det +1).
 
@@ -181,7 +185,7 @@ def polar_rotation(M: np.ndarray) -> np.ndarray:
     """
     R = np.asarray(M, dtype=float)
     for _ in range(3):
-        err = float(np.max(np.abs(R.T @ R - np.eye(3))))
+        err = float(np.max(np.abs(R.T @ R - _EYE3)))
         if err < 1e-15:
             return R
         if err > 0.5 or abs(np.linalg.det(R)) < 0.5:
@@ -209,7 +213,8 @@ class OdeFramedCurve(FramedCurve):
     curvature at ``ts[k]``; a single time is a batch of length one.
     :meth:`FramedCurve.batch_curvature` is such a source. The times of every
     step that one call integrates are known before the first step, so they
-    are evaluated in one call.
+    are evaluated in one call; :meth:`states_at` reads a batch of times
+    with one such call per side of t0 and one for the steps off the grid.
     """
 
     def __init__(self, curvature_fn, t0: float, R0: np.ndarray,
@@ -273,23 +278,44 @@ class OdeFramedCurve(FramedCurve):
         gn = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
         return Rn, gn
 
+    def states_at(self, ts) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(R, gamma) at each time of ``ts``, in its order.
+
+        The nodes out to the furthest lane on each side of t0 are integrated
+        first (one source call per side), then the midpoint and end times of
+        every lane off the node grid are evaluated in one source call, and
+        each such lane takes one RK4 step from its nearest node.
+        """
+        ts = np.asarray(ts, dtype=float).tolist()
+        ks = [int(round((t - self.t0) / self.step)) for t in ts]
+        self._advance_to(min(min(ks), 0))
+        self._advance_to(max(max(ks), 0))
+        # (node, node time, t) of each lane
+        lanes = [(self._nodes[k], self.t0 + k * self.step, t)
+                 for t, k in zip(ts, ks)]
+        off = [(tk, t) for _, tk, t in lanes if t != tk]
+        stages = iter(self._stage_values(
+            [x for tk, t in off for x in (tk + (t - tk) / 2, t)])
+            if off else ())
+        out = []
+        for node, tk, t in lanes:
+            if t == tk:
+                out.append((node[0], node[1]))
+            else:
+                R, g = self._rk4_step(node, t - tk, next(stages), next(stages))
+                out.append((polar_rotation(R), g))
+        return out
+
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        k = int(round((t - self.t0) / self.step))
-        self._advance_to(k)
-        node = self._nodes[k]
-        tk = self.t0 + k * self.step
-        if t == tk:
-            return node[0], node[1]
-        h = t - tk
-        R, g = self._rk4_step(node, h, *self._stage_values([tk + h / 2, t]))
-        return polar_rotation(R), g
+        return self.states_at([t])[0]
 
     # -- jet assembly from the ODE -------------------------------------------
 
     def _derivative_stacks(self, ts: np.ndarray, order: int):
         """d^k R / dt^k for k = 0..order via R' = F R at each time of the 1-D
         array ``ts``, shape (len(ts), order + 1, 3, 3), with gamma, shape
-        (len(ts), 3), and the framed curvature from one source call."""
+        (len(ts), 3), and the framed curvature from one source call; the
+        RK4 states come from :meth:`states_at`."""
         c = self.curvature_fn(ts, order)
         F = np.zeros((len(ts), order + 1, 3, 3))
         entries = {(0, 1): c.l.d, (0, 2): c.m.d, (1, 0): -c.l.d, (1, 2): c.n.d,
@@ -299,8 +325,7 @@ class OdeFramedCurve(FramedCurve):
             F[:, :n, r, s] = d[:n].T
 
         stacks, gs = [], []
-        for t, Fl in zip(ts.tolist(), F):
-            R, g = self.state_at(t)
+        for (R, g), Fl in zip(self.states_at(ts), F):
             stack = [R]
             for k in range(order):
                 # d^{k+1} R = d^k (F R) by Leibniz over the stored stacks

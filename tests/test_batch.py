@@ -3,7 +3,9 @@
 Covers the curve batch method against the per-point methods; the
 tangent-sliding and reconstructed curves against stacked scalar lanes and
 their former scalar algorithms (a quadrature per node, a derivative stack
-per lane); the slide's reads of its base in a classify; the batched Newton
+per lane, a one-time RK4 state read); the source calls of a reconstructed
+curve's state sweep; the probe count of ``verify jets``, which loads no
+numpy.random; the slide's reads of its base in a classify; the batched Newton
 refinement of the scan against a scalar reference loop, and the roots of
 its alpha Newton, which gives up once |alpha| stops falling, against the
 loop that runs to its iteration cap; the residual
@@ -14,7 +16,11 @@ evaluation; a self pair's shared frame evaluation against the separate
 evaluation of its two curves; and errors raised by a single failing lane.
 """
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +36,8 @@ from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2, TransurfError)
 from transurf.classify import classify
 from transurf.framefield import (FrameField, entry_bijet, entry_value,
-                                 frame_dot, reconstruct_framed_curves)
+                                 frame_dot, polar_rotation,
+                                 reconstruct_framed_curves)
 from transurf.jets import Jet
 from transurf.surface import (PointJets, TranslationSurface, _newton_t3,
                               residual_landscape)
@@ -304,6 +311,78 @@ def test_ode_curve_batch_equals_scalar_lanes():
     _assert_same_jets(batch.frame, _lanewise(curve._frame)(ts, 6))
     _assert_same_jets(batch.frame, _stack_lanes(
         ts, [_ode_frame_reference(curve, float(t), 6) for t in ts]))
+
+
+def _ode_state_reference(curve, t):
+    """(R, gamma) of an ODE curve at one t as the scalar read formed it:
+    integrate out to the nearest node, then one RK4 step from it with its
+    own source call for the midpoint and the end."""
+    k = int(round((t - curve.t0) / curve.step))
+    curve._advance_to(k)
+    node = curve._nodes[k]
+    tk = curve.t0 + k * curve.step
+    if t == tk:
+        return node[0], node[1]
+    h = t - tk
+    R, g = curve._rk4_step(node, h, *curve._stage_values([tk + h / 2, t]))
+    return polar_rotation(R), g
+
+
+def test_ode_states_read_in_one_sweep():
+    # a fresh curve, unsorted times on both sides of t0: a node time, off-node
+    # times and a repeated time; the lanes equal one-time reads of another
+    # fresh curve, and the evaluator reads its source four times at most
+    def fresh(source):
+        return reconstruct_framed_curves(
+            source, catalog("s0_b").batch_curvature, np.eye(3), (0.1, 0.0),
+            (-0.5, 0.5), (-0.5, 0.5), step=1e-2)[0]
+
+    asked = []
+
+    def spy(ts, order):
+        asked.append(len(ts))
+        return catalog("s1m_a").batch_curvature(ts, order)
+
+    curve, ref = fresh(spy), fresh(catalog("s1m_a").batch_curvature)
+    node = curve.t0 + 23 * curve.step
+    ts = np.array([0.317, -0.2414, node, 0.1004, -0.2414, 0.083, -0.45])
+    asked.clear()
+    frame = curve._frame(ts, 6)
+    assert len(asked) <= 4
+    gamma = curve._gamma(ts, 6)
+    scalar = [_ode_state_reference(ref, float(t)) for t in ts]
+    for (R, g), (Rr, gr) in zip(curve.states_at(ts), scalar):
+        assert _bits(R) == _bits(Rr) and _bits(g) == _bits(gr)
+    _assert_same_jets(frame, _stack_lanes(
+        ts, [_ode_frame_reference(ref, float(t), 6) for t in ts]))
+    _assert_same_jets(gamma, _lanewise(ref._gamma)(ts, 6))
+    assert _bits(vec_values(gamma).T) == _bits([g for _, g in scalar])
+
+
+def test_verify_jets_keeps_every_probe_without_numpy_random():
+    # a fresh interpreter, so that no other test has loaded numpy.random;
+    # 17 probes of each of 6 functions at 4 orders, and 100 curve probes of
+    # 3 components at 4 orders: 1,608 Richardson differences
+    code = textwrap.dedent("""
+        import sys
+        from transurf import fd, verify
+        calls = []
+        original = fd.richardson_derivative
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        fd.richardson_derivative = spy
+        assert all(c.passed for c in verify.suite_jets())
+        print(len(calls), "numpy.random" in sys.modules)
+    """)
+    src = str(pathlib.Path(curves.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1608", "False"]
 
 
 @pytest.mark.parametrize("kind", sorted(SLIDES))
