@@ -236,22 +236,17 @@ class PointData:
     # -- unit-speed shortcut data ---------------------------------------------
 
     def frenet_gate(self) -> bool:
-        a, b = self.s.curve_u, self.s.curve_v
-        if a.frenet is None or b.frenet is None:
-            return False
-        tols = self.s.tols
-        # the pointwise test first: the 33-sample scan only where it fails
-        return ((self.pj.ju.unit_speed_gate(tols.hyp_tol)
-                 and self.pj.jv.unit_speed_gate(tols.hyp_tol))
-                or (a.is_arc_length(tols.arc_tol)
-                    and b.is_arc_length(tols.arc_tol)))
+        """Both frames are Frenet frames and both curves pass the pointwise
+        unit-speed gate at the point."""
+        hyp_tol = self.s.tols.hyp_tol
+        return all(j.curve.is_frenet and j.unit_speed_gate(hyp_tol)
+                   for j in (self.pj.ju, self.pj.jv))
 
     def frenet_discriminant(self) -> float:
         """tau tau~ (kappa^2 + kappa~^2) t11 - kappa kappa~ (tau^2 + tau~^2)
         from the Frenet curvature and torsion of both curves."""
-        u, v = self.p0
-        ka, ta = (j.value for j in self.s.curve_u.frenet.kappa_tau(u, 2))
-        kb, tb = (j.value for j in self.s.curve_v.frenet.kappa_tau(v, 2))
+        ka, ta = (j.value for j in self.pj.ju.kappa_tau())
+        kb, tb = (j.value for j in self.pj.jv.kappa_tau())
         return (ta * tb * (ka * ka + kb * kb) * self.t[1, 1]
                 - ka * kb * (ta * ta + tb * tb))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr, jets
 from .errors import InvalidFrame, NotNonDegenerate, ParseError, UnknownCurve
-from .jets import Jet, cross3, det3, dot3, norm3
+from .jets import Jet, cross3, dot3, norm3
 from .tolerances import DEFAULT, Tolerances
 
 VecJets = tuple[Jet, Jet, Jet]
@@ -72,21 +72,6 @@ class FramedCurvature:
     alpha: Jet
 
 
-class FrenetData:
-    """Curvature/torsion evaluators attached to Frenet-lifted curves:
-    ``kappa_tau(t, order)`` gives the jets of both, of at least that order,
-    from one evaluation of the curve."""
-
-    def __init__(self, kappa_tau: Callable[[float, int], tuple[Jet, Jet]]):
-        self.kappa_tau = kappa_tau
-
-    def kappa(self, t: float, order: int) -> Jet:
-        return self.kappa_tau(t, order)[0]
-
-    def tau(self, t: float, order: int) -> Jet:
-        return self.kappa_tau(t, order)[1]
-
-
 class FramedCurve:
     """Evaluator bundle for a framed curve (gamma, nu1, nu2).
 
@@ -119,15 +104,12 @@ class FramedCurve:
     def __init__(self, gamma: VecFn, frame: FrameFn,
                  domain: tuple[float, float], name: str = "curve",
                  period: float | None = None,
-                 frenet: FrenetData | None = None,
                  validate: bool = True):
         self._gamma = gamma
         self._frame = frame
         self.domain = (float(domain[0]), float(domain[1]))
         self.name = name
         self.period = period
-        self.frenet = frenet
-        self._speed_deviation: float | None = None
         self.negates: FramedCurve | None = None   # set by :meth:`negated`
         if validate:
             self._validate_frames()
@@ -186,16 +168,11 @@ class FramedCurve:
                     f"frame of {self.name!r} violates its invariants at "
                     f"t={t:.6g} (residual {r:.3e})")
 
-    def is_arc_length(self, arc_tol: float) -> bool:
-        """sup | |gamma'| - 1 | < arc_tol over 33 domain samples.
-
-        The sup is computed once per curve and serves every tolerance.
-        """
-        if self._speed_deviation is None:
-            alpha = self.batch_jets(np.linspace(*self.domain, 33), 2).alpha
-            self._speed_deviation = max(
-                abs(abs(a) - 1.0) for a in alpha.value.tolist())
-        return bool(self._speed_deviation < arc_tol)
+    @property
+    def is_frenet(self) -> bool:
+        """Whether the frame is one of :func:`frenet_lift`, whose curvature
+        and torsion :meth:`CurveJets.kappa_tau` reads."""
+        return isinstance(self._frame, FrenetFrame)
 
     @functools.cached_property
     def speed_slope(self) -> float:
@@ -209,14 +186,9 @@ class FramedCurve:
         """Curve s*gamma with the same frame; curvature (l, m, n, s*alpha)."""
         def gamma(t, order):
             return tuple(s * c for c in self._gamma(t, order))
-        fr = None
-        if self.frenet is not None and s > 0:
-            base = self.frenet
-            fr = FrenetData(lambda t, order: tuple(
-                x / s for x in base.kappa_tau(t, order)))
         return FramedCurve(gamma, self._frame, self.domain,
                            name=f"{self.name}*{s:g}", period=self.period,
-                           frenet=fr, validate=False)
+                           validate=False)
 
     def negated(self) -> "FramedCurve":
         """Curve -gamma with the same frame; curvature (l, m, n, -alpha)."""
@@ -224,7 +196,7 @@ class FramedCurve:
             return tuple(-c for c in self._gamma(t, order))
         out = FramedCurve(gamma, self._frame, self.domain,
                           name=f"-{self.name}", period=self.period,
-                          frenet=self.frenet, validate=False)
+                          validate=False)
         out.negates = self
         return out
 
@@ -332,6 +304,16 @@ class CurveJets:
         return (abs(abs(self.alpha.value) - 1.0) < hyp_tol
                 and abs(self.alpha.deriv(1)) < hyp_tol)
 
+    def kappa_tau(self) -> tuple[Jet, Jet]:
+        """Jets of the curvature and torsion of a Frenet frame at a float
+        t, one order below ``order``, read off the framed curvature
+        (l, m, n, alpha) = (|gamma'| tau, -|gamma'| kappa, 0, |gamma'|):
+        kappa = -m / |alpha| and tau = l / |alpha|. A negated curve flips
+        alpha alone, so it keeps both."""
+        c = self.curvature
+        speed = c.alpha if c.alpha.value > 0 else -c.alpha
+        return -c.m / speed, c.l / speed
+
     @functools.cached_property
     def curvature(self) -> FramedCurvature:
         def evaluate():
@@ -348,7 +330,7 @@ class CurveJets:
 # ---------------------------------------------------------------------------
 
 def frenet_tail(g1: VecJets, t, nondeg_tol: float):
-    """(|g1 x g1'|, |g1|, (normal, binormal)) from the velocity jets g1 at t."""
+    """(normal, binormal) from the velocity jets g1 at t."""
     c = cross3(g1, shift3(g1))
     csq = dot3(c, c)
     flat = csq.value < nondeg_tol**2
@@ -359,7 +341,7 @@ def frenet_tail(g1: VecJets, t, nondeg_tol: float):
     speed = norm3(g1)
     tv = tuple(x / speed for x in g1)
     bv = tuple(x / cn for x in c)
-    return cn, speed, (cross3(bv, tv), bv)
+    return cross3(bv, tv), bv
 
 
 class FrenetFrame:
@@ -369,11 +351,8 @@ class FrenetFrame:
         self.velocity = velocity
         self.nondeg_tol = nondeg_tol
 
-    def parts(self, t, order: int):
-        return frenet_tail(self.velocity(t, order + 1), t, self.nondeg_tol)
-
     def __call__(self, t, order: int) -> tuple[VecJets, VecJets]:
-        return self.parts(t, order)[2]
+        return frenet_tail(self.velocity(t, order + 1), t, self.nondeg_tol)
 
 
 def frenet_pair(cu: FramedCurve, u: np.ndarray, cv: FramedCurve,
@@ -385,7 +364,7 @@ def frenet_pair(cu: FramedCurve, u: np.ndarray, cv: FramedCurve,
     t = np.concatenate((u, v))
     g1 = tuple(Jet._fresh(t, np.hstack((a.d, b.d))) for a, b in zip(
         cu._frame.velocity(u, order + 1), cv._frame.velocity(v, order + 1)))
-    frame = frenet_tail(g1, t, cu._frame.nondeg_tol)[2]
+    frame = frenet_tail(g1, t, cu._frame.nondeg_tol)
     both = (frame, cross3(*frame))
     out = CurveJets(cu, u, order), CurveJets(cv, v, order)
     for jets, idx in zip(out, (slice(len(u)), slice(len(u), None))):
@@ -401,7 +380,8 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
 
     For an arc-length parameter the framed curvature is (tau, -kappa, 0, 1);
     for a general regular parameter it evaluates to
-    (|gamma'| tau, -|gamma'| kappa, 0, |gamma'|).
+    (|gamma'| tau, -|gamma'| kappa, 0, |gamma'|), from which
+    :meth:`CurveJets.kappa_tau` reads kappa and tau at a point.
 
     The frame reads gamma' alone: ``velocity(t, order)``, when given, is its
     jet of that order, equal bitwise to ``shift3(gamma(t, order + 1))``, for
@@ -411,20 +391,9 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
         def velocity(t, order):
             return shift3(gamma(t, order + 1))
     frame = FrenetFrame(velocity, tols.nondeg_tol)
-
-    def kappa_tau(t, order):
-        g1 = velocity(t, order + 3)
-        cn, speed, _ = frenet_tail(g1, t, frame.nondeg_tol)
-        g2 = shift3(g1)
-        c = cross3(g1, g2)
-        return (cn / (speed * speed * speed),
-                det3(g1, g2, shift3(g2)) / dot3(c, c))
-
     # non-degeneracy at 33 domain samples, checked as one batch
-    frame.parts(np.linspace(domain[0], domain[1], 33), 2)
-
-    return FramedCurve(gamma, frame, domain, name=name, period=period,
-                       frenet=FrenetData(kappa_tau))
+    frame(np.linspace(domain[0], domain[1], 33), 2)
+    return FramedCurve(gamma, frame, domain, name=name, period=period)
 
 
 # ---------------------------------------------------------------------------

@@ -417,13 +417,12 @@ def unit_speed_oracle(pj: PointJets, pt: ThetaPoint) -> dict[int, float]:
     """The same relations specialized to a pair of non-degenerate unit-speed
     curves, expressed through curvature and torsion."""
     th = pt.require()
-    s, (u, v) = pj.s, pj.p
-    if s.curve_u.frenet is None or s.curve_v.frenet is None:
+    if not (pj.s.curve_u.is_frenet and pj.s.curve_v.is_frenet):
         raise ValueError("both curves need curvature/torsion data")
     tu, tv = th.part(1, 0), th.part(0, 1)
     tuu, tuv, tvv = th.part(2, 0), th.part(1, 1), th.part(0, 2)
-    ka, ta = s.curve_u.frenet.kappa_tau(u, 2)
-    kb, tb = s.curve_v.frenet.kappa_tau(v, 2)
+    ka, ta = pj.ju.kappa_tau()
+    kb, tb = pj.jv.kappa_tau()
     kappa, kappa_u = ka.value, ka.deriv(1)
     tau, tau_u = ta.value, ta.deriv(1)
     kappat, kappat_v = kb.value, kb.deriv(1)

@@ -220,10 +220,16 @@ class Jet:
             k = int(e)
             if k < 0:
                 return 1.0 / self ** -k
-            out = Jet.constant(1.0, self.t0, self.order)
-            for _ in range(k):
-                out = out * self
-            return out
+            # square-and-multiply: O(log k) products for a k read from input
+            out, base = None, self
+            while k:
+                if k & 1:
+                    out = base if out is None else out * base
+                k >>= 1
+                if k:
+                    base = base * base
+            return out if out is not None else Jet.constant(
+                1.0, self.t0, self.order)
         if _any(self.value <= 0.0):
             raise DomainError("real power of nonpositive value")
         return self.compose_outer(_pow_derivs(self.value, e, self.order))

@@ -13,8 +13,6 @@ built once, with the defaults). Which decision reads each field:
 
 - ``nondeg_tol``: the Frenet lift rejects a curve with |gamma' x gamma''|
   below it.
-- ``arc_tol``: the arc-length flag of a Frenet curve, which opens the
-  unit-speed shortcut of the S0/S1 tests.
 - ``sing_tol``: Newton convergence of the singular-point scan, and the
   conditions (i), (ii), (iii) reported at a point (each within 10 sing_tol).
 - ``dep_tol``: the dependent condition |mu x mu~| < dep_tol, and |t33| = 1 in
@@ -34,7 +32,9 @@ built once, with the defaults). Which decision reads each field:
 - ``crit_tol``: every "!= 0" of a criterion, in each of the three
   classification routes (direct, framed and generic).
 - ``hyp_tol``: every "= 0" of a criterion or hypothesis, in each of the
-  three routes, and the pointwise unit-speed gate of a Frenet curve.
+  three routes, and the unit-speed gate (|alpha| = 1 and alpha' = 0 at the
+  point, each within hyp_tol) that opens the unit-speed shortcut of the
+  S0/S1 tests on a pair of Frenet curves.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     nondeg_tol: float = 1e-9      # |gamma' x gamma''| floor for Frenet lifts
-    arc_tol: float = 1e-9         # sup | |gamma'| - 1 | for the arc-length flag
     sing_tol: float = 1e-8        # singular-point residual after Newton
     dep_tol: float = 1e-8         # |mu x mu~| threshold for the dependent condition
     ratio_tol: float = 1e-6       # sigma_min/sigma_max for field-dependence scans

@@ -167,7 +167,7 @@ def suite_lemma() -> list[Check]:
                          max(abs(res[k]) for k in range(1, 6)), 1e-6))
         out.append(Check(f"relations_6_9_{name}",
                          max(abs(res[k]) for k in range(6, 10)), 1e-6))
-        if s.curve_u.frenet is not None and s.curve_v.frenet is not None:
+        if s.curve_u.is_frenet and s.curve_v.is_frenet:
             res2 = unit_speed_oracle(pj, pt)
             out.append(Check(f"unit_speed_items_1_5_{name}",
                              max(abs(res2[k]) for k in range(1, 6)), 1e-6))

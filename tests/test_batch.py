@@ -1027,6 +1027,17 @@ def test_point_batch_evaluates_a_shared_frame_once(pair, want, monkeypatch):
     assert len(calls) == want
 
 
+def test_classify_runs_each_frenet_tail_once(monkeypatch):
+    # the unit-speed shortcut reads kappa and tau off the point's jets, so
+    # a classify at the S1- point of the helix pair runs the Frenet frame
+    # tail once per curve
+    calls = []
+    _tail_spy(monkeypatch, calls)
+    rep = classify(PAIRS["s1m"](), (0.0, 0.0))
+    assert rep.s1.value("frenet_s1_discriminant") is not None
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("pair", sorted(SELF_PAIRS))
 def test_one_point_batch_runs_the_float_path(pair, monkeypatch):
     # a batch of one lane is evaluated at its float and given a lane axis,

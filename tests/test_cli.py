@@ -146,11 +146,11 @@ def test_tolerance_override(tmp_path):
 
 
 def test_tolerance_overrides_reach_catalog_curves():
-    # the s1m helices are arc-length; with arc_tol and hyp_tol at 1e-300
-    # neither the arc-length flag nor the pointwise gate may open the
-    # unit-speed shortcut, even though the catalog curves are shared
+    # the s1m helices are arc-length; with hyp_tol at 1e-300 the unit-speed
+    # gate may not open the shortcut, even though the catalog curves are
+    # shared
     cfg = RunConfig(curve_a="@s1m_a", curve_b="@s1m_b",
-                    tol_overrides={"arc_tol": 1e-300, "hyp_tol": 1e-300})
+                    tol_overrides={"hyp_tol": 1e-300})
     rep = classify(cfg.build_surface(), (0.0, 0.0))
     assert rep.tag == "S1Minus"
     assert "unit-speed shortcut available" not in rep.s1.hypotheses_checked
@@ -197,6 +197,8 @@ def test_tolerance_overrides_reach_catalog_curves():
     ["scan", "--curve-a", "(u, u^2, 1e400)", "--curve-b", "(v,0,v^2)"],
     ["mesh", "--curve-a", "(u, u^2, 1e400)", "--curve-b", "(v,0,v^2)",
      "--out", "{tmp}/m.obj"],                       # no inf vertices
+    ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
+     "--tol", "arc_tol=1e-9"],                      # removed with the arc scan
 ])
 def test_input_errors_exit_2(args, tmp_path, capsys):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in args]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from transurf import curves, jets
+from transurf import curves, instances, jets
 from transurf.curves import (CurveJets, FramedCurve, build_curve, catalog,
                              frenet_lift, parse_curve)
 from transurf.errors import InvalidFrame, NotNonDegenerate, UnknownCurve
@@ -46,16 +46,18 @@ def test_catalog_curvatures_match_closed_forms():
         assert c.alpha.value == pytest.approx(math.sqrt(1 + u**4), rel=1e-12)
 
 
+def _kappa_tau(fc, t):
+    return tuple(j.value for j in CurveJets(fc, t, 3).kappa_tau())
+
+
 def test_s1m_pair_is_unit_speed_with_constant_invariants():
     a = catalog("s1m_a")
     b = catalog("s1m_b")
-    assert (a.is_arc_length(DEFAULT.arc_tol)
-            and b.is_arc_length(DEFAULT.arc_tol))
     for t in (-1.0, 0.0, 0.7):
-        assert a.frenet.kappa(t, 2).value == pytest.approx(1.0, rel=1e-10)
-        assert a.frenet.tau(t, 2).value == pytest.approx(1.0, rel=1e-10)
-        assert b.frenet.kappa(t, 2).value == pytest.approx(2.0, rel=1e-10)
-        assert b.frenet.tau(t, 2).value == pytest.approx(1.0, rel=1e-10)
+        assert CurveJets(a, t, 3).unit_speed_gate(DEFAULT.hyp_tol)
+        assert CurveJets(b, t, 3).unit_speed_gate(DEFAULT.hyp_tol)
+        assert _kappa_tau(a, t) == pytest.approx((1.0, 1.0), rel=1e-10)
+        assert _kappa_tau(b, t) == pytest.approx((2.0, 1.0), rel=1e-10)
 
 
 def test_s1m_b_formula():
@@ -72,10 +74,12 @@ def test_frenet_lift_circle():
         return (jets.cos(u), jets.sin(u), Jet.constant(0.0, t, order))
 
     fc = frenet_lift(gamma, (-3.0, 3.0), name="circle")
-    assert fc.is_arc_length(DEFAULT.arc_tol)
+    assert fc.is_frenet
     for t in (-1.0, 0.2):
-        assert fc.frenet.kappa(t, 2).value == pytest.approx(1.0, rel=1e-12)
-        assert fc.frenet.tau(t, 2).value == pytest.approx(0.0, abs=1e-12)
+        assert CurveJets(fc, t, 3).unit_speed_gate(DEFAULT.hyp_tol)
+        kappa, tau = _kappa_tau(fc, t)
+        assert kappa == pytest.approx(1.0, rel=1e-12)
+        assert tau == pytest.approx(0.0, abs=1e-12)
         c = fc.curvature(t, 2)
         got = (c.l.value, c.m.value, c.n.value, c.alpha.value)
         assert got == pytest.approx((0.0, -1.0, 0.0, 1.0), abs=1e-10)
@@ -94,10 +98,9 @@ def test_self_s1p_unit_speed_gate():
     fc = catalog("self_s1p")
     for t, unit in ((0.0, True), (math.pi, True), (0.9, False)):
         assert CurveJets(fc, t, 3).unit_speed_gate(DEFAULT.hyp_tol) is unit
-    assert fc.frenet.kappa(0.0, 2).value == pytest.approx(math.sqrt(2), rel=1e-9)
-    assert fc.frenet.tau(0.0, 2).value == pytest.approx(-math.sqrt(2), rel=1e-9)
-    assert fc.frenet.kappa(math.pi, 2).value == pytest.approx(math.sqrt(2), rel=1e-9)
-    assert fc.frenet.tau(math.pi, 2).value == pytest.approx(math.sqrt(2), rel=1e-9)
+    r2 = math.sqrt(2)
+    assert _kappa_tau(fc, 0.0) == pytest.approx((r2, -r2), rel=1e-9)
+    assert _kappa_tau(fc, math.pi) == pytest.approx((r2, r2), rel=1e-9)
 
 
 def test_sin_curve_alpha():
@@ -145,18 +148,27 @@ def test_catalog_frame_invariants_randomized():
             assert fc.frame_residual(t) < 1e-9, (name, t)
 
 
-def test_frenet_roundtrip_kappa_tau_from_framed_curvature():
-    # kappa = |m| / alpha and tau = l / alpha wherever alpha > 0
-    for name in ("s1m_a", "s1m_b", "self_s1p"):
-        fc = catalog(name)
+def test_frenet_roundtrip_kappa_tau_from_framed_curvature(frenet_oracle):
+    # kappa and tau read off the framed curvature against those of gamma's
+    # own jets, on the catalog's Frenet curves, a helix, a planar circle,
+    # the three slides, a scaled copy, and negated copies, which keep the
+    # base's kappa and tau (their frame is the base's Frenet frame)
+    half = catalog("self_s1p").scaled(0.5)
+    fcs = [catalog(name) for name in ("s1m_a", "s1m_b", "self_s1p")]
+    fcs += [instances.helix(), instances.planar_circle(1.4)]
+    fcs += [instances.slide_pair(kind)[0].curve_v
+            for kind in ("edge", "swallowtail", "nonfront")]
+    fcs += [half, half.negated(), instances.helix().negated()]
+    for fc in fcs:
+        assert fc.is_frenet, fc.name
         lo, hi = fc.domain
         for t in np.linspace(lo + 0.1, hi - 0.1, 9):
             t = float(t)
-            c = fc.curvature(t, 2)
-            kappa = abs(c.m.value) / c.alpha.value
-            tau = c.l.value / c.alpha.value
-            assert kappa == pytest.approx(fc.frenet.kappa(t, 2).value, rel=1e-8)
-            assert tau == pytest.approx(fc.frenet.tau(t, 2).value, rel=1e-8, abs=1e-10)
+            want = frenet_oracle(fc.negates or fc, t)
+            got = CurveJets(fc, t, 3).kappa_tau()
+            assert got[0].value == pytest.approx(want[0], rel=1e-8), fc.name
+            assert got[1].value == pytest.approx(want[1], rel=1e-8,
+                                                 abs=1e-12), fc.name
 
 
 def test_build_curve_from_expression_with_frenet_frame():
@@ -166,7 +178,7 @@ def test_build_curve_from_expression_with_frenet_frame():
     c = fc.curvature(0.4, 2)
     assert c.alpha.value == pytest.approx(speed, rel=1e-12)
     # helix with a = 1, b = 1/2: kappa = a / (a^2 + b^2)
-    assert fc.frenet.kappa(0.4, 2).value == pytest.approx(1 / 1.25, rel=1e-10)
+    assert _kappa_tau(fc, 0.4)[0] == pytest.approx(1 / 1.25, rel=1e-10)
 
 
 def test_expression_curve_with_constants_left_of_the_variable():

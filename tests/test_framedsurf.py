@@ -69,14 +69,14 @@ def test_theta_defining_equation_planar(planar):
         assert math.sin(pt.value) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_theta_extension_derivatives_match_theory():
+def test_theta_extension_derivatives_match_theory(frenet_oracle):
     # theta_u = tau/2 and theta_v = -h' tau / 2 on a tangent-sliding pair,
     # for each of the three slides
     for kind, h1 in (("edge", 1.7), ("swallowtail", -1.0), ("nonfront", 1.0)):
         s, p0 = instances.slide_pair(kind)
         pt = construct_theta(s.at(p0))
         assert pt.provenance == "limit_extension", kind
-        tau = s.curve_u.frenet.tau(p0[0], 2).value
+        tau = frenet_oracle(s.curve_u, p0[0])[1]
         assert pt.bijet.part(1, 0) == pytest.approx(tau / 2, abs=1e-14), kind
         assert pt.bijet.part(0, 1) == pytest.approx(-h1 * tau / 2,
                                                     abs=1e-14), kind

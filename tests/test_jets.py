@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transurf import jets
-from transurf.errors import DegenerateDivision, DomainError, OriginAtan2
+from transurf import expr, jets
+from transurf.curves import build_curve, parse_curve
+from transurf.errors import (DegenerateDivision, DomainError, OriginAtan2,
+                             TransurfError)
 from transurf.fd import normalized_error, richardson_derivative
 from transurf.jets import BiJet, Jet
 
@@ -385,3 +388,32 @@ def test_jet_operations_build_read_only_jets(t0):
     j = Jet(t0, d)
     d[0] = 5.0
     assert np.all(j.d[0] == x.d[0])
+
+
+@pytest.mark.parametrize("t0", [0.3, -1.7, 0.0, np.array([0.3, -1.2, 2.0])])
+def test_integer_power_by_squaring(t0):
+    # u^2 and u^3 keep the products of one factor at a time bitwise, and a
+    # higher power agrees with them to roundoff
+    u = jets.sin(Jet.variable(t0, 6)) + 1.1
+
+    def repeated(k):
+        out = Jet.constant(1.0, u.t0, u.order)
+        for _ in range(k):
+            out = out * u
+        return out
+
+    for k in (0, 1, 2, 3):
+        assert (u ** k).d.tobytes() == repeated(k).d.tobytes()
+    want = repeated(7).d
+    assert np.max(np.abs((u ** 7).d - want)
+                  / np.maximum(1.0, np.abs(want))) < 1e-12
+
+
+def test_huge_integer_power_is_fast():
+    # the exponent comes from user input: u^1e9 takes O(log k) products
+    start = time.perf_counter()
+    x = expr.evaluate(expr.parse_expression("u^1e9"), {"u": Jet.variable(0.9, 6)})
+    assert x.value == 0.0
+    with pytest.raises(TransurfError):
+        build_curve(parse_curve("(u, u^1e9, 0)"))
+    assert time.perf_counter() - start < 1.0
