@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print one line `sha256[:16]  name` per output of a fixed set of runs: the
-report and singular-point CSV of each scan below, the classification
-document of each constructed instance, and the stdout of
-`transurf verify all`. Run it on two commits and diff the lines to show
-that a change keeps every output byte for byte."""
+report and singular-point CSV of each scan below, the OBJ mesh and
+singular-locus CSV of each mesh run below, the classification document of
+each constructed instance, and the stdout of `transurf verify all`. Run it
+on two commits and diff the lines to show that a change keeps every output
+byte for byte."""
 import contextlib
 import hashlib
 import io
@@ -28,6 +29,9 @@ SCANS += [(f"self_s1p_{kind}_g{n}", ["@self_s1p", "--self", kind], S1P, n)
 SCANS += [("s0_g48", ["@s0_a", "--curve-b", "@s0_b"], "-2,2", 48),
           ("s1p_g48", ["@s1p_a", "--curve-b", "@s1p_b"], "-2,2", 48),
           ("s1m_g40", ["@s1m_a", "--curve-b", "@s1m_b"], "-1.5,1.5", 40)]
+# (name, curve arguments, window, grid) of each `mesh --out --locus` run
+MESHES = [(f"sin_{kind}_mesh", ["@sin_curve", "--self", kind], PI, 33)
+          for kind in ("plus", "minus")]
 INSTANCES = [
     ("cylinder", instances.cylinder_pair, ()),
     ("slide_edge", instances.slide_pair, ("edge",)),
@@ -57,6 +61,14 @@ def main():
                     sys.exit(f"{name}: scan failed")
             line(f"{name}.report", (out / "report.json").read_bytes())
             line(f"{name}.csv", (out / "points.csv").read_bytes())
+        for name, curves, span, n in MESHES:
+            argv = ["mesh", "--curve-a", *curves, f"--window={span},{span}",
+                    "--grid", str(n), "--out", str(out / "mesh.obj"),
+                    "--locus", str(out / "locus.csv")]
+            if cli.main(argv) != 0:
+                sys.exit(f"{name}: mesh failed")
+            line(f"{name}.obj", (out / "mesh.obj").read_bytes())
+            line(f"{name}.csv", (out / "locus.csv").read_bytes())
     for name, build, args in INSTANCES:
         s, p0 = build(*args)
         doc = classification_doc({"u": p0[0], "v": p0[1]}, classify(s, p0))

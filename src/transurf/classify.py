@@ -360,7 +360,7 @@ def classify_dependent_framed(d: PointData, pt: ThetaPoint) -> Verdict:
     al_u = d.ca.alpha.deriv(1)
     at_v = d.cb.alpha.deriv(1)
 
-    jets, (j,) = _angle_jets([d], [pt])
+    jets, j = d.angle
     lam, Lam = jets.inv.lam.take(j), jets.inv.Lambda.take(j)
     cf = d.density_partials(pt.value)
     eta_eta_lam = float(jets.eta_eta_lam[j])
@@ -513,24 +513,13 @@ class AngleJets:
                     [along(directional_derivative(c, eta)) for c in nu])
 
 
-def _angle_jets(data: list[PointData],
-                pts: list[ThetaPoint]) -> tuple[AngleJets, list[int]]:
-    """The AngleJets of ``data`` at the angles ``pts`` and each point's lane:
-    those of their batch, else formed here for these points."""
-    if all(d.angle for d in data):
-        return data[0].angle[0], [d.angle[1] for d in data]
-    at = tuple(np.array(x) for x in zip(*(d.p0 for d in data)))
-    return AngleJets(data[0].s.at(at), pts), list(range(len(data)))
-
-
-def classify_generic_frontal(data: list[PointData],
-                             pts: list[ThetaPoint]) -> list[Verdict]:
+def classify_generic_frontal(data: list[PointData]) -> list[Verdict]:
     """Cross-validation route built on the frontal criteria alone, at every
-    point data[k] with the normal angle pts[k] there: the signed density
+    point data[k], a lane of one AngleJets (``angle``): the signed density
     lam = alpha alpha~ Lambda, its derivatives along the null field eta, and
     the cusp function along the singular curve lam = 0, each read off the
     jets at the point; the cusp function is one batch for all the points."""
-    jets, lanes = _angle_jets(data, pts)
+    jets, lanes = data[0].angle[0], [d.angle[1] for d in data]
     out = [_generic_point(d, jets, j) for d, j in zip(data, lanes)]
     cusp = [k for k, v in enumerate(out) if isinstance(v, tuple)]
     if cusp:
@@ -635,8 +624,7 @@ def classify_all(s: TranslationSurface,
     if not points:
         return []
     try:
-        on = s.criteria_surface().at(
-            tuple(np.array(x, dtype=float) for x in zip(*points)))
+        on = s.at(tuple(np.array(x, dtype=float) for x in zip(*points)))
         batch = PointData(on)
         data = [batch.take(k) for k in range(len(points))]
         reports = [_direct_routes(s, d, p0) for d, p0 in zip(data, points)]
@@ -652,8 +640,7 @@ def classify_all(s: TranslationSurface,
         for k, pt in zip(rest, pts):
             reports[k].framed = classify_dependent_framed(data[k], pt)
         for (k, _), verdict in zip(generic, classify_generic_frontal(
-                [data[k] for k, _ in generic],
-                [pt for _, pt in generic]) if generic else []):
+                [data[k] for k, _ in generic]) if generic else []):
             reports[k].generic = verdict
     except TransurfError:
         if len(points) < 2:

@@ -176,6 +176,8 @@ def write_obj(s: TranslationSurface, window, n: int, path: str):
     gv = vec_values(s.curve_v.batch_jets(np.linspace(v0, v1, n), 2).gamma)
     # vertex (i, j) at row i * n + j, all formed by one broadcast add
     xyz = (gu[:, :, None] + gv[:, None, :]).reshape(3, -1)
+    if s.kind != "general":
+        xyz *= 0.5      # a self pair is half its generator pair's sum
     lines = ["v {:.9g} {:.9g} {:.9g}".format(*x) for x in zip(*xyz.tolist())]
     for i in range(n - 1):
         for j in range(n - 1):

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import expr, jets
-from .errors import InvalidFrame, NotNonDegenerate, ParseError, UnknownCurve
+from .errors import (DomainError, InvalidFrame, NotNonDegenerate, ParseError,
+                     UnknownCurve)
 from .jets import Jet, cross3, dot3, norm3
 from .tolerances import DEFAULT, Tolerances
 
@@ -36,6 +37,15 @@ def shift3(v: VecJets, k: int = 1) -> VecJets:
 def vec_values(v: VecJets) -> np.ndarray:
     """Values of a jet triple: shape (3,), or (3, B) for batch jets."""
     return np.array([c.value for c in v])
+
+
+def _require_finite(name: str, t, *vecs: VecJets):
+    """Raise DomainError at the first parameter of ``t`` (a float or a 1-D
+    array) where a jet of the triples ``vecs`` is not finite."""
+    ok = np.all([np.isfinite(c.d).all(axis=0) for v in vecs for c in v], 0)
+    if not ok.all():
+        bad = np.atleast_1d(t)[~np.atleast_1d(ok)][0]
+        raise DomainError(f"{name!r} is not finite at t={bad:.6g}")
 
 
 def _pick(x, t, idx):
@@ -144,10 +154,12 @@ class FramedCurve:
     # -- flags and checks ----------------------------------------------------
 
     def frame_residual(self, t: float) -> float:
-        """Worst violation of unit/orthogonality/tangency at t."""
+        """Worst violation of unit/orthogonality/tangency at t; jets that are
+        not finite there raise DomainError."""
         at = CurveJets(self, t, 2)
         (n1, n2), mu = at.frame, at.mu
         gd = shift3(self.gamma_jets(t, 3))
+        _require_finite(self.name, t, n1, n2, mu, gd)
         alpha = dot3(gd, mu)
         recon = [gd[i] - alpha * mu[i] for i in range(3)]
         return max(
@@ -162,7 +174,8 @@ class FramedCurve:
     def _validate_frames(self):
         a, b = self.domain
         for t in np.linspace(a, b, 7):
-            r = self.frame_residual(float(t))
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = self.frame_residual(float(t))
             if not (r < 1e-7):
                 raise InvalidFrame(
                     f"frame of {self.name!r} violates its invariants at "
@@ -181,14 +194,6 @@ class FramedCurve:
         return float(np.max(np.abs(alpha.d[1])))
 
     # -- derived curves ------------------------------------------------------
-
-    def scaled(self, s: float) -> "FramedCurve":
-        """Curve s*gamma with the same frame; curvature (l, m, n, s*alpha)."""
-        def gamma(t, order):
-            return tuple(s * c for c in self._gamma(t, order))
-        return FramedCurve(gamma, self._frame, self.domain,
-                           name=f"{self.name}*{s:g}", period=self.period,
-                           validate=False)
 
     def negated(self) -> "FramedCurve":
         """Curve -gamma with the same frame; curvature (l, m, n, -alpha)."""
@@ -391,8 +396,12 @@ def frenet_lift(gamma: VecFn, domain: tuple[float, float],
         def velocity(t, order):
             return shift3(gamma(t, order + 1))
     frame = FrenetFrame(velocity, tols.nondeg_tol)
-    # non-degeneracy at 33 domain samples, checked as one batch
-    frame(np.linspace(domain[0], domain[1], 33), 2)
+    # finite jets, then non-degeneracy, at 33 domain samples as one batch
+    ts = np.linspace(domain[0], domain[1], 33)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = velocity(ts, 3)
+        _require_finite(name, ts, g1)
+        _require_finite(name, ts, *frenet_tail(g1, ts, tols.nondeg_tol))
     return FramedCurve(gamma, frame, domain, name=name, period=period)
 
 

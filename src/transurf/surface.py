@@ -7,9 +7,10 @@ The singular set is the union of three conditions:
 satisfying (iii) with |t33| = 1 the two tangent direction fields are
 parallel; that is the dependent condition this package classifies.
 
-For self-translation surfaces the half factor is a target dilation, which
-preserves every singularity class, so classification routines work on the
-unscaled generator pair while geometric quantities keep the half factor.
+A self-translation surface x± is held as its generator pair (gamma, ±gamma),
+whose sum the target dilation w -> w/2 takes to x±: every singularity class
+and every zero of alpha, alpha~ and (t31, t32) is the pair's, and only the
+geometry (``x_value``, the mesh) applies the half factor.
 """
 from __future__ import annotations
 
@@ -37,17 +38,15 @@ PERIOD_MERGE_RADIUS = 1e-6   # folded points closer than this are one point
 
 
 class TranslationSurface:
-    """Sum (or half sum/difference) of two framed curves as a surface."""
+    """Sum of two framed curves as a surface; half the sum for a self pair."""
 
     def __init__(self, curve_u: FramedCurve, curve_v: FramedCurve,
-                 kind: str = "general", base: FramedCurve | None = None,
-                 tols: Tolerances = DEFAULT):
+                 kind: str = "general", tols: Tolerances = DEFAULT):
         if kind not in ("general", "self_plus", "self_minus"):
             raise ValueError(f"unknown surface kind {kind!r}")
         self.curve_u = curve_u
         self.curve_v = curve_v
         self.kind = kind
-        self.base = base
         self.tols = tols
         self.field = FrameField(curve_u, curve_v)
 
@@ -61,31 +60,18 @@ class TranslationSurface:
     @staticmethod
     def self_translation(curve: FramedCurve, sign: int,
                          tols: Tolerances = DEFAULT) -> "TranslationSurface":
-        """x± = (gamma(u) ± gamma(v)) / 2 with the frame of the first factor."""
-        half = curve.scaled(0.5)
-        other = half if sign > 0 else half.negated()
+        """x± = (gamma(u) ± gamma(v)) / 2, held as its generator pair
+        (gamma, ±gamma) with the frame of the first factor."""
         kind = "self_plus" if sign > 0 else "self_minus"
-        return TranslationSurface(half, other, kind, base=curve, tols=tols)
-
-    def criteria_surface(self) -> "TranslationSurface":
-        """Surface used for classification.
-
-        Self-translation kinds return the unscaled generator pair
-        (gamma, ±gamma): the actual surface is its image under w -> w/2,
-        a diffeomorphism of the target, so singularity classes agree while
-        reported criterion values keep the conventional normalization.
-        """
-        if self.kind == "general":
-            return self
-        other = self.base if self.kind == "self_plus" else self.base.negated()
-        return TranslationSurface(self.base, other, "general", base=self.base,
-                                  tols=self.tols)
+        return TranslationSurface(
+            curve, curve if sign > 0 else curve.negated(), kind, tols)
 
     # -- evaluation -----------------------------------------------------------
 
     def x_value(self, p: tuple[float, float]) -> np.ndarray:
         u, v = p
-        return self.curve_u.point(u) + self.curve_v.point(v)
+        x = self.curve_u.point(u) + self.curve_v.point(v)
+        return x if self.kind == "general" else 0.5 * x
 
     def at(self, p: tuple[float, float], order: int = 6) -> "PointJets":
         """The jets of both curves at p, each curve evaluated once."""
@@ -264,8 +250,8 @@ def gfs_invariants(pj: PointJets, frame: str = "nu_of_A",
     With the first curve's frame: (a1,b1,c1) = (0,0,alpha),
     (a2,b2,c2) = alpha~ (t31,t32,t33), (e1,f1,g1) = (l,m,n), second row zero,
     A = -alpha alpha~ t32 and B = alpha alpha~ t31. The mirrored frame swaps
-    the roles. Self-translation surfaces inherit the half factors through
-    their generator curves.
+    the roles. A self pair's invariants are its generator pair's: only
+    ``x_value`` applies the half factor.
     """
     l, m, n, al, lt, mt, nt, at = pj.curvature_bijets(degree)
     zero = BiJet.constant(0.0, *pj.p, degree)

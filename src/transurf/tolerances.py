@@ -15,6 +15,7 @@ built once, with the defaults). Which decision reads each field:
   below it.
 - ``sing_tol``: Newton convergence of the singular-point scan, and the
   conditions (i), (ii), (iii) reported at a point (each within 10 sing_tol).
+  On a self pair it reads the generator curves' alpha, unhalved.
 - ``dep_tol``: the dependent condition |mu x mu~| < dep_tol, and |t33| = 1 in
   the S0/S1 tests.
 - ``ratio_tol``: sigma_min / sigma_max of the field-dependence scan.

@@ -142,11 +142,10 @@ def test_lower_order_is_a_truncation(name):
 
 
 def test_scaled_and_negated_curves_batch():
-    base = catalog("sin_curve")
+    fc = catalog("sin_curve").negated()
     ts = np.array([-1.0, 0.25, 2.5])
-    for fc in (base.scaled(0.5), base.scaled(0.5).negated()):
-        _assert_lanes(fc.batch_jets(ts, 3).gamma,
-                      [fc.gamma_jets(float(t), 3) for t in ts])
+    _assert_lanes(fc.batch_jets(ts, 3).gamma,
+                  [fc.gamma_jets(float(t), 3) for t in ts])
 
 
 def _slide_direction_reference(base, h0, h1, h2, s0, s1, t, order):
@@ -790,13 +789,13 @@ def test_alpha_newton_gives_up_on_a_non_finite_step(value, slope):
 
 
 def _spy_alpha_newton(monkeypatch):
-    """Lists of the curves of each ``_newton_alpha`` run and of each curve
-    evaluation that a run makes."""
+    """Lists of the curve and the number of starts of each ``_newton_alpha``
+    run, and of each curve evaluation that a run makes."""
     runs, evaluations = [], []
     newton, batch_jets = surface._newton_alpha, FramedCurve.batch_jets
 
     def spy_newton(curve, ts, tol):
-        runs.append(curve)
+        runs.append((curve, len(ts)))
         return newton(curve, ts, tol)
 
     def spy_jets(self, ts, order=6):
@@ -810,30 +809,52 @@ def _spy_alpha_newton(monkeypatch):
 
 
 @pytest.mark.parametrize("pair", ["sin_plus", "sin_minus", "self_s1p_plus",
-                                  "self_s1p_minus", "s0", "s1m"])
+                                  "self_s1p_minus", "s0", "s1m", "cusp_plus",
+                                  "cusp_minus"])
 def test_self_pair_runs_one_alpha_newton(pair, monkeypatch):
     # the v-curve of a self pair is its u-curve or that curve negated, so
     # one Newton run, one curve evaluation per iteration, serves both
-    # curves; a general pair runs one per curve
-    s = surface_for(pair)
-    runs, evaluations = _spy_alpha_newton(monkeypatch)
-    surface.find_singular_points(s, (-math.pi, math.pi) * 2, grid_n=16)
-    if s.kind == "general":
-        assert runs == [s.curve_u, s.curve_v]
+    # curves; a general pair runs one per curve. The cusp curve's speed
+    # vanishes at t = 0, where u = 0 and v = 0 share their starts; the sin
+    # curve's |alpha| >= 1 gives its pairs no start at all
+    if pair.startswith("cusp"):
+        sign = 1 if pair == "cusp_plus" else -1
+        s = TranslationSurface.self_translation(
+            instances.cusp_curve(planar=False), sign)
+        window = (-1.0, 1.0) * 2
     else:
-        assert runs == [s.curve_u]
-        assert 0 < len(evaluations) <= surface.ALPHA_NEWTON_ITER
+        s, window = surface_for(pair), (-math.pi, math.pi) * 2
+    runs, evaluations = _spy_alpha_newton(monkeypatch)
+    pts = surface.find_singular_points(s, window, grid_n=16)
+    if s.kind == "general":
+        assert [c for c, _ in runs] == [s.curve_u, s.curve_v]
+        return
+    assert [c for c, _ in runs] == [s.curve_u]
+    assert len(evaluations) <= surface.ALPHA_NEWTON_ITER
+    assert (len(evaluations) > 0) == (runs[0][1] > 0)
+    if pair.startswith("sin"):
+        assert runs[0][1] == 0
+    if pair.startswith("cusp"):
+        # one run from 4 starts finds the roots u = 0 and v = 0 alike
+        assert runs[0][1] == 4
+        on_u = {p.u for p in pts if "i" in p.conditions and abs(p.u) < 1e-8}
+        on_v = {p.v for p in pts if "ii" in p.conditions and abs(p.v) < 1e-8}
+        assert on_u and on_u == on_v
 
 
 @pytest.mark.parametrize("pair, grid_n", [("sin_plus", 16), ("sin_minus", 24)])
 def test_rootless_alpha_newton_stops_early(pair, grid_n, monkeypatch):
-    # |alpha| >= 0.5 on the half sin curves: the starts bounce between the
-    # minima of |alpha|, which no longer fall after a few steps
+    # |alpha| >= 1 on the sin curve and its negation: from every grid node
+    # the starts bounce between the minima of |alpha|, which no longer fall
+    # after a few steps
+    curve = catalog("sin_curve")
+    if pair == "sin_minus":
+        curve = curve.negated()
     runs, evaluations = _spy_alpha_newton(monkeypatch)
-    pts = surface.find_singular_points(surface_for(pair),
-                                       (-math.pi, math.pi) * 2, grid_n)
-    assert len(runs) == 1 and 0 < len(evaluations) <= 5
-    assert not {"i", "ii"} & {c for p in pts for c in p.conditions}
+    roots = surface._newton_alpha(curve, np.linspace(-math.pi, math.pi,
+                                                     grid_n), 1e-8)
+    assert runs == [(curve, grid_n)] and 0 < len(evaluations) <= 5
+    assert roots == [None] * grid_n
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

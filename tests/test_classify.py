@@ -11,9 +11,7 @@ from transurf import surface as surface_mod
 from transurf import instances, verify
 from transurf.classify import (PHI_DEGREE, CriterionValue, PointData,
                                Verdict, classify, classify_all,
-                               classify_S0, classify_S1,
-                               classify_dependent_framed,
-                               classify_generic_frontal)
+                               classify_S0, classify_S1)
 from transurf.curves import CurveJets, FramedCurve, catalog
 from transurf.errors import NotNonDegenerate, TransurfError
 from transurf.framedsurf import align_pi, construct_theta, wrap_pi
@@ -171,10 +169,10 @@ def test_generic_candidate_alone_stays_a_note(monkeypatch):
     # is a note on the Unclassified verdict
     s, p0 = instances.planar_pair()
 
-    def generic(data, pts):
+    def generic(data):
         return [Verdict("CuspidalCrossCap", "generic_frontal", [
             CriterionValue("cusp_function_derivative", 1.0, 1e-7, True)])
-            for _ in pts]
+            for _ in data]
 
     monkeypatch.setattr(classify_mod, "classify_generic_frontal", generic)
     r = classify(s, p0)
@@ -211,12 +209,9 @@ def test_independent_condition_deferred():
 
 def test_framed_route_cuspidal_edge():
     s, p0 = instances.cylinder_pair()
-    pj = s.at(p0)
-    theta = construct_theta(pj)
-    v = classify_dependent_framed(PointData(pj), theta)
-    assert v.tag == "CuspidalEdge"
-    g, = classify_generic_frontal([PointData(pj)], [theta])
-    assert g.tag == "CuspidalEdge"
+    r = classify(s, p0)
+    assert r.framed.tag == "CuspidalEdge"
+    assert r.generic.tag == "CuspidalEdge"
 
 
 def test_framed_route_unit_speed_shortcut_consistency():

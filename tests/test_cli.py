@@ -94,13 +94,20 @@ def test_mesh_grid_combinatorics(tmp_path):
     assert "v 0 0 0" in lines
 
 
-@pytest.mark.parametrize("sign", [0, -1])
+@pytest.mark.parametrize("sign", [0, -1, 1])
 def test_mesh_vertices_equal_per_vertex_sums(tmp_path, sign):
-    # vertex i * n + j is x(u_i, v_j), the sum of the two curves' points
+    # vertex i * n + j is x(u_i, v_j), the sum of the two curves' points;
+    # a self pair holds its generator pair (gamma, +-gamma), and x is half
+    # its sum, 0.5 (gamma(u) +- gamma(v)) bitwise
     s = (TranslationSurface.general(catalog("s1p_a"), catalog("s1p_b"))
          if sign == 0 else
          TranslationSurface.self_translation(catalog("sin_curve"), sign))
     us, vs = np.linspace(-1.0, 0.9, 7), np.linspace(-0.8, 1.1, 7)
+    if sign:
+        g = catalog("sin_curve").point
+        assert all(s.x_value((u, v)).tobytes()
+                   == (0.5 * (g(u) + sign * g(v))).tobytes()
+                   for u in us for v in vs)
     write_obj(s, (-1.0, 0.9, -0.8, 1.1), 7, str(tmp_path / "m.obj"))
     lines = (tmp_path / "m.obj").read_text().split("\n")
     assert [l for l in lines if l.startswith("v ")] == [
@@ -199,11 +206,21 @@ def test_tolerance_overrides_reach_catalog_curves():
      "--out", "{tmp}/m.obj"],                       # no inf vertices
     ["scan", "--curve-a", "@s0_a", "--curve-b", "@s0_b",
      "--tol", "arc_tol=1e-9"],                      # removed with the arc scan
+    # a curve whose jets are not finite at a validation sample
+    ["scan", "--curve-a", "(u, u^1e9, 0)", "--curve-b", "(v, 0, v^2)",
+     "--grid", "16"],
+    ["scan", "--curve-a", "(u, u^4000, u^3)", "--curve-b", "(v, 0, v^2)",
+     "--grid", "16"],
+    ["scan", "--curve-a", "(u, exp(u^400), 0)", "--frame-a",
+     "(0,0,1);(0,1,0)", "--curve-b", "(v, 0, v^2)", "--grid", "16"],
 ])
-def test_input_errors_exit_2(args, tmp_path, capsys):
+def test_input_errors_exit_2(args, tmp_path, capsys, recwarn):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in args]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # the error is the one line printed: numpy warns of nothing first
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert len(err.splitlines()) == 1
     # a fault found after parsing has no source offset to report
     assert not err.rstrip().endswith("at offset 0")
     # a malformed frame is named by its flag

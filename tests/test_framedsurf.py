@@ -415,7 +415,7 @@ def test_cylinder_v_partials_vanish():
 def test_theta_agrees_across_the_period_corners(sign):
     # (+-pi, +-pi) are one point of the self_s1p surface up to the period,
     # and the fan fits the same 2-jet of theta in each of the four charts
-    s = verify.surface_for(f"self_s1p_{sign}").criteria_surface()
+    s = verify.surface_for(f"self_s1p_{sign}")
     corners = [(a * math.pi, b * math.pi) for a in (1, -1) for b in (1, -1)]
     pts = [construct_theta(s.at(p)) for p in corners]
     assert all(pt.provenance == "limit_extension" for pt in pts)
@@ -432,7 +432,7 @@ def test_large_fit_residual_means_no_smooth_angle():
     p = min((q.p for q in pts),
             key=lambda q: math.hypot(q[0] - 1.2293, q[1] - 1.2293))
     assert math.hypot(p[0] - 1.2293, p[1] - 1.2293) < 1e-3
-    pj = s.criteria_surface().at(p)
+    pj = s.at(p)
     pt = construct_theta(pj)
     assert not pt.available
     assert "no smooth normal angle" in pt.reason

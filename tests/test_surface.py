@@ -4,14 +4,14 @@ import sys
 import numpy as np
 import pytest
 
-from transurf import curves, surface
-from transurf.classify import classify
+from transurf import curves, instances, surface
+from transurf.classify import classify, classify_all
 from transurf.curves import FramedCurve, catalog, vec_values
 from transurf.jets import Jet
 from transurf.surface import (TranslationSurface, ab_dependence_scan,
                               canonical_periodic_points, dependence_test,
-                              find_singular_points, gfs_invariants,
-                              residual_landscape)
+                              export_singular_csv, find_singular_points,
+                              gfs_invariants, residual_landscape)
 
 PI = math.pi
 
@@ -263,9 +263,13 @@ def test_scan_is_complete_and_consistent():
 
 
 def test_self_translation_invariants_carry_half_factors():
+    # a self pair is held as its generator pair (gamma, +-gamma): the
+    # invariants are that pair's, and only x carries the half factor
     sc = catalog("sin_curve")
     xp = TranslationSurface.self_translation(sc, +1)
     xm = TranslationSurface.self_translation(sc, -1)
+    assert xp.curve_u is sc and xp.curve_v is sc
+    assert xm.curve_u is sc and xm.curve_v.negates is sc
     u, v = 0.4, -0.9
     c = sc.curvature(u, 2)
     cv = sc.curvature(v, 2)
@@ -273,16 +277,42 @@ def test_self_translation_invariants_carry_half_factors():
     t33 = xp.field.partial_value(3, 3, u, v)
     invp = gfs_invariants(xp.at((u, v)))
     invm = gfs_invariants(xm.at((u, v)))
-    assert invp.c1.value == pytest.approx(c.alpha.value / 2, rel=1e-12)
-    assert invm.c1.value == pytest.approx(c.alpha.value / 2, rel=1e-12)
-    assert invp.a2.value == pytest.approx(cv.alpha.value * t31 / 2, rel=1e-12, abs=1e-12)
-    assert invm.a2.value == pytest.approx(-cv.alpha.value * t31 / 2, rel=1e-12, abs=1e-12)
-    assert invp.c2.value == pytest.approx(cv.alpha.value * t33 / 2, rel=1e-12)
+    assert invp.c1.value == pytest.approx(c.alpha.value, rel=1e-12)
+    assert invm.c1.value == pytest.approx(c.alpha.value, rel=1e-12)
+    assert invp.a2.value == pytest.approx(cv.alpha.value * t31, rel=1e-12,
+                                          abs=1e-12)
+    assert invm.a2.value == pytest.approx(-cv.alpha.value * t31, rel=1e-12,
+                                          abs=1e-12)
+    assert invp.c2.value == pytest.approx(cv.alpha.value * t33, rel=1e-12)
     assert (invp.e1.value, invp.f1.value, invp.g1.value) == pytest.approx(
         (c.l.value, c.m.value, c.n.value), rel=1e-12)
+    gu, gv = sc.point(u), sc.point(v)
+    assert xp.x_value((u, v)).tobytes() == (0.5 * (gu + gv)).tobytes()
+    assert xm.x_value((u, v)).tobytes() == (0.5 * (gu - gv)).tobytes()
     # x-(u, u) = 0 exactly and T(u, u) = I
     assert np.all(xm.x_value((0.8, 0.8)) == 0.0)
     assert np.max(np.abs(xm.field.value(0.8, 0.8) - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("curve", ["sin_curve", "cusp"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_self_pair_locus_conditions_match_the_report(curve, sign, tmp_path):
+    # the scan, its CSV and the classification read one generator pair, so
+    # each point's conditions and dependence agree between CSV and report;
+    # the cusp curve's speed vanishes at t = 0
+    if curve == "cusp":
+        base, window = instances.cusp_curve(planar=False), (-1.0, 1.0) * 2
+    else:
+        base, window = catalog(curve), (-PI, PI) * 2
+    s = TranslationSurface.self_translation(base, sign)
+    pts = sorted(find_singular_points(s, window, grid_n=24),
+                 key=lambda q: (q.u, q.v))
+    export_singular_csv(pts, str(tmp_path / "locus.csv"))
+    rows = (tmp_path / "locus.csv").read_text().splitlines()[1:]
+    reports = classify_all(s, [q.p for q in pts])
+    assert len(rows) == len(reports) > 0
+    assert [row.split(",")[2:4] for row in rows] == [
+        ["|".join(r.conditions), r.dependence] for r in reports]
 
 
 def test_ab_dependence_scan_coplanar():
