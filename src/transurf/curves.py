@@ -156,30 +156,32 @@ class FramedCurve:
     def frame_residual(self, t: float) -> float:
         """Worst violation of unit/orthogonality/tangency at t; jets that are
         not finite there raise DomainError."""
-        at = CurveJets(self, t, 2)
+        return float(self._frame_residuals(np.array([float(t)]))[0])
+
+    def _frame_residuals(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`frame_residual` at every parameter of the 1-D array ``ts``,
+        from one batch; DomainError names the first t whose jets are not
+        finite."""
+        at = CurveJets(self, ts, 3)
         (n1, n2), mu = at.frame, at.mu
-        gd = shift3(self.gamma_jets(t, 3))
-        _require_finite(self.name, t, n1, n2, mu, gd)
+        gd = shift3(at.gamma)
+        _require_finite(self.name, ts, n1, n2, mu, gd)
         alpha = dot3(gd, mu)
-        recon = [gd[i] - alpha * mu[i] for i in range(3)]
-        return max(
-            abs(dot3(n1, n1).value - 1.0),
-            abs(dot3(n2, n2).value - 1.0),
-            abs(dot3(n1, n2).value),
-            abs(dot3(gd, n1).value),
-            abs(dot3(gd, n2).value),
-            max(abs(r.value) for r in recon),
-        )
+        recon = [(gd[i] - alpha * mu[i]).value for i in range(3)]
+        return np.max(np.abs([
+            dot3(n1, n1).value - 1.0, dot3(n2, n2).value - 1.0,
+            dot3(n1, n2).value, dot3(gd, n1).value, dot3(gd, n2).value,
+            *recon]), axis=0)
 
     def _validate_frames(self):
-        a, b = self.domain
-        for t in np.linspace(a, b, 7):
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = self.frame_residual(float(t))
-            if not (r < 1e-7):
-                raise InvalidFrame(
-                    f"frame of {self.name!r} violates its invariants at "
-                    f"t={t:.6g} (residual {r:.3e})")
+        ts = np.linspace(*self.domain, 7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self._frame_residuals(ts)
+        bad = np.flatnonzero(~(r < 1e-7))
+        if bad.size:
+            raise InvalidFrame(
+                f"frame of {self.name!r} violates its invariants at "
+                f"t={ts[bad[0]]:.6g} (residual {r[bad[0]]:.3e})")
 
     @property
     def is_frenet(self) -> bool:

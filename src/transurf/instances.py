@@ -136,9 +136,9 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
     curve u = h(v). B(t) is a Simpson sum over n + 1 nodes in [0, t], n =
     max(16, 2 int(|t| / 0.05) + 2), and B(0) = 0. The evaluators take a 1-D
     array of t (see :func:`~transurf.curves.batch_evaluator`): one call
-    reads the base curve from one batch, at h(t) and at the Simpson nodes of
-    every lane, and each lane is formed with the float operations of its
-    own scalar evaluation.
+    reads the base curve from two batches, at h(t) at the call's order and
+    at the Simpson nodes of every lane at order 2, and each lane is formed
+    with the float operations of its own scalar evaluation.
     """
     h_jet = _quadratic(h0, h1, h2)
     if isinstance(speed, (int, float)):
@@ -164,11 +164,12 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
         groups = [(m, np.flatnonzero(live & (n == m)))
                   for m in sorted(set(n[live].tolist()))]
         nodes = [np.linspace(0.0, ts[idx], m + 1) for m, idx in groups]
-        mu = [c.d for c in base.batch_jets(np.concatenate(
-            [hj.value] + [h_jet(ss.ravel(), 2).value for ss in nodes]), k).mu]
-        lanes = len(ts)
-        val = np.zeros((lanes, 3))
-        start = lanes
+        # only the values of mu at the nodes are read: order 2 there, which
+        # every lower-order jet equals as a truncation
+        at_nodes = base.batch_jets(np.concatenate(
+            [h_jet(ss.ravel(), 2).value for ss in nodes]), 2).mu if nodes else ()
+        val = np.zeros((len(ts), 3))
+        start = 0
         for (m, idx), ss in zip(groups, nodes):
             stop = start + ss.size
             w = np.ones(m + 1)
@@ -176,11 +177,13 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
             # the values of ``direction`` at the nodes, with 0.0 + mu as
             # the value ``compose_outer`` forms
             vals = (s0 + s1 * ss)[..., None] * (0.0 + np.stack(
-                [c[0, start:stop].reshape(ss.shape) for c in mu], axis=-1))
+                [c.d[0, start:stop].reshape(ss.shape) for c in at_nodes],
+                axis=-1))
             val[idx] = ((ts[idx] / m) / 3.0)[:, None] * (
                 w[:, None, None] * vals).sum(axis=0)
             start = stop
-        dirs = direction(ts, hj, [c[:, :lanes] for c in mu])
+        mu = base.batch_jets(hj.value, k).mu
+        dirs = direction(ts, hj, [c.d for c in mu])
         return tuple(Jet(ts, np.concatenate((val[None, :, c], dj.d[:order])))
                      for c, dj in enumerate(dirs))
 

@@ -10,15 +10,16 @@ two univariate jets, so no accuracy is lost to grid differencing anywhere.
 
 A :class:`Jet` may carry a trailing batch axis: with ``t0`` a 1-D array of B
 base points, ``d`` has shape ``(K + 1, B)`` and ``value``/``deriv`` return
-arrays. Products, quotients and compositions are written per derivative
-order over "rows" (Python floats for a scalar jet, length-B arrays for a
-batch) with the same floating-point operations in the same order, so lane b
-of a batch result equals the scalar result at ``t0[b]`` bitwise. Checks on
-values (near-zero divisors, the sqrt/pow domain) raise when any lane fails.
-:class:`BiJet` has the same trailing lane axis; its products, quotients
-and compositions share one product kernel, which pairs each Leibniz term
-with its mate so that ``a*b`` and ``b*a`` agree bitwise, and sums each lane
-as it sums one point.
+arrays. Products and compositions are kernels over ``d`` with tables by
+order alone: one masked ``np.add.reduce`` adds the terms of each order in
+ascending order, from -0.0 for a product and +0.0 for a composition, as the
+term-by-term sums of floats do. A point and a batch take the same
+operations, so lane b equals the result at ``t0[b]`` bitwise, signs of zero
+included; quotients get there per order over rows (floats, or length-B
+arrays). Checks on values (near-zero divisors, the sqrt/pow domain) raise
+when any lane fails. :class:`BiJet` has the same lane axis and one product
+kernel; both products pair each Leibniz term with its mate, so that ``a*b``
+and ``b*a`` agree bitwise.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -40,11 +41,6 @@ _BINOM_ROWS = [[float(math.comb(n, k)) for k in range(n + 1)]
 _FACT_ROWS = [float(math.factorial(k)) for k in range(_NMAX + 1)]
 
 
-def _rows(d: np.ndarray) -> list:
-    """Coefficients by derivative order: floats, or batch rows of length B."""
-    return d.tolist() if d.ndim == 1 else list(d)
-
-
 def _any(mask) -> bool:
     """True when a value check fails at the base point or at any lane."""
     return mask if mask.__class__ is bool else bool(np.any(mask))
@@ -57,26 +53,48 @@ def _ufunc(fn, *args):
     return y if y.ndim else float(y)
 
 
-def _leibniz(a: list, b: list, n: int) -> list:
-    """Derivatives of a product from the rows of its factors.
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
-    Row k is sum over i < k - i of C(k, i) (a_i b_{k-i} + a_{k-i} b_i), then
-    C(k, k/2) a_{k/2} b_{k/2} for even k, added in that order. Each pair is
-    symmetric in a and b, so ``a*b`` and ``b*a`` agree bitwise; rows are
-    floats or batch arrays, so a lane equals the scalar product bitwise.
-    """
-    out = []
-    for k in range(n + 1):
-        binom = _BINOM_ROWS[k]
-        acc = None
-        for i in range(k // 2 + 1):
-            j = k - i
-            term = a[i] * b[j] if i == j else a[i] * b[j] + a[j] * b[i]
-            if binom[i] != 1.0:
-                term = binom[i] * term
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int, ndim: int) -> tuple:
+    """Read-only tables of the kernels at order n for ``ndim`` axes, built
+    from lists. :func:`_leibniz`, by column c <= n/2 and order k: the rows
+    (c, k - c) of a term and (k - c, c) of its mate, its weight C(k, c),
+    halved at k = 2c, and the mask c <= k - c. :meth:`Jet.compose_outer`,
+    by term (i, m): the rows i of acc and m - i of p, the mask i < m, and
+    the factorials by order."""
+    ck = [(c, k) for c in range(n // 2 + 1) for k in range(n + 1)]
+    im = [(i, m) for i in range(n) for m in range(n + 1)]
+    lo, hi = [c for c, k in ck], [max(k - c, 0) for c, k in ck]
+    pair, lanes = (2, n // 2 + 1, n + 1), (1,) * (ndim - 1)
+    return _frozen(
+        np.array([lo, hi], dtype=np.intp).reshape(pair),
+        np.array([hi, lo], dtype=np.intp).reshape(pair),
+        np.array([math.comb(k, c) / (1 + (k == 2 * c))
+                  for c, k in ck]).reshape(pair[1:] + lanes),
+        np.array([k >= 2 * c for c, k in ck]).reshape(pair[1:] + lanes),
+        np.array([[i for i, m in im], [max(m - i, 0) for i, m in im]],
+                 dtype=np.intp).reshape(2, n, n + 1),
+        np.array([m > i for i, m in im], bool).reshape((n, n + 1) + lanes),
+        np.array(_FACT_ROWS[: n + 1]).reshape((n + 1,) + lanes))
+
+
+def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Derivatives of a product: row k sums C(k, c) (a_c b_{k-c} + a_{k-c}
+    b_c) over c <= k - c in ascending c, at c = k - c as a_c b_c + a_c b_c
+    at half weight (exact short of overflow). A pair is symmetric in a and
+    b, so ``a*b`` and ``b*a`` agree bitwise."""
+    lohi, hilo, weight, mask = _tables(len(a) - 1, a.ndim)[:4]
+    terms = a.take(lohi, 0)
+    terms *= b.take(hilo, 0)
+    pairs = terms[0] + terms[1]
+    pairs *= weight
+    return np.add.reduce(pairs, 0, where=mask, initial=-0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +116,7 @@ class Jet:
     d: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.d, dtype=float)
-        arr = arr.copy()
+        arr = np.array(self.d, dtype=float, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "d", arr)
 
@@ -121,7 +138,7 @@ class Jet:
     def variable(t0: float, order: int = 6) -> "Jet":
         if order < 2:
             raise ValueError("jet order must be >= 2")
-        d = _blank(t0, order)
+        d = np.zeros((order + 1,) + np.shape(t0))
         d[0], d[1] = t0, 1.0
         return Jet(t0, d)
 
@@ -129,7 +146,7 @@ class Jet:
     def constant(value: float, t0: float = 0.0, order: int = 6) -> "Jet":
         if order < 2:
             raise ValueError("jet order must be >= 2")
-        d = _blank(t0, order)
+        d = np.zeros((order + 1,) + np.shape(t0))
         d[0] = value
         return Jet(t0, d)
 
@@ -154,9 +171,8 @@ class Jet:
                 raise ValueError("jet base points differ")
             n = min(self.order, other.order)
             return self.d[: n + 1], other.d[: n + 1]
-        other = float(other)
         c = np.zeros(self.d.shape)
-        c[0] = other
+        c[0] = float(other)
         return self.d, c
 
     def truncate(self, order: int) -> "Jet":
@@ -185,7 +201,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet._fresh(self.t0, self.d * float(other))
         a, b = self._align(other)
-        return Jet._fresh(self.t0, _leibniz(_rows(a), _rows(b), len(a) - 1))
+        return Jet._fresh(self.t0, _leibniz(a, b))
 
     __rmul__ = __mul__
 
@@ -195,8 +211,9 @@ class Jet:
             if abs(other) <= DIV_EPS:
                 raise DegenerateDivision("division by near-zero constant")
             return Jet._fresh(self.t0, self.d / other)
-        a, b = self._align(other)
-        a, b = _rows(a), _rows(b)
+        # rows by derivative order: floats, or batch rows of length B
+        a, b = (x.tolist() if x.ndim == 1 else list(x)
+                for x in self._align(other))
         b0 = b[0]
         if _any(abs(b0) <= DIV_EPS):
             raise DegenerateDivision("division by jet with near-zero value")
@@ -246,38 +263,25 @@ class Jet:
         return Jet._fresh(self.t0, np.concatenate((head, self.d)))
 
     def compose_outer(self, outer_derivs) -> "Jet":
-        """Jet of F(self) given derivatives of F at ``self.value``.
-
-        ``outer_derivs`` holds one row per derivative order, like ``d``.
-        """
+        """Jet of F(self) given derivatives of F at ``self.value``, one row
+        per derivative order, like ``d``. Horner's rule in the nilpotent part
+        p_j = d_j / j!, j >= 1, of the inner series: a step sets entry m >= 1
+        to the sum of acc_i p_{m-i} over i < m in ascending i, and entry 0 to
+        0.0 + F^(k)(value) / k!."""
         n = self.order
         if len(outer_derivs) < n + 1:
             raise ValueError("need outer derivatives up to the jet order")
-        f = outer_derivs[: n + 1]
-        if isinstance(f, np.ndarray):
-            f = _rows(f)
-        fact = _FACT_ROWS
-        p = [dk / fact[k] for k, dk in enumerate(_rows(self.d))]
-        ft = [fk / fact[k] for k, fk in enumerate(f)]
-        # Horner in the nilpotent part p[1:] of the inner series; every
-        # entry sums from +0.0 in ascending order
-        acc = [ft[n]] + [0.0] * n
+        (rows, lag), mask, fact = _tables(n, self.d.ndim)[4:]
+        p = (self.d / fact).take(lag, 0)
+        acc = np.zeros(self.d.shape)
+        acc[0] = outer_derivs[n] / _FACT_ROWS[n]
         for k in range(n - 1, -1, -1):
-            nxt = [0.0 + ft[k]]
-            for m in range(1, n + 1):
-                s = 0.0
-                for i in range(m):
-                    s = s + acc[i] * p[m - i]
-                nxt.append(s)
-            acc = nxt
-        return Jet._fresh(self.t0, [acc[k] * fact[k] for k in range(n + 1)])
-
-
-def _blank(t0, order: int) -> np.ndarray:
-    """Zero derivative rows for a jet at ``t0`` (a float or a 1-D array)."""
-    if isinstance(t0, np.ndarray):
-        return np.zeros((order + 1, len(t0)))
-    return np.zeros(order + 1)
+            terms = acc.take(rows, 0)
+            terms *= p
+            acc = np.add.reduce(terms, 0, where=mask, initial=0.0)
+            acc[0] += outer_derivs[k] / _FACT_ROWS[k]
+        acc *= fact
+        return Jet._fresh(self.t0, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +447,8 @@ def _beyond_degree(n: int, ndim: int) -> np.ndarray:
     """Mask of the entries (i, j) with i + j >= n of an n x n partials array
     of ``ndim`` axes, the lane axis included."""
     r = np.arange(n)
-    mask = (np.add.outer(r, r) >= n).reshape((n, n) + (1,) * (ndim - 2))
-    mask.setflags(write=False)
-    return mask
+    return _frozen((np.add.outer(r, r) >= n).reshape(
+        (n, n) + (1,) * (ndim - 2)))[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -469,9 +472,7 @@ def _product_terms(n: int, lanes: int) -> tuple:
     lane = np.arange(lanes)
     table = tuple((x[:, None] * lanes + lane).ravel() for x in (lo, hi, out))
     table += (np.repeat(np.where(lo == hi, 0.5, 1.0) * weight, lanes),)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+    return _frozen(*table)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -506,9 +507,7 @@ def _sin_derivs(a, n: int) -> list:
 
 
 def _cos_derivs(a, n: int) -> list:
-    s, c = _ufunc(np.sin, a), _ufunc(np.cos, a)
-    cycle = (c, -s, -c, s)
-    return [cycle[k % 4] for k in range(n + 1)]
+    return _sin_derivs(a, n + 1)[1:]
 
 
 def _exp_derivs(a, n: int) -> list:

@@ -71,6 +71,48 @@ def _ref_compose(c, outer_derivs):
     return acc * fact2
 
 
+# Reference Jet product and composition: the row loops the table kernels
+# replaced. A row is a float at a point and a lane array for a batch; each
+# derivative order sums its terms one at a time, in the kernels' order.
+
+def _leibniz_rows(a, b):
+    out = []
+    for k in range(len(a)):
+        acc = None
+        for i in range(k // 2 + 1):
+            j = k - i
+            term = a[i] * b[j] if i == j else a[i] * b[j] + a[j] * b[i]
+            if math.comb(k, i) != 1:
+                term = float(math.comb(k, i)) * term
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return np.array(out, dtype=float)
+
+
+def _horner_rows(d, f):
+    """F(jet) from the rows d of the jet and f of F's derivatives: Horner's
+    rule in the nilpotent part of the inner series, every entry summed from
+    +0.0 in ascending order."""
+    n = len(d) - 1
+    fact = [float(math.factorial(k)) for k in range(n + 1)]
+    p = [dk / fact[k] for k, dk in enumerate(d)]
+    ft = [fk / fact[k] for k, fk in enumerate(f[: n + 1])]
+    acc = [ft[n]] + [0.0] * n
+    for k in range(n - 1, -1, -1):
+        nxt = [0.0 + ft[k]]
+        for m in range(1, n + 1):
+            s = 0.0
+            for i in range(m):
+                s = s + acc[i] * p[m - i]
+            nxt.append(s)
+        acc = nxt
+    return np.array([acc[k] * fact[k] for k in range(n + 1)], dtype=float)
+
+
+def _rows_of(d):
+    return d.tolist() if d.ndim == 1 else list(d)
+
+
 def _coordinates(u0, v0, degree):
     """The coordinate functions u and v as BiJets at (u0, v0)."""
     return (BiJet.from_u_jet(Jet.variable(u0, degree), v0, degree),
@@ -229,6 +271,63 @@ def test_commutativity_bitwise(x1, x2, y1, y2):
         p = BiJet(0.0, 0.0, np.resize(a6.d, (n + 1, n + 1)))
         q = BiJet(0.0, 0.0, np.resize(b6.d, (n + 1, n + 1)))
         assert (p * q).c.tobytes() == (q * p).c.tobytes()
+
+
+@st.composite
+def _jet_arrays(draw):
+    """Three derivative arrays of one order in 2..7, at a point (1-D) or
+    with 1, 2, 16, 66 or 660 lanes: normal draws over six decades, with a
+    drawn share of the entries replaced by drawn values and signed zeros."""
+    order = draw(st.integers(2, 7))
+    lanes = draw(st.sampled_from((None, 1, 2, 16, 66, 660)))
+    shape = (order + 1,) if lanes is None else (order + 1, lanes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = draw(st.lists(finite, max_size=4)) + [0.0, -0.0]
+    share = draw(st.sampled_from((0.0, 0.3, 0.9, 1.0)))
+
+    def one():
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        pick = rng.random(shape) < share
+        x[pick] = rng.choice(palette, pick.sum())
+        return x
+    return lanes, one(), one(), one()
+
+
+def _strided(x):
+    """A copy of x whose rows are not contiguous."""
+    return np.stack((x, x), axis=-1)[..., 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jet_arrays())
+@example((None, np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, -0.0]),
+          np.array([-0.0, 1.0, -0.0])))
+def test_jet_kernels_equal_row_loops_bitwise(drawn):
+    # the product and the composition equal the row loops bitwise, signs
+    # of zero included, at a point and on lanes; a*b and b*a agree bitwise;
+    # strided derivative arrays read as contiguous ones
+    lanes, a, b, f = drawn
+    t0 = 0.0 if lanes is None else np.zeros(lanes)
+    ja, jb = Jet(t0, a), Jet(t0, b)
+    want = _leibniz_rows(_rows_of(a), _rows_of(b)).tobytes()
+    assert (ja * jb).d.tobytes() == want
+    assert (jb * ja).d.tobytes() == want
+    assert (Jet._fresh(t0, _strided(a)) * jb).d.tobytes() == want
+    want = _horner_rows(_rows_of(a), _rows_of(f)).tobytes()
+    assert ja.compose_outer(_rows_of(f)).d.tobytes() == want
+    assert ja.compose_outer(f).d.tobytes() == want
+    assert Jet._fresh(t0, _strided(a)).compose_outer(f).d.tobytes() == want
+
+
+def test_jet_kernel_tables_do_not_grow_with_lanes():
+    # the kernels' tables are per order: lanes add no cached table
+    x = Jet.variable(np.linspace(0.1, 1.0, 3), 5)
+    jets.sqrt(x * x + 1.0)
+    cached = jets._tables.cache_info().currsize
+    for lanes in (1, 16, 660):
+        x = Jet.variable(np.linspace(0.1, 1.0, lanes), 5)
+        jets.sqrt(x * x + 1.0)
+    assert jets._tables.cache_info().currsize == cached
 
 
 @st.composite
