@@ -164,8 +164,8 @@ def tangent_slide_curve(base: FramedCurve, h0: float, h1: float, h2: float = 0.0
         groups = [(m, np.flatnonzero(live & (n == m)))
                   for m in sorted(set(n[live].tolist()))]
         nodes = [np.linspace(0.0, ts[idx], m + 1) for m, idx in groups]
-        # only the values of mu at the nodes are read: order 2 there, which
-        # every lower-order jet equals as a truncation
+        # the sum reads mu's values alone at the nodes: order 2 there (jets
+        # of a lower order are truncations, with equal values)
         at_nodes = base.batch_jets(np.concatenate(
             [h_jet(ss.ravel(), 2).value for ss in nodes]), 2).mu if nodes else ()
         val = np.zeros((len(ts), 3))

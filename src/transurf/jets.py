@@ -171,8 +171,9 @@ class Jet:
                 raise ValueError("jet base points differ")
             n = min(self.order, other.order)
             return self.d[: n + 1], other.d[: n + 1]
+        other = float(other)
         c = np.zeros(self.d.shape)
-        c[0] = float(other)
+        c[0] = other
         return self.d, c
 
     def truncate(self, order: int) -> "Jet":
