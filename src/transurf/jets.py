@@ -10,16 +10,15 @@ two univariate jets, so no accuracy is lost to grid differencing anywhere.
 
 A :class:`Jet` may carry a trailing batch axis: with ``t0`` a 1-D array of B
 base points, ``d`` has shape ``(K + 1, B)`` and ``value``/``deriv`` return
-arrays. Products and compositions are kernels over ``d`` with tables by
-order alone: one masked ``np.add.reduce`` adds the terms of each order in
-ascending order, from -0.0 for a product and +0.0 for a composition, as the
-term-by-term sums of floats do. A point and a batch take the same
-operations, so lane b equals the result at ``t0[b]`` bitwise, signs of zero
-included; quotients get there per order over rows (floats, or length-B
-arrays). Checks on values (near-zero divisors, the sqrt/pow domain) raise
-when any lane fails. :class:`BiJet` has the same lane axis and one product
-kernel; both products pair each Leibniz term with its mate, so that ``a*b``
-and ``b*a`` agree bitwise.
+arrays. Products and compositions gather their terms with tables by order
+and add each order's terms in ascending order with one masked
+``np.add.reduce``, from -0.0 for a product and +0.0 for a composition, as a
+sum of floats term by term does, a batch in blocks of lanes whose transient
+arrays stay under 128 KB; quotients run per order over rows. So lane b
+equals the result at ``t0[b]`` bitwise, signs of zero included. Value
+checks (near-zero divisors, the sqrt/pow domain) raise when any lane fails.
+:class:`BiJet` has the same lane axis and one product kernel; both kernels
+pair each Leibniz term with its mate, so ``a*b`` and ``b*a`` agree bitwise.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -89,6 +88,11 @@ def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b_c) over c <= k - c in ascending c, at c = k - c as a_c b_c + a_c b_c
     at half weight (exact short of overflow). A pair is symmetric in a and
     b, so ``a*b`` and ``b*a`` agree bitwise."""
+    # a block's transients take under 16 (n + 1)(n + 2) bytes a lane
+    step = 8192 // (len(a) * (len(a) + 1))
+    if a.ndim > 1 and a.shape[1] > step:
+        return np.concatenate([_leibniz(a[:, s:s + step], b[:, s:s + step])
+                               for s in range(0, a.shape[1], step)], 1)
     lohi, hilo, weight, mask = _tables(len(a) - 1, a.ndim)[:4]
     terms = a.take(lohi, 0)
     terms *= b.take(hilo, 0)
@@ -122,9 +126,8 @@ class Jet:
 
     @staticmethod
     def _fresh(t0, d) -> "Jet":
-        """A jet on rows or an array that its operation has just built and
-        nothing else holds, or on a view of a read-only array: made
-        read-only in place, with no copy."""
+        """A jet on rows or an array its operation just built and nothing
+        else holds, or on a view of a read-only array: read-only, no copy."""
         d = np.asarray(d, dtype=float)
         d.setflags(write=False)
         jet = object.__new__(Jet)
@@ -171,9 +174,8 @@ class Jet:
                 raise ValueError("jet base points differ")
             n = min(self.order, other.order)
             return self.d[: n + 1], other.d[: n + 1]
-        other = float(other)
         c = np.zeros(self.d.shape)
-        c[0] = other
+        c[0] = float(other)
         return self.d, c
 
     def truncate(self, order: int) -> "Jet":
@@ -215,8 +217,7 @@ class Jet:
         # rows by derivative order: floats, or batch rows of length B
         a, b = (x.tolist() if x.ndim == 1 else list(x)
                 for x in self._align(other))
-        b0 = b[0]
-        if _any(abs(b0) <= DIV_EPS):
+        if _any(abs(b[0]) <= DIV_EPS):
             raise DegenerateDivision("division by jet with near-zero value")
         r = []
         for k in range(len(a)):
@@ -224,7 +225,7 @@ class Jet:
             acc = a[k]
             for i in range(k):
                 acc = acc - binom[i] * r[i] * b[k - i]
-            r.append(acc / b0)
+            r.append(acc / b[0])
         return Jet._fresh(self.t0, r)
 
     def __rtruediv__(self, other):
@@ -246,8 +247,7 @@ class Jet:
                 k >>= 1
                 if k:
                     base = base * base
-            return out if out is not None else Jet.constant(
-                1.0, self.t0, self.order)
+            return out or Jet.constant(1.0, self.t0, self.order)
         if _any(self.value <= 0.0):
             raise DomainError("real power of nonpositive value")
         return self.compose_outer(_pow_derivs(self.value, e, self.order))
@@ -264,23 +264,28 @@ class Jet:
         return Jet._fresh(self.t0, np.concatenate((head, self.d)))
 
     def compose_outer(self, outer_derivs) -> "Jet":
-        """Jet of F(self) given derivatives of F at ``self.value``, one row
-        per derivative order, like ``d``. Horner's rule in the nilpotent part
-        p_j = d_j / j!, j >= 1, of the inner series: a step sets entry m >= 1
-        to the sum of acc_i p_{m-i} over i < m in ascending i, and entry 0 to
-        0.0 + F^(k)(value) / k!."""
-        n = self.order
-        if len(outer_derivs) < n + 1:
+        """Jet of F(self) from the derivatives of F at ``self.value``, a row
+        per order like ``d``: Horner's rule in p_j = d_j / j!, j >= 1; a step
+        sets entry m >= 1 to the sum of acc_i p_{m-i} over i < m in
+        ascending i, and entry 0 to 0.0 + F^(k)(value) / k!."""
+        n, f = self.order, outer_derivs
+        if len(f) < n + 1:
             raise ValueError("need outer derivatives up to the jet order")
+        step = 8192 // ((n + 1) * (n + 2))
+        if self.d.ndim > 1 and self.d.shape[1] > step:
+            return Jet._fresh(self.t0, np.concatenate([Jet._fresh(
+                self.t0[s:s + step], self.d[:, s:s + step]).compose_outer(
+                    [r[s:s + step] if np.ndim(r) else r for r in f[: n + 1]]
+                ).d for s in range(0, self.d.shape[1], step)], 1))
         (rows, lag), mask, fact = _tables(n, self.d.ndim)[4:]
         p = (self.d / fact).take(lag, 0)
         acc = np.zeros(self.d.shape)
-        acc[0] = outer_derivs[n] / _FACT_ROWS[n]
+        acc[0] = f[n] / _FACT_ROWS[n]
         for k in range(n - 1, -1, -1):
             terms = acc.take(rows, 0)
             terms *= p
             acc = np.add.reduce(terms, 0, where=mask, initial=0.0)
-            acc[0] += outer_derivs[k] / _FACT_ROWS[k]
+            acc[0] += f[k] / _FACT_ROWS[k]
         acc *= fact
         return Jet._fresh(self.t0, acc)
 
@@ -455,15 +460,12 @@ def _beyond_degree(n: int, ndim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _product_terms(n: int, lanes: int) -> tuple:
     """Read-only index table of :func:`_product` for n x n partials arrays
-    of ``lanes`` lanes, raveled in C order.
-
-    Entry (i, j) of a product sums C(i, p) C(j, q) a[p, q] b[i - p, j - q]
-    over p <= i, q <= j. A term and its mate (i - p, j - q) share the weight,
-    so each pair is listed once, by ascending flat index ``lo`` of its first
-    member within each (i, j). The kernel counts a term that is its own mate
-    twice, so it carries half its weight (exact short of overflow). Every
-    index i is listed once per lane, as ``i * lanes + lane``.
-    """
+    of ``lanes`` lanes, raveled in C order: entry (i, j) of a product sums
+    C(i, p) C(j, q) a[p, q] b[i - p, j - q] over p <= i, q <= j. A term and
+    its mate (i - p, j - q) share the weight, so each pair is listed once, by
+    ascending flat index ``lo`` of its first member within each (i, j); the
+    kernel counts a term that is its own mate twice, so it carries half its
+    weight (exact short of overflow). Index i of a lane is i * lanes + lane."""
     rows = [(p * n + q, (i - p) * n + j - q, math.comb(i, p) * math.comb(j, q),
              i * n + j)
             for i in range(n) for j in range(n - i)
@@ -497,14 +499,13 @@ def _order_of(x) -> int:
     return x.order if isinstance(x, Jet) else x.degree
 
 
-# Derivative tables hold one row per order (see ``_rows``) and use numpy
+# Derivative tables hold one row per order (like ``Jet.d``) and use numpy
 # ufuncs for scalars too: ``float ** e`` and ``np.power`` differ in the last
 # bit on some inputs, and a batch lane must equal the scalar evaluation.
 
 def _sin_derivs(a, n: int) -> list:
     s, c = _ufunc(np.sin, a), _ufunc(np.cos, a)
-    cycle = (s, c, -s, -c)
-    return [cycle[k % 4] for k in range(n + 1)]
+    return ([s, c, -s, -c] * (n // 4 + 1))[: n + 1]
 
 
 def _cos_derivs(a, n: int) -> list:
@@ -551,8 +552,7 @@ def atan(x):
         # g = atan(f) has g' = f' / (1 + f^2); integrate the derivative jet.
         w = x.differentiate() / (1.0 + (x * x).truncate(x.order - 1))
         return w.antiderivative(_ufunc(np.arctan, x.value))
-    outer = atan(Jet.variable(x.value, max(2, x.degree))).d
-    return x.compose_outer(outer)
+    return x.compose_outer(atan(Jet.variable(x.value, max(2, x.degree))).d)
 
 
 def atan2(y, x):

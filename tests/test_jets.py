@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,27 @@ def test_jet_kernel_tables_do_not_grow_with_lanes():
         x = Jet.variable(np.linspace(0.1, 1.0, lanes), 5)
         jets.sqrt(x * x + 1.0)
     assert jets._tables.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 7])
+def test_jet_kernels_hold_transients_under_128_kb(order):
+    # a large batch goes through the kernels in blocks of lanes: beside the
+    # inputs, the blocks' results and the joined result, a product or a
+    # composition holds less than 128 KB at once
+    rng = np.random.default_rng(order)
+    t0 = np.zeros(1088)
+    a, b = (Jet(t0, rng.standard_normal((order + 1, 1088))) for _ in "ab")
+    f = list(rng.standard_normal((order + 1, 1088)))
+    tracemalloc.start()
+    try:
+        for op in (lambda: a * b, lambda: a.compose_outer(f)):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out = op()
+            peak = tracemalloc.get_traced_memory()[1] - held
+            assert peak < 128 * 1024 + 2 * out.d.nbytes + 16 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
