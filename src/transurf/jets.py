@@ -172,8 +172,8 @@ class Jet:
         if isinstance(other, Jet):
             if other.t0 is not self.t0 and _any(other.t0 != self.t0):
                 raise ValueError("jet base points differ")
-            n = min(self.order, other.order)
-            return self.d[: n + 1], other.d[: n + 1]
+            a, b = self.d, other.d
+            return (a, b) if len(a) == len(b) else (a[:len(b)], b[:len(a)])
         c = np.zeros(self.d.shape)
         c[0] = float(other)
         return self.d, c
