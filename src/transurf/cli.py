@@ -178,13 +178,17 @@ def write_obj(s: TranslationSurface, window, n: int, path: str):
     xyz = (gu[:, :, None] + gv[:, None, :]).reshape(3, -1)
     if s.kind != "general":
         xyz *= 0.5      # a self pair is half its generator pair's sum
-    lines = ["v {:.9g} {:.9g} {:.9g}".format(*x) for x in zip(*xyz.tolist())]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            a, b = i * n + j + 1, (i + 1) * n + j + 1
-            lines += [f"f {a} {b} {b + 1}", f"f {a} {b + 1} {a + 1}"]
+    # cell (i, j) has corners a = i * n + j + 1 and b = a + n (1-based) and
+    # the faces (a, b, b + 1) and (a, b + 1, a + 1); each block of lines is
+    # one %-format pass over all its numbers
+    a = (np.arange(n - 1)[:, None] * n + np.arange(1, n)).ravel()
+    b = a + n
+    faces = np.stack([a, b, b + 1, a, b + 1, a + 1], 1)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("v %.9g %.9g %.9g\n" * (n * n))
+                 % tuple(xyz.T.ravel().tolist()))
+        fh.write(("f %d %d %d\nf %d %d %d\n" * len(a))
+                 % tuple(faces.ravel().tolist()))
 
 
 def cmd_mesh(cfg: RunConfig, locus: str | None = None) -> int:

@@ -60,27 +60,39 @@ def _frozen(*arrays) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _tables(n: int, ndim: int) -> tuple:
-    """Read-only tables of the kernels at order n for ``ndim`` axes, built
-    from lists. :func:`_leibniz`, by column c <= n/2 and order k: the rows
-    (c, k - c) of a term and (k - c, c) of its mate, its weight C(k, c),
-    halved at k = 2c, and the mask c <= k - c. :meth:`Jet.compose_outer`,
-    by term (i, m): the rows i of acc and m - i of p, the mask i < m, and
-    the factorials by order."""
+def _order_tables(n: int) -> tuple:
+    """Read-only tables of the kernels at order n for a jet at one point,
+    built from lists. :func:`_leibniz`, by column c <= n/2 and order k: the
+    rows (c, k - c) of a term and (k - c, c) of its mate, its weight
+    C(k, c), halved at k = 2c, and the mask c <= k - c.
+    :meth:`Jet.compose_outer`, by term (i, m): the rows i of acc and m - i
+    of p, the mask i < m, and the factorials by order."""
     ck = [(c, k) for c in range(n // 2 + 1) for k in range(n + 1)]
     im = [(i, m) for i in range(n) for m in range(n + 1)]
     lo, hi = [c for c, k in ck], [max(k - c, 0) for c, k in ck]
-    pair, lanes = (2, n // 2 + 1, n + 1), (1,) * (ndim - 1)
+    pair = (2, n // 2 + 1, n + 1)
     return _frozen(
         np.array([lo, hi], dtype=np.intp).reshape(pair),
         np.array([hi, lo], dtype=np.intp).reshape(pair),
         np.array([math.comb(k, c) / (1 + (k == 2 * c))
-                  for c, k in ck]).reshape(pair[1:] + lanes),
-        np.array([k >= 2 * c for c, k in ck]).reshape(pair[1:] + lanes),
+                  for c, k in ck]).reshape(pair[1:]),
+        np.array([k >= 2 * c for c, k in ck]).reshape(pair[1:]),
         np.array([[i for i, m in im], [max(m - i, 0) for i, m in im]],
                  dtype=np.intp).reshape(2, n, n + 1),
-        np.array([m > i for i, m in im], bool).reshape((n, n + 1) + lanes),
-        np.array(_FACT_ROWS[: n + 1]).reshape((n + 1,) + lanes))
+        np.array([m > i for i, m in im], bool).reshape(n, n + 1),
+        np.array(_FACT_ROWS[: n + 1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int, ndim: int) -> tuple:
+    """The tables of :func:`_order_tables` for ``ndim`` axes: for a batch,
+    the index tables themselves (they index rows, not lanes), and views of
+    the weights, masks and factorials with ``ndim - 1`` lane axes of length
+    1, so that the lanes broadcast against them."""
+    tables, lanes = _order_tables(n), (1,) * (ndim - 1)
+    return tables if ndim == 1 else tuple(
+        t if t.dtype == np.intp else t.reshape(t.shape + lanes)
+        for t in tables)
 
 
 def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -34,27 +34,30 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, (list, tuple, dict)):
-        return "".join(_pieces(obj, indent)) if obj else (
-            "{}" if isinstance(obj, dict) else "[]")
+        if not obj:
+            return "{}" if isinstance(obj, dict) else "[]"
+        pieces: list[str] = []
+        _write(pieces.append, obj, indent)
+        return "".join(pieces)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _pieces(obj, indent: int):
-    """The text of a nonempty list or dict, ``dumps(obj, indent)``, in
-    pieces: a file takes them one at a time, so that a report is never one
-    string in memory."""
+def _write(write, obj, indent: int):
+    """Pass the text of a nonempty list or dict, ``dumps(obj, indent)``, to
+    ``write`` in pieces: a file takes them one at a time, so that a report
+    is never one string in memory."""
     pad = " " * indent
     keyed = isinstance(obj, dict)
-    yield "{\n" if keyed else "[\n"
+    write("{\n" if keyed else "[\n")
     for n, item in enumerate(obj.items() if keyed else obj):
         value = item[1] if keyed else item
-        yield ((",\n" if n else "") + pad + "  "
-               + (dumps(str(item[0])) + ": " if keyed else ""))
+        write((",\n" if n else "") + pad + "  "
+              + (dumps(str(item[0])) + ": " if keyed else ""))
         if isinstance(value, (list, tuple, dict)) and value:
-            yield from _pieces(value, indent + 2)
+            _write(write, value, indent + 2)
         else:
-            yield dumps(value, indent + 2)
-    yield "\n" + pad + ("}" if keyed else "]")
+            write(dumps(value, indent + 2))
+    write("\n" + pad + ("}" if keyed else "]"))
 
 
 def verdict_doc(v: Verdict | None):
@@ -91,5 +94,5 @@ def classification_doc(point_info: dict, rep: ClassificationReport):
 
 def write_report(doc: dict, path: str):
     with open(path, "w") as fh:
-        fh.writelines(_pieces(doc, 0))
+        _write(fh.write, doc, 0)
         fh.write("\n")

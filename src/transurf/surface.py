@@ -34,6 +34,10 @@ T3_NEWTON_ITER = 80      # iteration cap of a Newton run on (t31, t32) = 0
 # (t31, t32) counts as rank 1, and at or above which the augmented Jacobian
 # [J; grad det J] counts as regular: the gate of the augmented step
 ROOT_SIGMA_RATIO = 1e-3
+# the band of ratios of consecutive plain Newton steps that counts as the
+# linear rate 1/2 of a degenerate zero; it sets how fast a root is found,
+# not which point is reported
+LINEAR_RATE = (0.35, 0.65)
 PERIOD_MERGE_RADIUS = 1e-6   # folded points closer than this are one point
 
 
@@ -455,14 +459,22 @@ def _newton_t3(s: TranslationSurface, us, vs,
     ``t_bijet(3, j, u, v, degree=2)``, j = 1, 2 (one broadcast ``frame_dot``
     of the same frame rows, so bitwise equal to those BiJet entries). At a
     degenerate zero (J of rank 1, as at an S1 point) that step converges
-    only linearly. So a start whose residual is already below ``tol`` and
-    whose J has sigma_min / sigma_max below ``ROOT_SIGMA_RATIO`` takes the
-    Gauss-Newton step of the augmented system (t31, t32, det J) instead,
-    wherever its 3x2 Jacobian [J; grad det J], formed from the same rows'
-    second derivatives (:func:`_augmented_systems`), has a ratio of at least
+    only linearly, each step about half the one before. So a start takes the
+    Gauss-Newton step of the augmented system (t31, t32, det J) instead
+    once its last two plain steps each shrank by a ratio within
+    ``LINEAR_RATE`` from a step taken in full (not clamped), or once its
+    residual is below ``tol`` and its J has sigma_min / sigma_max below
+    ``ROOT_SIGMA_RATIO``. In both cases it does so only where its 3x2
+    Jacobian [J; grad det J], formed from the same rows' second derivatives
+    (:func:`_augmented_systems`), has a ratio of at least
     ``ROOT_SIGMA_RATIO``: the zero is regular for that system, and the step
-    converges quadratically. One more solve serves all those starts. Along
-    a curve of zeros its tangent is in the kernel of J and of grad det J
+    converges quadratically. One more solve serves all those starts. The
+    step-ratio test reads only the step lengths formed anyway, and it passes
+    a start about ten halvings before its residual is below ``tol``; after
+    an augmented step the next plain step no longer shrinks at the linear
+    rate, and the residual test takes over. Along a curve of zeros the
+    plain steps converge quadratically, so the step-ratio test does not
+    pass there; the curve's tangent is in the kernel of J and of grad det J
     alike, the augmented Jacobian has rank 1 too, and the plain step stays.
     A start retires once its residual is below ``tol`` and the step
     it would take, plain or augmented, is below 1e-12 (its root is the
@@ -471,9 +483,12 @@ def _newton_t3(s: TranslationSurface, us, vs,
     root of each start, or None.
     """
     x = np.array([us, vs], dtype=float)     # iterate k is x[:, k]
-    roots: list[tuple[float, float] | None] = [None] * x.shape[1]
-    converged = np.zeros(x.shape[1], dtype=bool)
-    live = np.arange(x.shape[1])
+    n = x.shape[1]
+    roots: list[tuple[float, float] | None] = [None] * n
+    converged = np.zeros(n, dtype=bool)
+    last = np.zeros(n)                  # each start's last plain step length
+    halved = np.zeros(n, dtype=bool)    # whether that step shrank linearly
+    live = np.arange(n)
     for _ in range(T3_NEWTON_ITER):
         if not len(live):
             return roots
@@ -492,9 +507,19 @@ def _newton_t3(s: TranslationSurface, us, vs,
         J = np.stack([r_u, r_v], -1)
         step = _lstsq_steps(J, r)
         nrm = np.sqrt(np.vecdot(step, step))   # np.linalg.norm bitwise
-        aug = np.flatnonzero(converged[live])
+        # two plain steps in a row that shrank at the linear rate, each from
+        # a step taken in full, mark a degenerate zero ahead; products, not
+        # ratios, so 0/0 cannot arise
+        prev = last[live]
+        rate = ((nrm > LINEAR_RATE[0] * prev) & (nrm < LINEAR_RATE[1] * prev)
+                & (prev <= 0.5))
+        take = rate & halved[live]
+        halved[live], last[live] = rate, nrm
+        rank1 = np.flatnonzero(converged[live])
+        if len(rank1):
+            take[rank1[_sigma_ratio(J[rank1]) < ROOT_SIGMA_RATIO]] = True
+        aug = np.flatnonzero(take)
         if len(aug):
-            aug = aug[_sigma_ratio(J[aug]) < ROOT_SIGMA_RATIO]
             A, F = _augmented_systems(J[aug], r[aug], r_uu[aug], r_uv[aug],
                                       r_vv[aug])
             ok = _sigma_ratio(A) >= ROOT_SIGMA_RATIO

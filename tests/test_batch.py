@@ -407,19 +407,24 @@ def test_slide_classify_reads_its_base_in_batches(kind, monkeypatch):
 
 def _newton_reference(s, u, v, tol, max_iter=80):
     """The scalar Newton loop on (t31, t32) = 0, one start at a time, each
-    iterate from one scalar evaluation of each curve. A converged start
-    whose Jacobian J has sigma_min / sigma_max below ROOT_SIGMA_RATIO and
-    whose augmented Jacobian [J; grad det J] has a ratio of at least it
-    takes the least-squares step of (t31, t32, det J) instead; the ratios
+    iterate from one scalar evaluation of each curve. A start whose last
+    two plain steps each shrank by a ratio within LINEAR_RATE (the linear
+    rate of a degenerate zero) from a step of length at most 0.5 (one taken
+    in full), or a converged start whose Jacobian J has
+    sigma_min / sigma_max below ROOT_SIGMA_RATIO, takes the least-squares
+    step of (t31, t32, det J) instead where its augmented Jacobian
+    [J; grad det J] has a ratio of at least ROOT_SIGMA_RATIO; the ratios
     come from numpy's SVD. A converged start retires once the step it would
     take is below 1e-12, after taking it if it is augmented."""
     gate = surface.ROOT_SIGMA_RATIO
+    lo, hi = surface.LINEAR_RATE
 
     def ratio(M):
         sv = np.linalg.svd(M, compute_uv=False)
         return sv[-1] / sv[0]
 
     converged = False
+    last, halved = 0.0, False
     for _ in range(max_iter):
         mu_b = CurveJets(s.curve_v, v, 2).row(3)
         ju = CurveJets(s.curve_u, u, 2)
@@ -433,8 +438,10 @@ def _newton_reference(s, u, v, tol, max_iter=80):
                       [b32.part(1, 0), b32.part(0, 1)]])
         step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
         nrm = float(np.linalg.norm(step))
+        rate = last <= 0.5 and lo * last < nrm < hi * last
+        linear, halved, last = rate and halved, rate, nrm
         augmented = False
-        if converged and ratio(J) < gate:
+        if linear or converged and ratio(J) < gate:
             (a, b), (c, d) = J
             det_u = (b31.part(2, 0) * d + a * b32.part(1, 1)
                      - b31.part(1, 1) * c - b * b32.part(2, 0))

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from transurf import cli
 from transurf.classify import classify
 from transurf.cli import RunConfig, main, write_obj
-from transurf.curves import catalog
-from transurf.report import dumps
+from transurf.curves import catalog, vec_values
+from transurf.report import dumps, write_report
 from transurf.surface import TranslationSurface
 
 
@@ -113,6 +114,91 @@ def test_mesh_vertices_equal_per_vertex_sums(tmp_path, sign):
     assert [l for l in lines if l.startswith("v ")] == [
         "v {:.9g} {:.9g} {:.9g}".format(*s.x_value((u, v)))
         for u in us for v in vs]
+
+
+def _obj_reference(s, window, n, path):
+    """The OBJ writer formerly in the package, one format call per line: the
+    reference of the one that formats each block of lines in one pass."""
+    u0, u1, v0, v1 = window
+    gu = vec_values(s.curve_u.batch_jets(np.linspace(u0, u1, n), 2).gamma)
+    gv = vec_values(s.curve_v.batch_jets(np.linspace(v0, v1, n), 2).gamma)
+    xyz = (gu[:, :, None] + gv[:, None, :]).reshape(3, -1)
+    if s.kind != "general":
+        xyz *= 0.5
+    lines = ["v {:.9g} {:.9g} {:.9g}".format(*x) for x in zip(*xyz.tolist())]
+    for i in range(n - 1):
+        for j in range(n - 1):
+            a, b = i * n + j + 1, (i + 1) * n + j + 1
+            lines += [f"f {a} {b} {b + 1}", f"f {a} {b + 1} {a + 1}"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cfg, n", [
+    (RunConfig("@s1p_a", curve_b="@s1p_b", window=(-1.01, 1.02, -1.03, 1.0)),
+     65),
+    (RunConfig("@sin_curve", self_kind="minus",
+               window=(-math.pi, math.pi, -math.pi, math.pi)), 33),
+    (RunConfig("@sin_curve", self_kind="plus", window=(-3, 2, -2, 3)), 2),
+    # coordinates from 1e-14 to 1e+10: the exponent forms of %.9g
+    (RunConfig("(u, u^2, 0)", curve_b="(v, 0, v^2)",
+               window=(-1e5, 1e5, -1e-7, 1e-7)), 17),
+    (RunConfig("(u, u^2, 0)", curve_b="(v, 0, v^2)",
+               window=(-1, 1, -1, 1)), 1),
+])
+def test_obj_writer_equals_the_line_formatter(cfg, n, tmp_path):
+    s = cfg.build_surface()
+    write_obj(s, cfg.window, n, str(tmp_path / "got.obj"))
+    _obj_reference(s, cfg.window, n, str(tmp_path / "want.obj"))
+    got = (tmp_path / "got.obj").read_bytes()
+    assert got == (tmp_path / "want.obj").read_bytes()
+    assert got.count(b"\nf ") == 2 * (n - 1) ** 2
+
+
+def _pieces_reference(obj, indent):
+    """The report's former piece generator, nested generators and all: the
+    reference of the recursive writer."""
+    pad = " " * indent
+    keyed = isinstance(obj, dict)
+    yield "{\n" if keyed else "[\n"
+    for n, item in enumerate(obj.items() if keyed else obj):
+        value = item[1] if keyed else item
+        yield ((",\n" if n else "") + pad + "  "
+               + (dumps(str(item[0])) + ": " if keyed else ""))
+        if isinstance(value, (list, tuple, dict)) and value:
+            yield from _pieces_reference(value, indent + 2)
+        else:
+            yield dumps(value, indent + 2)
+    yield "\n" + pad + ("}" if keyed else "]")
+
+
+def test_report_writer_equals_the_piece_generator(tmp_path, monkeypatch):
+    # the documents of two scans as the command line writes them, and one
+    # of every kind of value: empty and nested containers, tuples, keys that
+    # are not strings, signed zeros, nan and inf, quotes and backslashes
+    docs = []
+
+    def keep(doc, path):
+        docs.append(doc)
+        write_report(doc, path)
+
+    monkeypatch.setattr(cli, "write_report", keep)
+    for curves, span, grid in ((["@sin_curve", "--self", "plus"], math.pi, 16),
+                               (["@s1m_a", "--curve-b", "@s1m_b"], 1.5, 24)):
+        assert run_cli(["scan", "--curve-a", *curves,
+                        f"--window={-span},{span},{-span},{span}", "--grid",
+                        str(grid), "--report", str(tmp_path / "r.json")]) == 0
+    docs.append({"a": [], "b": {}, "c": [[], {}, [1, (2.5, -0.0)]],
+                 3: {"d": None, "e": True, "f": False},
+                 "g\"\\": [float("nan"), float("inf"), -float("inf")],
+                 "h": [{"i": [0.1, 1e-300, -7]}], "j": "k\"l\\m"})
+    for doc in docs:
+        want = "".join(_pieces_reference(doc, 0))
+        write_report(doc, str(tmp_path / "got.json"))
+        assert (tmp_path / "got.json").read_text() == want + "\n"
+        assert dumps(doc) == want
+    assert dumps(docs[-1]["c"], 4) == "".join(
+        _pieces_reference(docs[-1]["c"], 4))
 
 
 def test_mesh_sin_self_minus_diagonal_at_origin(tmp_path):

@@ -331,6 +331,21 @@ def test_jet_kernel_tables_do_not_grow_with_lanes():
     assert jets._tables.cache_info().currsize == cached
 
 
+@pytest.mark.parametrize("order", [2, 3, 6])
+def test_jet_kernel_tables_are_built_once_per_order(order):
+    # a point and a batch read one set of arrays per order: the batch's
+    # entry holds the index tables themselves and views of the others
+    point, batch = jets._tables(order, 1), jets._tables(order, 2)
+    assert point == jets._order_tables(order)
+    for p, b in zip(point, batch):
+        assert b is p or (np.shares_memory(b, p)
+                          and b.shape == p.shape + (1,))
+        assert not b.flags.writeable
+    assert [b is p for p, b in zip(point, batch)] == [True, True, False,
+                                                      False, True, False,
+                                                      False]
+
+
 @pytest.mark.parametrize("order", [2, 4, 6, 7])
 def test_jet_kernels_hold_transients_under_128_kb(order):
     # a large batch goes through the kernels in blocks of lanes: beside the

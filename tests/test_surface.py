@@ -173,6 +173,13 @@ def test_scan_locates_s1_points_to_full_precision(name, window, grid, tag):
     assert abs(r.gfs.value("cross_cap_value")) < 1e-12
 
 
+# Newton iterations of each S1 scan: two plain steps that halve hand a start
+# to the augmented step (16 at s1m g40, and 14 at s1p, while only a residual
+# below sing_tol did)
+S1_ITERATIONS = {("s1p", 48): 7, ("s1p", 64): 7, ("s1m", 40): 8}
+
+
+@pytest.mark.filterwarnings("error")
 def test_degenerate_root_converges_in_few_iterations(monkeypatch):
     iterations = []
     pair_jets = surface._pair_jets
@@ -183,8 +190,60 @@ def test_degenerate_root_converges_in_few_iterations(monkeypatch):
         return pair_jets(s, p, order)
 
     monkeypatch.setattr(surface, "_pair_jets", spy_jets)
-    _s1_scan(*S1_SCANS[2][:3])
-    assert 0 < len(iterations) <= 16
+    for name, window, grid, _ in S1_SCANS:
+        iterations.clear()
+        _, pts = _s1_scan(name, window, grid)
+        assert math.hypot(pts[0].u, pts[0].v) < 1e-11
+        assert 0 < len(iterations) <= S1_ITERATIONS[name, grid]
+
+
+DIAGONAL_SCANS = [("sin_curve", 1, (-PI, PI), 16),
+                  ("sin_curve", -1, (-PI, PI), 24),
+                  ("self_s1p", 1, (-3.14159, 3.14159), 24),
+                  ("self_s1p", -1, (-3.14159, 3.14159), 24)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, sign, span, grid", DIAGONAL_SCANS)
+def test_step_ratio_test_never_passes_along_the_diagonal(name, sign, span,
+                                                         grid, monkeypatch):
+    # along a curve of zeros the least-squares steps converge quadratically:
+    # no start of the scan that lands on u = v takes two plain steps in a
+    # row that shrink by a ratio within LINEAR_RATE from a step taken in
+    # full, the test that hands a start to the augmented step; each start
+    # runs alone, so its plain step lengths are one lane's
+    s = TranslationSurface.self_translation(catalog(name), sign)
+    runs = []
+    newton, steps = surface._newton_t3, surface._lstsq_steps
+
+    def spy_newton(s, us, vs, tol):
+        roots = newton(s, us, vs, tol)
+        runs.append(list(zip(us.tolist(), vs.tolist(), roots)))
+        return roots
+
+    monkeypatch.setattr(surface, "_newton_t3", spy_newton)
+    find_singular_points(s, span + span, grid_n=grid)
+    monkeypatch.undo()
+    starts = [(u, v) for u, v, root in runs[0]
+              if root is not None and abs(root[0] - root[1]) < 1e-9]
+    assert len(starts) >= 20
+    lo, hi = surface.LINEAR_RATE
+    norms = []
+
+    def spy_steps(J, r):
+        step = steps(J, r)
+        if J.shape[1:] == (2, 2):
+            norms.append(float(np.linalg.norm(step[0])))
+        return step
+
+    monkeypatch.setattr(surface, "_lstsq_steps", spy_steps)
+    for u, v in starts:
+        norms.clear()
+        root, = surface._newton_t3(s, [u], [v], s.tols.sing_tol)
+        assert abs(root[0] - root[1]) < 1e-9
+        rates = [a <= 0.5 and lo * a < b < hi * a
+                 for a, b in zip(norms, norms[1:])]
+        assert not any(x and y for x, y in zip(rates, rates[1:]))
 
 
 def test_scan_skew_lines_empty():
