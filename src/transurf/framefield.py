@@ -178,26 +178,117 @@ _EYE3.setflags(write=False)
 
 
 def polar_rotation(M: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix (polar factor, det +1).
+    """Nearest rotation matrix (polar factor, det +1) of each matrix of an
+    (L, 3, 3) stack; a single 3 x 3 matrix is a stack of one.
 
     For near-orthogonal input the Newton iteration R <- (R + R^-T)/2
-    converges quadratically; fall back to an SVD otherwise.
+    converges quadratically. It runs, at most three times, on the lanes
+    whose error max|R^T R - I| is still at least 1e-15. Newton keeps the
+    sign of det R, so a lane with det R < 0.5 takes the SVD of its own input
+    matrix instead, as does a lane with an error above 0.5 or one that is
+    still short after three steps.
     """
-    R = np.asarray(M, dtype=float)
+    M = np.asarray(M, dtype=float)
+    M3 = M.reshape(-1, 3, 3)
+    out = M3.copy()
+    lanes, R = np.arange(len(M3)), M3      # the lanes still iterating
+    svd = np.zeros(len(M3), dtype=bool)
     for _ in range(3):
-        err = float(np.max(np.abs(R.T @ R - _EYE3)))
-        if err < 1e-15:
-            return R
-        if err > 0.5 or abs(np.linalg.det(R)) < 0.5:
+        err = np.abs(R.swapaxes(-1, -2) @ R - _EYE3).max(axis=(-2, -1))
+        bad = (err > 0.5) | (np.linalg.det(R) < 0.5)
+        go = ~((err < 1e-15) | bad)
+        svd[lanes[bad]] = True
+        if not go.any():
             break
-        R = 0.5 * (R + np.linalg.inv(R).T)
-    U, _, Vt = np.linalg.svd(M)
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        U = U.copy()
-        U[:, -1] = -U[:, -1]
-        R = U @ Vt
-    return R
+        lanes, R = lanes[go], R[go]
+        R = 0.5 * (R + np.linalg.inv(R).swapaxes(-1, -2))
+        out[lanes] = R
+    else:
+        svd[lanes] = True
+    for i in np.flatnonzero(svd):
+        U, _, Vt = np.linalg.svd(M3[i])
+        U[:, -1] *= np.sign(np.linalg.det(U @ Vt))     # det +1
+        out[i] = U @ Vt
+    return out.reshape(M.shape)
+
+
+def _rk4_step(node, h, mid, end):
+    """One RK4 step of each lane of the stacked ``node`` = (R, gamma, F,
+    alpha) at times t, of length ``h``, one float per lane; ``mid`` and
+    ``end`` are the stacked (F, alpha) at t + h/2 and t + h. A lane forms
+    the float operations of a step taken alone."""
+    R, g, F0, a0 = node
+    Fm, am = mid
+    F1, a1 = end
+    hR, hg = h[:, None, None], h[:, None]
+
+    def rhs(F, a, Rc):
+        return F @ Rc, a[:, None] * Rc[:, 2]
+
+    k1R, k1g = rhs(F0, a0, R)
+    k2R, k2g = rhs(Fm, am, R + hR / 2 * k1R)
+    k3R, k3g = rhs(Fm, am, R + hR / 2 * k2R)
+    k4R, k4g = rhs(F1, a1, R + hR * k3R)
+    return (R + hR / 6 * (k1R + 2 * k2R + 2 * k3R + k4R),
+            g + hg / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
+
+
+def _stack(nodes):
+    """The nodes (R, gamma, F, alpha) as one stacked node."""
+    return tuple(np.array(x) for x in zip(*nodes))
+
+
+def integrate_chains(reach) -> None:
+    """Integrate each curve of ``reach``, a list of (OdeFramedCurve, times),
+    out to the node nearest its furthest time on each side of t0.
+
+    Each side of a curve that still has steps to take is one lane, a chain
+    of RK4 steps. The midpoint and end times of all the steps of a curve are
+    evaluated in one source call, both sides together. Then the lanes
+    advance together: one stacked RK4 step and one stacked
+    :func:`polar_rotation` per step index, over the lanes that still take
+    it. Every node equals the one its chain would reach alone, bitwise.
+    """
+    lanes = []                  # (steps, curve, first node, sign, F, alpha)
+    for curve, ts in reach:
+        ks, mine, times = curve._node_indices(ts), [], []
+        for sign, k in ((-1, min(ks.min(), 0)), (1, max(ks.max(), 0))):
+            j0, n = curve._far[sign], sign * (k - curve._far[sign])
+            if n > 0:
+                # each step's midpoint and end node, formed as a step from
+                # t0 + j * step alone would form them
+                js = j0 + sign * np.arange(n)
+                times += [(curve.t0 + js * curve.step) + sign * curve.step / 2,
+                          curve.t0 + (js + sign) * curve.step]
+                mine.append((n, curve, j0, sign))
+                curve._far[sign] = k
+        if mine:
+            F, a = curve._stage_values(np.concatenate(times))
+            cuts = np.cumsum([2 * n for n, *_ in mine])[:-1]
+            lanes += [lane + (F_l.reshape(2, lane[0], 3, 3),
+                              a_l.reshape(2, lane[0]))
+                      for lane, F_l, a_l in zip(mine, np.split(F, cuts),
+                                                np.split(a, cuts))]
+    if not lanes:
+        return
+    # longest first, so that the lanes that take step s are a prefix
+    lanes.sort(key=lambda lane: -lane[0])
+    steps, chains, j0s, signs, Fs, alphas = zip(*lanes)
+    steps = np.array(steps)
+    F = np.zeros((2, steps[0], len(lanes), 3, 3))   # (mid, end), step, lane
+    a = np.zeros((2, steps[0], len(lanes)))
+    for i, (n, F_l, a_l) in enumerate(zip(steps, Fs, alphas)):
+        F[:, :n, i], a[:, :n, i] = F_l, a_l
+    R, g, F0, a0 = _stack(c._nodes[j0] for c, j0 in zip(chains, j0s))
+    h = np.array([sign * c.step for c, sign in zip(chains, signs)])
+    for s in range(steps[0]):
+        m = int(np.count_nonzero(steps > s))
+        R, g = _rk4_step((R[:m], g[:m], F0[:m], a0[:m]), h[:m],
+                         (F[0, s, :m], a[0, s, :m]),
+                         (F[1, s, :m], a[1, s, :m]))
+        R, F0, a0 = polar_rotation(R), F[1, s, :m], a[1, s, :m]
+        for c, j0, sign, node in zip(chains, j0s, signs, zip(R, g, F0, a0)):
+            c._nodes[j0 + sign * (s + 1)] = node
 
 
 class OdeFramedCurve(FramedCurve):
@@ -211,10 +302,11 @@ class OdeFramedCurve(FramedCurve):
     ``curvature_fn(ts, order)`` is called only with a 1-D array of times and
     returns a :class:`FramedCurvature` of batch jets whose lane k equals the
     curvature at ``ts[k]``; a single time is a batch of length one.
-    :meth:`FramedCurve.batch_curvature` is such a source. The times of every
-    step that one call integrates are known before the first step, so they
-    are evaluated in one call; :meth:`states_at` reads a batch of times
-    with one such call per side of t0 and one for the steps off the grid.
+    :meth:`FramedCurve.batch_curvature` is such a source. The nodes are
+    integrated lazily, by :func:`integrate_chains`, which evaluates the
+    times of every step it takes in one call per curve; :meth:`states_at`
+    reads a batch of times with one such call and one for the steps off the
+    node grid.
     """
 
     def __init__(self, curvature_fn, t0: float, R0: np.ndarray,
@@ -226,9 +318,9 @@ class OdeFramedCurve(FramedCurve):
         self.t0 = float(t0)
         self.step = float(step)
         # RK4 node j at t0 + j * step: (R, gamma, F, alpha)
+        F, a = self._stage_values(np.array([self.t0]))
         self._nodes: dict[int, tuple] = {
-            0: (np.asarray(R0, dtype=float), np.zeros(3),
-                *self._stage_values([self.t0])[0])}
+            0: (np.asarray(R0, dtype=float), np.zeros(3), F[0], a[0])}
         self._far = {+1: 0, -1: 0}         # furthest integrated node per side
         super().__init__(batch_evaluator(self._gamma_jets_impl),
                          batch_evaluator(self._frame_impl), domain, name=name,
@@ -236,78 +328,42 @@ class OdeFramedCurve(FramedCurve):
 
     # -- integration ---------------------------------------------------------
 
-    def _stage_values(self, ts) -> list[tuple[np.ndarray, float]]:
-        """(F, alpha) at each time of ``ts``, from one call of the source."""
-        c = self.curvature_fn(np.array(ts, dtype=float), 1)
-        return list(zip(_curvature_matrix(c), c.alpha.value.tolist()))
+    def _stage_values(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F, shape (len(ts), 3, 3), and alpha at each time of the 1-D array
+        ``ts``, from one call of the source."""
+        c = self.curvature_fn(ts, 1)
+        return _curvature_matrix(c), c.alpha.value
 
-    def _advance_to(self, k: int):
-        sign = 1 if k >= 0 else -1
-        js = range(self._far[sign], k, sign)
-        if not js:
-            return
-        h = sign * self.step
-        # each step's midpoint and end node, as floats formed exactly as a
-        # step from t0 + j * step would form them
-        times = []
-        for j in js:
-            times += [(self.t0 + j * self.step) + h / 2,
-                      self.t0 + (j + sign) * self.step]
-        stages = self._stage_values(times)
-        for j, mid, end in zip(js, stages[0::2], stages[1::2]):
-            R, g = self._rk4_step(self._nodes[j], h, mid, end)
-            self._nodes[j + sign] = (polar_rotation(R), g, *end)
-        self._far[sign] = k
-
-    @staticmethod
-    def _rk4_step(node, h, mid, end):
-        """One RK4 step of length h from ``node`` = (R, gamma, F, alpha) at
-        a time t; ``mid`` and ``end`` are (F, alpha) at t + h/2 and t + h."""
-        R, g, F0, a0 = node
-        Fm, am = mid
-        F1, a1 = end
-
-        def rhs(F, a, Rc):
-            return F @ Rc, a * Rc[2]
-
-        k1R, k1g = rhs(F0, a0, R)
-        k2R, k2g = rhs(Fm, am, R + h / 2 * k1R)
-        k3R, k3g = rhs(Fm, am, R + h / 2 * k2R)
-        k4R, k4g = rhs(F1, a1, R + h * k3R)
-        Rn = R + h / 6 * (k1R + 2 * k2R + 2 * k3R + k4R)
-        gn = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        return Rn, gn
+    def _node_indices(self, ts) -> np.ndarray:
+        """The index of the node nearest each time of ``ts``."""
+        return np.rint((np.asarray(ts, dtype=float) - self.t0)
+                       / self.step).astype(int)
 
     def states_at(self, ts) -> list[tuple[np.ndarray, np.ndarray]]:
         """(R, gamma) at each time of ``ts``, in its order.
 
         The nodes out to the furthest lane on each side of t0 are integrated
-        first (one source call per side), then the midpoint and end times of
+        first (:func:`integrate_chains`), then the midpoint and end times of
         every lane off the node grid are evaluated in one source call, and
-        each such lane takes one RK4 step from its nearest node.
+        those lanes take one stacked RK4 step from their nearest nodes.
         """
-        ts = np.asarray(ts, dtype=float).tolist()
-        ks = [int(round((t - self.t0) / self.step)) for t in ts]
-        self._advance_to(min(min(ks), 0))
-        self._advance_to(max(max(ks), 0))
-        # (node, node time, t) of each lane
-        lanes = [(self._nodes[k], self.t0 + k * self.step, t)
-                 for t, k in zip(ts, ks)]
-        off = [(tk, t) for _, tk, t in lanes if t != tk]
-        stages = iter(self._stage_values(
-            [x for tk, t in off for x in (tk + (t - tk) / 2, t)])
-            if off else ())
-        out = []
-        for node, tk, t in lanes:
-            if t == tk:
-                out.append((node[0], node[1]))
-            else:
-                R, g = self._rk4_step(node, t - tk, next(stages), next(stages))
-                out.append((polar_rotation(R), g))
+        ts = np.asarray(ts, dtype=float)
+        integrate_chains([(self, ts)])
+        ks = self._node_indices(ts)
+        tk = self.t0 + ks * self.step
+        nodes = [self._nodes[k] for k in ks.tolist()]
+        out = [node[:2] for node in nodes]
+        off = np.flatnonzero(ts != tk)
+        if off.size:
+            h = ts[off] - tk[off]
+            n = len(off)
+            F, a = self._stage_values(
+                np.concatenate((tk[off] + h / 2, ts[off])))
+            R, g = _rk4_step(_stack(nodes[i] for i in off), h,
+                             (F[:n], a[:n]), (F[n:], a[n:]))
+            for i, R_i, g_i in zip(off, polar_rotation(R), g):
+                out[i] = (R_i, g_i)
         return out
-
-    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.states_at([t])[0]
 
     # -- jet assembly from the ODE -------------------------------------------
 
@@ -324,18 +380,15 @@ class OdeFramedCurve(FramedCurve):
             n = min(len(d), order + 1)
             F[:, :n, r, s] = d[:n].T
 
-        stacks, gs = [], []
-        for (R, g), Fl in zip(self.states_at(ts), F):
-            stack = [R]
-            for k in range(order):
-                # d^{k+1} R = d^k (F R) by Leibniz over the stored stacks
-                M = np.zeros((3, 3))
-                for i in range(k + 1):
-                    M += math.comb(k, i) * Fl[i] @ stack[k - i]
-                stack.append(M)
-            stacks.append(stack)
-            gs.append(g)
-        return np.array(stacks), np.array(gs), c
+        R, g = _stack(self.states_at(ts))
+        stack = [R]
+        for k in range(order):
+            # d^{k+1} R = d^k (F R) by Leibniz over the stored stacks
+            M = np.zeros((len(ts), 3, 3))
+            for i in range(k + 1):
+                M += math.comb(k, i) * F[:, i] @ stack[k - i]
+            stack.append(M)
+        return np.stack(stack, axis=1), g, c
 
     def _frame_impl(self, ts: np.ndarray, order: int) -> tuple[VecJets, VecJets]:
         stacks, _, _ = self._derivative_stacks(ts, order)

@@ -12,7 +12,7 @@ import numpy as np
 from . import curves, fd, instances, jets
 from .classify import classify
 from .framedsurf import construct_theta, lemma_oracle, unit_speed_oracle
-from .framefield import (FrameField, check_compatibility,
+from .framefield import (FrameField, check_compatibility, integrate_chains,
                          reconstruct_framed_curves)
 from .jets import Jet
 from .surface import TranslationSurface
@@ -138,18 +138,20 @@ def suite_compat(grid_n: int = 32) -> list[Check]:
 
 
 def suite_reconstruction(step: float = 1e-3) -> list[Check]:
-    out = []
+    pairs = {}
     for key in ("s0", "s1m"):
         a, b = (curves.catalog(n) for n in CATALOG_PAIRS[key])
         ff = FrameField(a, b)
-        ra, rb = reconstruct_framed_curves(
+        pairs[key] = ff, reconstruct_framed_curves(
             a.batch_curvature, b.batch_curvature, ff.value(0.0, 0.0),
             (0.0, 0.0), (-0.9, 0.9), (-0.9, 0.9), step=step)
-        g = np.linspace(-0.9, 0.9, 6)
-        worst = float(np.max(np.abs(FrameField(ra, rb).value(g, g)
-                                    - ff.value(g, g))))
-        out.append(Check(f"reconstruction_roundtrip_{key}", worst, 1e-6))
-    return out
+    # the eight chains, four curves on two sides of t0, as lanes of one sweep
+    integrate_chains([(r, r.domain) for _, rs in pairs.values() for r in rs])
+    g = np.linspace(-0.9, 0.9, 6)
+    return [Check(f"reconstruction_roundtrip_{key}",
+                  float(np.max(np.abs(FrameField(*rs).value(g, g)
+                                      - ff.value(g, g)))), 1e-6)
+            for key, (ff, rs) in pairs.items()]
 
 
 def suite_lemma() -> list[Check]:

@@ -34,6 +34,8 @@ from transurf.verify import (CATALOG_PAIRS, all_pairs, suite_jets,
                              surface_for)
 from transurf.cli import main as cli_main
 
+from oracles import state_at
+
 PI = math.pi
 
 
@@ -255,7 +257,8 @@ def test_c07_reconstruction_roundtrip_and_order():
     def err(step):
         a, _ = reconstruct_framed_curves(curv, curv, np.eye(3), (0.0, 0.0),
                                          (0.0, 1.0), (0.0, 1.0), step=step)
-        return max(float(np.max(np.abs(a.state_at(float(t))[0] - exact(float(t)))))
+        return max(float(np.max(np.abs(state_at(a, float(t))[0]
+                                       - exact(float(t)))))
                    for t in np.linspace(0.0, 1.0, 9))
 
     errs = [err(h) for h in (2e-3, 1e-3, 5e-4)]

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transurf import curves, instances, jets, surface
+from transurf import curves, framefield, instances, jets, surface, verify
 from transurf.curves import (CurveJets, FramedCurve, FrenetFrame, build_curve,
                              catalog, catalog_names, frenet_lift, parse_curve,
                              vec_values)
@@ -36,12 +36,13 @@ from transurf.errors import (DegenerateDivision, DomainError,
                              NotNonDegenerate, OriginAtan2, TransurfError)
 from transurf.classify import classify
 from transurf.framefield import (FrameField, entry_bijet, entry_value,
-                                 frame_dot, polar_rotation,
-                                 reconstruct_framed_curves)
+                                 frame_dot, reconstruct_framed_curves)
 from transurf.jets import Jet
 from transurf.surface import (PointJets, TranslationSurface, _newton_t3,
                               residual_landscape)
 from transurf.verify import all_pairs, surface_for
+
+from oracles import reference_state, state_at
 
 
 def _bits(x) -> bytes:
@@ -287,7 +288,7 @@ def _ode_frame_reference(curve, t, order):
     F = np.zeros((order + 1, 3, 3))
     for (r, s), x in {(0, 1): c.l, (0, 2): c.m, (1, 2): c.n}.items():
         F[:, r, s], F[:, s, r] = x.d[: order + 1, 0], -x.d[: order + 1, 0]
-    stack = [curve.state_at(t)[0]]
+    stack = [state_at(curve, t)[0]]
     for k in range(order):
         M = np.zeros((3, 3))
         for i in range(k + 1):
@@ -312,25 +313,11 @@ def test_ode_curve_batch_equals_scalar_lanes():
         ts, [_ode_frame_reference(curve, float(t), 6) for t in ts]))
 
 
-def _ode_state_reference(curve, t):
-    """(R, gamma) of an ODE curve at one t as the scalar read formed it:
-    integrate out to the nearest node, then one RK4 step from it with its
-    own source call for the midpoint and the end."""
-    k = int(round((t - curve.t0) / curve.step))
-    curve._advance_to(k)
-    node = curve._nodes[k]
-    tk = curve.t0 + k * curve.step
-    if t == tk:
-        return node[0], node[1]
-    h = t - tk
-    R, g = curve._rk4_step(node, h, *curve._stage_values([tk + h / 2, t]))
-    return polar_rotation(R), g
-
-
 def test_ode_states_read_in_one_sweep():
     # a fresh curve, unsorted times on both sides of t0: a node time, off-node
-    # times and a repeated time; the lanes equal one-time reads of another
-    # fresh curve, and the evaluator reads its source four times at most
+    # times and a repeated time; the lanes equal the independent per-step
+    # chain, and the evaluator reads its source three times at most: the
+    # sweep of both sides, the off-node steps and the derivative stacks
     def fresh(source):
         return reconstruct_framed_curves(
             source, catalog("s0_b").batch_curvature, np.eye(3), (0.1, 0.0),
@@ -347,15 +334,45 @@ def test_ode_states_read_in_one_sweep():
     ts = np.array([0.317, -0.2414, node, 0.1004, -0.2414, 0.083, -0.45])
     asked.clear()
     frame = curve._frame(ts, 6)
-    assert len(asked) <= 4
+    assert len(asked) <= 3
     gamma = curve._gamma(ts, 6)
-    scalar = [_ode_state_reference(ref, float(t)) for t in ts]
+    # the independent per-step chain from t0 = 0.1, one scalar source call
+    # per stage time
+    scalar = [reference_state(catalog("s1m_a").curvature, 0.1, 1e-2, float(t))
+              for t in ts]
     for (R, g), (Rr, gr) in zip(curve.states_at(ts), scalar):
         assert _bits(R) == _bits(Rr) and _bits(g) == _bits(gr)
     _assert_same_jets(frame, _stack_lanes(
         ts, [_ode_frame_reference(ref, float(t), 6) for t in ts]))
     _assert_same_jets(gamma, _lanewise(ref._gamma)(ts, 6))
     assert _bits(vec_values(gamma).T) == _bits([g for _, g in scalar])
+
+
+def test_verify_recon_sweeps_its_chains_as_lanes(monkeypatch):
+    # at the benchmark's step the eight chains (four curves, two sides) take
+    # 56 stacked steps and each curve's states_at one off-node step, where
+    # chain-by-chain stepping made 472 polar rotations; each curve reads its
+    # source for its first node, its sweep, its off-node steps and its
+    # derivative stacks, where the former sweep per side made 20 calls
+    polar, sources = [], []
+    original_polar = framefield.polar_rotation
+    original_source = FramedCurve.batch_curvature
+
+    def count_polar(M):
+        polar.append(len(M))
+        return original_polar(M)
+
+    def count_source(self, ts, order=5):
+        sources.append(len(ts))
+        return original_source(self, ts, order)
+
+    monkeypatch.setattr(framefield, "polar_rotation", count_polar)
+    monkeypatch.setattr(FramedCurve, "batch_curvature", count_source)
+    checks = verify.suite_reconstruction(1.6e-2)
+    assert [c.value for c in checks] == [2.1831259022775384e-10,
+                                         2.6204620418024405e-08]
+    assert len(polar) <= 64 and max(polar) == 8
+    assert len(sources) <= 16
 
 
 def test_verify_jets_keeps_every_probe_without_numpy_random():

@@ -13,6 +13,8 @@ from transurf.framefield import (CompatibilityReport, FrameField,
                                  reconstruct_framed_curves)
 from transurf.jets import BiJet, Jet
 
+from oracles import polar_rotation_reference, reference_state, state_at
+
 PAIRS = [("s0_a", "s0_b"), ("s1p_a", "s1p_b"), ("s1m_a", "s1m_b"),
          ("sin_curve", "sin_curve"), ("self_s1p", "self_s1p")]
 
@@ -290,6 +292,42 @@ def test_polar_rotation_projects():
     assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_polar_rotation_of_a_reflection_is_a_rotation():
+    # Newton keeps the sign of det, so a reflection goes to the SVD
+    R = polar_rotation(np.diag([1.0, 1.0, -1.0]))
+    assert np.allclose(R.T @ R, np.eye(3), atol=1e-14)
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_stacked_polar_rotation_matches_one_matrix_reference():
+    # one stack whose lanes leave the Newton loop at different steps or
+    # take the SVD; each lane equals the one-matrix reference bitwise
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    Q *= np.sign(np.linalg.det(Q))
+    lanes = {0: np.eye(3),
+             1: Q + 1e-9 * rng.standard_normal((3, 3)),
+             2: Q + 1e-5 * rng.standard_normal((3, 3)),
+             "svd": [Q + 1e-2 * rng.standard_normal((3, 3)),   # 3 steps short
+                     2.0 * Q,                                   # error > 0.5
+                     np.diag([1.0, 1.0, -1.0])
+                     + 1e-9 * rng.standard_normal((3, 3))]}
+    stack, kinds = [], []
+    for kind, ms in lanes.items():
+        for M in ms if kind == "svd" else [ms]:
+            stack.append(M)
+            kinds.append(kind)
+    order = rng.permutation(len(stack))
+    stack = np.array(stack)[order]
+    out = polar_rotation(stack)
+    assert out.shape == stack.shape
+    for M, R, kind in zip(stack, out, np.array(kinds, dtype=object)[order]):
+        R_ref, how = polar_rotation_reference(M)
+        assert how == kind
+        assert R.tobytes() == R_ref.tobytes(), kind
+        assert np.linalg.det(R) > 0
+
+
 def test_identity_field_reconstructs_parallel_lines():
     def unit_curv(t, order):
         order = max(order, 2)
@@ -349,7 +387,7 @@ def test_reconstruction_rk4_order():
                                          (0.0, 1.0), (0.0, 1.0), step=step)
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 9):
-            Ra, _ = a.state_at(float(t))
+            Ra, _ = state_at(a, float(t))
             worst = max(worst, float(np.max(np.abs(Ra - exact(float(t))))))
         return worst
 
@@ -500,7 +538,7 @@ def test_rk4_evaluates_curvature_once_per_stage_time():
     n = 200
     curve = _counted_ode_curve(calls, sources)
     before = len(sources)
-    curve.state_at(0.3 + n * 1e-3)
+    state_at(curve, 0.3 + n * 1e-3)
     assert {order for _, order in calls} == {1}
     assert len(calls) <= 2 * n + 1
     # the stage times of all n steps are known in advance: one source call
@@ -518,45 +556,6 @@ def test_frame_rows_share_one_derivative_stack():
     assert calls.count((t, 4)) == 1
 
 
-def _reference_state(curvature, t0, step, t):
-    """The per-step RK4 integrator from R = I, gamma = 0 at t0: F and alpha
-    at each stage time from their own scalar curvature call, then an
-    off-node step to t."""
-    def fmat(x):
-        c = curvature(x, 1)
-        l, m, n = c.l.value, c.m.value, c.n.value
-        return (np.array([[0.0, l, m], [-l, 0.0, n], [-m, -n, 0.0]]),
-                c.alpha.value)
-
-    def rk4_step(tk, node, h, end):
-        R, g, F0, a0 = node
-        Fm, am = fmat(tk + h / 2)
-        F1, a1 = end
-
-        def rhs(F, a, Rc):
-            return F @ Rc, a * Rc[2]
-
-        k1R, k1g = rhs(F0, a0, R)
-        k2R, k2g = rhs(Fm, am, R + h / 2 * k1R)
-        k3R, k3g = rhs(Fm, am, R + h / 2 * k2R)
-        k4R, k4g = rhs(F1, a1, R + h * k3R)
-        return (R + h / 6 * (k1R + 2 * k2R + 2 * k3R + k4R),
-                g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
-
-    k = int(round((t - t0) / step))
-    sign = 1 if k >= 0 else -1
-    node = (np.eye(3), np.zeros(3), *fmat(t0))
-    for j in range(0, k, sign):
-        end = fmat(t0 + (j + sign) * step)
-        R, g = rk4_step(t0 + j * step, node, sign * step, end)
-        node = (polar_rotation(R), g, *end)
-    tk = t0 + k * step
-    if t == tk:
-        return node[0], node[1]
-    R, g = rk4_step(tk, node, t - tk, fmat(t))
-    return polar_rotation(R), g
-
-
 @pytest.mark.parametrize("step,n", [(1e-3, 60), (1.6e-2, 40)])
 def test_batched_stage_times_match_per_step_reference(step, n):
     # nodes on both sides of t0 = 0.3, and one off-node time on each side
@@ -566,7 +565,7 @@ def test_batched_stage_times_match_per_step_reference(step, n):
     times = [0.3 + j * step for j in (n, 1, -n, -1, 0)]
     times += [0.3 + 2.5 * step, 0.3 - 3.5 * step]
     for t in times:
-        R, g = curve.state_at(t)
-        R_ref, g_ref = _reference_state(base.curvature, 0.3, step, t)
+        R, g = state_at(curve, t)
+        R_ref, g_ref = reference_state(base.curvature, 0.3, step, t)
         assert R.tobytes() == R_ref.tobytes(), t
         assert g.tobytes() == g_ref.tobytes(), t
