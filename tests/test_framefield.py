@@ -305,23 +305,21 @@ def test_stacked_polar_rotation_matches_one_matrix_reference():
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     Q *= np.sign(np.linalg.det(Q))
-    lanes = {0: np.eye(3),
-             1: Q + 1e-9 * rng.standard_normal((3, 3)),
-             2: Q + 1e-5 * rng.standard_normal((3, 3)),
-             "svd": [Q + 1e-2 * rng.standard_normal((3, 3)),   # 3 steps short
-                     2.0 * Q,                                   # error > 0.5
-                     np.diag([1.0, 1.0, -1.0])
-                     + 1e-9 * rng.standard_normal((3, 3))]}
-    stack, kinds = [], []
-    for kind, ms in lanes.items():
-        for M in ms if kind == "svd" else [ms]:
-            stack.append(M)
-            kinds.append(kind)
-    order = rng.permutation(len(stack))
-    stack = np.array(stack)[order]
+
+    def noise(scale):
+        return scale * rng.standard_normal((3, 3))
+
+    lanes = [(0, np.eye(3)),
+             (1, Q + noise(1e-9)),
+             (2, Q + noise(1e-5)),
+             ("svd", Q + noise(1e-2)),        # still short after 3 steps
+             ("svd", 2.0 * Q),                # error above 0.5
+             ("svd", np.diag([1.0, 1.0, -1.0]) + noise(1e-9))]
+    lanes = [lanes[i] for i in rng.permutation(len(lanes))]
+    stack = np.array([M for _, M in lanes])
     out = polar_rotation(stack)
     assert out.shape == stack.shape
-    for M, R, kind in zip(stack, out, np.array(kinds, dtype=object)[order]):
+    for (kind, M), R in zip(lanes, out):
         R_ref, how = polar_rotation_reference(M)
         assert how == kind
         assert R.tobytes() == R_ref.tobytes(), kind
