@@ -24,7 +24,8 @@ STEPS = (1.6e-2, 1e-3)
 
 def main():
     steps, sources = [], []
-    rk4_step, batch_curvature = framefield._rk4_step, FramedCurve.batch_curvature
+    rk4_step = framefield._rk4_step
+    batch_curvature = FramedCurve.batch_curvature
 
     def count_step(*args):
         steps.append(1)
